@@ -14,7 +14,6 @@ from .exactalg import (
     charpoly,
     distance_charpoly_formula,
     permuted,
-    poly_div_exact,
     poly_eval,
     poly_mul,
     prime_adjacency_charpoly,

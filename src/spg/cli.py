@@ -245,8 +245,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INAPPLICABLE
     out_path = getattr(args, "out", None)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(document)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(document)
+        except OSError as exc:
+            print(f"spg: error: cannot write {out_path}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(document)
     return code

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "poly_mul",
     "poly_eval",
     "binom_power",
-    "poly_div_exact",
     "charpoly",
     "bareiss_det",
     "permuted",
@@ -85,9 +84,6 @@ class IntMatrix:
             for i in range(self.n)
             for j in range(i + 1, self.n)
         )
-
-    def max_row_abs_sum(self) -> int:
-        return max(sum(abs(v) for v in row) for row in self.rows)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
@@ -200,148 +196,189 @@ def binom_power(k: int) -> IntPolynomial:
     return IntPolynomial([math.comb(k, i) for i in range(k + 1)])
 
 
-def poly_div_exact(
-    num: IntPolynomial, den: IntPolynomial
-) -> tuple[Optional[IntPolynomial], bool]:
-    """Long division over the rationals.
-
-    Returns (quotient, True) when the remainder is zero and the quotient has
-    integer coefficients, else (None, False).
-    """
-    if not den.coeffs:
-        raise ZeroDivisionError("division by the zero polynomial")
-    rem = [Fraction(c) for c in num.coeffs]
-    dlead = Fraction(den.coeffs[-1])
-    ddeg = den.degree
-    qdeg = len(rem) - 1 - ddeg
-    if qdeg < 0:
-        if not num.coeffs:
-            return IntPolynomial([]), True
-        return None, False
-    quotient = [Fraction(0)] * (qdeg + 1)
-    for shift in range(qdeg, -1, -1):
-        factor = rem[shift + ddeg] / dlead
-        quotient[shift] = factor
-        if factor:
-            for i, dc in enumerate(den.coeffs):
-                rem[shift + i] -= factor * dc
-    if any(rem) or any(q.denominator != 1 for q in quotient):
-        return None, False
-    return IntPolynomial([int(q) for q in quotient]), True
-
-
 # --- characteristic polynomial ------------------------------------------------
 
-_FLOAT_EXACT = 1 << 53  # dot products must stay below this for exact float math
+_DOT_LIMIT = 1 << 53  # every basis prime has n * (p-1)^2 below this
+_SIEVE_WINDOW = 1 << 11  # candidates sieved per pass of the prime search
+
+
+def _primes_between(lo: int, hi: int) -> np.ndarray:
+    """Primes in [lo, hi), ascending, by sieving that window alone."""
+    root = math.isqrt(hi - 1)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for q in range(2, math.isqrt(root) + 1):
+        if small[q]:
+            small[q * q :: q] = False
+    window = np.ones(hi - lo, dtype=bool)
+    window[lo % 2 :: 2] = False  # the even numbers; 2 itself is put back below
+    for q in np.flatnonzero(small)[1:].tolist():  # the odd primes up to the root
+        first = max(q * q, -(-lo // q) * q)
+        window[first - lo :: q] = False
+    primes = np.flatnonzero(window) + lo
+    if lo <= 2 < hi:
+        primes = np.concatenate(([2], primes))
+    return primes
 
 
 def _prime_basis(n: int, bound: int) -> tuple[list[int], int]:
     """Descending primes p with n*(p-1)^2 < 2^53 whose product exceeds bound."""
-    limit = math.isqrt((_FLOAT_EXACT - 1) // max(n, 1)) + 1
+    hi = math.isqrt((_DOT_LIMIT - 1) // max(n, 1)) + 1  # candidates lie below hi
     primes: list[int] = []
     product = 1
-    candidate = limit
     while product <= bound:
-        candidate -= 1
-        if candidate < 2:
+        if hi <= 2:
             raise AssertionError("prime basis exhausted; matrix too large")
-        if n * (candidate - 1) ** 2 >= _FLOAT_EXACT:
-            continue
-        if is_prime(candidate):
-            primes.append(candidate)
-            product *= candidate
+        lo = max(2, hi - _SIEVE_WINDOW)
+        for p in reversed(_primes_between(lo, hi).tolist()):
+            primes.append(p)
+            product *= p
+            if product > bound:
+                break
+        hi = lo
     return primes, product
 
 
-def _crt_signed(residues: Sequence[int], primes: Sequence[int], modulus: int) -> int:
-    """Garner reconstruction into the symmetric range (-modulus/2, modulus/2]."""
-    x, m = 0, 1
-    for r, p in zip(residues, primes):
-        t = ((r - x) * pow(m, -1, p)) % p
-        x += t * m
-        m *= p
-    if 2 * x > modulus:
-        x -= modulus
-    return x
+def _crt_signed(residues: np.ndarray, primes: Sequence[int], modulus: int) -> list[int]:
+    """Garner reconstruction of each column of the (P, K) residue array into
+    the symmetric range (-modulus/2, modulus/2].
 
-
-def _residue_stack(matrix: IntMatrix, primes: Sequence[int]) -> np.ndarray:
-    """Matrix reduced modulo each prime, stacked along axis 0 as int64."""
-    n = matrix.n
-    flat_max = max((abs(v) for row in matrix.rows for v in row), default=0)
-    pcol = np.array(primes, dtype=np.int64).reshape(-1, 1, 1)
-    if flat_max < (1 << 62):
-        base = np.array(matrix.rows, dtype=np.int64).reshape(1, n, n)
-        return base % pcol
-    # entries beyond int64: reduce in Python integers, prime by prime
-    stack = np.empty((len(primes), n, n), dtype=np.int64)
-    for k, p in enumerate(primes):
-        stack[k] = [[v % p for v in row] for row in matrix.rows]
-    return stack
-
-
-def _trace_residues(x: np.ndarray, y: Optional[np.ndarray], pcol: np.ndarray) -> np.ndarray:
-    """Residues of tr(X) or tr(X @ Y) without forming the product matrix.
-
-    Row-wise dot products stay below n * p^2 < 2^53 < 2^63, so the int64
-    accumulation is exact.
+    The Garner constants depend only on the basis, so each is computed once
+    and applied to all K columns together.
     """
-    if y is None:
-        diag = np.einsum("pii->p", x)
-    else:
-        row_dots = np.einsum("pik,pki->pi", x, y) % pcol[:, :, 0]
-        diag = row_dots.sum(axis=1)
-    return diag % pcol[:, 0, 0]
+    x = np.zeros(residues.shape[1], dtype=object)
+    m = 1
+    for r, p in zip(residues.astype(object), primes):
+        x += ((r - x) * pow(m, -1, p) % p) * m
+        m *= p
+    return [v - modulus if 2 * v > modulus else v for v in x.tolist()]
+
+
+def _residue_stack(entries: np.ndarray, primes: Sequence[int]) -> np.ndarray:
+    """Matrix reduced modulo each prime, stacked along axis 0 as int64.
+
+    entries is an int64 array, or an object array of Python integers when
+    some entry is too large for int64 arithmetic.
+    """
+    pcol = np.array(primes, dtype=entries.dtype).reshape(-1, 1, 1)
+    return (entries[None] % pcol).astype(np.int64, copy=False)
+
+
+def _hessenberg(h: np.ndarray, pcol: np.ndarray) -> None:
+    """Reduce each h[k] in place to an upper Hessenberg matrix similar to it
+    modulo pcol[k], all primes in one batch (Cohen, Alg. 2.2.9).
+
+    As in Cohen's algorithm, a column that is already zero below the
+    subdiagonal is skipped.  A matrix with a low-degree minimal polynomial,
+    such as a strong power graph's adjacency or distance matrix, splits into
+    small Hessenberg blocks and skips most columns.
+    """
+    num, n, _ = h.shape
+    p = pcol[:, 0]
+    p3 = pcol[:, :, None]
+    rows = np.arange(num)
+    work = np.empty(h.size, dtype=np.int64)
+    for m in range(n - 2):
+        if not h[:, m + 2 :, m].any():
+            continue  # column m is already in Hessenberg form for every prime
+        if not h[:, m + 1, m].all():
+            # pivot: the first nonzero entry at or below the subdiagonal of
+            # column m; with none, u below is zero and the step changes nothing
+            piv = np.argmax(h[:, m + 1 :, m] != 0, axis=1) + m + 1
+            top = h[rows, m + 1].copy()
+            h[rows, m + 1] = h[rows, piv]
+            h[rows, piv] = top
+            left = h[rows, :, m + 1].copy()
+            h[rows, :, m + 1] = h[rows, :, piv]
+            h[rows, :, piv] = left
+        pivot = h[:, m + 1, m]
+        inv = np.array(
+            [pow(v, -1, q) if v else 0 for v, q in zip(pivot.tolist(), p.tolist())],
+            dtype=np.int64,
+        )
+        assert (pivot * inv % p == (pivot != 0)).all(), "bad pivot inverse"
+        # rows m+2.. -= u * row m+1, then columns m+1 += (columns m+2..) @ u
+        u = h[:, m + 2 :, m] * inv[:, None] % pcol
+        t = work[: num * (n - m - 2) * (n - m)].reshape(num, n - m - 2, n - m)
+        np.multiply(u[:, :, None], h[:, m + 1, None, m:], out=t)
+        np.subtract(h[:, m + 2 :, m:], t, out=t)
+        np.remainder(t, p3, out=h[:, m + 2 :, m:])
+        h[:, :, m + 1] += np.einsum("pik,pk->pi", h[:, :, m + 2 :], u)
+        h[:, :, m + 1] %= pcol
+
+
+def _hessenberg_charpoly(h: np.ndarray, pcol: np.ndarray) -> np.ndarray:
+    """Coefficients of det(xI - h[k]) mod pcol[k] for upper Hessenberg h[k],
+    as a (P, n+1) array with ascending degree along axis 1.
+
+    The charpoly q_m of the leading m x m block obeys
+    q_m = (x - h[m-1,m-1]) q_{m-1} - sum_{i<m-1} h[i,m-1] t_i q_i, where
+    t_i = h[i+1,i] h[i+2,i+1] ... h[m-1,m-2] is carried as a running vector.
+    Past a subdiagonal entry that is zero for every prime, all earlier t_i
+    vanish, so the sum starts there.
+    """
+    num, n, _ = h.shape
+    q = np.zeros((num, n + 1, n + 1), dtype=np.int64)  # q[:, d, i]: x^d in q_i
+    q[:, 0, 0] = 1
+    t = np.zeros((num, n), dtype=np.int64)
+    z = 0  # t_i vanishes for every prime when i < z
+    for m in range(1, n + 1):
+        prev = q[:, :m, m - 1]
+        q[:, 1 : m + 1, m] = prev
+        q[:, :m, m] -= h[:, m - 1, m - 1, None] * prev
+        if m >= 2:
+            sub = h[:, m - 1, m - 2, None]
+            if not sub.any():
+                z = m - 1  # a zero subdiagonal splits off the leading block
+            t[:, z : m - 2] = t[:, z : m - 2] * sub % pcol
+            t[:, m - 2] = sub[:, 0]
+            w = h[:, z : m - 1, m - 1] * t[:, z : m - 1] % pcol
+            q[:, : m - 1, m] -= np.einsum("pi,pdi->pd", w, q[:, : m - 1, z : m - 1])
+        q[:, : m + 1, m] %= pcol
+    return q[:, :, n]
 
 
 def charpoly(matrix: IntMatrix) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - M), monic of degree n.
 
-    Runs the Faddeev-LeVerrier trace recurrence: with power sums
-    s_j = tr(M^j), the coefficients follow from k * c_k = -(s_k +
-    c_1 s_{k-1} + ... + c_{k-1} s_1), and every division by the step index
-    k is exact over the integers (asserted at each step).
+    Multimodular Hessenberg method (Cohen, *A Course in Computational
+    Algebraic Number Theory*, Alg. 2.2.9).  Modulo each prime of a basis,
+    similarity transforms reduce M to upper Hessenberg form, and a
+    recurrence over the leading blocks of that form gives its charpoly.
+    All primes run together on one (P, n, n) int64 stack, so the cost is
+    O(P * n^3).
 
-    The matrix powers that feed the traces are carried modulo a basis of
-    word-size primes whose product provably exceeds 2 * n * norm^n, the
-    largest possible |s_j|; each trace is reconstructed exactly by CRT
-    before the division.  Products use float64 matrix multiplication, which
-    is exact because every accumulated dot product stays below 2^53.
+    The coefficient c_k of x^(n-k) is (-1)^k times the sum of the C(n, k)
+    principal k x k minors, and each minor is at most norm^k in absolute
+    value, where norm = |M|_inf is the largest row sum of |M|.  So
+    |c_k| <= C(n, k) * norm^k <= (1 + norm)^n, and a basis whose product
+    exceeds 2 * (1 + norm)^n recovers every coefficient exactly by CRT in
+    the symmetric range.
+
+    Every basis prime satisfies n * (p-1)^2 < 2^53, so each int64 product of
+    two residues, and each batched dot product of at most n + 1 of them,
+    stays far below 2^63 and is exact.  Each pivot inverse is asserted, and
+    so are the leading coefficient 1 and the x^(n-1) coefficient -tr(M).
     """
     n = matrix.n
-    norm = matrix.max_row_abs_sum()
-    bound = 2 * n * max(1, norm) ** n
-    primes, modulus = _prime_basis(n, bound)
-    pcol = np.array(primes, dtype=np.int64).reshape(-1, 1, 1)
+    small = (1 << 62) // n  # below this, every row sum of |M| fits int64
+    try:
+        entries = np.array(matrix.rows, dtype=np.int64)
+        fits = -small < entries.min() and entries.max() < small
+    except OverflowError:
+        fits = False
+    if not fits:
+        entries = np.array(matrix.rows, dtype=object)  # exact Python integers
+    norm = int(np.abs(entries).sum(axis=1).max())
+    primes, modulus = _prime_basis(n, 2 * (1 + norm) ** n)
+    pcol = np.array(primes, dtype=np.int64).reshape(-1, 1)
 
-    base = _residue_stack(matrix, primes)
-    base_f = base.astype(np.float64)
-    trace_res: list[Optional[np.ndarray]] = [None] * (n + 1)
-    trace_res[1] = _trace_residues(base, None, pcol)
-    if n >= 2:
-        trace_res[2] = _trace_residues(base, base, pcol)
-    current, current_f = base, base_f
-    j = 1
-    while 2 * j + 1 <= n:
-        nxt_f = np.matmul(current_f, base_f)
-        nxt = nxt_f.astype(np.int64) % pcol
-        trace_res[2 * j + 1] = _trace_residues(current, nxt, pcol)
-        if 2 * (j + 1) <= n:
-            trace_res[2 * (j + 1)] = _trace_residues(nxt, nxt, pcol)
-        current = nxt
-        current_f = nxt.astype(np.float64)
-        j += 1
-
-    power_sums = [0] * (n + 1)
-    for k in range(1, n + 1):
-        power_sums[k] = _crt_signed([int(r) for r in trace_res[k]], primes, modulus)
-
-    coeffs = [1] + [0] * n  # coeffs[k] multiplies x^(n-k)
-    for k in range(1, n + 1):
-        s = power_sums[k] + sum(coeffs[i] * power_sums[k - i] for i in range(1, k))
-        assert s % k == 0, f"inexact division by {k} in the trace recurrence"
-        coeffs[k] = -(s // k)
-    return IntPolynomial(list(reversed(coeffs)))
+    h = _residue_stack(entries, primes)
+    _hessenberg(h, pcol)
+    coeffs = _crt_signed(_hessenberg_charpoly(h, pcol), primes, modulus)
+    assert coeffs[n] == 1, "charpoly is not monic"
+    assert coeffs[n - 1] == -int(entries.trace()), "x^(n-1) coefficient is not -tr(M)"
+    return IntPolynomial(coeffs)
 
 
 def bareiss_det(matrix: IntMatrix) -> int:
@@ -416,10 +453,15 @@ def adjacency_charpoly_formula(n: int) -> IntPolynomial:
     )
     if n >= 3:
         return poly_mul(binom_power(n - 3), cubic)
-    quotient, exact = poly_div_exact(cubic, IntPolynomial([1, 1]))
-    if not exact:
+    # synthetic division by (x + 1): the remainder is the cubic's value at -1
+    quotient = [0] * 3
+    carry = 0
+    for k in range(3, 0, -1):
+        carry = cubic.coeffs[k] - carry
+        quotient[k - 1] = carry
+    if cubic.coeffs[0] - carry != 0:
         raise InexactDivision(f"(x+1) does not divide the n=2 cubic {cubic}")
-    return quotient
+    return IntPolynomial(quotient)
 
 
 def prime_adjacency_charpoly(p: int) -> IntPolynomial:

@@ -275,6 +275,7 @@ def to_dot(graph: SimpleGraph, labels: Optional[Sequence[str]] = None) -> str:
     lines = ["graph G {"]
     for v in range(graph.n):
         name = labels[v] if labels is not None else str(v)
+        name = name.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {v} [label="{name}"];')
     for u, v in graph.edges():
         lines.append(f"  {u} -- {v};")

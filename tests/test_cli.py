@@ -186,6 +186,21 @@ def test_verify_out_file(capsys, tmp_path):
     assert doc["summary"]["range"] == [4, 6]
 
 
+def test_out_into_missing_directory_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, ["build", "--group", "cyclic:4", "--out", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"spg: error: cannot write {path}: ")
+    assert not path.exists()
+
+
+def test_out_onto_a_directory_is_a_usage_error(capsys, tmp_path):
+    code, _, err = run_cli(capsys, ["build", "--group", "cyclic:4", "--out", str(tmp_path)])
+    assert code == 2
+    assert err.startswith(f"spg: error: cannot write {tmp_path}: ")
+
+
 def test_report_round_trip():
     report = verify_range(4, 8)
     document = json.loads(report.to_json())

@@ -1,10 +1,11 @@
 """Exact matrices, polynomials, characteristic polynomials, closed forms."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spg.exactalg import (
@@ -20,11 +21,12 @@ from spg.exactalg import (
     charpoly,
     distance_charpoly_formula,
     permuted,
-    poly_div_exact,
     poly_eval,
     poly_mul,
     prime_adjacency_charpoly,
 )
+from spg import exactalg
+from spg.exactalg import _prime_basis, _primes_between
 from spg.graphs import adjacency_matrix, distance_matrix, strong_power_graph
 from spg.groups import CyclicGroup, is_prime
 
@@ -99,6 +101,119 @@ def test_bareiss_matches_charpoly_constant():
             assert bareiss_det(matrix) == (-1) ** n * constant, n
 
 
+def _trial_division_basis(n, bound):
+    """The prime basis as it was found before the sieve: trial division of
+    each candidate below the limit, largest first."""
+    candidate = math.isqrt(((1 << 53) - 1) // n) + 1
+    primes, product = [], 1
+    while product <= bound:
+        candidate -= 1
+        if n * (candidate - 1) ** 2 < 1 << 53 and is_prime(candidate):
+            primes.append(candidate)
+            product *= candidate
+    return primes, product
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 110, 150, 300])
+def test_prime_basis_matches_trial_division(n):
+    # 2^4000 needs primes from more than one sieve window at every n here
+    for bound in (2, 2 * (1 + 2 * n) ** n, 2**4000):
+        assert _prime_basis(n, bound) == _trial_division_basis(n, bound), (n, bound)
+
+
+def test_primes_between_small_windows():
+    for lo, hi in ((2, 3), (2, 200), (3, 200), (90, 91), (1000, 1100)):
+        expected = [k for k in range(lo, hi) if is_prime(k)]
+        assert _primes_between(lo, hi).tolist() == expected, (lo, hi)
+
+
+def _assert_charpoly_by_determinants(rows):
+    """charpoly(M) is monic of degree n and agrees with det(xI - M), taken by
+    Bareiss, at the n + 1 points 0..n, which determine it."""
+    m = IntMatrix(rows)
+    poly = charpoly(m)
+    assert poly.degree == m.n and poly.is_monic()
+    for x0 in range(m.n + 1):
+        shifted = IntMatrix(
+            [
+                [(x0 if i == j else 0) - m.rows[i][j] for j in range(m.n)]
+                for i in range(m.n)
+            ]
+        )
+        assert poly_eval(poly, x0) == bareiss_det(shifted), (rows, x0)
+
+
+def _square(n, entries):
+    return st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: _square(n, st.integers(-9, 9))))
+def test_charpoly_nonsymmetric_and_singular(rows):
+    _assert_charpoly_by_determinants(rows)
+    singular = rows[:-1] + [rows[0]] if len(rows) > 1 else [[0]]
+    _assert_charpoly_by_determinants(singular)
+    assert charpoly(IntMatrix(singular)).coefficient(0) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(3, 6).flatmap(
+        lambda n: st.tuples(_square(n, st.integers(-4, 4)), st.integers(0, n - 3))
+    )
+)
+def test_charpoly_without_pivot(case):
+    # block upper triangular with a leading (j+1) x (j+1) block: no prime
+    # finds a pivot for column j, and entry (j+1, j) stays zero for all primes
+    rows, j = case
+    for i in range(j + 1, len(rows)):
+        rows[i][: j + 1] = [0] * (j + 1)
+    _assert_charpoly_by_determinants(rows)
+
+
+def _pivot_hostile_square(n):
+    # multiples of the largest basis prime vanish modulo that prime only, so
+    # that prime picks other pivot rows than the rest of the basis
+    top = _prime_basis(n, 1)[0][0]
+    entries = st.one_of(st.integers(-3, 3), st.integers(-2, 2).map(lambda k: k * top))
+    return _square(n, entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6).flatmap(_pivot_hostile_square))
+def test_charpoly_pivots_differ_between_primes(rows):
+    _assert_charpoly_by_determinants(rows)
+
+
+def test_charpoly_pivot_differs_for_largest_prime():
+    # entry (1, 0) vanishes modulo the largest prime only, which pivots on row 2
+    top = _prime_basis(3, 1)[0][0]
+    rows = [[1, 2, 0], [top, 0, 1], [1, 1, 3]]
+    _assert_charpoly_by_determinants(rows)
+
+
+_ENTRY = st.integers(-(2**66), 2**66)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ENTRY, _ENTRY, _ENTRY, _ENTRY)
+@example(2**63 + 1, -1, 3, 2**63 + 7)  # np.array would infer float64 here
+@example(-(2**63), 5, 1, 2**62)
+def test_charpoly_orders_one_and_two(a, b, c, d):
+    assert charpoly(IntMatrix([[a]])) == IntPolynomial([-a, 1])
+    expected = IntPolynomial([a * d - b * c, -(a + d), 1])
+    assert charpoly(IntMatrix([[a, b], [c, d]])) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: _square(n, st.integers(-(2**70), 2**70))))
+def test_charpoly_entries_beyond_int64(rows):
+    rows[0][0] = 2**62 + 1  # at least one entry takes the Python-integer path
+    _assert_charpoly_by_determinants(rows)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 6).flatmap(
@@ -138,31 +253,6 @@ def test_binom_power():
     assert binom_power(5).coefficient(2) == 10
 
 
-def test_poly_div_exact():
-    q, exact = poly_div_exact(IntPolynomial([0, 0, 1, 1]), IntPolynomial([1, 1]))
-    assert exact and q == IntPolynomial([0, 0, 1])
-    _, exact = poly_div_exact(IntPolynomial([1, 0, 1]), IntPolynomial([1, 1]))
-    assert not exact
-    product = poly_mul(IntPolynomial([1, 1]), IntPolynomial([-7, -11, -1, 1]))
-    q, exact = poly_div_exact(product, IntPolynomial([1, 1]))
-    assert exact and q == IntPolynomial([-7, -11, -1, 1])
-    with pytest.raises(ZeroDivisionError):
-        poly_div_exact(IntPolynomial([1]), IntPolynomial([]))
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.integers(-50, 50), min_size=1, max_size=6),
-    st.lists(st.integers(-50, 50), min_size=1, max_size=6),
-)
-def test_poly_div_inverts_mul(a_coeffs, b_coeffs):
-    a, b = IntPolynomial(a_coeffs), IntPolynomial(b_coeffs)
-    if not b.coeffs:
-        return
-    q, exact = poly_div_exact(poly_mul(a, b), b)
-    assert exact and q == a
-
-
 def test_distance_formula_n4():
     assert distance_charpoly_formula(4) == IntPolynomial([-7, -18, -12, 0, 1])
 
@@ -190,6 +280,17 @@ def test_adjacency_formula_small_orders():
     )
     with pytest.raises(UnsupportedN):
         adjacency_charpoly_formula(1)
+
+
+def test_adjacency_formula_n2_is_exact_division(monkeypatch):
+    # the n = 2 cubic x^3 + x^2 is divided by (x + 1); the quotient is the
+    # charpoly of the edgeless two-vertex graph
+    graph = strong_power_graph(CyclicGroup(2))
+    assert adjacency_charpoly_formula(2) == charpoly(adjacency_matrix(graph))
+    # a totient that leaves a nonzero remainder must not be swallowed
+    monkeypatch.setattr(exactalg, "totient", lambda n: 2)
+    with pytest.raises(InexactDivision):
+        adjacency_charpoly_formula(2)
 
 
 def test_prime_adjacency_charpoly():

@@ -1,6 +1,7 @@
 """Strong power graph construction, matrices, and graph quantities."""
 
 import math
+import re
 
 import pytest
 
@@ -137,6 +138,19 @@ def test_dot_export():
     assert dot.startswith("graph G {")
     assert dot.count(" -- ") == 4
     assert '0 [label="0"];' in dot
+
+
+def test_dot_escapes_labels():
+    labels = ['a"];x', "b\\", 'c\\"d']
+    dot = to_dot(strong_power_graph(CyclicGroup(3)), labels)
+    vertex_lines = [line for line in dot.splitlines() if "[label=" in line]
+    assert len(vertex_lines) == 3
+    well_formed = re.compile(r'  (\d+) \[label="((?:[^"\\]|\\.)*)"\];')
+    for v, line in enumerate(vertex_lines):
+        match = well_formed.fullmatch(line)
+        assert match is not None, line
+        assert int(match.group(1)) == v
+        assert re.sub(r"\\(.)", r"\1", match.group(2)) == labels[v]
 
 
 def test_csv_export():
