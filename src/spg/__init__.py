@@ -9,11 +9,12 @@ from .exactalg import (
     PrimeOrTrivialN,
     UnsupportedN,
     adjacency_charpoly_formula,
+    adjacency_cubic,
     bareiss_det,
     binom_power,
     charpoly,
     distance_charpoly_formula,
-    permuted,
+    distance_cubic,
     poly_eval,
     poly_mul,
     prime_adjacency_charpoly,
@@ -24,12 +25,10 @@ from .graphs import (
     adjacency_matrix,
     components,
     diameter,
-    display_order,
     distance_matrix,
     is_complete,
     is_connected,
     matrix_to_csv,
-    neighbors,
     strong_power_graph,
     strong_power_graph_structural,
     to_dot,
@@ -53,15 +52,12 @@ from .spectra import (
     CountMismatch,
     NoConvergence,
     NonSymmetric,
-    NotComposite,
     PrimeOrder,
     SpectrumComparison,
     adjacency_spectrum_closed,
     compare_spectra,
     distance_spectrum_closed,
     solve_cubic_trig,
-    spectral_radius_adjacency,
-    spectral_radius_distance,
     spectrum_document,
     symmetric_eigenvalues,
 )

@@ -27,7 +27,8 @@ __all__ = [
     "binom_power",
     "charpoly",
     "bareiss_det",
-    "permuted",
+    "distance_cubic",
+    "adjacency_cubic",
     "distance_charpoly_formula",
     "adjacency_charpoly_formula",
     "prime_adjacency_charpoly",
@@ -408,35 +409,45 @@ def bareiss_det(matrix: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def permuted(matrix: IntMatrix, order: Sequence[int]) -> IntMatrix:
-    """Simultaneous row/column permutation: entry (i, j) of the result is
-    matrix[order[i]][order[j]]."""
-    if sorted(order) != list(range(matrix.n)):
-        raise ValueError("order must be a permutation of 0..n-1")
-    return IntMatrix([[matrix.rows[i][j] for j in order] for i in order])
-
-
 # --- closed-form polynomials ---------------------------------------------------
+#
+# The two cubics below are the only place the paper's closed forms are spelled
+# out: the charpoly formulas multiply them by (x+1)^(n-3), and the closed-form
+# spectra in spg.spectra solve them.
+
+
+def distance_cubic(n: int) -> IntPolynomial:
+    """The cubic factor of the distance characteristic polynomial of the
+    strong power graph of Z_n:
+    x^3 + (3-n)x^2 + (3-2n-3*phi)x - phi^2 - phi*(4-n) - n + 1.
+    """
+    phi = totient(n)
+    return IntPolynomial([-(phi * phi) - phi * (4 - n) - n + 1, 3 - 2 * n - 3 * phi, 3 - n, 1])
+
+
+def adjacency_cubic(n: int) -> IntPolynomial:
+    """The cubic factor of the adjacency characteristic polynomial of the
+    strong power graph of Z_n:
+    x^3 + (3-n)x^2 + (3-2n+phi)x + (n-phi-1)(phi-1).
+    """
+    phi = totient(n)
+    return IntPolynomial([(n - phi - 1) * (phi - 1), 3 - 2 * n + phi, 3 - n, 1])
 
 
 def distance_charpoly_formula(n: int) -> IntPolynomial:
     """Closed form of the distance characteristic polynomial of the strong
-    power graph of Z_n, valid for composite n >= 4:
-    (x+1)^(n-3) * (x^3 + (3-n)x^2 + (3-2n-3*phi)x - phi^2 - phi*(4-n) - n + 1).
+    power graph of Z_n, valid for composite n >= 4: (x+1)^(n-3) times
+    distance_cubic(n).
     """
     if not is_composite(n):
         raise PrimeOrTrivialN(f"closed form needs a composite order >= 4, got {n}")
-    phi = totient(n)
-    cubic = IntPolynomial(
-        [-(phi * phi) - phi * (4 - n) - n + 1, 3 - 2 * n - 3 * phi, 3 - n, 1]
-    )
-    return poly_mul(binom_power(n - 3), cubic)
+    return poly_mul(binom_power(n - 3), distance_cubic(n))
 
 
 def adjacency_charpoly_formula(n: int) -> IntPolynomial:
     """Closed form of the adjacency characteristic polynomial of the strong
-    power graph of Z_n, for any order n >= 2:
-    (x+1)^(n-3) * (x^3 + (3-n)x^2 + (3-2n+phi)x + (n-phi-1)(phi-1)).
+    power graph of Z_n, for any order n >= 2: (x+1)^(n-3) times
+    adjacency_cubic(n).
 
     At n = 2 the exponent is negative; the cubic is divided exactly by
     (x+1), which yields x^2 and matches the edgeless two-vertex graph.
@@ -447,10 +458,7 @@ def adjacency_charpoly_formula(n: int) -> IntPolynomial:
         raise ValueError(f"order must be a positive integer, got {n!r}")
     if n == 1:
         raise UnsupportedN("the adjacency closed form does not cover order 1")
-    phi = totient(n)
-    cubic = IntPolynomial(
-        [(n - phi - 1) * (phi - 1), 3 - 2 * n + phi, 3 - n, 1]
-    )
+    cubic = adjacency_cubic(n)
     if n >= 3:
         return poly_mul(binom_power(n - 3), cubic)
     # synthetic division by (x + 1): the remainder is the cubic's value at -1

@@ -22,9 +22,7 @@ __all__ = [
     "diameter",
     "is_connected",
     "is_complete",
-    "neighbors",
     "components",
-    "display_order",
     "to_dot",
     "matrix_to_csv",
 ]
@@ -253,21 +251,6 @@ def diameter(graph: SimpleGraph) -> int:
             raise DisconnectedGraph(components(graph))
         best = max(best, max(dist))
     return best
-
-
-def neighbors(graph: SimpleGraph, v: int) -> set[int]:
-    return graph.neighbors(v)
-
-
-def display_order(n: int) -> list[int]:
-    """Vertex order placing non-units of Z_n first, then units, then 0 last.
-
-    Permuting rows and columns this way reproduces the block layout of the
-    cyclic-case matrices; characteristic polynomials are unaffected.
-    """
-    non_units = [m for m in range(1, n) if math.gcd(m, n) != 1]
-    units = [m for m in range(1, n) if math.gcd(m, n) == 1]
-    return non_units + units + [0]
 
 
 def to_dot(graph: SimpleGraph, labels: Optional[Sequence[str]] = None) -> str:

@@ -205,7 +205,9 @@ class CayleyGroup(GroupSpec):
 
     def __init__(self, table: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None):
         rows = tuple(tuple(row) for row in table)
-        validate_cayley_table(rows, require_identity_at_zero=True)
+        e = validate_cayley_table(rows)
+        if e != 0:
+            raise MissingIdentity(f"identity must sit at index 0, found it at {e}")
         self.table = rows
         self.order = len(rows)
         self.labels = tuple(labels) if labels is not None else None
@@ -213,6 +215,15 @@ class CayleyGroup(GroupSpec):
             raise BadTableShape(
                 f"got {len(self.labels)} labels for a table of order {self.order}"
             )
+
+    @classmethod
+    def _from_validated(
+        cls, rows: tuple[tuple[int, ...], ...], labels: Optional[tuple[str, ...]]
+    ) -> "CayleyGroup":
+        """Wrap a table that already passed validation with its identity at 0."""
+        group = cls.__new__(cls)
+        group.table, group.order, group.labels = rows, len(rows), labels
+        return group
 
     def op(self, a: int, b: int) -> int:
         self._check(a)
@@ -264,9 +275,7 @@ def _find_identity(rows: tuple[tuple[int, ...], ...]) -> int:
     raise MissingIdentity("no element acts as a two-sided identity")
 
 
-def validate_cayley_table(
-    table: Sequence[Sequence[int]], require_identity_at_zero: bool = False
-) -> int:
+def validate_cayley_table(table: Sequence[Sequence[int]]) -> int:
     """Check the group axioms on a multiplication table.
 
     Closure is structural (entries are indices).  Returns the index of the
@@ -302,19 +311,18 @@ def validate_cayley_table(
             seen[v] = i
 
     e = _find_identity(rows)
-    if require_identity_at_zero and e != 0:
-        raise MissingIdentity(f"identity must sit at index 0, found it at {e}")
 
-    # associativity via table composition, vectorised for larger tables
+    # associativity one first factor a at a time, so memory stays O(n^2):
+    # t[t[a]][b, c] = (a*b)*c and t[a][t][b, c] = a*(b*c)
     t = np.array(rows, dtype=np.int64)
-    left = t[t, :]        # left[a, b, c]  = t[t[a, b], c]
-    right = t[:, t]       # right[a, b, c] = t[a, t[b, c]]
-    if not np.array_equal(left, right):
-        a, b, c = (int(x[0]) for x in np.nonzero(left != right))
-        raise NotAssociative(
-            f"associativity fails at ({a}, {b}, {c}): "
-            f"({a}*{b})*{c} = {rows[rows[a][b]][c]} but {a}*({b}*{c}) = {rows[a][rows[b][c]]}"
-        )
+    for a in range(n):
+        mismatch = t[t[a]] != t[a][t]
+        if mismatch.any():
+            b, c = (int(x[0]) for x in np.nonzero(mismatch))
+            raise NotAssociative(
+                f"associativity fails at ({a}, {b}, {c}): "
+                f"({a}*{b})*{c} = {rows[rows[a][b]][c]} but {a}*({b}*{c}) = {rows[a][rows[b][c]]}"
+            )
 
     for a in range(n):
         if not any(rows[a][b] == e and rows[b][a] == e for b in range(n)):
@@ -326,8 +334,9 @@ def load_cayley_table(document: dict) -> CayleyGroup:
     """Build a CayleyGroup from a parsed JSON document.
 
     Expected shape: {"order": n, "table": [[int; n]; n], "labels": [str; n]?}.
-    If the identity is not at index 0 the table is relabelled by swapping
-    index 0 with the identity.
+    The table is validated once, in the file's own indexing.  If the
+    identity is not at index 0 the table is then relabelled by swapping
+    index 0 with the identity, which keeps it a valid group table.
     """
     if not isinstance(document, dict):
         raise BadTableShape(f"expected a JSON object, got {type(document).__name__}")
@@ -363,4 +372,4 @@ def load_cayley_table(document: dict) -> CayleyGroup:
             relabelled = list(labels)
             relabelled[0], relabelled[e] = relabelled[e], relabelled[0]
             labels = tuple(relabelled)
-    return CayleyGroup(rows, labels)
+    return CayleyGroup._from_validated(rows, labels)

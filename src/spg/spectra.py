@@ -6,27 +6,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .exactalg import IntMatrix, UnsupportedN
-from .groups import CyclicGroup, GroupSpec, is_composite, is_prime, totient
+from .exactalg import IntMatrix, IntPolynomial, UnsupportedN, adjacency_cubic, distance_cubic
+from .groups import GroupSpec, is_composite, is_prime
 
 __all__ = [
     "ClosedFormSpectrum",
     "SpectrumComparison",
     "ComplexRoots",
     "PrimeOrder",
-    "NotComposite",
     "NonSymmetric",
     "NoConvergence",
     "CountMismatch",
     "solve_cubic_trig",
     "distance_spectrum_closed",
     "adjacency_spectrum_closed",
-    "spectral_radius_distance",
-    "spectral_radius_adjacency",
     "symmetric_eigenvalues",
     "compare_spectra",
     "spectrum_document",
@@ -34,9 +32,8 @@ __all__ = [
 
 MatrixLike = Union[IntMatrix, np.ndarray, Sequence[Sequence[float]]]
 
-# arccos arguments are clamped only inside this band around [-1, 1]; larger
-# excursions indicate a formula bug or genuinely complex roots, not noise
-_ARCCOS_SLACK = 1e-12
+# Newton steps per cubic root; a simple root stops moving after a few
+_NEWTON_STEPS = 64
 
 
 class ComplexRoots(ArithmeticError):
@@ -46,10 +43,6 @@ class ComplexRoots(ArithmeticError):
 class PrimeOrder(ValueError):
     """The distance spectrum closed form needs a connected graph, so a
     noncyclic group or a cyclic group of composite order."""
-
-
-class NotComposite(ValueError):
-    """Spectral-radius closed forms are stated for composite cyclic order."""
 
 
 class NonSymmetric(ValueError):
@@ -68,8 +61,9 @@ class CountMismatch(ValueError):
 class ClosedFormSpectrum:
     """Eigenvalues with multiplicities, sorted descending by value.
 
-    theta is the arccos angle used by the cyclic composite formulas and is
-    None for the complete-graph and prime cases.
+    theta is the angle of the trigonometric solution of the cyclic composite
+    cubic (see solve_cubic_trig) and is None for the complete-graph and prime
+    cases.
     """
 
     entries: tuple[tuple[float, int], ...]
@@ -104,56 +98,44 @@ class SpectrumComparison:
     theta_in_range: bool
 
 
-def _safe_arccos(value: float) -> float:
-    if value > 1.0:
-        if value > 1.0 + _ARCCOS_SLACK:
-            raise ComplexRoots(f"cosine argument {value} exceeds 1 beyond tolerance")
-        value = 1.0
-    elif value < -1.0:
-        if value < -1.0 - _ARCCOS_SLACK:
-            raise ComplexRoots(f"cosine argument {value} is below -1 beyond tolerance")
-        value = -1.0
-    return math.acos(value)
+def solve_cubic_trig(a2: int, a1: int, a0: int) -> tuple[tuple[float, float, float], float]:
+    """The three real roots of the integer cubic x^3 + a2 x^2 + a1 x + a0,
+    descending, and the angle theta of their trigonometric form.
 
-
-def solve_cubic_trig(a2: float, a1: float, a0: float) -> tuple[float, float, float]:
-    """All three real roots of x^3 + a2 x^2 + a1 x + a0, descending.
-
-    Uses the depressed-cubic substitution x = y - a2/3 and the cosine
-    triple-angle identity, then one Newton step per root.  Raises
-    ComplexRoots when the depressed cubic has negative discriminant, i.e.
-    fewer than three real roots.  Each returned root r satisfies
-    |r^3 + a2 r^2 + a1 r + a0| <= 1e-9 * max(1, |a0|).
+    With the exact integers delta = a2^2 - 3 a1 and
+    N = -2 a2^3 + 9 a2 a1 - 27 a0, the roots are
+    (-a2 + 2 cos((theta + 2k pi) / 3) sqrt(delta)) / 3 for k in {0, 1, -1},
+    where theta = arccos(N / (2 delta^(3/2))).  The cubic has three real
+    roots exactly when 4 delta^3 - N^2 (27 times its discriminant) is
+    nonnegative; this is decided in integers, and ComplexRoots is raised
+    otherwise.  theta is computed as atan2(sqrt(4 delta^3 - N^2), N), which
+    stays accurate where the arccos of a float near 1 does not (Kahan, *To
+    Solve a Real Cubic Equation*, 1986).  Each root then takes Newton steps,
+    with f / f' evaluated exactly in Fraction, until it stops moving.
+    Cubics with 4 delta^3 beyond the float range raise OverflowError.
     """
-    p = a1 - a2 * a2 / 3.0
-    q = 2.0 * a2**3 / 27.0 - a2 * a1 / 3.0 + a0
-    if p >= 0.0:
-        if p == 0.0 and q == 0.0:
-            roots = [-a2 / 3.0] * 3
-            return (roots[0], roots[1], roots[2])
+    delta = a2 * a2 - 3 * a1
+    numerator = -2 * a2**3 + 9 * a2 * a1 - 27 * a0
+    disc = 4 * delta**3 - numerator**2
+    if disc < 0:
         raise ComplexRoots(f"cubic ({a2}, {a1}, {a0}) has fewer than three real roots")
-    magnitude = 2.0 * math.sqrt(-p / 3.0)
-    theta = _safe_arccos(-4.0 * q / magnitude**3)
-    shift = -a2 / 3.0
-    roots = sorted(
-        (magnitude * math.cos((theta - 2.0 * math.pi * k) / 3.0) + shift for k in range(3)),
-        reverse=True,
-    )
-
-    def f(x: float) -> float:
-        return ((x + a2) * x + a1) * x + a0
-
-    polished = []
-    for r in roots:
-        derivative = (3.0 * r + 2.0 * a2) * r + a1
-        if derivative != 0.0:
-            r -= f(r) / derivative
-        polished.append(r)
-    budget = 1e-9 * max(1.0, abs(a0))
-    assert all(abs(f(r)) <= budget for r in polished), (
-        f"cubic residuals exceed {budget} for roots {polished}"
-    )
-    return (polished[0], polished[1], polished[2])
+    theta = math.atan2(math.sqrt(disc), numerator)
+    scale = 2.0 * math.sqrt(delta)
+    roots = []
+    for k in (0, 1, -1):
+        r = (scale * math.cos((theta + 2.0 * math.pi * k) / 3.0) - a2) / 3.0
+        for _ in range(_NEWTON_STEPS):
+            x = Fraction(r)
+            slope = (3 * x + 2 * a2) * x + a1
+            if slope == 0:
+                break
+            moved = float(x - (((x + a2) * x + a1) * x + a0) / slope)
+            if moved == r:
+                break
+            r = moved
+        roots.append(r)
+    roots.sort(reverse=True)
+    return (roots[0], roots[1], roots[2]), theta
 
 
 def _merge_entries(pairs: Sequence[tuple[float, int]]) -> tuple[tuple[float, int], ...]:
@@ -168,17 +150,12 @@ def _complete_graph_entries(n: int) -> tuple[tuple[float, int], ...]:
     return ((float(n - 1), 1), (-1.0, n - 1))
 
 
-def _cyclic_composite_roots(n: int, delta: int, cos_numerator: int) -> tuple[list[float], float]:
-    """The three simple eigenvalues (n-3+2cos((theta+2k*pi)/3)*sqrt(delta))/3
-    for k in {0, +1, -1}, together with theta = arccos(cos_numerator /
-    (2*delta^(3/2)))."""
-    theta = _safe_arccos(cos_numerator / (2.0 * math.sqrt(float(delta)) ** 3))
-    root_term = math.sqrt(float(delta))
-    roots = [
-        (n - 3 + 2.0 * math.cos((theta + 2.0 * math.pi * k) / 3.0) * root_term) / 3.0
-        for k in (0, 1, -1)
-    ]
-    return roots, theta
+def _cubic_spectrum(n: int, cubic: IntPolynomial, source: str) -> ClosedFormSpectrum:
+    """-1 with multiplicity n-3 plus the three simple roots of the cubic."""
+    a0, a1, a2, _ = cubic.coeffs
+    roots, theta = solve_cubic_trig(a2, a1, a0)
+    entries = _merge_entries([(r, 1) for r in roots] + [(-1.0, n - 3)])
+    return ClosedFormSpectrum(entries, theta, source)
 
 
 def distance_spectrum_closed(g: GroupSpec) -> ClosedFormSpectrum:
@@ -186,9 +163,9 @@ def distance_spectrum_closed(g: GroupSpec) -> ClosedFormSpectrum:
 
     Noncyclic groups give {n-1 once, -1 with multiplicity n-1}.  A cyclic
     group of composite order n gives -1 with multiplicity n-3 plus the three
-    simple roots built from theta = arccos((2n^3 + 27 phi^2 + 27 phi) /
-    (2 sqrt((n^2 + 9 phi)^3))).  Prime (and order < 4) cyclic groups are
-    rejected: their strong power graphs are disconnected or too small.
+    simple roots of exactalg.distance_cubic(n).  Prime (and order < 4) cyclic
+    groups are rejected: their strong power graphs are disconnected or too
+    small.
     """
     n = g.order
     if not g.is_cyclic():
@@ -197,11 +174,7 @@ def distance_spectrum_closed(g: GroupSpec) -> ClosedFormSpectrum:
         raise PrimeOrder(
             f"distance spectrum needs composite cyclic order, got {n}"
         )
-    phi = totient(n)
-    delta = n * n + 9 * phi
-    roots, theta = _cyclic_composite_roots(n, delta, 2 * n**3 + 27 * phi * phi + 27 * phi)
-    entries = _merge_entries([(r, 1) for r in roots] + [(-1.0, n - 3)])
-    return ClosedFormSpectrum(entries, theta, "distance-cyclic-composite")
+    return _cubic_spectrum(n, distance_cubic(n), "distance-cyclic-composite")
 
 
 def adjacency_spectrum_closed(g: GroupSpec) -> ClosedFormSpectrum:
@@ -210,8 +183,8 @@ def adjacency_spectrum_closed(g: GroupSpec) -> ClosedFormSpectrum:
     Noncyclic groups give {n-1 once, -1 with multiplicity n-1}; cyclic prime
     order p gives {p-2 once, 0 once, -1 with multiplicity p-2}, which at
     p = 2 collapses to {0 twice}; cyclic composite order n gives -1 with
-    multiplicity n-3 plus three simple roots with theta built from
-    (2n^3 + 27 phi^2 + 27 phi - 36 n phi) / (2 sqrt((n^2 - 3 phi)^3)).
+    multiplicity n-3 plus the three simple roots of
+    exactalg.adjacency_cubic(n).
     """
     n = g.order
     if not g.is_cyclic():
@@ -221,29 +194,7 @@ def adjacency_spectrum_closed(g: GroupSpec) -> ClosedFormSpectrum:
     if is_prime(n):
         entries = _merge_entries([(float(n - 2), 1), (0.0, 1), (-1.0, n - 2)])
         return ClosedFormSpectrum(entries, None, "adjacency-prime")
-    phi = totient(n)
-    delta = n * n - 3 * phi
-    roots, theta = _cyclic_composite_roots(
-        n, delta, 2 * n**3 + 27 * phi * phi + 27 * phi - 36 * n * phi
-    )
-    entries = _merge_entries([(r, 1) for r in roots] + [(-1.0, n - 3)])
-    return ClosedFormSpectrum(entries, theta, "adjacency-cyclic-composite")
-
-
-def spectral_radius_distance(n: int) -> float:
-    """Largest distance eigenvalue of the strong power graph of Z_n
-    (composite n): the k = 0 cosine branch of the closed form."""
-    if not is_composite(n):
-        raise NotComposite(f"spectral radius closed form needs composite n, got {n}")
-    return distance_spectrum_closed(CyclicGroup(n)).max_value()
-
-
-def spectral_radius_adjacency(n: int) -> float:
-    """Largest adjacency eigenvalue of the strong power graph of Z_n
-    (composite n): the k = 0 cosine branch of the closed form."""
-    if not is_composite(n):
-        raise NotComposite(f"spectral radius closed form needs composite n, got {n}")
-    return adjacency_spectrum_closed(CyclicGroup(n)).max_value()
+    return _cubic_spectrum(n, adjacency_cubic(n), "adjacency-cyclic-composite")
 
 
 def _as_array(matrix: MatrixLike) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -180,9 +181,10 @@ def verify_range(
 ) -> VerificationReport:
     """Run every applicable check for each n in [n_min, n_max].
 
-    Workers > 1 fans the per-n tasks out to a process pool; the report
-    content is identical either way because tasks are pure and the merge is
-    ordered by n.
+    Workers > 1 fans the per-n tasks out to a process pool of at most
+    min(workers, cpu count, number of orders) processes; the report content
+    is identical either way because tasks are pure and the merge is ordered
+    by n.
     """
     if not (2 <= n_min <= n_max):
         raise ValueError(f"need 2 <= n_min <= n_max, got [{n_min}, {n_max}]")
@@ -190,6 +192,7 @@ def verify_range(
         raise ValueError(f"workers must be at least 1, got {workers}")
     started = time.perf_counter()
     tasks = [(n, tol) for n in range(n_min, n_max + 1)]
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
     if workers == 1:
         records = [_verify_single(task) for task in tasks]
     else:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from spg.exactalg import IntMatrix
 from spg.groups import (
     CayleyGroup,
     CyclicGroup,
@@ -35,6 +36,13 @@ def quaternion_table() -> list[list[int]]:
             row.append(index[(sa * sb * sign, axis)])
         table.append(row)
     return table
+
+
+def permuted(matrix: IntMatrix, order: list[int]) -> IntMatrix:
+    """Simultaneous row/column permutation: entry (i, j) of the result is
+    matrix[order[i]][order[j]]."""
+    assert sorted(order) == list(range(matrix.n)), "order must be a permutation of 0..n-1"
+    return IntMatrix([[matrix.rows[i][j] for j in order] for i in order])
 
 
 def s3_table() -> list[list[int]]:

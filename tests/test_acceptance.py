@@ -33,8 +33,6 @@ from spg.spectra import (
     adjacency_spectrum_closed,
     compare_spectra,
     distance_spectrum_closed,
-    spectral_radius_adjacency,
-    spectral_radius_distance,
     symmetric_eigenvalues,
 )
 from spg.verify import VerificationRecord
@@ -211,5 +209,8 @@ def test_criterion_8_spectral_radii(sweep):
                       f"composite n <= {N_MAX}"):
         for n in COMPOSITES:
             entry = sweep[n]
-            assert abs(spectral_radius_distance(n) - entry["distance_jacobi"][0]) <= 1e-8, n
-            assert abs(spectral_radius_adjacency(n) - entry["adjacency_jacobi"][0]) <= 1e-8, n
+            group = CyclicGroup(n)
+            distance_radius = distance_spectrum_closed(group).max_value()
+            adjacency_radius = adjacency_spectrum_closed(group).max_value()
+            assert abs(distance_radius - entry["distance_jacobi"][0]) <= 1e-8, n
+            assert abs(adjacency_radius - entry["adjacency_jacobi"][0]) <= 1e-8, n

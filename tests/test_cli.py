@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from spg import verify
 from spg.cli import main, parse_group_spec, GroupSpecParseError
 from spg.groups import CyclicGroup, DihedralGroup, DirectProductGroup
 from spg.verify import VerificationRecord, VerificationReport, verify_range
@@ -224,6 +225,31 @@ def test_verify_workers_do_not_change_content():
     serial = _strip_elapsed(verify_range(4, 10).to_document())
     parallel = _strip_elapsed(verify_range(4, 10, workers=2).to_document())
     assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+
+
+@pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2)])
+def test_verify_workers_are_clamped(monkeypatch, cpus, expected):
+    # a stand-in pool records the size asked for and runs the tasks in process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    report = verify_range(2, 4, workers=8)
+    assert sizes == [expected]
+    assert [r.n for r in report.records] == [2, 3, 4]
 
 
 def test_record_failure_predicate():

@@ -20,7 +20,6 @@ from spg.exactalg import (
     binom_power,
     charpoly,
     distance_charpoly_formula,
-    permuted,
     poly_eval,
     poly_mul,
     prime_adjacency_charpoly,
@@ -28,6 +27,8 @@ from spg.exactalg import (
 from spg import exactalg
 from spg.exactalg import _prime_basis, _primes_between
 from spg.graphs import adjacency_matrix, distance_matrix, strong_power_graph
+
+from conftest import permuted
 from spg.groups import CyclicGroup, is_prime
 
 

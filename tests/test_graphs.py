@@ -12,17 +12,25 @@ from spg.graphs import (
     adjacency_matrix,
     components,
     diameter,
-    display_order,
     distance_matrix,
     is_complete,
     is_connected,
     matrix_to_csv,
-    neighbors,
     strong_power_graph,
     strong_power_graph_structural,
     to_dot,
 )
 from spg.groups import CyclicGroup, DihedralGroup, DirectProductGroup, is_composite, is_prime
+
+from conftest import permuted
+
+
+def display_order(n: int) -> list[int]:
+    """Vertex order placing non-units of Z_n first, then units, then 0 last,
+    which shows the block layout of the cyclic-case matrices."""
+    non_units = [m for m in range(1, n) if math.gcd(m, n) != 1]
+    units = [m for m in range(1, n) if math.gcd(m, n) == 1]
+    return non_units + units + [0]
 
 
 def test_simple_graph_rejects_loops_and_asymmetry():
@@ -115,7 +123,7 @@ def test_connectivity_iff_not_prime():
 
 def test_neighbors_of_zero_are_non_units():
     graph = strong_power_graph(CyclicGroup(12))
-    assert neighbors(graph, 0) == {2, 3, 4, 6, 8, 9, 10}
+    assert graph.neighbors(0) == {2, 3, 4, 6, 8, 9, 10}
 
 
 def test_display_order_blocks():
@@ -123,8 +131,6 @@ def test_display_order_blocks():
     assert order == [2, 3, 4, 6, 8, 9, 10, 1, 5, 7, 11, 0]
     # permuting D(Z_12) into this layout shows the block pattern: the last
     # row holds 2 exactly against the unit block
-    from spg.exactalg import permuted
-
     d = permuted(distance_matrix(strong_power_graph(CyclicGroup(12))), order)
     units = {1, 5, 7, 11}
     last = d.rows[-1]

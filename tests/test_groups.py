@@ -2,9 +2,11 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
+from spg import groups
 from spg.groups import (
     BadTableShape,
     CayleyGroup,
@@ -138,6 +140,35 @@ def test_load_relocates_identity():
     g = load_cayley_table({"order": 2, "table": [[1, 0], [0, 1]], "labels": ["a", "e"]})
     assert g.op(0, 1) == 1
     assert g.labels == ("e", "a")
+
+
+def test_load_validates_once(monkeypatch):
+    # Z_6 with its elements shifted so that the identity sits at index 4
+    shift = 4
+    table = [[(a + b - shift) % 6 for b in range(6)] for a in range(6)]
+    calls = []
+    original = groups.validate_cayley_table
+
+    def counting(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(groups, "validate_cayley_table", counting)
+    g = load_cayley_table({"order": 6, "table": table})
+    assert calls == [6]
+    assert g.table[0] == tuple(range(6))  # the identity row, now at index 0
+    assert g.is_cyclic()
+
+
+def test_associativity_check_memory_is_quadratic():
+    table = CyclicGroup(200).cayley_table()
+    tracemalloc.start()
+    try:
+        assert validate_cayley_table(table) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_not_latin_square():

@@ -1,6 +1,7 @@
 """Closed-form spectra, the trig cubic solver, and the Jacobi oracle."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from spg.exactalg import (
     IntMatrix,
     UnsupportedN,
     adjacency_charpoly_formula,
+    adjacency_cubic,
     distance_charpoly_formula,
+    distance_cubic,
+    poly_eval,
 )
 from spg.graphs import adjacency_matrix, distance_matrix, strong_power_graph
 from spg.groups import CyclicGroup, DihedralGroup, DirectProductGroup, is_composite, totient
@@ -19,14 +23,11 @@ from spg.spectra import (
     CountMismatch,
     NoConvergence,
     NonSymmetric,
-    NotComposite,
     PrimeOrder,
     adjacency_spectrum_closed,
     compare_spectra,
     distance_spectrum_closed,
     solve_cubic_trig,
-    spectral_radius_adjacency,
-    spectral_radius_distance,
     spectrum_document,
     symmetric_eigenvalues,
 )
@@ -41,27 +42,30 @@ DISTANCE_RADIUS_N6 = 5.756591308026
 
 
 def test_cubic_depressed_example():
-    roots = solve_cubic_trig(0, -3, 0)
+    roots, theta = solve_cubic_trig(0, -3, 0)
     assert roots[0] == pytest.approx(math.sqrt(3), abs=1e-12)
     assert roots[1] == pytest.approx(0.0, abs=1e-12)
     assert roots[2] == pytest.approx(-math.sqrt(3), abs=1e-12)
+    assert theta == pytest.approx(math.pi / 2, abs=1e-15)  # N = 0
 
 
 def test_cubic_distance_n4():
-    roots = solve_cubic_trig(-1, -11, -7)
+    roots, theta = solve_cubic_trig(-1, -11, -7)
     for got, expected in zip(roots, DISTANCE_ROOTS_N4):
         assert got == pytest.approx(expected, abs=1e-9)
+    assert theta == pytest.approx(THETA_DISTANCE_N4, abs=1e-9)
     assert sum(roots) == pytest.approx(1.0, abs=1e-9)
     assert roots[0] * roots[1] * roots[2] == pytest.approx(7.0, abs=1e-9)
 
 
 def test_cubic_adjacency_n4():
-    roots = solve_cubic_trig(-1, -3, 1)
+    roots, theta = solve_cubic_trig(-1, -3, 1)
     assert roots[0] == pytest.approx(2.170086486626, abs=1e-9)
+    assert theta == pytest.approx(THETA_ADJACENCY_N4, abs=1e-9)
 
 
 def test_cubic_triple_root():
-    assert solve_cubic_trig(-3, 3, -1) == (1.0, 1.0, 1.0)
+    assert solve_cubic_trig(-3, 3, -1) == ((1.0, 1.0, 1.0), 0.0)
 
 
 def test_cubic_rejects_complex_roots():
@@ -81,7 +85,7 @@ def test_cubic_residuals_over_sweep():
             (3 - 2 * n + phi, (n - phi - 1) * (phi - 1)),
         ):
             a2 = 3 - n
-            roots = solve_cubic_trig(a2, a1, a0)
+            roots, _ = solve_cubic_trig(a2, a1, a0)
             budget = 1e-9 * max(1.0, abs(a0))
             for r in roots:
                 residual = ((r + a2) * r + a1) * r + a0
@@ -105,7 +109,7 @@ def test_distance_spectrum_cyclic_composite():
     assert values[2] == -1.0
     assert values[3] == pytest.approx(DISTANCE_ROOTS_N4[2], abs=1e-9)
     # the closed-form roots must agree with the generic cubic solver
-    roots = solve_cubic_trig(-1, -11, -7)
+    roots, _ = solve_cubic_trig(-1, -11, -7)
     cubic_values = [v for v, _ in spectrum.entries if v != -1.0]
     for got, expected in zip(cubic_values, roots):
         assert got == pytest.approx(expected, abs=1e-6)
@@ -147,14 +151,68 @@ def test_adjacency_spectrum_noncyclic():
 
 
 def test_spectral_radii():
-    assert spectral_radius_distance(4) == pytest.approx(DISTANCE_ROOTS_N4[0], abs=1e-9)
-    assert spectral_radius_adjacency(4) == pytest.approx(ADJACENCY_ROOTS_N4[0], abs=1e-9)
-    assert spectral_radius_distance(6) == pytest.approx(DISTANCE_RADIUS_N6, abs=1e-9)
-    for n in (5, 3, 2):
-        with pytest.raises(NotComposite):
-            spectral_radius_distance(n)
-        with pytest.raises(NotComposite):
-            spectral_radius_adjacency(n)
+    def distance_radius(n):
+        return distance_spectrum_closed(CyclicGroup(n)).max_value()
+
+    assert distance_radius(4) == pytest.approx(DISTANCE_ROOTS_N4[0], abs=1e-9)
+    assert distance_radius(6) == pytest.approx(DISTANCE_RADIUS_N6, abs=1e-9)
+    assert adjacency_spectrum_closed(CyclicGroup(4)).max_value() == pytest.approx(
+        ADJACENCY_ROOTS_N4[0], abs=1e-9
+    )
+
+
+def _delta_and_numerator(cubic):
+    """delta = a2^2 - 3 a1 and N = -2 a2^3 + 9 a2 a1 - 27 a0 of a monic cubic."""
+    a0, a1, a2, _ = cubic.coeffs
+    return a2 * a2 - 3 * a1, -2 * a2**3 + 9 * a2 * a1 - 27 * a0
+
+
+@pytest.mark.parametrize("n", [10**6, 10**9 + 2, 10**12, 10**15, 2**53, 3**33])
+def test_closed_roots_bracket_the_integer_cubic_at_large_orders(n):
+    # each simple root r must sit between sign changes of the exact cubic at
+    # r * (1 -+ 1e-12); an arccos of a float near 1 misses this from n = 10^6
+    group = CyclicGroup(n)
+    slack = Fraction(1, 10**12)
+    for closed, cubic in (
+        (distance_spectrum_closed(group), distance_cubic(n)),
+        (adjacency_spectrum_closed(group), adjacency_cubic(n)),
+    ):
+        roots = [v for v, m in closed.entries if m == 1]
+        assert len(roots) == 3, (n, closed.source)
+        for r in roots:
+            lo, hi = Fraction(r) * (1 - slack), Fraction(r) * (1 + slack)
+            assert poly_eval(cubic, lo) * poly_eval(cubic, hi) < 0, (n, closed.source, r)
+        assert 0.0 < closed.theta < math.pi / 2, (n, closed.source, closed.theta)
+
+
+def test_cubics_match_the_paper_delta_and_numerator():
+    # the paper writes theta = arccos(N / (2 delta^(3/2))) with these delta, N
+    for n in range(4, 2001):
+        if not is_composite(n):
+            continue
+        phi = totient(n)
+        assert _delta_and_numerator(distance_cubic(n)) == (
+            n * n + 9 * phi,
+            2 * n**3 + 27 * phi * phi + 27 * phi,
+        ), n
+        assert _delta_and_numerator(adjacency_cubic(n)) == (
+            n * n - 3 * phi,
+            2 * n**3 + 27 * phi * phi + 27 * phi - 36 * n * phi,
+        ), n
+
+
+def test_theta_is_the_paper_arccos():
+    for n in range(4, 151):
+        if not is_composite(n):
+            continue
+        group = CyclicGroup(n)
+        for closed, cubic in (
+            (distance_spectrum_closed(group), distance_cubic(n)),
+            (adjacency_spectrum_closed(group), adjacency_cubic(n)),
+        ):
+            delta, numerator = _delta_and_numerator(cubic)
+            expected = math.acos(numerator / (2.0 * delta**1.5))
+            assert abs(closed.theta - expected) <= 1e-12, (n, closed.source)
 
 
 def test_jacobi_identity():
