@@ -51,6 +51,7 @@ from .spectra import (
     ComplexRoots,
     CountMismatch,
     NoConvergence,
+    NonFinite,
     NonSymmetric,
     PrimeOrder,
     SpectrumComparison,

@@ -3,7 +3,8 @@
 Subcommands:
   build     construct a strong power graph (DOT, JSON edge list, or CSV matrix)
   charpoly  exact characteristic polynomial, compared to its closed form
-  spectrum  closed-form spectrum, Jacobi eigenvalues, and their comparison
+  spectrum  closed-form spectrum, numeric eigenvalues (Householder + QL), and
+            their comparison
   verify    run every applicable check over a range of cyclic orders
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,

@@ -350,10 +350,12 @@ def charpoly(matrix: IntMatrix) -> IntPolynomial:
     O(P * n^3).
 
     The coefficient c_k of x^(n-k) is (-1)^k times the sum of the C(n, k)
-    principal k x k minors, and each minor is at most norm^k in absolute
-    value, where norm = |M|_inf is the largest row sum of |M|.  So
-    |c_k| <= C(n, k) * norm^k <= (1 + norm)^n, and a basis whose product
-    exceeds 2 * (1 + norm)^n recovers every coefficient exactly by CRT in
+    principal k x k minors.  By Hadamard's inequality the minor on rows S is
+    at most the product of the Euclidean norms r_i of rows i in S, so
+    |c_k| <= e_k(r_1, ..., r_n) <= prod_i (1 + r_i).  With each r_i rounded
+    up to an integer, computed exactly as isqrt(s_i - 1) + 1 from the
+    integer s_i = sum_j M[i, j]^2, a basis whose product exceeds
+    2 * prod_i (1 + ceil(r_i)) recovers every coefficient exactly by CRT in
     the symmetric range.
 
     Every basis prime satisfies n * (p-1)^2 < 2^53, so each int64 product of
@@ -362,7 +364,7 @@ def charpoly(matrix: IntMatrix) -> IntPolynomial:
     so are the leading coefficient 1 and the x^(n-1) coefficient -tr(M).
     """
     n = matrix.n
-    small = (1 << 62) // n  # below this, every row sum of |M| fits int64
+    small = (1 << 62) // n  # below this, a sum of n entries (the trace) fits int64
     try:
         entries = np.array(matrix.rows, dtype=np.int64)
         fits = -small < entries.min() and entries.max() < small
@@ -370,8 +372,11 @@ def charpoly(matrix: IntMatrix) -> IntPolynomial:
         fits = False
     if not fits:
         entries = np.array(matrix.rows, dtype=object)  # exact Python integers
-    norm = int(np.abs(entries).sum(axis=1).max())
-    primes, modulus = _prime_basis(n, 2 * (1 + norm) ** n)
+    bound = 2
+    for row in matrix.rows:
+        squares = sum(v * v for v in row)
+        bound *= 1 + (math.isqrt(squares - 1) + 1 if squares else 0)
+    primes, modulus = _prime_basis(n, bound)
     pcol = np.array(primes, dtype=np.int64).reshape(-1, 1)
 
     h = _residue_stack(entries, primes)

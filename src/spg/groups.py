@@ -170,6 +170,10 @@ class DirectProductGroup(GroupSpec):
         ta, tb = self.to_tuple(a), self.to_tuple(b)
         return self.from_tuple([(x + y) % m for x, y, m in zip(ta, tb, self.orders)])
 
+    def is_cyclic(self) -> bool:
+        """True iff the factor orders are pairwise coprime (Chinese remainder theorem)."""
+        return math.lcm(*self.orders) == self.order
+
 
 class DihedralGroup(GroupSpec):
     """Dihedral group of order 2m: indices 0..m-1 are rotations r^i,
@@ -196,6 +200,11 @@ class DihedralGroup(GroupSpec):
         if fa and not fb:              # s r^i * r^j = s r^(i+j)
             return m + (ra + rb) % m
         return (rb - ra) % m           # s r^i * s r^j = r^(j-i)
+
+    def is_cyclic(self) -> bool:
+        """True iff m = 1: D_1 is Z_2, and for m >= 2 every element of D_m
+        has order at most max(m, 2) < 2m."""
+        return self.m == 1
 
 
 class CayleyGroup(GroupSpec):

@@ -1,10 +1,12 @@
 """Closed-form eigenvalue spectra of strong power graphs, a trigonometric
-cubic solver, and an independent Jacobi eigenvalue oracle to compare against.
+cubic solver, and an independent Householder + implicit-QL eigenvalue oracle
+to compare against.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -20,6 +22,7 @@ __all__ = [
     "ComplexRoots",
     "PrimeOrder",
     "NonSymmetric",
+    "NonFinite",
     "NoConvergence",
     "CountMismatch",
     "solve_cubic_trig",
@@ -46,11 +49,15 @@ class PrimeOrder(ValueError):
 
 
 class NonSymmetric(ValueError):
-    """The Jacobi oracle only accepts exactly symmetric input."""
+    """The eigenvalue oracle only accepts exactly symmetric square input."""
+
+
+class NonFinite(ValueError):
+    """The eigenvalue oracle met a NaN, an infinity, or a value beyond float64."""
 
 
 class NoConvergence(RuntimeError):
-    """Jacobi sweeps exhausted before the off-diagonal mass fell below tolerance."""
+    """QL iterations on one eigenvalue exhausted before its subdiagonal deflated."""
 
 
 class CountMismatch(ValueError):
@@ -198,58 +205,125 @@ def adjacency_spectrum_closed(g: GroupSpec) -> ClosedFormSpectrum:
 
 
 def _as_array(matrix: MatrixLike) -> np.ndarray:
-    if isinstance(matrix, IntMatrix):
-        return np.array(matrix.rows, dtype=np.float64)
-    arr = np.array(matrix, dtype=np.float64)
+    rows = matrix.rows if isinstance(matrix, IntMatrix) else matrix
+    try:
+        arr = np.array(rows, dtype=np.float64)
+    except OverflowError:
+        raise NonFinite("matrix has an integer entry beyond the float64 range") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NonSymmetric(f"expected a square matrix, got shape {arr.shape}")
     return arr
 
 
-def symmetric_eigenvalues(
-    matrix: MatrixLike, tol: float = 1e-12, max_sweeps: int = 50
-) -> list[float]:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations,
-    sorted descending.
+def _tridiagonal_eigenvalues(d: list[float], e: list[float], max_iterations: int) -> list[float]:
+    """Eigenvalues of the symmetric tridiagonal matrix with diagonal d and
+    subdiagonal e[:-1] (e[-1] is 0), by implicit-shift QL: the tql1 of
+    Bowdler, Martin, Reinsch and Wilkinson (Numer. Math. 1968).  d and e are
+    overwritten.  e[m] deflates once |e[m]| <= eps (|d[m]| + |d[m+1]|).
+    """
+    n = len(d)
+    eps = sys.float_info.epsilon
+    for l in range(n):
+        iterations = 0
+        while True:
+            m = l
+            while m < n - 1 and abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == l:
+                break
+            if iterations == max_iterations:
+                raise NoConvergence(
+                    f"eigenvalue {l} not isolated after {max_iterations} QL iterations"
+                )
+            iterations += 1
+            # Wilkinson-style shift from the leading 2 x 2 block, then one
+            # QL sweep of plane rotations from m - 1 up to l
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:  # underflow splits the block; sweep it again
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    return d
 
-    Input must be exactly symmetric (these matrices come from integers).
-    Sweeps run until the off-diagonal Frobenius mass drops below
-    tol * max(1, ||A||_F); the scaling keeps the stopping rule meaningful
-    across matrix magnitudes, since absolute 1e-12 sits below float noise
-    for the larger inputs.  Raises NoConvergence after max_sweeps sweeps.
+
+def symmetric_eigenvalues(
+    matrix: MatrixLike, tol: float = 1e-12, max_iterations: int = 30
+) -> list[float]:
+    """All eigenvalues of a symmetric matrix, sorted descending, by
+    Householder reduction to tridiagonal form and implicit-shift QL
+    (Golub & Van Loan, *Matrix Computations*, sec. 8.3).
+
+    Input must be finite and exactly symmetric (these matrices come from
+    integers); NonFinite and NonSymmetric name the fault otherwise.  A
+    matrix with an entry of magnitude 1 or more is first scaled down by a
+    power of two, exactly, so that its largest entry lies in [1/2, 1); no
+    intermediate can then overflow.
+
+    Step k of the reduction reflects the column below the diagonal onto its
+    first entry.  When the part of that column below the subdiagonal has
+    norm at most skip = tol * max(1, ||A||_F) / (10 n), the step is skipped
+    and that part is dropped.  These matrices have minimal polynomials of
+    degree at most 4, so after a few reflections the remaining columns sit
+    at roundoff level and almost every step is skipped.  The result is
+    therefore the exact spectrum of A + E with
+    ||E||_F <= sqrt(2n) * skip < tol * max(1, ||A||_F), plus O(n eps ||A||_F)
+    rounding; by the Hoffman-Wielandt inequality each eigenvalue is within
+    that distance of A's.  QL raises NoConvergence after max_iterations
+    iterations on one eigenvalue (30, as in tql1).
     """
     a = _as_array(matrix)
+    if not np.isfinite(a).all():
+        raise NonFinite("matrix has NaN or infinite entries")
     if not np.array_equal(a, a.T):
         raise NonSymmetric("matrix is not exactly symmetric")
     n = a.shape[0]
-    if n == 1:
-        return [float(a[0, 0])]
-    scale = max(1.0, float(np.linalg.norm(a)))
-    threshold = tol * scale
-    skip = threshold / (10.0 * n)
-    for _ in range(max_sweeps):
-        if math.sqrt(2.0) * np.linalg.norm(np.triu(a, 1)) < threshold:
-            return sorted((float(v) for v in a.diagonal()), reverse=True)
-        for k in range(n - 1):
-            for l in range(k + 1, n):
-                akl = a[k, l]
-                if abs(akl) <= skip:
-                    continue
-                tau = (a[l, l] - a[k, k]) / (2.0 * akl)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                row_k, row_l = a[k, :].copy(), a[l, :].copy()
-                a[k, :] = c * row_k - s * row_l
-                a[l, :] = s * row_k + c * row_l
-                col_k, col_l = a[:, k].copy(), a[:, l].copy()
-                a[:, k] = c * col_k - s * col_l
-                a[:, l] = s * col_k + c * col_l
-                a[k, l] = 0.0
-                a[l, k] = 0.0
-    if math.sqrt(2.0) * np.linalg.norm(np.triu(a, 1)) < threshold:
-        return sorted((float(v) for v in a.diagonal()), reverse=True)
-    raise NoConvergence(f"off-diagonal mass still above tolerance after {max_sweeps} sweeps")
+    if n <= 1:
+        return a.diagonal().tolist()
+    shift = max(0, math.frexp(float(np.abs(a).max()))[1])
+    a = np.ldexp(a, -shift)
+    skip = tol * max(math.ldexp(1.0, -shift), float(np.linalg.norm(a))) / (10.0 * n)
+    for k in range(n - 2):
+        x = a[k, k + 1 :]  # equals column k below the diagonal: a stays symmetric
+        tail = x[1:]
+        if tail @ tail <= skip * skip:
+            continue
+        alpha = -math.copysign(math.sqrt(float(x @ x)), x[0])
+        v = x.copy()
+        v[0] -= alpha
+        beta = 2.0 / float(v @ v)
+        block = a[k + 1 :, k + 1 :]
+        p = beta * (block @ v)
+        w = p - (0.5 * beta * float(p @ v)) * v
+        block -= np.outer(v, w)
+        block -= np.outer(w, v)
+        a[k, k + 1] = alpha
+    d = a.diagonal().tolist()
+    e = a.diagonal(1).tolist() + [0.0]
+    values = _tridiagonal_eigenvalues(d, e, max_iterations)
+    try:
+        return sorted((math.ldexp(v, shift) for v in values), reverse=True)
+    except OverflowError:
+        raise NonFinite("an eigenvalue lies beyond the float64 range") from None
 
 
 def _cluster_sizes(values: Sequence[float], rel_tol: float) -> list[int]:

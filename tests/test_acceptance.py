@@ -63,7 +63,7 @@ def criterion(number: int, description: str):
 
 @pytest.fixture(scope="module")
 def sweep():
-    """Graphs, exact charpolys, Jacobi eigenvalues, and closed spectra for
+    """Graphs, exact charpolys, numeric eigenvalues, and closed spectra for
     every order up to N_MAX, computed once and shared by the criteria."""
     data = {}
     distance_seconds = 0.0
@@ -76,14 +76,14 @@ def sweep():
         started = time.perf_counter()
         entry["adjacency_charpoly"] = charpoly(adjacency)
         adjacency_seconds += time.perf_counter() - started
-        entry["adjacency_jacobi"] = symmetric_eigenvalues(adjacency)
+        entry["adjacency_numeric"] = symmetric_eigenvalues(adjacency)
         entry["adjacency_closed"] = adjacency_spectrum_closed(group)
         if is_composite(n):
             distance = distance_matrix(graph)
             started = time.perf_counter()
             entry["distance_charpoly"] = charpoly(distance)
             distance_seconds += time.perf_counter() - started
-            entry["distance_jacobi"] = symmetric_eigenvalues(distance)
+            entry["distance_numeric"] = symmetric_eigenvalues(distance)
             entry["distance_closed"] = distance_spectrum_closed(group)
         data[n] = entry
     data["timing"] = {"distance": distance_seconds, "adjacency": adjacency_seconds}
@@ -137,13 +137,13 @@ def test_criterion_3_noncyclic_complete_spectra(q8, s3):
 
 
 def test_criterion_4_closed_vs_numeric_spectra(sweep):
-    with criterion(4, f"closed vs Jacobi spectra <= 1e-8 with multiplicities, "
+    with criterion(4, f"closed vs numeric spectra <= 1e-8 with multiplicities, "
                       f"composite n <= {N_MAX}"):
         for n in COMPOSITES:
             entry = sweep[n]
             for kind in ("distance", "adjacency"):
                 closed = entry[f"{kind}_closed"]
-                result = compare_spectra(closed, entry[f"{kind}_jacobi"])
+                result = compare_spectra(closed, entry[f"{kind}_numeric"])
                 assert result.max_abs_deviation <= 1e-8, (n, kind)
                 assert result.multiplicity_match, (n, kind)
                 minus_one = [m for v, m in closed.entries if v == -1.0]
@@ -169,7 +169,7 @@ def test_criterion_5_worked_instance_n4(sweep):
         assert abs(adjacency.theta - ORACLE_N4["theta_adjacency"]) <= 1e-4
 
         for kind in ("distance", "adjacency"):
-            result = compare_spectra(entry[f"{kind}_closed"], entry[f"{kind}_jacobi"])
+            result = compare_spectra(entry[f"{kind}_closed"], entry[f"{kind}_numeric"])
             assert result.max_abs_deviation <= 1e-8, kind
 
 
@@ -205,12 +205,12 @@ def test_criterion_7_theta_range(sweep):
 
 
 def test_criterion_8_spectral_radii(sweep):
-    with criterion(8, f"closed-form spectral radii match Jacobi maxima <= 1e-8, "
+    with criterion(8, f"closed-form spectral radii match numeric maxima <= 1e-8, "
                       f"composite n <= {N_MAX}"):
         for n in COMPOSITES:
             entry = sweep[n]
             group = CyclicGroup(n)
             distance_radius = distance_spectrum_closed(group).max_value()
             adjacency_radius = adjacency_spectrum_closed(group).max_value()
-            assert abs(distance_radius - entry["distance_jacobi"][0]) <= 1e-8, n
-            assert abs(adjacency_radius - entry["adjacency_jacobi"][0]) <= 1e-8, n
+            assert abs(distance_radius - entry["distance_numeric"][0]) <= 1e-8, n
+            assert abs(adjacency_radius - entry["adjacency_numeric"][0]) <= 1e-8, n

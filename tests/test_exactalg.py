@@ -86,6 +86,24 @@ def test_charpoly_large_entries():
     assert charpoly(m) == IntPolynomial([-(big * big) - 1, 0, 1])
 
 
+@pytest.mark.parametrize("k", [1, 3, 2**40])
+def test_charpoly_meets_the_hadamard_bound_with_equality(k):
+    # k times a Sylvester Hadamard matrix of order 16 has orthogonal rows of
+    # norm 4k, so |det| = (4k)^16 is exactly the product of the row norms
+    h = [[1]]
+    for _ in range(4):
+        h = [row + row for row in h] + [row + [-v for v in row] for row in h]
+    m = IntMatrix([[k * v for v in row] for row in h])
+    poly = charpoly(m)
+    assert abs(poly.coefficient(0)) == (4 * k) ** 16
+    assert poly.coefficient(0) == bareiss_det(m)  # n = 16 is even
+    for x in (-2, 1, 5):
+        shifted = IntMatrix(
+            [[x * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(m.rows)]
+        )
+        assert poly_eval(poly, x) == bareiss_det(shifted), x
+
+
 def test_bareiss_det_examples():
     assert bareiss_det(IntMatrix([[0, 1], [1, 0]])) == -1
     assert bareiss_det(IntMatrix.identity(4)) == 1

@@ -1,5 +1,6 @@
 """Group arithmetic, number-theoretic helpers, and Cayley table validation."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -14,6 +15,7 @@ from spg.groups import (
     CyclicGroup,
     DihedralGroup,
     DirectProductGroup,
+    GroupSpec,
     MissingIdentity,
     NotAssociative,
     NotLatinSquare,
@@ -85,6 +87,22 @@ def test_direct_product_cyclic_iff_coprime_orders():
         for b in range(2, 21):
             got = DirectProductGroup([a, b]).is_cyclic()
             assert got == (math.gcd(a, b) == 1), (a, b)
+
+
+def test_product_is_cyclic_matches_the_element_order_definition():
+    # factor order does not change the group up to isomorphism, so every
+    # multiset of two or three factor orders up to 8 is covered
+    for size in (2, 3):
+        for orders in itertools.combinations_with_replacement(range(1, 9), size):
+            g = DirectProductGroup(orders)
+            assert g.is_cyclic() == GroupSpec.is_cyclic(g), orders
+
+
+def test_dihedral_is_cyclic_matches_the_element_order_definition():
+    for m in range(1, 31):
+        g = DihedralGroup(m)
+        assert g.is_cyclic() == GroupSpec.is_cyclic(g), m
+    assert DihedralGroup(1).is_cyclic()  # D_1 is Z_2
 
 
 def test_lagrange_over_catalog(catalog60):

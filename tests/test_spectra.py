@@ -1,10 +1,13 @@
-"""Closed-form spectra, the trig cubic solver, and the Jacobi oracle."""
+"""Closed-form spectra, the trig cubic solver, and the Householder + QL
+eigenvalue oracle (numpy.linalg.eigvalsh is a cross-oracle here only)."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spg.exactalg import (
     IntMatrix,
@@ -15,13 +18,14 @@ from spg.exactalg import (
     distance_cubic,
     poly_eval,
 )
-from spg.graphs import adjacency_matrix, distance_matrix, strong_power_graph
+from spg.graphs import DisconnectedGraph, adjacency_matrix, distance_matrix, strong_power_graph
 from spg.groups import CyclicGroup, DihedralGroup, DirectProductGroup, is_composite, totient
 from spg.spectra import (
     ClosedFormSpectrum,
     ComplexRoots,
     CountMismatch,
     NoConvergence,
+    NonFinite,
     NonSymmetric,
     PrimeOrder,
     adjacency_spectrum_closed,
@@ -245,7 +249,137 @@ def test_jacobi_rejects_asymmetric_input():
 
 def test_jacobi_no_convergence_with_zero_sweeps():
     with pytest.raises(NoConvergence):
-        symmetric_eigenvalues(IntMatrix([[0, 1], [1, 0]]), max_sweeps=0)
+        symmetric_eigenvalues(IntMatrix([[0, 1], [1, 0]]), max_iterations=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_oracle_rejects_non_finite_entries(bad):
+    off_diagonal = np.array([[1.0, bad], [bad, 1.0]])
+    on_diagonal = np.diag([1.0, bad, 2.0])
+    for matrix in (off_diagonal, on_diagonal, off_diagonal.tolist()):
+        with pytest.raises(NonFinite, match="NaN or infinite"):
+            symmetric_eigenvalues(matrix)
+
+
+def test_oracle_rejects_values_beyond_float64():
+    with pytest.raises(NonFinite, match="integer entry beyond the float64 range"):
+        symmetric_eigenvalues(IntMatrix([[10**400, 0], [0, 1]]))
+    # every entry is finite, but the largest eigenvalue is 2e308
+    with pytest.raises(NonFinite, match="eigenvalue lies beyond the float64 range"):
+        symmetric_eigenvalues(np.full((2, 2), 1e308))
+    # entries near the top of the range are scaled down, not overflowed
+    assert symmetric_eigenvalues(np.full((3, 3), 1e307)) == pytest.approx(
+        [3e307, 0.0, 0.0], abs=1e293
+    )
+
+
+def test_oracle_leaves_the_callers_array_unchanged():
+    rng = np.random.default_rng(0)
+    a = rng.integers(-50, 50, size=(20, 20)).astype(float)
+    a = a + a.T  # dense: every reflection is applied, and entries exceed 1
+    before = a.copy()
+    symmetric_eigenvalues(a)
+    assert np.array_equal(a, before)
+
+
+def _eigvalsh_descending(matrix) -> np.ndarray:
+    rows = matrix.rows if isinstance(matrix, IntMatrix) else matrix
+    return np.linalg.eigvalsh(np.array(rows, dtype=float))[::-1]
+
+
+def _assert_agrees_with_eigvalsh(matrix, rel_tol: float, label) -> None:
+    got = np.array(symmetric_eigenvalues(matrix))
+    want = _eigvalsh_descending(matrix)
+    scale = max(1.0, float(np.linalg.norm(want)))  # ||A||_F = ||eigenvalues||_2
+    assert np.abs(got - want).max() <= rel_tol * scale, label
+
+
+def _spectrum_workload_groups():
+    """The noncyclic groups of the spectrum benchmark, orders 100..250, and
+    cyclic groups at the same orders."""
+    for order in range(100, 251, 25):
+        yield CyclicGroup(order)
+        for a in range(2, math.isqrt(order) + 1):
+            if order % a == 0 and math.gcd(a, order // a) > 1:
+                yield DirectProductGroup([a, order // a])
+        if order % 2 == 0:
+            yield DihedralGroup(order // 2)
+
+
+def test_oracle_matches_eigvalsh_on_strong_power_graphs():
+    groups = [CyclicGroup(n) for n in range(1, 151)] + list(_spectrum_workload_groups())
+    for group in groups:
+        graph = strong_power_graph(group)
+        _assert_agrees_with_eigvalsh(adjacency_matrix(graph), 1e-11, (group, "adjacency"))
+        try:
+            distance = distance_matrix(graph)
+        except DisconnectedGraph:
+            continue
+        _assert_agrees_with_eigvalsh(distance, 1e-11, (group, "distance"))
+
+
+@st.composite
+def _symmetric_matrices(draw) -> np.ndarray:
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["integer", "float", "diagonal", "zero", "J-I", "blocks"]))
+    if kind in ("integer", "float"):
+        entry = st.integers(-20, 20) if kind == "integer" else st.floats(-1e3, 1e3)
+        upper = draw(st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+        a = np.zeros((n, n))
+        a[np.triu_indices(n)] = upper
+        a = a + np.triu(a, 1).T
+    elif kind == "diagonal":
+        a = np.diag(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
+    elif kind == "zero":
+        a = np.zeros((n, n))
+    elif kind == "J-I":
+        a = np.ones((n, n)) - np.eye(n)
+    else:
+        # one small block repeated down the diagonal, so every eigenvalue of
+        # the block is repeated, then a symmetric permutation hides the blocks
+        size = draw(st.integers(1, min(n, 4)))
+        block = np.array(draw(st.lists(st.integers(-4, 4), min_size=size**2, max_size=size**2)))
+        block = block.reshape(size, size)
+        block = block + block.T
+        a = np.zeros((n, n))
+        for start in range(0, n - size + 1, size):
+            a[start : start + size, start : start + size] = block
+        order = draw(st.permutations(range(n)))
+        a = a[np.ix_(order, order)]
+    return a * draw(st.sampled_from([1.0, 1e-6, 1e6]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symmetric_matrices())
+def test_oracle_matches_eigvalsh_on_symmetric_matrices(a):
+    _assert_agrees_with_eigvalsh(a, 1e-11, a.shape)
+
+
+@pytest.mark.parametrize("n", [3, 30, 110])
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+def test_oracle_bound_holds_with_noise_just_below_skip(n, tol):
+    # A has eigenvalues 3 and -1, each repeated, so a perturbation moves them
+    # at first order.  E has, in every column below the subdiagonal, norm
+    # 0.9 skip: the reduction skips every step and drops E, and the result
+    # must stay within the stated bound of the spectrum of A + E.
+    rng = np.random.default_rng(n)
+    a = np.diag(rng.choice([3.0, -1.0], size=n))
+    skip = tol * max(1.0, float(np.linalg.norm(a))) / (10.0 * n)
+    e = np.zeros((n, n))
+    for k in range(n - 2):
+        tail = rng.standard_normal(n - k - 2)
+        e[k + 2 :, k] = 0.9 * skip * tail / np.linalg.norm(tail)
+    e = e + e.T
+    noisy = a + e
+    got = np.array(symmetric_eigenvalues(noisy, tol=tol))
+    deviation = np.abs(got - _eigvalsh_descending(noisy)).max()
+    rounding = 16 * n * np.finfo(float).eps * max(1.0, float(np.linalg.norm(noisy)))
+    assert deviation <= math.sqrt(2 * n) * skip + rounding
+    assert deviation <= tol * max(1.0, float(np.linalg.norm(noisy))) + rounding
+    # the dropped E is what the result misses: it is A's spectrum
+    assert np.abs(got - _eigvalsh_descending(a)).max() <= rounding
+    if tol == 1e-6 and n > 3:
+        assert deviation > rounding  # the bound is exercised, not met by luck
 
 
 def test_compare_spectra_exact_match():
