@@ -7,9 +7,10 @@ Subcommands:
             their comparison
   verify    run every applicable check over a range of cyclic orders
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 inapplicable input (disconnected graph).  The SPG_LOG environment variable
-sets log verbosity (debug, info, warning, error).
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error
+(including a group order above --max-order), 3 inapplicable input
+(disconnected graph).  The SPG_LOG environment variable sets log verbosity
+(debug, info, warning, error).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -60,6 +62,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INAPPLICABLE = 3
 
+# The graph and matrix builders allocate a few n x n arrays; at this order
+# each is at most 32 MiB (2048^2 int64 entries).
+DEFAULT_MAX_ORDER = 2048
+
 log = logging.getLogger("spg.cli")
 
 
@@ -67,18 +73,29 @@ class GroupSpecParseError(ValueError):
     """A --group string did not match the grammar."""
 
 
-def parse_group_spec(text: str) -> GroupSpec:
-    """Parse "cyclic:N" | "product:A,B[,C...]" | "dihedral:M" | "cayley:PATH"."""
+def parse_group_spec(text: str, max_order: Optional[int] = None) -> GroupSpec:
+    """Parse "cyclic:N" | "product:A,B[,C...]" | "dihedral:M" | "cayley:PATH".
+
+    With max_order set, a group of larger order is refused before anything
+    of its size is built; for a Cayley table the document's "order" is
+    checked before the table is validated.
+    """
     head, sep, tail = text.partition(":")
     if not sep or not tail:
         raise GroupSpecParseError(f"malformed group spec {text!r}")
     try:
         if head == "cyclic":
-            return CyclicGroup(_positive_int(tail))
+            n = _positive_int(tail)
+            _check_order(n, max_order)
+            return CyclicGroup(n)
         if head == "product":
-            return DirectProductGroup([_positive_int(part) for part in tail.split(",")])
+            orders = [_positive_int(part) for part in tail.split(",")]
+            _check_order(math.prod(orders), max_order)
+            return DirectProductGroup(orders)
         if head == "dihedral":
-            return DihedralGroup(_positive_int(tail))
+            m = _positive_int(tail)
+            _check_order(2 * m, max_order)
+            return DihedralGroup(m)
         if head == "cayley":
             try:
                 with open(tail, "r", encoding="utf-8") as handle:
@@ -87,12 +104,20 @@ def parse_group_spec(text: str) -> GroupSpec:
                 raise GroupSpecParseError(f"cannot read Cayley table {tail!r}: {exc}")
             except json.JSONDecodeError as exc:
                 raise GroupSpecParseError(f"invalid JSON in {tail!r}: {exc}")
+            order = document.get("order") if isinstance(document, dict) else None
+            if isinstance(order, int):
+                _check_order(order, max_order)
             return load_cayley_table(document)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, GroupSpecParseError):
             raise
         raise GroupSpecParseError(f"bad group spec {text!r}: {exc}") from exc
     raise GroupSpecParseError(f"unknown group kind {head!r} in {text!r}")
+
+
+def _check_order(order: int, max_order: Optional[int]) -> None:
+    if max_order is not None and order > max_order:
+        raise GroupSpecParseError(f"group order {order} exceeds --max-order {max_order}")
 
 
 def _positive_int(text: str) -> int:
@@ -102,12 +127,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _max_order_arg(text: str) -> int:
+    try:
+        return _positive_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+
+
 def _poly_document(poly: IntPolynomial) -> list[str]:
     return poly.to_coeff_strings()
 
 
 def cmd_build(args: argparse.Namespace) -> tuple[int, str]:
-    group = parse_group_spec(args.group)
+    group = parse_group_spec(args.group, args.max_order)
     graph = strong_power_graph(group)
     if args.format == "dot":
         labels = [group.label(v) for v in range(graph.n)]
@@ -132,7 +164,7 @@ def _closed_form_poly(matrix_kind: str, n: int) -> Optional[IntPolynomial]:
 
 
 def cmd_charpoly(args: argparse.Namespace) -> tuple[int, str]:
-    group = parse_group_spec(args.group)
+    group = parse_group_spec(args.group, args.max_order)
     graph = strong_power_graph(group)
     matrix = distance_matrix(graph) if args.matrix == "distance" else adjacency_matrix(graph)
     computed = charpoly(matrix)
@@ -151,7 +183,7 @@ def cmd_charpoly(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
-    group = parse_group_spec(args.group)
+    group = parse_group_spec(args.group, args.max_order)
     graph = strong_power_graph(group)
     if args.matrix == "distance":
         matrix = distance_matrix(graph)
@@ -184,6 +216,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     n_min, n_max = _parse_range(args.range)
+    _check_order(n_max, args.max_order)
     try:
         report = verify_range(n_min, n_max, tol=args.tol, workers=args.workers)
     except ValueError as exc:
@@ -198,6 +231,16 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+def _add_max_order(parser: argparse.ArgumentParser, what: str = "group order") -> None:
+    parser.add_argument(
+        "--max-order",
+        type=_max_order_arg,
+        default=DEFAULT_MAX_ORDER,
+        help=f"refuse a {what} above this before building anything "
+        f"(default {DEFAULT_MAX_ORDER}; exit code 2)",
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spg", description="Strong power graph construction and verification."
@@ -208,12 +251,14 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--group", required=True, help="cyclic:N | product:A,B | dihedral:M | cayley:PATH")
     build.add_argument("--format", choices=("dot", "json", "csv"), default="json")
     build.add_argument("--out", help="write the document to this path")
+    _add_max_order(build)
     build.set_defaults(handler=cmd_build)
 
     poly = sub.add_parser("charpoly", help="exact characteristic polynomial")
     poly.add_argument("--group", required=True)
     poly.add_argument("--matrix", choices=("adjacency", "distance"), default="adjacency")
     poly.add_argument("--out")
+    _add_max_order(poly)
     poly.set_defaults(handler=cmd_charpoly)
 
     spectrum = sub.add_parser("spectrum", help="closed-form vs numeric spectrum")
@@ -221,6 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--matrix", choices=("adjacency", "distance"), default="adjacency")
     spectrum.add_argument("--tol", type=float, default=1e-8)
     spectrum.add_argument("--out")
+    _add_max_order(spectrum)
     spectrum.set_defaults(handler=cmd_spectrum)
 
     verify = sub.add_parser("verify", help="verify closed forms over a range of orders")
@@ -228,6 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tol", type=float, default=1e-8)
     verify.add_argument("--workers", type=int, default=1)
     verify.add_argument("--out")
+    _add_max_order(verify, "largest order of the range")
     verify.set_defaults(handler=cmd_verify)
     return parser
 

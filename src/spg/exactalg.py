@@ -54,23 +54,35 @@ class InexactDivision(ArithmeticError):
 
 
 class IntMatrix:
-    """Immutable square matrix over arbitrary-precision integers."""
+    """Immutable square matrix over arbitrary-precision integers.
+
+    A square 2-D int64 ndarray is taken as it is: its dtype already proves
+    every entry an integer.  Any other input is checked entry by entry.
+    """
 
     __slots__ = ("rows", "n")
 
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        rows = tuple(tuple(row) for row in rows)
-        n = len(rows)
-        if n == 0:
+    def __init__(self, rows: Union[Sequence[Sequence[int]], np.ndarray]):
+        if (
+            isinstance(rows, np.ndarray)
+            and rows.dtype == np.int64
+            and rows.ndim == 2
+            and rows.shape[0] == rows.shape[1]
+        ):
+            rows = tuple(map(tuple, rows.tolist()))
+        else:
+            rows = tuple(tuple(row) for row in rows)
+            n = len(rows)
+            for i, row in enumerate(rows):
+                if len(row) != n:
+                    raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+                for j, v in enumerate(row):
+                    if not isinstance(v, int) or isinstance(v, bool):
+                        raise ValueError(f"entry ({i}, {j}) is {v!r}, expected an integer")
+        if not rows:
             raise ValueError("matrix must have at least one row")
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-            for j, v in enumerate(row):
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise ValueError(f"entry ({i}, {j}) is {v!r}, expected an integer")
         self.rows = rows
-        self.n = n
+        self.n = len(rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":

@@ -1,13 +1,17 @@
 """Strong power graph construction and unweighted graph machinery.
 
-Adjacency is stored as one integer bitmask per vertex, so edge tests,
-power-set intersections and BFS frontiers are all bitwise operations.
+A graph is a read-only n x n boolean adjacency array.  The builder walks the
+powers of every element at once through the group's broadcastable law, and
+adjacency, distances and components come from boolean matrix products: the
+power sets meet where (powers @ powers.T) > 0, and the BFS advances every
+source by one level per product.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .exactalg import IntMatrix
 from .groups import CyclicGroup, GroupSpec
@@ -27,6 +31,10 @@ __all__ = [
     "matrix_to_csv",
 ]
 
+# float32 holds every integer below 2^24 exactly, so a 0/1 matrix product
+# whose inner dimension is below it counts without rounding
+_FLOAT32_EXACT = 2**24
+
 
 class DisconnectedGraph(ValueError):
     """Raised when an operation needs a connected graph; carries the components."""
@@ -40,88 +48,82 @@ class DisconnectedGraph(ValueError):
 
 
 class SimpleGraph:
-    """Undirected loop-free graph on vertices 0..n-1."""
+    """Undirected loop-free graph on vertices 0..n-1, held as a read-only
+    n x n boolean adjacency array `adj`."""
 
-    __slots__ = ("n", "masks")
+    __slots__ = ("n", "adj")
 
-    def __init__(self, n: int, masks: Sequence[int]):
-        if n < 1:
+    def __init__(self, adjacency):
+        adj = np.asarray(adjacency)
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+            raise ValueError(f"adjacency must be a square matrix, got shape {adj.shape}")
+        if adj.shape[0] < 1:
             raise ValueError("graph needs at least one vertex")
-        if len(masks) != n:
-            raise ValueError(f"expected {n} adjacency masks, got {len(masks)}")
-        masks = tuple(int(m) for m in masks)
-        for v, mask in enumerate(masks):
-            if mask >> n:
-                raise ValueError(f"mask of vertex {v} references vertices >= {n}")
-            if mask & (1 << v):
-                raise ValueError(f"self-loop at vertex {v}")
-        for u in range(n):
-            for v in range(u + 1, n):
-                if bool(masks[u] & (1 << v)) != bool(masks[v] & (1 << u)):
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        self.n = n
-        self.masks = masks
+        if adj.dtype != bool and not np.isin(adj, (0, 1)).all():
+            raise ValueError("adjacency entries must be 0 or 1")
+        adj = adj.astype(bool)  # a private copy
+        loops = np.flatnonzero(adj.diagonal())
+        if loops.size:
+            raise ValueError(f"self-loop at vertex {int(loops[0])}")
+        # the mismatch pattern is symmetric, so its first entry in row-major
+        # order is the lowest pair (u, v) and has u < v
+        asymmetric = np.argwhere(adj != adj.T)
+        if asymmetric.size:
+            u, v = asymmetric[0].tolist()
+            raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        adj.flags.writeable = False
+        self.n = adj.shape[0]
+        self.adj = adj
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        masks = [0] * n
+        adj = np.zeros((n, n), dtype=bool)
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return cls(n, masks)
+            adj[u, v] = adj[v, u] = True
+        return cls(adj)
 
     @classmethod
     def complete(cls, n: int) -> "SimpleGraph":
-        full = (1 << n) - 1
-        return cls(n, [full ^ (1 << v) for v in range(n)])
+        return cls(~np.eye(n, dtype=bool))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.masks[u] & (1 << v))
+        return bool(self.adj[u, v])
 
     def neighbors(self, v: int) -> set[int]:
-        return _bits(self.masks[v])
+        return set(np.flatnonzero(self.adj[v]).tolist())
 
     def degree(self, v: int) -> int:
-        return self.masks[v].bit_count()
+        return int(np.count_nonzero(self.adj[v]))
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            rest = self.masks[u] >> (u + 1)
-            v = u + 1
-            while rest:
-                if rest & 1:
-                    out.append((u, v))
-                rest >>= 1
-                v += 1
-        return out
+        """Edges (u, v) with u < v, in lexicographic order."""
+        u, v = np.nonzero(np.triu(self.adj, 1))
+        return list(zip(u.tolist(), v.tolist()))
 
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.masks) // 2
+        return int(np.count_nonzero(self.adj)) // 2
 
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, SimpleGraph) and self.n == other.n and self.masks == other.masks
+            isinstance(other, SimpleGraph)
+            and self.n == other.n
+            and bool(np.array_equal(self.adj, other.adj))
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.masks))
+        return hash((self.n, self.adj.tobytes()))
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, edges={self.edge_count()})"
 
 
-def _bits(mask: int) -> set[int]:
-    out = set()
-    v = 0
-    while mask:
-        if mask & 1:
-            out.add(v)
-        mask >>= 1
-        v += 1
-    return out
+def _meets(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Boolean product of 0/1 matrices: entry (i, j) is True iff row i of x
+    and column j of y share a 1.  The counts run through float32 BLAS."""
+    assert x.shape[1] < _FLOAT32_EXACT, "float32 counts would round"
+    return (x.astype(np.float32, copy=False) @ y.astype(np.float32, copy=False)) > 0
 
 
 def strong_power_graph(g: GroupSpec) -> SimpleGraph:
@@ -129,25 +131,23 @@ def strong_power_graph(g: GroupSpec) -> SimpleGraph:
 
     Distinct x, y are adjacent iff some positive powers below |G| coincide,
     i.e. the power sets {x^k : 1 <= k <= n-1} and {y^k : 1 <= k <= n-1}
-    intersect.  Power sets are cached per element as bitmasks.
+    intersect.  Row a of `powers` marks the power set of a; all elements
+    are raised together, one application of the group law per exponent.
+    Once every a^(k+1) equals a, every power cycle has closed and the
+    remaining exponents only repeat them.
     """
     n = g.order
-    power_masks = []
-    for a in range(n):
-        mask, current = 0, a
-        for _ in range(n - 1):
-            mask |= 1 << current
-            current = g.op(current, a)
-            if current == a:  # the remaining powers only repeat this cycle
-                break
-        power_masks.append(mask)
-    adj = [0] * n
-    for x in range(n):
-        for y in range(x + 1, n):
-            if power_masks[x] & power_masks[y]:
-                adj[x] |= 1 << y
-                adj[y] |= 1 << x
-    return SimpleGraph(n, adj)
+    elems = np.arange(n)
+    powers = np.zeros((n, n), dtype=np.float32)
+    current = elems
+    for _ in range(n - 1):
+        powers[elems, current] = 1
+        current = g.law(current, elems)
+        if np.array_equal(current, elems):
+            break
+    adj = _meets(powers, powers.T)
+    np.fill_diagonal(adj, False)
+    return SimpleGraph(adj)
 
 
 def strong_power_graph_structural(g: GroupSpec) -> SimpleGraph:
@@ -163,94 +163,74 @@ def strong_power_graph_structural(g: GroupSpec) -> SimpleGraph:
     if not g.is_cyclic():
         return SimpleGraph.complete(n)
     if isinstance(g, CyclicGroup):
-        non_generators = [m for m in range(1, n) if math.gcd(m, n) != 1]
+        non_generator = np.gcd(np.arange(n), n) != 1
     else:
-        non_generators = [a for a in range(1, n) if g.element_order(a) != n]
-    full = (1 << n) - 1
-    masks = [full ^ 1 ^ (1 << v) for v in range(n)]  # clique on 1..n-1
-    masks[0] = 0
-    for m in non_generators:
-        masks[0] |= 1 << m
-        masks[m] |= 1
-    return SimpleGraph(n, masks)
+        non_generator = np.array([g.element_order(a) != n for a in range(n)])
+    non_generator[0] = False
+    adj = ~np.eye(n, dtype=bool)  # clique on 1..n-1, row and column 0 set below
+    adj[0] = adj[:, 0] = non_generator
+    return SimpleGraph(adj)
 
 
 def adjacency_matrix(graph: SimpleGraph) -> IntMatrix:
     """0/1 symmetric matrix with zero diagonal."""
-    n = graph.n
-    return IntMatrix(
-        [[1 if graph.has_edge(i, j) else 0 for j in range(n)] for i in range(n)]
-    )
+    return IntMatrix(graph.adj.astype(np.int64))
 
 
-def _bfs_distances(graph: SimpleGraph, source: int) -> list[int]:
-    n = graph.n
-    dist = [-1] * n
-    visited = frontier = 1 << source
-    d = 0
-    while frontier:
-        for v in _bits(frontier):
-            dist[v] = d
-        reached = 0
-        for v in _bits(frontier):
-            reached |= graph.masks[v]
-        frontier = reached & ~visited
-        visited |= frontier
-        d += 1
+def _distances(graph: SimpleGraph) -> np.ndarray:
+    """All-pairs BFS distances, -1 where unreachable, as an int64 array.
+
+    Level-synchronous BFS from every source at once: row s of `frontier`
+    holds the vertices first reached from s at the current level, and one
+    boolean product advances all rows by a level.
+    """
+    dist = np.where(graph.adj, 1, -1).astype(np.int64, copy=False)
+    np.fill_diagonal(dist, 0)
+    step = graph.adj.astype(np.float32)
+    frontier, level = graph.adj, 1
+    while frontier.any():
+        level += 1
+        frontier = _meets(frontier, step) & (dist < 0)
+        dist[frontier] = level
     return dist
+
+
+def _components(dist: np.ndarray) -> list[list[int]]:
+    reached = dist >= 0
+    # row v of `reached` is v's component; v is its smallest vertex iff the
+    # first True of row v is v itself
+    firsts = np.flatnonzero(reached.argmax(axis=1) == np.arange(len(dist)))
+    return [np.flatnonzero(reached[v]).tolist() for v in firsts]
 
 
 def components(graph: SimpleGraph) -> list[list[int]]:
     """Connected components, each sorted, ordered by smallest vertex."""
-    seen = 0
-    out = []
-    full = (1 << graph.n) - 1
-    while seen != full:
-        start = _lowest_unset(seen, graph.n)
-        dist = _bfs_distances(graph, start)
-        comp = [v for v, d in enumerate(dist) if d >= 0]
-        for v in comp:
-            seen |= 1 << v
-        out.append(comp)
-    return out
-
-
-def _lowest_unset(mask: int, n: int) -> int:
-    for v in range(n):
-        if not mask & (1 << v):
-            return v
-    raise ValueError("mask is full")
+    return _components(_distances(graph))
 
 
 def is_connected(graph: SimpleGraph) -> bool:
-    return all(d >= 0 for d in _bfs_distances(graph, 0))
+    return bool((_distances(graph) >= 0).all())
 
 
 def is_complete(graph: SimpleGraph) -> bool:
-    full = (1 << graph.n) - 1
-    return all(graph.masks[v] == full ^ (1 << v) for v in range(graph.n))
+    return bool(np.array_equal(graph.adj, ~np.eye(graph.n, dtype=bool)))
+
+
+def _connected_distances(graph: SimpleGraph) -> np.ndarray:
+    dist = _distances(graph)
+    if (dist < 0).any():
+        raise DisconnectedGraph(_components(dist))
+    return dist
 
 
 def distance_matrix(graph: SimpleGraph) -> IntMatrix:
-    """All-pairs shortest path lengths via BFS from every vertex."""
-    rows = []
-    for v in range(graph.n):
-        dist = _bfs_distances(graph, v)
-        if any(d < 0 for d in dist):
-            raise DisconnectedGraph(components(graph))
-        rows.append(dist)
-    return IntMatrix(rows)
+    """All-pairs shortest path lengths; requires a connected graph."""
+    return IntMatrix(_connected_distances(graph))
 
 
 def diameter(graph: SimpleGraph) -> int:
     """Largest vertex-to-vertex distance; requires a connected graph."""
-    best = 0
-    for v in range(graph.n):
-        dist = _bfs_distances(graph, v)
-        if any(d < 0 for d in dist):
-            raise DisconnectedGraph(components(graph))
-        best = max(best, max(dist))
-    return best
+    return int(_connected_distances(graph).max())
 
 
 def to_dot(graph: SimpleGraph, labels: Optional[Sequence[str]] = None) -> str:

@@ -63,8 +63,21 @@ class GroupSpec:
     order: int
     labels: Optional[tuple[str, ...]] = None
 
-    def op(self, a: int, b: int) -> int:
+    def law(self, a, b):
+        """The product a*b of element indices, unchecked.
+
+        a and b are ints or integer numpy arrays of broadcastable shapes; the
+        law is integer arithmetic (or a table lookup) that applies
+        elementwise, so one definition serves single products and whole
+        index arrays alike.
+        """
         raise NotImplementedError
+
+    def op(self, a: int, b: int) -> int:
+        """The product a*b of two checked element indices."""
+        self._check(a)
+        self._check(b)
+        return int(self.law(a, b))
 
     def _check(self, a: int) -> None:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.order:
@@ -105,8 +118,8 @@ class GroupSpec:
 
     def cayley_table(self) -> list[list[int]]:
         """Materialise the full multiplication table."""
-        n = self.order
-        return [[self.op(a, b) for b in range(n)] for a in range(n)]
+        i = np.arange(self.order)
+        return self.law(i[:, None], i[None, :]).tolist()
 
     def label(self, a: int) -> str:
         if self.labels is not None:
@@ -127,9 +140,7 @@ class CyclicGroup(GroupSpec):
             raise ValueError(f"cyclic group order must be a positive integer, got {n!r}")
         self.order = n
 
-    def op(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
+    def law(self, a, b):
         return (a + b) % self.order
 
     def is_cyclic(self) -> bool:
@@ -152,23 +163,13 @@ class DirectProductGroup(GroupSpec):
         self.orders = orders
         self.order = math.prod(orders)
 
-    def to_tuple(self, a: int) -> tuple[int, ...]:
-        self._check(a)
-        digits = []
+    def law(self, a, b):
+        # add digit by digit, the last factor's digit at place value 1
+        out, place = 0, 1
         for m in reversed(self.orders):
-            a, d = divmod(a, m)
-            digits.append(d)
-        return tuple(reversed(digits))
-
-    def from_tuple(self, digits: Sequence[int]) -> int:
-        index = 0
-        for d, m in zip(digits, self.orders):
-            index = index * m + d
-        return index
-
-    def op(self, a: int, b: int) -> int:
-        ta, tb = self.to_tuple(a), self.to_tuple(b)
-        return self.from_tuple([(x + y) % m for x, y, m in zip(ta, tb, self.orders)])
+            out = out + (a // place % m + b // place % m) % m * place
+            place *= m
+        return out
 
     def is_cyclic(self) -> bool:
         """True iff the factor orders are pairwise coprime (Chinese remainder theorem)."""
@@ -187,19 +188,12 @@ class DihedralGroup(GroupSpec):
         self.m = m
         self.order = 2 * m
 
-    def op(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
+    def law(self, a, b):
+        # r^i r^j = r^(i+j), r^i s r^j = s r^(j-i), s r^i r^j = s r^(i+j),
+        # s r^i s r^j = r^(j-i): the rotation part of b, plus or minus (when b
+        # is a reflection) the rotation part of a; reflections count mod 2
         m = self.m
-        ra, rb = a % m, b % m
-        fa, fb = a >= m, b >= m
-        if not fa and not fb:          # r^i * r^j
-            return (ra + rb) % m
-        if not fa and fb:              # r^i * s r^j = s r^(j-i)
-            return m + (rb - ra) % m
-        if fa and not fb:              # s r^i * r^j = s r^(i+j)
-            return m + (ra + rb) % m
-        return (rb - ra) % m           # s r^i * s r^j = r^(j-i)
+        return (b % m + (1 - 2 * (b // m)) * (a % m)) % m + m * ((a // m + b // m) % 2)
 
     def is_cyclic(self) -> bool:
         """True iff m = 1: D_1 is Z_2, and for m >= 2 every element of D_m
@@ -208,7 +202,11 @@ class DihedralGroup(GroupSpec):
 
 
 class CayleyGroup(GroupSpec):
-    """A group given by an explicit validated multiplication table."""
+    """A group given by an explicit validated multiplication table.
+
+    `table` holds the rows as tuples; the law looks products up in a
+    read-only int64 copy of it.
+    """
 
     kind = "cayley"
 
@@ -217,59 +215,146 @@ class CayleyGroup(GroupSpec):
         e = validate_cayley_table(rows)
         if e != 0:
             raise MissingIdentity(f"identity must sit at index 0, found it at {e}")
-        self.table = rows
-        self.order = len(rows)
-        self.labels = tuple(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != self.order:
-            raise BadTableShape(
-                f"got {len(self.labels)} labels for a table of order {self.order}"
-            )
+        labels = tuple(labels) if labels is not None else None
+        if labels is not None and len(labels) != len(rows):
+            raise BadTableShape(f"got {len(labels)} labels for a table of order {len(rows)}")
+        self._set_table(np.array(rows, dtype=np.int64), labels)
 
     @classmethod
-    def _from_validated(
-        cls, rows: tuple[tuple[int, ...], ...], labels: Optional[tuple[str, ...]]
-    ) -> "CayleyGroup":
-        """Wrap a table that already passed validation with its identity at 0."""
+    def _from_validated(cls, t: np.ndarray, labels: Optional[tuple[str, ...]]) -> "CayleyGroup":
+        """Wrap an int64 table that already passed validation with its identity at 0."""
         group = cls.__new__(cls)
-        group.table, group.order, group.labels = rows, len(rows), labels
+        group._set_table(t, labels)
         return group
 
-    def op(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        return self.table[a][b]
+    def _set_table(self, t: np.ndarray, labels: Optional[tuple[str, ...]]) -> None:
+        t.flags.writeable = False
+        self._t = t
+        self.table = tuple(map(tuple, t.tolist()))
+        self.order = len(t)
+        self.labels = labels
+
+    def law(self, a, b):
+        return self._t[a, b]
 
 
-def totient(n: int) -> int:
-    """Euler's totient, via trial-division factorisation of n."""
+# Miller-Rabin with the first 13 prime bases is deterministic below this bound,
+# the smallest strong pseudoprime to all of them (Sorenson and Webster,
+# Math. Comp. 2017); at and above it is_prime and totient fall back to trial
+# division, so every answer stays exact.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _check_positive(n: int, name: str) -> None:
     if not isinstance(n, int) or n < 1:
-        raise ValueError(f"totient requires a positive integer, got {n!r}")
-    result, remaining, p = n, n, 2
-    while p * p <= remaining:
-        if remaining % p == 0:
-            result -= result // p
-            while remaining % p == 0:
-                remaining //= p
-        p += 1 if p == 2 else 2
-    if remaining > 1:
-        result -= result // remaining
-    return result
+        raise ValueError(f"{name} requires a positive integer, got {n!r}")
+
+
+def _miller_rabin(n: int) -> bool:
+    """Strong probable-prime test of the odd n > 41 to every base in _MR_BASES."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"is_prime requires a positive integer, got {n!r}")
-    if n < 4:
-        return n > 1
-    if n % 2 == 0:
-        return False
-    p = 3
-    while p * p <= n:
+    """Primality: deterministic Miller-Rabin below _MR_LIMIT, trial division
+    at and above it."""
+    _check_positive(n, "is_prime")
+    for p in _MR_BASES:
         if n % p == 0:
-            return False
+            return n == p
+    if n < 43 * 43:  # no prime factor up to 41 left
+        return n > 1
+    if n >= _MR_LIMIT:
+        return all(n % p for p in range(43, math.isqrt(n) + 1, 2))
+    return _miller_rabin(n)
+
+
+def _pollard_rho(n: int) -> int:
+    """A proper divisor of the odd composite n, by Brent's variant of
+    Pollard's rho with x -> x^2 + c, trying c = 1, 2, ... in turn."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"Pollard rho found no divisor of {n}")
+
+
+def _prime_factors(n: int) -> set[int]:
+    """The distinct prime factors of n >= 1.
+
+    Primes up to 41 are divided out first, then odd trial divisors for as
+    long as the cofactor is at least _MR_LIMIT.  Below that bound Pollard's
+    rho splits the cofactor, each divisor checked by division, until every
+    part passes Miller-Rabin.
+    """
+    factors = set()
+    for p in _MR_BASES:
+        if n % p == 0:
+            factors.add(p)
+            while n % p == 0:
+                n //= p
+    p = 43
+    while n >= _MR_LIMIT and p * p <= n:
+        if n % p == 0:
+            factors.add(p)
+            while n % p == 0:
+                n //= p
         p += 2
-    return True
+    if n >= _MR_LIMIT:  # no divisor up to its square root
+        return factors | {n}
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            factors.add(m)
+            continue
+        d = _pollard_rho(m)
+        if not 1 < d < m or m % d:
+            raise ArithmeticError(f"{d} is not a proper divisor of {m}")
+        pending += [d, m // d]
+    return factors
+
+
+def totient(n: int) -> int:
+    """Euler's totient, n times the product of (1 - 1/p) over the primes p | n."""
+    _check_positive(n, "totient")
+    result = n
+    for p in _prime_factors(n):
+        result -= result // p
+    return result
 
 
 def is_composite(n: int) -> bool:
@@ -371,14 +456,12 @@ def load_cayley_table(document: dict) -> CayleyGroup:
         labels = tuple(str(x) for x in labels)
 
     e = validate_cayley_table(rows)
+    t = np.array(rows, dtype=np.int64)
     if e != 0:
-        swap = {0: e, e: 0}
-        sigma = lambda x: swap.get(x, x)
-        rows = tuple(
-            tuple(sigma(rows[sigma(i)][sigma(j)]) for j in range(order)) for i in range(order)
-        )
+        # sigma swaps 0 and e; the relabelled table is sigma(t[sigma(i), sigma(j)])
+        sigma = np.arange(order)
+        sigma[[0, e]] = e, 0
+        t = sigma[t[np.ix_(sigma, sigma)]]
         if labels is not None:
-            relabelled = list(labels)
-            relabelled[0], relabelled[e] = relabelled[e], relabelled[0]
-            labels = tuple(relabelled)
-    return CayleyGroup._from_validated(rows, labels)
+            labels = tuple(labels[k] for k in sigma)
+    return CayleyGroup._from_validated(t, labels)

@@ -45,6 +45,67 @@ def permuted(matrix: IntMatrix, order: list[int]) -> IntMatrix:
     return IntMatrix([[matrix.rows[i][j] for j in order] for i in order])
 
 
+def reference_strong_power_graph(g: GroupSpec) -> list[int]:
+    """The strong power graph as one adjacency bitmask per vertex, built pair
+    by pair from power-set bitmasks through g.op; the array builder in
+    spg.graphs is checked against it."""
+    n = g.order
+    power_masks = []
+    for a in range(n):
+        mask, current = 0, a
+        for _ in range(n - 1):
+            mask |= 1 << current
+            current = g.op(current, a)
+            if current == a:  # the remaining powers only repeat this cycle
+                break
+        power_masks.append(mask)
+    adj = [0] * n
+    for x in range(n):
+        for y in range(x + 1, n):
+            if power_masks[x] & power_masks[y]:
+                adj[x] |= 1 << y
+                adj[y] |= 1 << x
+    return adj
+
+
+def masks_to_rows(masks: list[int]) -> list[list[int]]:
+    """0/1 adjacency rows of a graph given by bitmasks."""
+    n = len(masks)
+    return [[mask >> v & 1 for v in range(n)] for mask in masks]
+
+
+def _bits(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def reference_bfs_distances(masks: list[int], source: int) -> list[int]:
+    """BFS distances from one source over bitmask adjacency, -1 where unreachable."""
+    dist = [-1] * len(masks)
+    visited = frontier = 1 << source
+    d = 0
+    while frontier:
+        reached = 0
+        for v in _bits(frontier):
+            dist[v] = d
+            reached |= masks[v]
+        frontier = reached & ~visited
+        visited |= frontier
+        d += 1
+    return dist
+
+
+def reference_components(masks: list[int]) -> list[list[int]]:
+    """Components by BFS from the lowest vertex not yet seen."""
+    seen: set[int] = set()
+    out = []
+    for start in range(len(masks)):
+        if start not in seen:
+            comp = [v for v, d in enumerate(reference_bfs_distances(masks, start)) if d >= 0]
+            seen.update(comp)
+            out.append(comp)
+    return out
+
+
 def s3_table() -> list[list[int]]:
     return DihedralGroup(3).cayley_table()
 

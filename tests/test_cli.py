@@ -144,6 +144,57 @@ def test_cayley_file_errors_are_usage_errors(capsys, tmp_path):
     assert "Latin" in err
 
 
+def test_max_order_refuses_larger_groups(capsys, tmp_path):
+    table = tmp_path / "z12.json"
+    table.write_text(json.dumps({"order": 12, "table": CyclicGroup(12).cayley_table()}))
+    refused = [
+        ["build", "--group", "cyclic:11"],
+        ["build", "--group", "product:3,4", "--format", "csv"],
+        ["charpoly", "--group", "dihedral:6"],
+        ["spectrum", "--group", f"cayley:{table}"],
+        ["verify", "--range", "2..11"],
+    ]
+    for argv in refused:
+        code, out, err = run_cli(capsys, argv + ["--max-order", "10"])
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("spg: error:") and "--max-order 10" in err, argv
+    for argv in (["build", "--group", "cyclic:10"], ["verify", "--range", "2..10"]):
+        code, _, _ = run_cli(capsys, argv + ["--max-order", "10"])
+        assert code == 0, argv
+
+
+def test_max_order_is_checked_before_the_table_is_validated(capsys, tmp_path):
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text(json.dumps({"order": 12, "table": [[0] * 12] * 12}))
+    code, _, err = run_cli(capsys, ["build", "--group", f"cayley:{bogus}", "--max-order", "10"])
+    assert code == 2
+    assert "exceeds --max-order 10" in err and "Latin" not in err
+    code, _, err = run_cli(capsys, ["build", "--group", f"cayley:{bogus}", "--max-order", "12"])
+    assert code == 2
+    assert "Latin" in err
+
+
+def test_max_order_default(capsys):
+    from spg.cli import DEFAULT_MAX_ORDER
+
+    assert DEFAULT_MAX_ORDER == 2048
+    # refused before anything of this size is built
+    code, _, err = run_cli(capsys, ["build", "--group", "cyclic:2049"])
+    assert code == 2
+    assert "exceeds --max-order 2048" in err
+    with pytest.raises(GroupSpecParseError, match="max-order"):
+        parse_group_spec("product:8,8", max_order=63)
+    assert parse_group_spec("product:8,8", max_order=64).order == 64
+
+
+def test_max_order_must_be_positive(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["build", "--group", "cyclic:4", "--max-order", "0"])
+    assert info.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_verify_small_range(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--range", "4..12"])
     doc = json.loads(out)

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,24 @@ from spg.graphs import adjacency_matrix, distance_matrix, strong_power_graph
 
 from conftest import permuted
 from spg.groups import CyclicGroup, is_prime
+
+
+def test_int_matrix_takes_square_int64_arrays():
+    arr = np.array([[0, -3], [2**62, 5]], dtype=np.int64)
+    m = IntMatrix(arr)
+    assert m.rows == ((0, -3), (2**62, 5))
+    assert all(type(v) is int for row in m.rows for v in row)
+    arr[0, 0] = 9  # the matrix keeps its own rows
+    assert m.rows[0][0] == 0
+    # any other array goes through the per-entry check
+    with pytest.raises(ValueError, match="expected an integer"):
+        IntMatrix(np.array([[1, 0], [0, 1]], dtype=np.int32))
+    with pytest.raises(ValueError, match="expected an integer"):
+        IntMatrix(np.eye(2))
+    with pytest.raises(ValueError, match="row 0 has length 3"):
+        IntMatrix(np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="at least one row"):
+        IntMatrix(np.zeros((0, 0), dtype=np.int64))
 
 
 def test_charpoly_swap_matrix():

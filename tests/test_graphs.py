@@ -1,9 +1,13 @@
 """Strong power graph construction, matrices, and graph quantities."""
 
 import math
+import random
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spg.exactalg import IntMatrix
 from spg.graphs import (
@@ -20,9 +24,22 @@ from spg.graphs import (
     strong_power_graph_structural,
     to_dot,
 )
-from spg.groups import CyclicGroup, DihedralGroup, DirectProductGroup, is_composite, is_prime
+from spg.groups import (
+    CyclicGroup,
+    DihedralGroup,
+    DirectProductGroup,
+    is_composite,
+    is_prime,
+    load_cayley_table,
+)
 
-from conftest import permuted
+from conftest import (
+    masks_to_rows,
+    permuted,
+    reference_bfs_distances,
+    reference_components,
+    reference_strong_power_graph,
+)
 
 
 def display_order(n: int) -> list[int]:
@@ -35,9 +52,11 @@ def display_order(n: int) -> list[int]:
 
 def test_simple_graph_rejects_loops_and_asymmetry():
     with pytest.raises(ValueError, match="self-loop"):
-        SimpleGraph(2, [0b01, 0b01])
+        SimpleGraph([[1, 0], [0, 0]])
     with pytest.raises(ValueError, match="asymmetric"):
-        SimpleGraph(2, [0b10, 0b00])
+        SimpleGraph([[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="square"):
+        SimpleGraph([[0, 1, 0], [1, 0, 0]])
 
 
 def test_z4_edges_from_definition():
@@ -63,6 +82,103 @@ def test_s3_table_gives_complete_graph(s3):
 def test_structural_equals_definitional_over_catalog(catalog60):
     for name, g in catalog60:
         assert strong_power_graph(g) == strong_power_graph_structural(g), name
+
+
+def test_builder_matches_bitmask_reference_over_catalog(catalog60):
+    for name, g in catalog60:
+        expected = SimpleGraph(masks_to_rows(reference_strong_power_graph(g)))
+        assert strong_power_graph(g) == expected, name
+
+
+def _relabelled_document(base: list[list[int]], rng: random.Random) -> dict:
+    """The table with element k renamed perm[k], so the identity moves off 0."""
+    n = len(base)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[base[a][b]]
+    return {"order": n, "table": table}
+
+
+def test_builder_matches_reference_on_relabelled_cayley_tables():
+    rng = random.Random(20261018)
+    sources = []
+    for n in (12, 16, 20, 27, 32, 45, 64):
+        sources.append(CyclicGroup(n))
+    for orders in ((2, 6), (4, 4), (3, 9), (2, 2, 8), (4, 16), (2, 30)):
+        sources.append(DirectProductGroup(orders))
+    for m in (6, 9, 14, 24, 32):
+        sources.append(DihedralGroup(m))
+    for g in sources:
+        assert 12 <= g.order <= 64
+        loaded = load_cayley_table(_relabelled_document(g.cayley_table(), rng))
+        expected = SimpleGraph(masks_to_rows(reference_strong_power_graph(loaded)))
+        assert strong_power_graph(loaded) == expected, g
+        # relabelling is an isomorphism, so the edge count is kept
+        assert expected.edge_count() == strong_power_graph(g).edge_count(), g
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges) for n = 1..40: random edges, one path through all vertices
+    (diameter n - 1), two disjoint paths, or no edges at all."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(("random", "path", "two paths", "edgeless")))
+    if kind == "edgeless":
+        return n, []
+    if kind == "random":
+        vertex = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+        return n, [(u, v) for u, v in pairs if u != v]
+    order = draw(st.permutations(range(n)))
+    cut = draw(st.integers(1, n)) if kind == "two paths" else n
+    return n, [(order[i], order[i + 1]) for i in range(n - 1) if i + 1 != cut]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_distances_and_components_match_the_bfs_reference(case):
+    n, edges = case
+    graph = SimpleGraph.from_edges(n, edges)
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    assert graph == SimpleGraph(masks_to_rows(masks))
+    assert graph.edges() == sorted({(min(e), max(e)) for e in edges})
+    expected_components = reference_components(masks)
+    assert components(graph) == expected_components
+    if len(expected_components) == 1:
+        rows = [reference_bfs_distances(masks, s) for s in range(n)]
+        assert distance_matrix(graph).rows == tuple(map(tuple, rows))
+        assert diameter(graph) == max(map(max, rows))
+        assert is_connected(graph)
+    else:
+        with pytest.raises(DisconnectedGraph) as info:
+            distance_matrix(graph)
+        assert info.value.components == tuple(map(tuple, expected_components))
+        assert not is_connected(graph)
+
+
+def test_graph_adjacency_is_read_only_and_copied():
+    rows = np.array([[0, 1], [1, 0]])
+    graph = SimpleGraph(rows)
+    rows[0, 1] = 0
+    assert graph.has_edge(0, 1)
+    with pytest.raises(ValueError):
+        graph.adj[0, 1] = False
+    with pytest.raises(ValueError, match="0 or 1"):
+        SimpleGraph([[0, 2], [2, 0]])
+    with pytest.raises(ValueError, match="at least one vertex"):
+        SimpleGraph(np.zeros((0, 0), dtype=bool))
+
+
+def test_matrices_are_python_int_rows():
+    graph = strong_power_graph(CyclicGroup(6))
+    for matrix in (adjacency_matrix(graph), distance_matrix(graph)):
+        assert all(type(v) is int for row in matrix.rows for v in row)
 
 
 def test_z5_splits_into_isolated_zero_and_clique():

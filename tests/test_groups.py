@@ -3,8 +3,10 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from spg import groups
@@ -26,7 +28,111 @@ from spg.groups import (
     validate_cayley_table,
 )
 
+from spg.spectra import distance_spectrum_closed
+
 from conftest import quaternion_table
+
+
+# --- independent scalar group laws: the element-by-element definitions ------
+
+
+def _cyclic_product(n, a, b):
+    return (a + b) % n
+
+
+def _product_product(orders, a, b):
+    def to_tuple(x):
+        digits = []
+        for m in reversed(orders):
+            x, d = divmod(x, m)
+            digits.append(d)
+        return tuple(reversed(digits))
+
+    index = 0
+    for x, y, m in zip(to_tuple(a), to_tuple(b), orders):
+        index = index * m + (x + y) % m
+    return index
+
+
+def _dihedral_product(m, a, b):
+    ra, rb = a % m, b % m
+    fa, fb = a >= m, b >= m
+    if not fa and not fb:          # r^i * r^j
+        return (ra + rb) % m
+    if not fa and fb:              # r^i * s r^j = s r^(j-i)
+        return m + (rb - ra) % m
+    if fa and not fb:              # s r^i * r^j = s r^(i+j)
+        return m + (ra + rb) % m
+    return (rb - ra) % m           # s r^i * s r^j = r^(j-i)
+
+
+def _scalar_table(name, g):
+    kind, _, arg = name.partition(":")
+    n = g.order
+    if kind == "cyclic":
+        product = lambda a, b: _cyclic_product(n, a, b)
+    elif kind == "product":
+        orders = [int(x) for x in arg.split(",")]
+        product = lambda a, b: _product_product(orders, a, b)
+    elif kind == "dihedral":
+        product = lambda a, b: _dihedral_product(int(arg), a, b)
+    elif name == "cayley:S3":
+        product = lambda a, b: _dihedral_product(3, a, b)
+    else:
+        assert name == "cayley:Q8"
+        return quaternion_table()
+    return [[product(a, b) for b in range(n)] for a in range(n)]
+
+
+# --- trial-division references for the number theory ------------------------
+
+
+def _trial_is_prime(n):
+    if n < 4:
+        return n > 1
+    if n % 2 == 0:
+        return False
+    p = 3
+    while p * p <= n:
+        if n % p == 0:
+            return False
+        p += 2
+    return True
+
+
+def _trial_totient(n):
+    result, remaining, p = n, n, 2
+    while p * p <= remaining:
+        if remaining % p == 0:
+            result -= result // p
+            while remaining % p == 0:
+                remaining //= p
+        p += 1 if p == 2 else 2
+    if remaining > 1:
+        result -= result // remaining
+    return result
+
+
+CARMICHAEL = (
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657,
+    52633, 62745, 63973, 75361, 101101, 115921, 126217, 162401, 172081, 188461,
+    252601, 278545, 294409, 314821, 334153, 340561, 399001, 410041, 449065,
+    488881, 512461, 9746347772161,
+)
+
+# the smallest strong pseudoprimes to the first k prime bases, with their
+# factorisations
+STRONG_PSEUDOPRIMES = {
+    2047: (23, 89),
+    1373653: (829, 1657),
+    25326001: (2251, 11251),
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+    318665857834031151167461: (399165290221, 798330580441),
+}
 
 
 def test_cyclic_op():
@@ -244,3 +350,95 @@ def test_mutated_tables_are_rejected():
 def test_cayley_group_requires_identity_at_zero():
     with pytest.raises(MissingIdentity):
         CayleyGroup([[1, 0], [0, 1]])
+
+
+def test_law_matches_the_scalar_definitions_over_catalog(catalog60):
+    for name, g in catalog60:
+        expected = _scalar_table(name, g)
+        i = np.arange(g.order)
+        assert g.law(i[:, None], i[None, :]).tolist() == expected, name
+        assert g.cayley_table() == expected, name
+        assert [[g.op(a, b) for b in range(g.order)] for a in range(g.order)] == expected, name
+
+
+def test_op_returns_python_ints(q8):
+    for g in (CyclicGroup(5), DirectProductGroup([2, 3]), DihedralGroup(4), q8):
+        assert all(type(g.op(a, b)) is int for a in range(g.order) for b in range(g.order))
+
+
+def test_load_relabelling_matches_the_swap_definition():
+    rng = random.Random(7)
+    for base in (DihedralGroup(5).cayley_table(), quaternion_table(), CyclicGroup(12).cayley_table()):
+        n = len(base)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        table = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                table[perm[a]][perm[b]] = perm[base[a][b]]
+        labels = [f"x{k}" for k in range(n)]
+        e = perm[0]
+        assert e != 0
+        swap = {0: e, e: 0}
+        sigma = lambda x: swap.get(x, x)
+        expected = tuple(
+            tuple(sigma(table[sigma(i)][sigma(j)]) for j in range(n)) for i in range(n)
+        )
+        g = load_cayley_table({"order": n, "table": table, "labels": labels})
+        assert g.table == expected
+        assert g.labels == tuple(labels[sigma(k)] for k in range(n))
+        assert g.cayley_table() == [list(row) for row in expected]
+
+
+def test_is_prime_and_totient_match_trial_division_up_to_1e5():
+    for n in range(1, 10**5 + 1):
+        assert is_prime(n) == _trial_is_prime(n), n
+        assert totient(n) == _trial_totient(n), n
+
+
+def test_carmichael_numbers_are_composite():
+    for n in CARMICHAEL:
+        assert not is_prime(n), n
+        assert totient(n) == _trial_totient(n), n
+
+
+def test_strong_pseudoprimes_to_small_bases_are_composite():
+    for n, factors in STRONG_PSEUDOPRIMES.items():
+        assert math.prod(factors) == n
+        assert all(_trial_is_prime(p) for p in factors)
+        assert not is_prime(n), n
+        assert all(is_prime(p) for p in factors), n
+        assert totient(n) == math.prod(p - 1 for p in factors), n
+
+
+def test_large_primes_and_their_products():
+    # Pollard's rho splits in about sqrt(smallest factor) steps, so the
+    # composites here keep one factor small; all stay below the bound
+    p, q = 10**18 + 3, 10**18 + 9
+    assert is_prime(p) and is_prime(q)
+    assert is_prime(1000003) and not is_prime(p * 1000003)
+    assert totient(p * 1000003) == (p - 1) * 1000002
+    assert totient(2 * 3**5 * q) == 2 * 3**4 * (q - 1)
+    assert totient(1000003**2 * 999983) == 1000003 * 1000002 * 999982
+    assert totient(2**61 - 1) == 2**61 - 2  # a Mersenne prime
+
+
+def test_trial_division_fallback_at_and_above_the_miller_rabin_bound(monkeypatch):
+    # above the real bound: a composite with a small factor ends quickly
+    assert not is_prime(43**16)
+    assert totient(43**16) == 42 * 43**15
+    assert totient(47 * 43**15) == 46 * 42 * 43**14  # trial division, then rho
+    # with the bound lowered, every path below it is trial division too
+    monkeypatch.setattr(groups, "_MR_LIMIT", 2000)
+    for n in list(range(1, 6000)) + [2047 * 2003, 1999 * 2003, 2003**2, 43 * 1999 * 2011]:
+        assert is_prime(n) == _trial_is_prime(n), n
+        assert totient(n) == _trial_totient(n), n
+
+
+def test_closed_distance_spectrum_of_z2p_near_1e18_is_fast():
+    p = 10**18 + 3
+    started = time.perf_counter()
+    spectrum = distance_spectrum_closed(CyclicGroup(2 * p))
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.0, elapsed
+    assert spectrum.theta is not None
