@@ -151,7 +151,8 @@ def cmd_build(args: argparse.Namespace) -> tuple[int, str]:
         "n": graph.n,
         "edges": [[u, v] for u, v in graph.edges()],
     }
-    return EXIT_OK, json.dumps(document, indent=2, sort_keys=True) + "\n"
+    # compact: indented, the ~32k edges of a 256-vertex graph take a line per number
+    return EXIT_OK, json.dumps(document, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 def _closed_form_poly(matrix_kind: str, n: int) -> Optional[IntPolynomial]:

@@ -7,6 +7,7 @@ every division performed by an algorithm is asserted to leave no remainder.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence, Union
@@ -87,16 +88,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.n))
-
-    def is_symmetric(self) -> bool:
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
@@ -213,6 +204,7 @@ def binom_power(k: int) -> IntPolynomial:
 
 _DOT_LIMIT = 1 << 53  # every basis prime has n * (p-1)^2 below this
 _SIEVE_WINDOW = 1 << 11  # candidates sieved per pass of the prime search
+_STACK_LIMIT = 1 << 22  # residues per (primes, n, n) stack, but at least one prime
 
 
 def _primes_between(lo: int, hi: int) -> np.ndarray:
@@ -234,21 +226,37 @@ def _primes_between(lo: int, hi: int) -> np.ndarray:
     return primes
 
 
+@functools.lru_cache(maxsize=1)
+def _sieved_windows(n: int) -> list[list[int]]:
+    """Basis candidates for order n sieved so far: one descending list per
+    sieve window, the window of the largest primes first.
+
+    _prime_basis appends windows as it needs them.  The cache holds the
+    latest n only, so the adjacency and distance charpolys of one order
+    share one sieve, and nothing accumulates from order to order.
+    """
+    return []
+
+
 def _prime_basis(n: int, bound: int) -> tuple[list[int], int]:
     """Descending primes p with n*(p-1)^2 < 2^53 whose product exceeds bound."""
-    hi = math.isqrt((_DOT_LIMIT - 1) // max(n, 1)) + 1  # candidates lie below hi
+    top = math.isqrt((_DOT_LIMIT - 1) // max(n, 1)) + 1  # candidates lie below top
+    windows = _sieved_windows(n)
     primes: list[int] = []
     product = 1
+    k = 0
     while product <= bound:
+        hi = top - k * _SIEVE_WINDOW
         if hi <= 2:
             raise AssertionError("prime basis exhausted; matrix too large")
-        lo = max(2, hi - _SIEVE_WINDOW)
-        for p in reversed(_primes_between(lo, hi).tolist()):
+        if k == len(windows):
+            windows.append(_primes_between(max(2, hi - _SIEVE_WINDOW), hi)[::-1].tolist())
+        for p in windows[k]:
             primes.append(p)
             product *= p
             if product > bound:
                 break
-        hi = lo
+        k += 1
     return primes, product
 
 
@@ -279,7 +287,7 @@ def _residue_stack(entries: np.ndarray, primes: Sequence[int]) -> np.ndarray:
 
 def _hessenberg(h: np.ndarray, pcol: np.ndarray) -> None:
     """Reduce each h[k] in place to an upper Hessenberg matrix similar to it
-    modulo pcol[k], all primes in one batch (Cohen, Alg. 2.2.9).
+    modulo pcol[k], all primes of the stack in one batch (Cohen, Alg. 2.2.9).
 
     As in Cohen's algorithm, a column that is already zero below the
     subdiagonal is skipped.  A matrix with a low-degree minimal polynomial,
@@ -327,28 +335,82 @@ def _hessenberg_charpoly(h: np.ndarray, pcol: np.ndarray) -> np.ndarray:
     The charpoly q_m of the leading m x m block obeys
     q_m = (x - h[m-1,m-1]) q_{m-1} - sum_{i<m-1} h[i,m-1] t_i q_i, where
     t_i = h[i+1,i] h[i+2,i+1] ... h[m-1,m-2] is carried as a running vector.
-    Past a subdiagonal entry that is zero for every prime, all earlier t_i
-    vanish, so the sum starts there.
+    _block_charpoly calls it on one diagonal block at a time, so its
+    (P, n+1, n+1) table is only as large as that block.
     """
     num, n, _ = h.shape
-    q = np.zeros((num, n + 1, n + 1), dtype=np.int64)  # q[:, d, i]: x^d in q_i
+    q = np.zeros((num, n + 1, n + 1), dtype=np.int64)  # q[:, i, d]: x^d in q_i
     q[:, 0, 0] = 1
     t = np.zeros((num, n), dtype=np.int64)
-    z = 0  # t_i vanishes for every prime when i < z
     for m in range(1, n + 1):
-        prev = q[:, :m, m - 1]
-        q[:, 1 : m + 1, m] = prev
-        q[:, :m, m] -= h[:, m - 1, m - 1, None] * prev
+        prev = q[:, m - 1, :m]
+        q[:, m, 1 : m + 1] = prev
+        q[:, m, :m] -= h[:, m - 1, m - 1, None] * prev
         if m >= 2:
             sub = h[:, m - 1, m - 2, None]
-            if not sub.any():
-                z = m - 1  # a zero subdiagonal splits off the leading block
-            t[:, z : m - 2] = t[:, z : m - 2] * sub % pcol
+            t[:, : m - 2] = t[:, : m - 2] * sub % pcol
             t[:, m - 2] = sub[:, 0]
-            w = h[:, z : m - 1, m - 1] * t[:, z : m - 1] % pcol
-            q[:, : m - 1, m] -= np.einsum("pi,pdi->pd", w, q[:, : m - 1, z : m - 1])
-        q[:, : m + 1, m] %= pcol
-    return q[:, :, n]
+            w = h[:, : m - 1, m - 1] * t[:, : m - 1] % pcol
+            q[:, m, : m - 1] -= np.einsum("pi,pid->pd", w, q[:, : m - 1, : m - 1])
+        q[:, m, : m + 1] %= pcol
+    return q[:, n].copy()
+
+
+def _poly_mul_mod(a: np.ndarray, b: np.ndarray, pcol: np.ndarray) -> np.ndarray:
+    """Product of the polynomials a[k] and b[k] mod pcol[k], coefficients
+    ascending along axis 1, as one batched convolution over all primes.
+
+    Coefficient d sums a[i] * b[d-i] over at most min(len a, len b) terms,
+    each below (p-1)^2.  charpoly forms no product of degree above n, so
+    that is at most n terms for n >= 2, and the sum stays below 2^53.
+    """
+    if a.shape[1] > b.shape[1]:
+        a, b = b, a
+    k = a.shape[1]
+    padded = np.zeros((b.shape[0], b.shape[1] + 2 * (k - 1)), dtype=np.int64)
+    padded[:, k - 1 : k - 1 + b.shape[1]] = b
+    windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=1)
+    return np.einsum("pdj,pj->pd", windows, a[:, ::-1]) % pcol
+
+
+def _poly_pow_mod(a: np.ndarray, k: int, pcol: np.ndarray) -> np.ndarray:
+    """a[j] ** k mod pcol[j] for k >= 1, by square-and-multiply."""
+    result = None
+    while True:
+        if k & 1:
+            result = a if result is None else _poly_mul_mod(result, a, pcol)
+        k >>= 1
+        if not k:
+            return result
+        a = _poly_mul_mod(a, a, pcol)
+
+
+def _block_charpoly(h: np.ndarray, pcol: np.ndarray) -> np.ndarray:
+    """Coefficients of det(xI - h[k]) mod pcol[k] for upper Hessenberg h[k],
+    as a (P, n+1) array with ascending degree along axis 1.
+
+    Where a subdiagonal entry is zero for every prime, every h[k] is block
+    upper triangular there, and its charpoly is the product of those of
+    its diagonal blocks (Cohen, Alg. 2.2.9).  Each distinct block, the same
+    order and the same residues for every prime, runs the recurrence once;
+    its charpoly is raised to the block's multiplicity, and the powers are
+    multiplied together.  A strong power graph's matrix, with its minimal
+    polynomial of degree at most 4, leaves one 3 x 3 block and n - 3 equal
+    1 x 1 blocks.
+    """
+    n = h.shape[1]
+    sub = np.diagonal(h, offset=-1, axis1=1, axis2=2)
+    cuts = [0, *(np.flatnonzero(~sub.any(axis=0)) + 1).tolist(), n]
+    blocks: dict[tuple[int, bytes], list] = {}
+    for lo, hi in zip(cuts, cuts[1:]):
+        block = h[:, lo:hi, lo:hi]
+        seen = blocks.setdefault((hi - lo, block.tobytes()), [block, 0])
+        seen[1] += 1
+    result = None
+    for block, count in blocks.values():
+        factor = _poly_pow_mod(_hessenberg_charpoly(block, pcol), count, pcol)
+        result = factor if result is None else _poly_mul_mod(result, factor, pcol)
+    return result
 
 
 def charpoly(matrix: IntMatrix) -> IntPolynomial:
@@ -356,10 +418,14 @@ def charpoly(matrix: IntMatrix) -> IntPolynomial:
 
     Multimodular Hessenberg method (Cohen, *A Course in Computational
     Algebraic Number Theory*, Alg. 2.2.9).  Modulo each prime of a basis,
-    similarity transforms reduce M to upper Hessenberg form, and a
-    recurrence over the leading blocks of that form gives its charpoly.
-    All primes run together on one (P, n, n) int64 stack, so the cost is
-    O(P * n^3).
+    similarity transforms reduce M to upper Hessenberg form.  That form
+    splits into diagonal blocks wherever a subdiagonal entry is zero for
+    every prime, and the charpoly is the product of the blocks' charpolys:
+    each distinct block runs the recurrence once and is raised to its
+    multiplicity (see _block_charpoly).  The primes run in stacks of at
+    most 2^22 residues (one prime per stack from n = 1449), and each
+    stack's n + 1 coefficients are copied out before the next, so memory
+    is O(n^2 + P * n) whatever the basis size P.
 
     The coefficient c_k of x^(n-k) is (-1)^k times the sum of the C(n, k)
     principal k x k minors.  By Hadamard's inequality the minor on rows S is
@@ -368,7 +434,8 @@ def charpoly(matrix: IntMatrix) -> IntPolynomial:
     up to an integer, computed exactly as isqrt(s_i - 1) + 1 from the
     integer s_i = sum_j M[i, j]^2, a basis whose product exceeds
     2 * prod_i (1 + ceil(r_i)) recovers every coefficient exactly by CRT in
-    the symmetric range.
+    the symmetric range.  The s_i are summed in int64 when
+    n * max|M[i, j]|^2 < 2^63, and in Python integers otherwise.
 
     Every basis prime satisfies n * (p-1)^2 < 2^53, so each int64 product of
     two residues, and each batched dot product of at most n + 1 of them,
@@ -384,16 +451,24 @@ def charpoly(matrix: IntMatrix) -> IntPolynomial:
         fits = False
     if not fits:
         entries = np.array(matrix.rows, dtype=object)  # exact Python integers
+    if fits and n * int(np.abs(entries).max()) ** 2 < 1 << 63:
+        squares = (entries * entries).sum(axis=1).tolist()
+    else:
+        squares = [sum(v * v for v in row) for row in matrix.rows]
     bound = 2
-    for row in matrix.rows:
-        squares = sum(v * v for v in row)
-        bound *= 1 + (math.isqrt(squares - 1) + 1 if squares else 0)
+    for s in squares:
+        bound *= 1 + (math.isqrt(s - 1) + 1 if s else 0)
     primes, modulus = _prime_basis(n, bound)
-    pcol = np.array(primes, dtype=np.int64).reshape(-1, 1)
 
-    h = _residue_stack(entries, primes)
-    _hessenberg(h, pcol)
-    coeffs = _crt_signed(_hessenberg_charpoly(h, pcol), primes, modulus)
+    step = max(1, _STACK_LIMIT // (n * n))  # primes per stack
+    residues = np.empty((len(primes), n + 1), dtype=np.int64)
+    for lo in range(0, len(primes), step):
+        chunk = primes[lo : lo + step]
+        pcol = np.array(chunk, dtype=np.int64).reshape(-1, 1)
+        h = _residue_stack(entries, chunk)
+        _hessenberg(h, pcol)
+        residues[lo : lo + step] = _block_charpoly(h, pcol)
+    coeffs = _crt_signed(residues, primes, modulus)
     assert coeffs[n] == 1, "charpoly is not monic"
     assert coeffs[n - 1] == -int(entries.trace()), "x^(n-1) coefficient is not -tr(M)"
     return IntPolynomial(coeffs)

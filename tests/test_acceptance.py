@@ -214,3 +214,12 @@ def test_criterion_8_spectral_radii(sweep):
             adjacency_radius = adjacency_spectrum_closed(group).max_value()
             assert abs(distance_radius - entry["distance_numeric"][0]) <= 1e-8, n
             assert abs(adjacency_radius - entry["adjacency_numeric"][0]) <= 1e-8, n
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [1020, 1024, 1030, 2048])
+def test_exact_charpolys_match_closed_forms_up_to_max_order(n):
+    # the exact charpoly in bounded memory up to the default --max-order
+    graph = strong_power_graph(CyclicGroup(n))
+    assert charpoly(distance_matrix(graph)) == distance_charpoly_formula(n)
+    assert charpoly(adjacency_matrix(graph)) == adjacency_charpoly_formula(n)

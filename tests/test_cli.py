@@ -42,6 +42,15 @@ def test_build_json_complete_graph(capsys):
     assert len(doc["edges"]) == 6
 
 
+def test_build_json_is_compact_and_other_documents_are_not(capsys):
+    code, out, _ = run_cli(capsys, ["build", "--group", "cyclic:6"])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), separators=(",", ":"), sort_keys=True) + "\n"
+    code, out, _ = run_cli(capsys, ["charpoly", "--group", "cyclic:6", "--matrix", "distance"])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def test_build_csv(capsys):
     code, out, _ = run_cli(capsys, ["build", "--group", "cyclic:2", "--format", "csv"])
     assert code == 0

@@ -2,11 +2,12 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spg.exactalg import (
@@ -230,6 +231,110 @@ def test_charpoly_pivot_differs_for_largest_prime():
     top = _prime_basis(3, 1)[0][0]
     rows = [[1, 2, 0], [top, 0, 1], [1, 1, 3]]
     _assert_charpoly_by_determinants(rows)
+
+
+def test_charpoly_does_not_split_where_only_some_primes_vanish():
+    # already upper Hessenberg, with subdiagonal entries that are multiples of
+    # the largest basis prime: zero modulo that prime only, so the fold must
+    # keep one 3 x 3 block for every prime
+    top = _prime_basis(3, 1)[0][0]
+    rows = [[1, 2, 5], [top, 3, 1], [0, 2 * top, 4]]
+    _assert_charpoly_by_determinants(rows)
+
+
+def _diagonal_blocks():
+    block = st.integers(1, 3).flatmap(lambda k: _square(k, st.integers(-3, 3)))
+    return st.lists(st.tuples(block, st.integers(1, 3)), min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_diagonal_blocks(), st.randoms(use_true_random=False))
+@example([([[2]], 3), ([[-1]], 1), ([[4]], 2)], random.Random(0))  # 1 x 1 blocks
+@example([([[1, 2], [3, 4]], 3), ([[0]], 2)], random.Random(1))
+@example([([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 2), ([[-1]], 3)], random.Random(2))
+def test_charpoly_folds_block_upper_triangular_matrices(blocks, rng):
+    # block upper triangular with the drawn diagonal blocks, each repeated
+    # its drawn number of times, and random entries above the blocks
+    diagonal = [block for block, count in blocks for _ in range(count)]
+    n = sum(len(block) for block in diagonal)
+    assume(n <= 14)
+    rows, at = [[0] * n for _ in range(n)], 0
+    for block in diagonal:
+        k = len(block)
+        for i in range(k):
+            rows[at + i][at : at + k] = block[i]
+            rows[at + i][at + k :] = [rng.randint(-3, 3) for _ in range(n - at - k)]
+        at += k
+    _assert_charpoly_by_determinants(rows)
+    # conjugated by a permutation, the Hessenberg step has to find the blocks
+    order = list(range(n))
+    rng.shuffle(order)
+    _assert_charpoly_by_determinants(permuted(IntMatrix(rows), order).rows)
+
+
+def test_sweep_matrices_run_the_recurrence_once_per_distinct_block(monkeypatch):
+    # every Hessenberg form below is one 3 x 3 block and n - 3 equal 1 x 1
+    # blocks, so the recurrence runs twice, whatever n is
+    sizes = []
+    recurrence = exactalg._hessenberg_charpoly
+
+    def spy(h, pcol):
+        sizes.append(h.shape[1])
+        return recurrence(h, pcol)
+
+    monkeypatch.setattr(exactalg, "_hessenberg_charpoly", spy)
+    for n in (12, 60, 110):
+        graph = strong_power_graph(CyclicGroup(n))
+        for matrix, formula in (
+            (adjacency_matrix(graph), adjacency_charpoly_formula),
+            (distance_matrix(graph), distance_charpoly_formula),
+        ):
+            sizes.clear()
+            assert charpoly(matrix) == formula(n), n
+            assert sorted(sizes) == [1, 3], (n, sizes)
+
+
+def _distance_z120():
+    order = list(range(120))
+    random.Random(120).shuffle(order)
+    return permuted(distance_matrix(strong_power_graph(CyclicGroup(120))), order)
+
+
+def test_charpoly_is_the_same_for_every_stack_size(monkeypatch):
+    matrix = _distance_z120()  # permuted, so the Hessenberg step has work to do
+    expected = distance_charpoly_formula(120)
+    stacks = []
+    reduce = exactalg._hessenberg
+
+    def spy(h, pcol):
+        stacks.append(h.shape[0])
+        reduce(h, pcol)
+
+    monkeypatch.setattr(exactalg, "_hessenberg", spy)
+    assert charpoly(matrix) == expected
+    (basis,) = stacks  # the default limit holds the whole basis in one stack
+    assert basis > 10
+    for per_stack in range(1, basis + 1):
+        monkeypatch.setattr(exactalg, "_STACK_LIMIT", per_stack * 120 * 120)
+        stacks.clear()
+        assert charpoly(matrix) == expected, per_stack
+        full, rest = divmod(basis, per_stack)
+        assert stacks == [per_stack] * full + ([rest] if rest else []), per_stack
+
+
+def test_charpoly_memory_is_flat_in_the_basis_size(monkeypatch):
+    # one prime per stack: the peak is a few n x n arrays whatever the basis
+    # size P; one (P, n, n) stack of this 19-prime basis alone is 2.2 MB
+    matrix = _distance_z120()
+    monkeypatch.setattr(exactalg, "_STACK_LIMIT", 1)
+    tracemalloc.start()
+    try:
+        poly = charpoly(matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert poly == distance_charpoly_formula(120)
+    assert peak < 8 * 120 * 120 * 8, peak
 
 
 _ENTRY = st.integers(-(2**66), 2**66)
