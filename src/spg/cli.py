@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -242,7 +243,10 @@ def _add_max_order(parser: argparse.ArgumentParser, what: str = "group order") -
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    main() call; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="spg", description="Strong power graph construction and verification."
     )

@@ -279,8 +279,12 @@ def _residue_stack(entries: np.ndarray, primes: Sequence[int]) -> np.ndarray:
     """Matrix reduced modulo each prime, stacked along axis 0 as int64.
 
     entries is an int64 array, or an object array of Python integers when
-    some entry is too large for int64 arithmetic.
+    some entry is too large for int64 arithmetic.  When every entry already
+    lies in 0..min(primes)-1, as the 0, 1 and 2 of strong power graph
+    matrices do, it is its own residue and is copied into each layer.
     """
+    if entries.dtype == np.int64 and entries.min() >= 0 and entries.max() < min(primes):
+        return np.broadcast_to(entries, (len(primes),) + entries.shape).copy()
     pcol = np.array(primes, dtype=entries.dtype).reshape(-1, 1, 1)
     return (entries[None] % pcol).astype(np.int64, copy=False)
 

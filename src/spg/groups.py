@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Optional, Sequence
 
@@ -18,7 +19,6 @@ __all__ = [
     "NotLatinSquare",
     "MissingIdentity",
     "NotAssociative",
-    "MissingInverse",
     "totient",
     "is_prime",
     "is_composite",
@@ -45,10 +45,6 @@ class MissingIdentity(CayleyTableError):
 
 class NotAssociative(CayleyTableError):
     """The table violates associativity (a witness triple is reported)."""
-
-
-class MissingInverse(CayleyTableError):
-    """Some element has no two-sided inverse."""
 
 
 class GroupSpec:
@@ -204,21 +200,23 @@ class DihedralGroup(GroupSpec):
 class CayleyGroup(GroupSpec):
     """A group given by an explicit validated multiplication table.
 
-    `table` holds the rows as tuples; the law looks products up in a
-    read-only int64 copy of it.
+    The law looks products up in a read-only int64 array of the table, and
+    `table` gives its rows as tuples.
     """
 
     kind = "cayley"
 
     def __init__(self, table: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None):
-        rows = tuple(tuple(row) for row in table)
-        e = validate_cayley_table(rows)
+        t = _table_array(table)
+        if t is table:  # the caller's own array: freeze a copy, not theirs
+            t = t.copy()
+        e = validate_cayley_table(t)
         if e != 0:
             raise MissingIdentity(f"identity must sit at index 0, found it at {e}")
         labels = tuple(labels) if labels is not None else None
-        if labels is not None and len(labels) != len(rows):
-            raise BadTableShape(f"got {len(labels)} labels for a table of order {len(rows)}")
-        self._set_table(np.array(rows, dtype=np.int64), labels)
+        if labels is not None and len(labels) != len(t):
+            raise BadTableShape(f"got {len(labels)} labels for a table of order {len(t)}")
+        self._set_table(t, labels)
 
     @classmethod
     def _from_validated(cls, t: np.ndarray, labels: Optional[tuple[str, ...]]) -> "CayleyGroup":
@@ -230,9 +228,13 @@ class CayleyGroup(GroupSpec):
     def _set_table(self, t: np.ndarray, labels: Optional[tuple[str, ...]]) -> None:
         t.flags.writeable = False
         self._t = t
-        self.table = tuple(map(tuple, t.tolist()))
         self.order = len(t)
         self.labels = labels
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples of ints."""
+        return tuple(map(tuple, self._t.tolist()))
 
     def law(self, a, b):
         return self._t[a, b]
@@ -361,66 +363,170 @@ def is_composite(n: int) -> bool:
     return n >= 4 and not is_prime(n)
 
 
-def _find_identity(rows: tuple[tuple[int, ...], ...]) -> int:
-    n = len(rows)
-    for e in range(n):
-        if all(rows[e][a] == a and rows[a][e] == a for a in range(n)):
-            return e
-    raise MissingIdentity("no element acts as a two-sided identity")
+def _row_fault(i: int, row, n: int) -> Optional[str]:
+    """Why row i cannot be a row of an order-n table, or None if it can."""
+    if not isinstance(row, (list, tuple)):
+        return f"row {i} is {type(row).__name__}, expected a list of {n} entries"
+    if len(row) != n:
+        return f"row {i} has length {len(row)}, expected {n}"
+    return None
 
 
-def validate_cayley_table(table: Sequence[Sequence[int]]) -> int:
-    """Check the group axioms on a multiplication table.
+def _raise_bad_entry(flat: Sequence, n: int) -> None:
+    """Raise BadTableShape at the first entry of the row-major flat that is
+    not an int in 0..n-1 (bools excluded); return if there is none."""
+    for k, v in enumerate(flat):
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+            i, j = divmod(k, n)
+            raise BadTableShape(f"entry at row {i}, col {j} is {v!r}, expected 0..{n - 1}")
 
-    Closure is structural (entries are indices).  Returns the index of the
-    identity element.  Raises a CayleyTableError subclass naming the failed
-    axiom, with row/column coordinates where applicable.
+
+def _table_array(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """The table as an n x n int64 array, with shape and integrality checked.
+
+    A 2-D int64 numpy array is used as it is, without a copy; any other
+    array is read as nested lists.  Rows given as lists are checked in file
+    order, each row's type and length before its entries, so the error
+    names the first offending row or the lowest offending `row i, col j`.
+    The entries are converted to int64 in one call; only when that or the
+    range check fails are they scanned one by one to find the offender.
     """
-    rows = tuple(tuple(row) for row in table)
-    n = len(rows)
+    if isinstance(table, np.ndarray) and table.ndim == 2 and table.dtype == np.int64:
+        n = len(table)
+        if n == 0:
+            raise BadTableShape("table is empty")
+        if table.shape[1] != n:
+            raise BadTableShape(f"row 0 has length {table.shape[1]}, expected {n}")
+        if not ((0 <= table) & (table < n)).all():
+            _raise_bad_entry(table.ravel().tolist(), n)
+        return table
+    if isinstance(table, np.ndarray):
+        table = table.tolist()
+    if not isinstance(table, (list, tuple)):
+        raise BadTableShape(f"table is {type(table).__name__}, expected a list of rows")
+    n = len(table)
     if n == 0:
         raise BadTableShape("table is empty")
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise BadTableShape(f"row {i} has length {len(row)}, expected {n}")
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                raise BadTableShape(f"entry at row {i}, col {j} is {v!r}, expected 0..{n - 1}")
-    for i, row in enumerate(rows):
-        seen: dict[int, int] = {}
-        for j, v in enumerate(row):
-            if v in seen:
-                raise NotLatinSquare(
-                    f"not a Latin square: row {i} repeats entry {v} at columns {seen[v]} and {j}"
-                )
-            seen[v] = j
-    for j in range(n):
-        seen = {}
-        for i in range(n):
-            v = rows[i][j]
-            if v in seen:
-                raise NotLatinSquare(
-                    f"not a Latin square: column {j} repeats entry {v} at rows {seen[v]} and {i}"
-                )
-            seen[v] = i
+    bad_row, fault = n, None
+    for i, row in enumerate(table):
+        fault = _row_fault(i, row, n)
+        if fault:
+            bad_row = i
+            break
+    flat = list(itertools.chain.from_iterable(table[:bad_row]))
+    t = None
+    if set(map(type, flat)) <= {int}:
+        try:
+            t = np.array(flat, dtype=np.int64)
+        except OverflowError:
+            pass
+    if t is None or not ((0 <= t) & (t < n)).all():
+        _raise_bad_entry(flat, n)
+        t = np.array(flat, dtype=np.int64)  # int subclasses other than bool
+    if fault is not None:
+        raise BadTableShape(fault)
+    return t.reshape(n, n)
 
-    e = _find_identity(rows)
 
-    # associativity one first factor a at a time, so memory stays O(n^2):
-    # t[t[a]][b, c] = (a*b)*c and t[a][t][b, c] = a*(b*c)
-    t = np.array(rows, dtype=np.int64)
-    for a in range(n):
+def _first_repeat(line: np.ndarray) -> tuple[int, int, int]:
+    """(v, k, j) for the first position j whose entry v already sat at k < j."""
+    seen: dict[int, int] = {}
+    for j, v in enumerate(line.tolist()):
+        if v in seen:
+            return v, seen[v], j
+        seen[v] = j
+    raise AssertionError("line has no repeated entry")
+
+
+def _raise_associativity_witness(t: np.ndarray) -> None:
+    """Raise NotAssociative at the lowest triple (a, b, c) with
+    (a*b)*c != a*(b*c), scanning one first factor a at a time so that memory
+    stays O(n^2): t[t[a]][b, c] = (a*b)*c and t[a][t][b, c] = a*(b*c)."""
+    for a in range(len(t)):
         mismatch = t[t[a]] != t[a][t]
         if mismatch.any():
             b, c = (int(x[0]) for x in np.nonzero(mismatch))
             raise NotAssociative(
                 f"associativity fails at ({a}, {b}, {c}): "
-                f"({a}*{b})*{c} = {rows[rows[a][b]][c]} but {a}*({b}*{c}) = {rows[a][rows[b][c]]}"
+                f"({a}*{b})*{c} = {t[t[a, b], c]} but {a}*({b}*{c}) = {t[a, t[b, c]]}"
             )
+    raise AssertionError("Light's test failed but no triple violates associativity")
 
-    for a in range(n):
-        if not any(rows[a][b] == e and rows[b][a] == e for b in range(n)):
-            raise MissingInverse(f"element {a} has no two-sided inverse")
+
+def validate_cayley_table(table: Sequence[Sequence[int]] | np.ndarray) -> int:
+    """Check the group axioms on a multiplication table.
+
+    table is a list of n rows of n ints, or a 2-D numpy array; an int64 one
+    is read without a copy.  Returns the index of the identity element.
+    Raises a CayleyTableError subclass naming the failed axiom, with
+    row/column coordinates where applicable, in this order:
+
+    - BadTableShape: the first row that is not a list of length n, or the
+      lowest entry before it that is not an int in 0..n-1.  Closure is then
+      structural (entries are indices).
+    - NotLatinSquare: the first row, else the first column, whose sorted
+      entries differ from 0..n-1, at the first entry repeated in it.
+    - MissingIdentity: no e has row e and column e both equal to 0..n-1.
+    - NotAssociative: the lowest witness (a, b, c).
+
+    Associativity is settled by Light's test (Clifford and Preston, *The
+    Algebraic Theory of Semigroups* I, 1961, section 1.2).  Let M be the set
+    of b with (x*b)*y = x*(b*y) for all x, y; checking one b is O(n^2).  M
+    holds the identity, and it is closed under products: for b1, b2 in M,
+
+        (x*(b1*b2))*y = ((x*b1)*b2)*y = (x*b1)*(b2*y)
+                      = x*(b1*(b2*y)) = x*((b1*b2)*y).
+
+    So the reached set R, seeded with the identity, is checked one element
+    at a time: the smallest g outside R is checked and added, and R is
+    closed under products (each round squares the word length) until it
+    stops growing.  R stays inside M, and the table is associative once R is
+    everything.  For a group each new g at least doubles the subgroup R
+    (Lagrange), so at most log2(n) elements are checked; any other table
+    takes at most n checks.  Only when a check fails is every first factor
+    scanned, to report the lowest witness.
+
+    Inverses need no check.  Row a of a Latin square holds the identity e,
+    say a*b = e, and column a holds it too, say c*a = e; then associativity
+    gives c = c*(a*b) = (c*a)*b = b, a two-sided inverse.
+    """
+    t = _table_array(table)
+    n = len(t)
+    idx = np.arange(n)
+    bad_rows = (np.sort(t, axis=1) != idx).any(axis=1)
+    if bad_rows.any():
+        i = int(np.argmax(bad_rows))
+        v, k, j = _first_repeat(t[i])
+        raise NotLatinSquare(
+            f"not a Latin square: row {i} repeats entry {v} at columns {k} and {j}"
+        )
+    bad_cols = (np.sort(t, axis=0) != idx[:, None]).any(axis=0)
+    if bad_cols.any():
+        j = int(np.argmax(bad_cols))
+        v, k, i = _first_repeat(t[:, j])
+        raise NotLatinSquare(
+            f"not a Latin square: column {j} repeats entry {v} at rows {k} and {i}"
+        )
+
+    identities = np.flatnonzero((t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0))
+    if identities.size == 0:
+        raise MissingIdentity("no element acts as a two-sided identity")
+    e = int(identities[0])
+
+    reached = np.zeros(n, dtype=bool)
+    reached[e] = True
+    while not reached.all():
+        g = int(np.argmin(reached))
+        if not (t[t[:, g]] == t[:, t[g]]).all():
+            _raise_associativity_witness(t)
+        reached[g] = True
+        members = np.flatnonzero(reached)
+        while True:
+            reached[t[np.ix_(members, members)]] = True
+            grown = np.flatnonzero(reached)
+            if grown.size == members.size:
+                break
+            members = grown
     return e
 
 
@@ -428,9 +534,11 @@ def load_cayley_table(document: dict) -> CayleyGroup:
     """Build a CayleyGroup from a parsed JSON document.
 
     Expected shape: {"order": n, "table": [[int; n]; n], "labels": [str; n]?}.
-    The table is validated once, in the file's own indexing.  If the
-    identity is not at index 0 the table is then relabelled by swapping
-    index 0 with the identity, which keeps it a valid group table.
+    The rows' types and lengths are checked, then the labels, then the
+    entries as they become one int64 array, which is validated once, in the
+    file's own indexing.  If the identity is not at index 0 the table is
+    then relabelled by swapping index 0 with the identity, which keeps it a
+    valid group table.
     """
     if not isinstance(document, dict):
         raise BadTableShape(f"expected a JSON object, got {type(document).__name__}")
@@ -439,15 +547,15 @@ def load_cayley_table(document: dict) -> CayleyGroup:
         table = document["table"]
     except KeyError as missing:
         raise BadTableShape(f"missing required key {missing}") from None
-    if not isinstance(order, int) or order < 1:
+    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise BadTableShape(f"order must be a positive integer, got {order!r}")
     if not isinstance(table, (list, tuple)) or len(table) != order:
         got = len(table) if isinstance(table, (list, tuple)) else type(table).__name__
         raise BadTableShape(f"table must have {order} rows, got {got}")
-    rows = tuple(tuple(row) for row in table)
-    for i, row in enumerate(rows):
-        if len(row) != order:
-            raise BadTableShape(f"row {i} has length {len(row)}, expected {order}")
+    for i, row in enumerate(table):
+        fault = _row_fault(i, row, order)
+        if fault:
+            raise BadTableShape(fault)
 
     labels = document.get("labels")
     if labels is not None:
@@ -455,8 +563,8 @@ def load_cayley_table(document: dict) -> CayleyGroup:
             raise BadTableShape(f"labels must list {order} strings")
         labels = tuple(str(x) for x in labels)
 
-    e = validate_cayley_table(rows)
-    t = np.array(rows, dtype=np.int64)
+    t = _table_array(table)
+    e = validate_cayley_table(t)
     if e != 0:
         # sigma swaps 0 and e; the relabelled table is sigma(t[sigma(i), sigma(j)])
         sigma = np.arange(order)

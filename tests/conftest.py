@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from spg.exactalg import IntMatrix
 from spg.groups import (
+    BadTableShape,
     CayleyGroup,
+    CayleyTableError,
     CyclicGroup,
     DihedralGroup,
     DirectProductGroup,
     GroupSpec,
+    MissingIdentity,
+    NotAssociative,
+    NotLatinSquare,
     load_cayley_table,
 )
 
@@ -126,6 +132,69 @@ def reference_components(masks: list[int]) -> list[list[int]]:
             seen.update(comp)
             out.append(comp)
     return out
+
+
+class MissingInverse(CayleyTableError):
+    """Some element has no two-sided inverse (never raised for a Latin,
+    associative table with identity; the reference keeps the check)."""
+
+
+def reference_validate_cayley_table(table) -> int:
+    """The group axioms checked entry by entry in Python loops and dicts:
+    shape and integrality row by row, the Latin property by rows then
+    columns, the identity, associativity one first factor at a time, and
+    inverses.  spg.groups.validate_cayley_table must return the same
+    identity, or raise the same exception type with the same message."""
+    rows = tuple(tuple(row) for row in table)
+    n = len(rows)
+    if n == 0:
+        raise BadTableShape("table is empty")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise BadTableShape(f"row {i} has length {len(row)}, expected {n}")
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                raise BadTableShape(f"entry at row {i}, col {j} is {v!r}, expected 0..{n - 1}")
+    for i, row in enumerate(rows):
+        seen: dict[int, int] = {}
+        for j, v in enumerate(row):
+            if v in seen:
+                raise NotLatinSquare(
+                    f"not a Latin square: row {i} repeats entry {v} at columns {seen[v]} and {j}"
+                )
+            seen[v] = j
+    for j in range(n):
+        seen = {}
+        for i in range(n):
+            v = rows[i][j]
+            if v in seen:
+                raise NotLatinSquare(
+                    f"not a Latin square: column {j} repeats entry {v} at rows {seen[v]} and {i}"
+                )
+            seen[v] = i
+
+    e = next(
+        (e for e in range(n) if all(rows[e][a] == a and rows[a][e] == a for a in range(n))),
+        None,
+    )
+    if e is None:
+        raise MissingIdentity("no element acts as a two-sided identity")
+
+    # t[t[a]][b, c] = (a*b)*c and t[a][t][b, c] = a*(b*c)
+    t = np.array(rows, dtype=np.int64)
+    for a in range(n):
+        mismatch = t[t[a]] != t[a][t]
+        if mismatch.any():
+            b, c = (int(x[0]) for x in np.nonzero(mismatch))
+            raise NotAssociative(
+                f"associativity fails at ({a}, {b}, {c}): "
+                f"({a}*{b})*{c} = {rows[rows[a][b]][c]} but {a}*({b}*{c}) = {rows[a][rows[b][c]]}"
+            )
+
+    for a in range(n):
+        if not any(rows[a][b] == e and rows[b][a] == e for b in range(n)):
+            raise MissingInverse(f"element {a} has no two-sided inverse")
+    return e
 
 
 def s3_table() -> list[list[int]]:

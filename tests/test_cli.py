@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from spg import verify
+from spg import cli, verify
 from spg.cli import main, parse_group_spec, GroupSpecParseError
 from spg.groups import CyclicGroup, DihedralGroup, DirectProductGroup
 from spg.verify import VerificationRecord, VerificationReport, verify_range
@@ -151,6 +151,60 @@ def test_cayley_file_errors_are_usage_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["spectrum", "--group", f"cayley:{bad}"])
     assert code == 2
     assert "Latin" in err
+
+
+@pytest.mark.parametrize(
+    "document",
+    [{"order": True, "table": [[0]]}, {"order": 2, "table": [5, [1, 0]]}],
+    ids=["bool-order", "row-not-a-list"],
+)
+def test_malformed_cayley_documents_are_usage_errors(capsys, tmp_path, document):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, ["build", "--group", f"cayley:{path}"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("spg: error:") and "Traceback" not in err
+
+
+def _outputs(capsys, argvs):
+    """(exit code, stdout, stderr) of each argv run in turn; a usage error
+    that argparse reports by SystemExit counts as its exit code."""
+    results = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        out = captured.out
+        if argv[0] == "verify":
+            out = json.dumps(_strip_elapsed(json.loads(out)), sort_keys=True)
+        results.append((code, out, captured.err))
+    return results
+
+
+def test_cached_parser_gives_the_outputs_of_a_fresh_parser(capsys):
+    argvs = [
+        ["build", "--group", "cyclic:6", "--format", "dot"],
+        ["spectrum", "--group", "dihedral:4", "--matrix", "distance"],
+        ["verify", "--range", "4..8"],
+        ["spectrum", "--group", "cyclic:6", "--bogus"],
+        ["build", "--group", "product:2,2"],
+        ["charpoly", "--group", "cyclic:6", "--matrix", "distance"],
+        ["verify", "--range", "4..6", "--tol", "1e-6"],
+        ["build"],
+    ]
+    cached = _outputs(capsys, argvs * 2)
+    fresh = []
+    for argv in argvs * 2:
+        cli._build_parser.cache_clear()
+        fresh += _outputs(capsys, [argv])
+    assert cached == fresh
+    assert [code for code, _, _ in cached[: len(argvs)]] == [0, 0, 0, 2, 0, 0, 0, 2]
+    parser = cli._build_parser()
+    main(["build", "--group", "cyclic:3"])
+    assert cli._build_parser() is parser
 
 
 def test_max_order_refuses_larger_groups(capsys, tmp_path):

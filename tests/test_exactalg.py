@@ -337,6 +337,32 @@ def test_charpoly_memory_is_flat_in_the_basis_size(monkeypatch):
     assert peak < 8 * 120 * 120 * 8, peak
 
 
+def test_charpoly_of_matrices_whose_entries_are_not_residues(monkeypatch):
+    # the stack copies a matrix whose entries all lie in 0..p_min-1 and
+    # reduces any other; either way each layer must be the matrix mod p
+    seen = []
+    stack = exactalg._residue_stack
+
+    def spy(entries, primes):
+        h = stack(entries, primes)
+        assert h.dtype == np.int64 and h.flags.writeable and h.flags.c_contiguous
+        assert h.tolist() == [[[v % p for v in row] for row in entries.tolist()] for p in primes]
+        seen.append((min(entries.flat), max(entries.flat), min(primes)))
+        return h
+
+    monkeypatch.setattr(exactalg, "_residue_stack", spy)
+    rng = random.Random(278)
+    cases = [[[0, 1, 2], [1, 0, 1], [2, 1, 0]], [[-1, 2], [3, -4]], [[2**40, -3], [5, 2**40 + 1]]]
+    for bits in (2, 8, 31, 45):
+        for n in (1, 3, 5):
+            cases.append([[rng.randint(-(2**bits), 2**bits) for _ in range(n)] for _ in range(n)])
+    for rows in cases:
+        _assert_charpoly_by_determinants(rows)
+    assert any(0 <= lo and hi < p for lo, hi, p in seen)  # copied
+    assert any(lo < 0 for lo, hi, p in seen)  # reduced: negative entries
+    assert any(hi >= p for lo, hi, p in seen)  # reduced: entries past the smallest prime
+
+
 _ENTRY = st.integers(-(2**66), 2**66)
 
 

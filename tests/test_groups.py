@@ -1,5 +1,6 @@
 """Group arithmetic, number-theoretic helpers, and Cayley table validation."""
 
+import copy
 import itertools
 import math
 import random
@@ -8,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spg import groups
 from spg.groups import (
@@ -30,7 +33,7 @@ from spg.groups import (
 
 from spg.spectra import distance_spectrum_closed
 
-from conftest import quaternion_table
+from conftest import quaternion_table, reference_validate_cayley_table
 
 
 # --- independent scalar group laws: the element-by-element definitions ------
@@ -350,6 +353,170 @@ def test_mutated_tables_are_rejected():
 def test_cayley_group_requires_identity_at_zero():
     with pytest.raises(MissingIdentity):
         CayleyGroup([[1, 0], [0, 1]])
+
+
+def test_malformed_documents_raise_bad_table_shape():
+    with pytest.raises(BadTableShape, match="order must be a positive integer, got True"):
+        load_cayley_table({"order": True, "table": [[0]]})
+    with pytest.raises(BadTableShape, match="row 0 is int, expected a list of 2 entries"):
+        load_cayley_table({"order": 2, "table": [5, [1, 0]]})
+    with pytest.raises(BadTableShape, match="row 0 is int, expected a list of 2 entries"):
+        validate_cayley_table([5, [1, 0]])
+    with pytest.raises(BadTableShape, match="row 1 is str"):
+        validate_cayley_table([[0, 1], "10"])
+    with pytest.raises(BadTableShape, match="table is int"):
+        validate_cayley_table(5)
+
+
+def test_cayley_group_freezes_a_copy_of_a_caller_array():
+    t = np.array(CyclicGroup(4).cayley_table())
+    g = CayleyGroup(t)
+    assert t.flags.writeable
+    t[0, 0] = 3
+    assert g.op(0, 0) == 0
+    assert g.table == tuple(map(tuple, CyclicGroup(4).cayley_table()))
+
+
+# --- the array validation against the loop-by-loop reference in conftest ----
+
+
+def _relabelled(base, perm):
+    """The table of the same group with element k renamed perm[k]."""
+    n = len(base)
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[base[a][b]]
+    return table
+
+
+def _random_loop(n, rng):
+    """A random reduced Latin square of order n: row 0 and column 0 read
+    0..n-1, so 0 is a two-sided identity.  Most are not associative.
+
+    Each row is filled column by column with backtracking; a reduced Latin
+    rectangle always extends by a row (Hall's marriage theorem), so the
+    search never fails."""
+    rows = [list(range(n))]
+    for i in range(1, n):
+        used = [{row[j] for row in rows} for j in range(n)]
+        row = [i] + [0] * (n - 1)
+
+        def fill(j, free):
+            if j == n:
+                return True
+            options = sorted(free - used[j])
+            rng.shuffle(options)
+            for v in options:
+                row[j] = v
+                if fill(j + 1, free - {v}):
+                    return True
+            return False
+
+        assert fill(1, set(range(n)) - {i})
+        rows.append(row)
+    return rows
+
+
+_SMALL_TABLES = [CyclicGroup(n).cayley_table() for n in range(1, 9)] + [
+    DirectProductGroup([2, 2]).cayley_table(),
+    DirectProductGroup([2, 4]).cayley_table(),
+    DirectProductGroup([2, 2, 2]).cayley_table(),
+    DirectProductGroup([3, 3]).cayley_table(),
+    DihedralGroup(3).cayley_table(),
+    DihedralGroup(4).cayley_table(),
+    DihedralGroup(5).cayley_table(),
+    quaternion_table(),
+]
+_WRONG_TYPES = (True, False, 0.0, 1.0, 0.5, "0", "1", None)
+
+
+@st.composite
+def _tables(draw):
+    """A relabelled small group table or a random loop of order 5..8, then
+    up to three edits: a cell set to another element, two cells of a row
+    swapped (the row stays a permutation), a row or column swap, an int
+    outside 0..n-1, an entry of the wrong type, a row cut short or made
+    longer."""
+    if draw(st.booleans()):
+        table = _random_loop(draw(st.integers(5, 8)), draw(st.randoms(use_true_random=False)))
+    else:
+        base = draw(st.sampled_from(_SMALL_TABLES))
+        table = _relabelled(base, draw(st.permutations(range(len(base)))))
+    n = len(table)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["cell", "pair", "rows", "cols", "range", "type", "short", "long"]))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if edit == "cell" and j < len(table[i]):
+            table[i][j] = draw(st.integers(0, n - 1))
+        elif edit == "pair" and j < len(table[i]):
+            k = draw(st.integers(0, len(table[i]) - 1))
+            table[i][j], table[i][k] = table[i][k], table[i][j]
+        elif edit == "rows":
+            table[i], table[j] = table[j], table[i]
+        elif edit == "cols":
+            for row in table:
+                if max(i, j) < len(row):
+                    row[i], row[j] = row[j], row[i]
+        elif edit == "range" and j < len(table[i]):
+            table[i][j] = draw(st.sampled_from((-1, n, 2**70, -(2**70))))
+        elif edit == "type" and j < len(table[i]):
+            table[i][j] = draw(st.sampled_from(_WRONG_TYPES))
+        elif edit == "short":
+            table[i] = table[i][:j]
+        elif edit == "long":
+            table[i] = table[i] + [draw(st.integers(0, n - 1))]
+    return table
+
+
+def _outcome(validate, table):
+    """The identity validate returns, or the type and message it raises."""
+    try:
+        return validate(table)
+    except CayleyTableError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_tables())
+@example([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]])
+@example([[0, 1], [1, 1.0]])
+@example([[0, 2**70], [1]])
+@example([[0, 1], [1], [0, True, 1]])
+@example([[True, 0], [1, 0]])
+def test_validation_matches_the_reference(table):
+    expected = _outcome(reference_validate_cayley_table, copy.deepcopy(table))
+    assert _outcome(validate_cayley_table, table) == expected
+    n = len(table)
+    if all(len(row) == n and all(type(v) is int and abs(v) < 2**62 for v in row) for row in table):
+        assert _outcome(validate_cayley_table, np.array(table, dtype=np.int64)) == expected
+        assert _outcome(validate_cayley_table, np.array(table, dtype=np.int32)) == expected
+
+
+def test_random_loops_match_the_reference_and_most_are_not_groups():
+    rng = random.Random(5)
+    outcomes = []
+    for _ in range(120):
+        table = _random_loop(rng.randrange(5, 9), rng)
+        expected = _outcome(reference_validate_cayley_table, table)
+        assert _outcome(validate_cayley_table, table) == expected
+        outcomes.append(expected)
+    rejected = [o for o in outcomes if o != 0]
+    assert all(o[0] is NotAssociative for o in rejected)
+    assert len(rejected) > 100
+
+
+@pytest.mark.parametrize(
+    "group",
+    [CyclicGroup(256), DirectProductGroup([16, 16]), DirectProductGroup([2, 128]), DihedralGroup(128)],
+    ids=["Z256", "Z16xZ16", "Z2xZ128", "D128"],
+)
+def test_large_relabelled_groups_are_accepted_with_the_reference_identity(group):
+    perm = list(range(group.order))
+    random.Random(repr(group)).shuffle(perm)
+    table = _relabelled(group.cayley_table(), perm)
+    assert perm[0] != 0
+    assert validate_cayley_table(table) == reference_validate_cayley_table(table) == perm[0]
 
 
 def test_law_matches_the_scalar_definitions_over_catalog(catalog60):
