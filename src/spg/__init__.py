@@ -10,12 +10,10 @@ from .exactalg import (
     UnsupportedN,
     adjacency_charpoly_formula,
     adjacency_cubic,
-    bareiss_det,
     binom_power,
     charpoly,
     distance_charpoly_formula,
     distance_cubic,
-    poly_eval,
     poly_mul,
     prime_adjacency_charpoly,
 )
@@ -30,7 +28,6 @@ from .graphs import (
     is_connected,
     matrix_to_csv,
     strong_power_graph,
-    strong_power_graph_structural,
     to_dot,
 )
 from .groups import (

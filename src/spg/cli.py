@@ -135,8 +135,14 @@ def _max_order_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
 
 
-def _poly_document(poly: IntPolynomial) -> list[str]:
-    return poly.to_coeff_strings()
+def _tol_arg(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite nonnegative number, got {text!r}")
+    return abs(value)  # -0.0 becomes 0.0
 
 
 def cmd_build(args: argparse.Namespace) -> tuple[int, str]:
@@ -150,7 +156,7 @@ def cmd_build(args: argparse.Namespace) -> tuple[int, str]:
     document = {
         "group": args.group,
         "n": graph.n,
-        "edges": [[u, v] for u, v in graph.edges()],
+        "edges": graph.edges(),
     }
     # compact: indented, the ~32k edges of a 256-vertex graph take a line per number
     return EXIT_OK, json.dumps(document, separators=(",", ":"), sort_keys=True) + "\n"
@@ -177,8 +183,8 @@ def cmd_charpoly(args: argparse.Namespace) -> tuple[int, str]:
         "group": args.group,
         "n": graph.n,
         "matrix": args.matrix,
-        "charpoly": _poly_document(computed),
-        "closed_form": _poly_document(closed) if closed is not None else None,
+        "charpoly": computed.to_coeff_strings(),
+        "closed_form": closed.to_coeff_strings() if closed is not None else None,
         "match": (computed == closed) if closed is not None else None,
     }
     return EXIT_OK, json.dumps(document, indent=2, sort_keys=True) + "\n"
@@ -269,14 +275,14 @@ def _build_parser() -> argparse.ArgumentParser:
     spectrum = sub.add_parser("spectrum", help="closed-form vs numeric spectrum")
     spectrum.add_argument("--group", required=True)
     spectrum.add_argument("--matrix", choices=("adjacency", "distance"), default="adjacency")
-    spectrum.add_argument("--tol", type=float, default=1e-8)
+    spectrum.add_argument("--tol", type=_tol_arg, default=1e-8)
     spectrum.add_argument("--out")
     _add_max_order(spectrum)
     spectrum.set_defaults(handler=cmd_spectrum)
 
     verify = sub.add_parser("verify", help="verify closed forms over a range of orders")
     verify.add_argument("--range", required=True, help="A..B with 2 <= A <= B")
-    verify.add_argument("--tol", type=float, default=1e-8)
+    verify.add_argument("--tol", type=_tol_arg, default=1e-8)
     verify.add_argument("--workers", type=int, default=1)
     verify.add_argument("--out")
     _add_max_order(verify, "largest order of the range")

@@ -1,15 +1,15 @@
 """Exact integer linear algebra: matrices, dense polynomials, characteristic
 polynomials, and the closed-form polynomials they are checked against.
 
-Everything here is exact: matrices and polynomials hold Python integers, and
-every division performed by an algorithm is asserted to leave no remainder.
+Everything here is exact: matrices hold int64 or Python integers, polynomials
+hold Python integers, and every division performed by an algorithm is
+asserted to leave no remainder.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
@@ -24,19 +24,14 @@ __all__ = [
     "NotPrime",
     "InexactDivision",
     "poly_mul",
-    "poly_eval",
     "binom_power",
     "charpoly",
-    "bareiss_det",
     "distance_cubic",
     "adjacency_cubic",
     "distance_charpoly_formula",
     "adjacency_charpoly_formula",
     "prime_adjacency_charpoly",
 ]
-
-Scalar = Union[int, Fraction]
-
 
 class PrimeOrTrivialN(ValueError):
     """The distance closed form needs a composite order of at least 4."""
@@ -55,13 +50,15 @@ class InexactDivision(ArithmeticError):
 
 
 class IntMatrix:
-    """Immutable square matrix over arbitrary-precision integers.
+    """Immutable square integer matrix, held as one read-only n x n array
+    `entries`: int64 when every entry fits, otherwise an object array of
+    Python integers.
 
-    A square 2-D int64 ndarray is taken as it is: its dtype already proves
+    A square 2-D int64 ndarray is copied as it is: its dtype already proves
     every entry an integer.  Any other input is checked entry by entry.
     """
 
-    __slots__ = ("rows", "n")
+    __slots__ = ("entries", "n")
 
     def __init__(self, rows: Union[Sequence[Sequence[int]], np.ndarray]):
         if (
@@ -70,9 +67,9 @@ class IntMatrix:
             and rows.ndim == 2
             and rows.shape[0] == rows.shape[1]
         ):
-            rows = tuple(map(tuple, rows.tolist()))
+            entries = rows.copy()
         else:
-            rows = tuple(tuple(row) for row in rows)
+            rows = [list(row) for row in rows]
             n = len(rows)
             for i, row in enumerate(rows):
                 if len(row) != n:
@@ -80,20 +77,25 @@ class IntMatrix:
                 for j, v in enumerate(row):
                     if not isinstance(v, int) or isinstance(v, bool):
                         raise ValueError(f"entry ({i}, {j}) is {v!r}, expected an integer")
-        if not rows:
+            try:
+                entries = np.array(rows, dtype=np.int64)
+            except OverflowError:
+                entries = np.array(rows, dtype=object)
+        if not entries.size:
             raise ValueError("matrix must have at least one row")
-        self.rows = rows
-        self.n = len(rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        entries.flags.writeable = False
+        self.entries = entries
+        self.n = len(entries)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntMatrix) and self.rows == other.rows
+        return isinstance(other, IntMatrix) and bool(np.array_equal(self.entries, other.entries))
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        # an object array holds an entry beyond int64, so it never equals an
+        # int64 one, and its bytes are pointers: hash its decimal text
+        if self.entries.dtype == object:
+            return hash(str(self.entries.tolist()))
+        return hash(self.entries.tobytes())
 
     def __repr__(self) -> str:
         return f"IntMatrix(n={self.n})"
@@ -127,9 +129,6 @@ class IntPolynomial:
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return poly_mul(self, other)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
@@ -183,14 +182,6 @@ def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
             for j, cb in enumerate(b.coeffs):
                 out[i + j] += ca * cb
     return IntPolynomial(out)
-
-
-def poly_eval(p: IntPolynomial, x: Scalar) -> Scalar:
-    """Evaluate exactly at an integer or Fraction by Horner's rule."""
-    result: Scalar = 0
-    for c in reversed(p.coeffs):
-        result = result * x + c
-    return result
 
 
 def binom_power(k: int) -> IntPolynomial:
@@ -447,18 +438,15 @@ def charpoly(matrix: IntMatrix) -> IntPolynomial:
     so are the leading coefficient 1 and the x^(n-1) coefficient -tr(M).
     """
     n = matrix.n
+    entries = matrix.entries
     small = (1 << 62) // n  # below this, a sum of n entries (the trace) fits int64
-    try:
-        entries = np.array(matrix.rows, dtype=np.int64)
-        fits = -small < entries.min() and entries.max() < small
-    except OverflowError:
-        fits = False
+    fits = entries.dtype == np.int64 and -small < entries.min() and entries.max() < small
     if not fits:
-        entries = np.array(matrix.rows, dtype=object)  # exact Python integers
-    if fits and n * int(np.abs(entries).max()) ** 2 < 1 << 63:
-        squares = (entries * entries).sum(axis=1).tolist()
-    else:
-        squares = [sum(v * v for v in row) for row in matrix.rows]
+        entries = entries.astype(object, copy=False)  # exact Python integers
+    wide = entries
+    if fits and n * int(np.abs(entries).max()) ** 2 >= 1 << 63:
+        wide = entries.astype(object)
+    squares = (wide * wide).sum(axis=1).tolist()
     bound = 2
     for s in squares:
         bound *= 1 + (math.isqrt(s - 1) + 1 if s else 0)
@@ -476,33 +464,6 @@ def charpoly(matrix: IntMatrix) -> IntPolynomial:
     assert coeffs[n] == 1, "charpoly is not monic"
     assert coeffs[n - 1] == -int(entries.trace()), "x^(n-1) coefficient is not -tr(M)"
     return IntPolynomial(coeffs)
-
-
-def bareiss_det(matrix: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Independent of charpoly; used to cross-check its constant coefficient.
-    Every interior division is exact and asserted.
-    """
-    n = matrix.n
-    a = [list(row) for row in matrix.rows]
-    sign = 1
-    previous = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                value = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                assert value % previous == 0, "inexact division in Bareiss elimination"
-                a[i][j] = value // previous
-            a[i][k] = 0
-        previous = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 # --- closed-form polynomials ---------------------------------------------------

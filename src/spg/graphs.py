@@ -9,18 +9,17 @@ source by one level per product.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .exactalg import IntMatrix
-from .groups import CyclicGroup, GroupSpec
+from .groups import GroupSpec
 
 __all__ = [
     "SimpleGraph",
     "DisconnectedGraph",
     "strong_power_graph",
-    "strong_power_graph_structural",
     "adjacency_matrix",
     "distance_matrix",
     "diameter",
@@ -75,28 +74,6 @@ class SimpleGraph:
         self.n = adj.shape[0]
         self.adj = adj
 
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        adj = np.zeros((n, n), dtype=bool)
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            adj[u, v] = adj[v, u] = True
-        return cls(adj)
-
-    @classmethod
-    def complete(cls, n: int) -> "SimpleGraph":
-        return cls(~np.eye(n, dtype=bool))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u, v])
-
-    def neighbors(self, v: int) -> set[int]:
-        return set(np.flatnonzero(self.adj[v]).tolist())
-
-    def degree(self, v: int) -> int:
-        return int(np.count_nonzero(self.adj[v]))
-
     def edges(self) -> list[tuple[int, int]]:
         """Edges (u, v) with u < v, in lexicographic order."""
         u, v = np.nonzero(np.triu(self.adj, 1))
@@ -147,28 +124,6 @@ def strong_power_graph(g: GroupSpec) -> SimpleGraph:
             break
     adj = _meets(powers, powers.T)
     np.fill_diagonal(adj, False)
-    return SimpleGraph(adj)
-
-
-def strong_power_graph_structural(g: GroupSpec) -> SimpleGraph:
-    """Fast structural construction of the strong power graph.
-
-    Noncyclic groups give the complete graph.  For a cyclic group of order
-    n, the non-identity vertices form a clique and the identity is joined
-    to exactly the non-generators; in the standard Z_n indexing these are
-    the nonzero m with gcd(m, n) != 1.  The definitional constructor
-    remains the source of truth; equivalence is enforced by tests.
-    """
-    n = g.order
-    if not g.is_cyclic():
-        return SimpleGraph.complete(n)
-    if isinstance(g, CyclicGroup):
-        non_generator = np.gcd(np.arange(n), n) != 1
-    else:
-        non_generator = np.array([g.element_order(a) != n for a in range(n)])
-    non_generator[0] = False
-    adj = ~np.eye(n, dtype=bool)  # clique on 1..n-1, row and column 0 set below
-    adj[0] = adj[:, 0] = non_generator
     return SimpleGraph(adj)
 
 
@@ -248,4 +203,4 @@ def to_dot(graph: SimpleGraph, labels: Optional[Sequence[str]] = None) -> str:
 
 def matrix_to_csv(matrix: IntMatrix) -> str:
     """Rows of comma-separated integers, one line per row."""
-    return "\n".join(",".join(str(v) for v in row) for row in matrix.rows) + "\n"
+    return "\n".join(",".join(map(str, row)) for row in matrix.entries.tolist()) + "\n"

@@ -109,9 +109,6 @@ class GroupSpec:
         """True iff some element has order |G|."""
         return any(self.element_order(a) == self.order for a in range(self.order))
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def cayley_table(self) -> list[list[int]]:
         """Materialise the full multiplication table."""
         i = np.arange(self.order)

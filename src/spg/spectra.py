@@ -205,9 +205,9 @@ def adjacency_spectrum_closed(g: GroupSpec) -> ClosedFormSpectrum:
 
 
 def _as_array(matrix: MatrixLike) -> np.ndarray:
-    rows = matrix.rows if isinstance(matrix, IntMatrix) else matrix
+    source = matrix.entries if isinstance(matrix, IntMatrix) else matrix
     try:
-        arr = np.array(rows, dtype=np.float64)
+        arr = np.asarray(source, dtype=np.float64)
     except OverflowError:
         raise NonFinite("matrix has an integer entry beyond the float64 range") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -300,7 +300,7 @@ def symmetric_eigenvalues(
     if n <= 1:
         return a.diagonal().tolist()
     shift = max(0, math.frexp(float(np.abs(a).max()))[1])
-    a = np.ldexp(a, -shift)
+    a = np.ldexp(a, -shift)  # the working copy: a caller's float64 array is only read
     skip = tol * max(math.ldexp(1.0, -shift), float(np.linalg.norm(a))) / (10.0 * n)
     for k in range(n - 2):
         x = a[k, k + 1 :]  # equals column k below the diagonal: a stays symmetric

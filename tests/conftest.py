@@ -1,11 +1,13 @@
-"""Shared fixtures: the group catalog and explicit Cayley tables."""
+"""Shared fixtures and test-only helpers: the group catalog, explicit Cayley
+tables, and the reference implementations spg is checked against."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from spg.exactalg import IntMatrix
+from spg.exactalg import IntMatrix, IntPolynomial
+from spg.graphs import SimpleGraph
 from spg.groups import (
     BadTableShape,
     CayleyGroup,
@@ -70,7 +72,85 @@ def permuted(matrix: IntMatrix, order: list[int]) -> IntMatrix:
     """Simultaneous row/column permutation: entry (i, j) of the result is
     matrix[order[i]][order[j]]."""
     assert sorted(order) == list(range(matrix.n)), "order must be a permutation of 0..n-1"
-    return IntMatrix([[matrix.rows[i][j] for j in order] for i in order])
+    return IntMatrix(matrix.entries[np.ix_(order, order)])
+
+
+def identity_matrix(n: int) -> IntMatrix:
+    return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def poly_eval(p: IntPolynomial, x):
+    """Evaluate exactly at an integer or Fraction by Horner's rule."""
+    result = 0
+    for c in reversed(p.coeffs):
+        result = result * x + c
+    return result
+
+
+def bareiss_det(matrix: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Independent of charpoly; used to cross-check its constant coefficient.
+    Every interior division is exact and asserted.
+    """
+    n = matrix.n
+    a = matrix.entries.tolist()  # Python integers
+    sign = 1
+    previous = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot_row is None:
+                return 0
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                value = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                assert value % previous == 0, "inexact division in Bareiss elimination"
+                a[i][j] = value // previous
+            a[i][k] = 0
+        previous = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def graph_from_edges(n: int, edges) -> SimpleGraph:
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        adj[u, v] = adj[v, u] = True
+    return SimpleGraph(adj)
+
+
+def complete_graph(n: int) -> SimpleGraph:
+    return SimpleGraph(~np.eye(n, dtype=bool))
+
+
+def has_edge(graph: SimpleGraph, u: int, v: int) -> bool:
+    return bool(graph.adj[u, v])
+
+
+def strong_power_graph_structural(g: GroupSpec) -> SimpleGraph:
+    """The strong power graph from the paper's structure lemma.
+
+    Noncyclic groups give the complete graph.  For a cyclic group of order
+    n, the non-identity vertices form a clique and the identity is joined
+    to exactly the non-generators; in the standard Z_n indexing these are
+    the nonzero m with gcd(m, n) != 1.  spg.graphs.strong_power_graph, built
+    from the definition, is checked against it.
+    """
+    n = g.order
+    if not g.is_cyclic():
+        return complete_graph(n)
+    if isinstance(g, CyclicGroup):
+        non_generator = np.gcd(np.arange(n), n) != 1
+    else:
+        non_generator = np.array([g.element_order(a) != n for a in range(n)])
+    non_generator[0] = False
+    adj = ~np.eye(n, dtype=bool)  # clique on 1..n-1, row and column 0 set below
+    adj[0] = adj[:, 0] = non_generator
+    return SimpleGraph(adj)
 
 
 def reference_strong_power_graph(g: GroupSpec) -> list[int]:

@@ -20,7 +20,6 @@ from spg.graphs import (
     distance_matrix,
     is_complete,
     strong_power_graph,
-    strong_power_graph_structural,
 )
 from spg.groups import (
     CyclicGroup,
@@ -36,6 +35,8 @@ from spg.spectra import (
     symmetric_eigenvalues,
 )
 from spg.verify import VerificationRecord
+
+from conftest import strong_power_graph_structural
 
 N_MAX = 150
 COMPOSITES = [n for n in range(4, N_MAX + 1) if is_composite(n)]

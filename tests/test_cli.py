@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and report round-tripping."""
 
 import json
+import math
 
 import pytest
 
@@ -256,6 +257,22 @@ def test_max_order_must_be_positive(capsys):
         main(["build", "--group", "cyclic:4", "--max-order", "0"])
     assert info.value.code == 2
     assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "argv", [["spectrum", "--group", "cyclic:6"], ["verify", "--range", "4..5"]]
+)
+def test_tol_must_be_finite_and_nonnegative(capsys, argv, tol):
+    with pytest.raises(SystemExit) as info:
+        main(argv + [f"--tol={tol}"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"finite nonnegative number, got '{tol}'" in captured.err
+    for zero in ("0", "-0"):
+        tol = cli._build_parser().parse_args(argv + [f"--tol={zero}"]).tol
+        assert tol == 0.0 and math.copysign(1.0, tol) == 1.0
 
 
 def test_verify_small_range(capsys):

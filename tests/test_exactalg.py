@@ -18,11 +18,9 @@ from spg.exactalg import (
     PrimeOrTrivialN,
     UnsupportedN,
     adjacency_charpoly_formula,
-    bareiss_det,
     binom_power,
     charpoly,
     distance_charpoly_formula,
-    poly_eval,
     poly_mul,
     prime_adjacency_charpoly,
 )
@@ -30,17 +28,31 @@ from spg import exactalg
 from spg.exactalg import _prime_basis, _primes_between
 from spg.graphs import adjacency_matrix, distance_matrix, strong_power_graph
 
-from conftest import permuted
+from conftest import bareiss_det, identity_matrix, permuted, poly_eval
 from spg.groups import CyclicGroup, is_prime
 
 
 def test_int_matrix_takes_square_int64_arrays():
     arr = np.array([[0, -3], [2**62, 5]], dtype=np.int64)
     m = IntMatrix(arr)
-    assert m.rows == ((0, -3), (2**62, 5))
-    assert all(type(v) is int for row in m.rows for v in row)
-    arr[0, 0] = 9  # the matrix keeps its own rows
-    assert m.rows[0][0] == 0
+    assert m.entries.dtype == np.int64
+    assert m.entries.tolist() == [[0, -3], [2**62, 5]]
+    assert not m.entries.flags.writeable
+    with pytest.raises(ValueError):
+        m.entries[0, 0] = 1
+    arr[0, 0] = 9  # the matrix keeps its own copy
+    assert m.entries[0, 0] == 0
+    # nested lists are int64 when every entry fits, Python integers beyond
+    assert IntMatrix([[2**63 - 1, 0], [0, -(2**63)]]).entries.dtype == np.int64
+    big = IntMatrix([[2**63, 0], [0, 1]])
+    assert big.entries.dtype == object and not big.entries.flags.writeable
+    assert type(big.entries[0, 0]) is int and big.entries[0, 0] == 2**63
+    # equality and hash follow the values, whatever the input was
+    assert m == IntMatrix([[0, -3], [2**62, 5]])
+    assert hash(m) == hash(IntMatrix([[0, -3], [2**62, 5]]))
+    assert big == IntMatrix(np.array([[2**63, 0], [0, 1]], dtype=object))
+    assert hash(big) == hash(IntMatrix([[2**63, 0], [0, 1]]))
+    assert m != IntMatrix([[0, -3], [2**62, 6]]) and m != big
     # any other array goes through the per-entry check
     with pytest.raises(ValueError, match="expected an integer"):
         IntMatrix(np.array([[1, 0], [0, 1]], dtype=np.int32))
@@ -57,7 +69,7 @@ def test_charpoly_swap_matrix():
 
 
 def test_charpoly_identity():
-    assert charpoly(IntMatrix.identity(3)) == IntPolynomial([-1, 3, -3, 1])
+    assert charpoly(identity_matrix(3)) == IntPolynomial([-1, 3, -3, 1])
 
 
 def test_charpoly_one_by_one():
@@ -117,16 +129,17 @@ def test_charpoly_meets_the_hadamard_bound_with_equality(k):
     poly = charpoly(m)
     assert abs(poly.coefficient(0)) == (4 * k) ** 16
     assert poly.coefficient(0) == bareiss_det(m)  # n = 16 is even
+    rows = m.entries.tolist()
     for x in (-2, 1, 5):
         shifted = IntMatrix(
-            [[x * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(m.rows)]
+            [[x * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(rows)]
         )
         assert poly_eval(poly, x) == bareiss_det(shifted), x
 
 
 def test_bareiss_det_examples():
     assert bareiss_det(IntMatrix([[0, 1], [1, 0]])) == -1
-    assert bareiss_det(IntMatrix.identity(4)) == 1
+    assert bareiss_det(identity_matrix(4)) == 1
     assert bareiss_det(IntMatrix([[1, 2], [2, 4]])) == 0
     assert bareiss_det(IntMatrix([[0, 0], [0, 0]])) == 0
 
@@ -172,10 +185,11 @@ def _assert_charpoly_by_determinants(rows):
     m = IntMatrix(rows)
     poly = charpoly(m)
     assert poly.degree == m.n and poly.is_monic()
+    rows = m.entries.tolist()  # Python integers: no int64 wraparound below
     for x0 in range(m.n + 1):
         shifted = IntMatrix(
             [
-                [(x0 if i == j else 0) - m.rows[i][j] for j in range(m.n)]
+                [(x0 if i == j else 0) - rows[i][j] for j in range(m.n)]
                 for i in range(m.n)
             ]
         )
@@ -269,7 +283,7 @@ def test_charpoly_folds_block_upper_triangular_matrices(blocks, rng):
     # conjugated by a permutation, the Hessenberg step has to find the blocks
     order = list(range(n))
     rng.shuffle(order)
-    _assert_charpoly_by_determinants(permuted(IntMatrix(rows), order).rows)
+    _assert_charpoly_by_determinants(permuted(IntMatrix(rows), order).entries.tolist())
 
 
 def test_sweep_matrices_run_the_recurrence_once_per_distinct_block(monkeypatch):
@@ -401,7 +415,7 @@ def test_charpoly_evaluates_to_shifted_determinant(case):
     m = IntMatrix(rows)
     shifted = IntMatrix(
         [
-            [x0 * (1 if i == j else 0) - m.rows[i][j] for j in range(m.n)]
+            [x0 * (1 if i == j else 0) - rows[i][j] for j in range(m.n)]
             for i in range(m.n)
         ]
     )

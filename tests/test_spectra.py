@@ -16,7 +16,6 @@ from spg.exactalg import (
     adjacency_cubic,
     distance_charpoly_formula,
     distance_cubic,
-    poly_eval,
 )
 from spg.graphs import DisconnectedGraph, adjacency_matrix, distance_matrix, strong_power_graph
 from spg.groups import CyclicGroup, DihedralGroup, DirectProductGroup, is_composite, totient
@@ -35,6 +34,8 @@ from spg.spectra import (
     spectrum_document,
     symmetric_eigenvalues,
 )
+
+from conftest import complete_graph, identity_matrix, poly_eval
 
 # frozen oracle values for the n = 4 worked instance (bisection + Newton on
 # the cubics, arccos for the angles; they also match numpy.linalg.eigvalsh)
@@ -220,13 +221,11 @@ def test_theta_is_the_paper_arccos():
 
 
 def test_jacobi_identity():
-    assert symmetric_eigenvalues(IntMatrix.identity(4)) == [1.0, 1.0, 1.0, 1.0]
+    assert symmetric_eigenvalues(identity_matrix(4)) == [1.0, 1.0, 1.0, 1.0]
 
 
 def test_jacobi_complete_graph():
-    from spg.graphs import SimpleGraph
-
-    values = symmetric_eigenvalues(adjacency_matrix(SimpleGraph.complete(5)))
+    values = symmetric_eigenvalues(adjacency_matrix(complete_graph(5)))
     assert values[0] == pytest.approx(4.0, abs=1e-10)
     for v in values[1:]:
         assert v == pytest.approx(-1.0, abs=1e-10)
@@ -283,7 +282,7 @@ def test_oracle_leaves_the_callers_array_unchanged():
 
 
 def _eigvalsh_descending(matrix) -> np.ndarray:
-    rows = matrix.rows if isinstance(matrix, IntMatrix) else matrix
+    rows = matrix.entries if isinstance(matrix, IntMatrix) else matrix
     return np.linalg.eigvalsh(np.array(rows, dtype=float))[::-1]
 
 
