@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -208,9 +208,15 @@ def _primes_between(lo: int, hi: int) -> np.ndarray:
             small[q * q :: q] = False
     window = np.ones(hi - lo, dtype=bool)
     window[lo % 2 :: 2] = False  # the even numbers; 2 itself is put back below
-    for q in np.flatnonzero(small)[1:].tolist():  # the odd primes up to the root
-        first = max(q * q, -(-lo // q) * q)
-        window[first - lo :: q] = False
+    # every odd multiple to strike, in one scatter: each odd prime q up to the
+    # root strikes `count` multiples, from the first one in the window at or
+    # above q^2, in steps of q
+    q = np.flatnonzero(small)[1:]
+    first = np.maximum(q * q, -(-lo // q) * q) - lo
+    count = np.maximum(0, -(-(hi - lo - first) // q))
+    ends = np.cumsum(count)
+    k = np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - count, count)
+    window[np.repeat(first, count) + k * np.repeat(q, count)] = False
     primes = np.flatnonzero(window) + lo
     if lo <= 2 < hi:
         primes = np.concatenate(([2], primes))
@@ -380,6 +386,27 @@ def _poly_pow_mod(a: np.ndarray, k: int, pcol: np.ndarray) -> np.ndarray:
         a = _poly_mul_mod(a, a, pcol)
 
 
+def _distinct_blocks(h: np.ndarray, cuts: Sequence[int]) -> list[list]:
+    """The diagonal blocks h[..., lo:hi, lo:hi] between consecutive cuts, one
+    [block, multiplicity] pair per distinct block: the same order and the
+    same entries."""
+    blocks: dict[tuple[int, bytes], list] = {}
+    for lo, hi in zip(cuts, cuts[1:]):
+        block = h[..., lo:hi, lo:hi]
+        seen = blocks.setdefault((hi - lo, block.tobytes()), [block, 0])
+        seen[1] += 1
+    return list(blocks.values())
+
+
+def _product_of_powers(factors: Iterable[tuple[np.ndarray, int]], pcol: np.ndarray) -> np.ndarray:
+    """The product of a[j] ** k mod pcol[j] over the (a, k) pairs of factors."""
+    result = None
+    for a, k in factors:
+        power = _poly_pow_mod(a, k, pcol)
+        result = power if result is None else _poly_mul_mod(result, power, pcol)
+    return result
+
+
 def _block_charpoly(h: np.ndarray, pcol: np.ndarray) -> np.ndarray:
     """Coefficients of det(xI - h[k]) mod pcol[k] for upper Hessenberg h[k],
     as a (P, n+1) array with ascending degree along axis 1.
@@ -389,38 +416,96 @@ def _block_charpoly(h: np.ndarray, pcol: np.ndarray) -> np.ndarray:
     its diagonal blocks (Cohen, Alg. 2.2.9).  Each distinct block, the same
     order and the same residues for every prime, runs the recurrence once;
     its charpoly is raised to the block's multiplicity, and the powers are
-    multiplied together.  A strong power graph's matrix, with its minimal
-    polynomial of degree at most 4, leaves one 3 x 3 block and n - 3 equal
-    1 x 1 blocks.
+    multiplied together.
     """
     n = h.shape[1]
     sub = np.diagonal(h, offset=-1, axis1=1, axis2=2)
     cuts = [0, *(np.flatnonzero(~sub.any(axis=0)) + 1).tolist(), n]
-    blocks: dict[tuple[int, bytes], list] = {}
-    for lo, hi in zip(cuts, cuts[1:]):
-        block = h[:, lo:hi, lo:hi]
-        seen = blocks.setdefault((hi - lo, block.tobytes()), [block, 0])
-        seen[1] += 1
-    result = None
-    for block, count in blocks.values():
-        factor = _poly_pow_mod(_hessenberg_charpoly(block, pcol), count, pcol)
-        result = factor if result is None else _poly_mul_mod(result, factor, pcol)
-    return result
+    blocks = _distinct_blocks(h, cuts)
+    return _product_of_powers(((_hessenberg_charpoly(b, pcol), k) for b, k in blocks), pcol)
+
+
+def _integer_hessenberg(h: np.ndarray) -> int:
+    """Reduce the leading columns of the int64 matrix h in place to upper
+    Hessenberg form by similarity transforms over the integers, and return
+    how many leading columns are in that form.
+
+    Column m takes a step only when its nonzero entry of least magnitude at
+    or below the subdiagonal divides every entry there, so that the
+    multipliers u are integers and (I - u e^T)^-1 = I + u e^T keeps the
+    step a similarity over Z; and only when the step keeps every entry
+    below 2^62/n, checked before it from B = max|h| and q = max|u|: the
+    rows grow to at most B(1+q), then column m+1 to B(1+q)(1+nq).  The
+    reduction stops at the first column where either fails.
+    """
+    n = len(h)
+    small = (1 << 62) // n
+    for m in range(n - 2):
+        col = h[m + 1 :, m]
+        if not col[1:].any():
+            continue  # already in Hessenberg form
+        mag = np.abs(col)
+        k = int(np.argmin(np.where(col != 0, mag, small)))
+        pivot = int(col[k])
+        q = int(mag.max()) // abs(pivot)
+        big = max(int(h.max()), -int(h.min()))
+        if (col % pivot).any() or big * (1 + q) * (1 + n * q) >= small:
+            return m
+        if k:
+            h[[m + 1, m + 1 + k]] = h[[m + 1 + k, m + 1]]
+            h[:, [m + 1, m + 1 + k]] = h[:, [m + 1 + k, m + 1]]
+        u = h[m + 2 :, m] // pivot
+        h[m + 2 :, m:] -= u[:, None] * h[m + 1, m:]
+        h[:, m + 1] += h[:, m + 2 :] @ u
+    return n - 1
+
+
+def _integer_blocks(entries: np.ndarray) -> list[list]:
+    """[block, multiplicity] for each distinct diagonal block that
+    _integer_hessenberg leaves of the int64 matrix entries.  The blocks are
+    copied out, so that the reduced n x n matrix is freed, unless it is
+    one block."""
+    h = entries.copy()
+    done = _integer_hessenberg(h)
+    zeros = np.flatnonzero(np.diagonal(h, offset=-1)[:done] == 0) + 1
+    if not len(zeros):
+        return [[h, 1]]
+    blocks = _distinct_blocks(h, [0, *zeros.tolist(), len(h)])
+    return [[block.copy(), count] for block, count in blocks]
 
 
 def charpoly(matrix: IntMatrix) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - M), monic of degree n.
 
-    Multimodular Hessenberg method (Cohen, *A Course in Computational
-    Algebraic Number Theory*, Alg. 2.2.9).  Modulo each prime of a basis,
-    similarity transforms reduce M to upper Hessenberg form.  That form
-    splits into diagonal blocks wherever a subdiagonal entry is zero for
-    every prime, and the charpoly is the product of the blocks' charpolys:
-    each distinct block runs the recurrence once and is raised to its
-    multiplicity (see _block_charpoly).  The primes run in stacks of at
-    most 2^22 residues (one prime per stack from n = 1449), and each
-    stack's n + 1 coefficients are copied out before the next, so memory
-    is O(n^2 + P * n) whatever the basis size P.
+    Hessenberg method (Cohen, *A Course in Computational Algebraic Number
+    Theory*, Alg. 2.2.9), first over the integers, then modulo each prime
+    of a basis for what is left.
+
+    Integer stage.  When every |M[i, j]| < 2^62/n, an int64 copy of M is
+    reduced column by column to upper Hessenberg form over Z, as long as
+    each column's pivot divides the rest of its column and the step keeps
+    every entry below 2^62/n (see _integer_hessenberg).  Each step is an
+    integer similarity with an integer inverse, so the reduced matrix H has
+    the charpoly of M, exactly.  Wherever a subdiagonal entry among the
+    reduced columns is zero, H is block upper triangular, and its charpoly
+    is the product of those of its diagonal blocks; the columns from the
+    last such cut onward stay one trailing block.  A strong power graph's
+    matrix, in the element order the builders use, reduces completely, to
+    one 3 x 3 block and n - 3 equal 1 x 1 blocks: its minimal polynomial
+    has degree at most 4, and the pivots of its two working columns are
+    +-1 and the common value of the column.  A matrix of Python integers,
+    or one whose first column has no dividing pivot, is one block: the
+    whole of M.
+
+    Modular stage.  Each distinct block, the same order and the same
+    entries, is reduced modulo every basis prime to Hessenberg form, split
+    again wherever a subdiagonal entry is zero for every prime, and folded
+    (see _block_charpoly); its charpoly is raised to the block's
+    multiplicity by square-and-multiply, and the powers are multiplied by
+    batched convolutions mod p.  The primes run in stacks of at most 2^22
+    residues of the largest distinct block b (one prime per stack once
+    b > 1448), and each stack's n + 1 coefficients are copied out before
+    the next, so memory is O(n^2 + P * n) whatever the basis size P.
 
     The coefficient c_k of x^(n-k) is (-1)^k times the sum of the C(n, k)
     principal k x k minors.  By Hadamard's inequality the minor on rows S is
@@ -429,8 +514,10 @@ def charpoly(matrix: IntMatrix) -> IntPolynomial:
     up to an integer, computed exactly as isqrt(s_i - 1) + 1 from the
     integer s_i = sum_j M[i, j]^2, a basis whose product exceeds
     2 * prod_i (1 + ceil(r_i)) recovers every coefficient exactly by CRT in
-    the symmetric range.  The s_i are summed in int64 when
-    n * max|M[i, j]|^2 < 2^63, and in Python integers otherwise.
+    the symmetric range.  The bound is taken on M itself: the charpoly it
+    bounds is the same for H, however large H's entries grew.  The s_i are
+    summed in int64 when n * max|M[i, j]|^2 < 2^63, and in Python integers
+    otherwise.
 
     Every basis prime satisfies n * (p-1)^2 < 2^53, so each int64 product of
     two residues, and each batched dot product of at most n + 1 of them,
@@ -452,14 +539,19 @@ def charpoly(matrix: IntMatrix) -> IntPolynomial:
         bound *= 1 + (math.isqrt(s - 1) + 1 if s else 0)
     primes, modulus = _prime_basis(n, bound)
 
-    step = max(1, _STACK_LIMIT // (n * n))  # primes per stack
+    blocks = _integer_blocks(entries) if fits else [[entries, 1]]
+    largest = max(len(block) for block, _ in blocks)
+    step = max(1, _STACK_LIMIT // (largest * largest))  # primes per stack
     residues = np.empty((len(primes), n + 1), dtype=np.int64)
     for lo in range(0, len(primes), step):
         chunk = primes[lo : lo + step]
         pcol = np.array(chunk, dtype=np.int64).reshape(-1, 1)
-        h = _residue_stack(entries, chunk)
-        _hessenberg(h, pcol)
-        residues[lo : lo + step] = _block_charpoly(h, pcol)
+        factors = []
+        for block, count in blocks:
+            stack = _residue_stack(block, chunk)
+            _hessenberg(stack, pcol)
+            factors.append((_block_charpoly(stack, pcol), count))
+        residues[lo : lo + step] = _product_of_powers(factors, pcol)
     coeffs = _crt_signed(residues, primes, modulus)
     assert coeffs[n] == 1, "charpoly is not monic"
     assert coeffs[n - 1] == -int(entries.trace()), "x^(n-1) coefficient is not -tr(M)"

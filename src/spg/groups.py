@@ -228,11 +228,6 @@ class CayleyGroup(GroupSpec):
         self.order = len(t)
         self.labels = labels
 
-    @property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        """The rows as tuples of ints."""
-        return tuple(map(tuple, self._t.tolist()))
-
     def law(self, a, b):
         return self._t[a, b]
 

@@ -184,12 +184,14 @@ def verify_range(
     Workers > 1 fans the per-n tasks out to a process pool of at most
     min(workers, cpu count, number of orders) processes; the report content
     is identical either way because tasks are pure and the merge is ordered
-    by n.
+    by n.  tol must be finite and nonnegative.
     """
     if not (2 <= n_min <= n_max):
         raise ValueError(f"need 2 <= n_min <= n_max, got [{n_min}, {n_max}]")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite nonnegative number, got {tol!r}")
     started = time.perf_counter()
     tasks = [(n, tol) for n in range(n_min, n_max + 1)]
     workers = min(workers, os.cpu_count() or 1, len(tasks))

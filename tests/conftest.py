@@ -46,28 +46,6 @@ def quaternion_table() -> list[list[int]]:
     return table
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--runslow",
-        action="store_true",
-        default=False,
-        help="also run the tests marked slow (exact charpolys up to order 2048, minutes)",
-    )
-
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: runs only with --runslow")
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--runslow"):
-        return
-    skip = pytest.mark.skip(reason="slow; run with --runslow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
-
-
 def permuted(matrix: IntMatrix, order: list[int]) -> IntMatrix:
     """Simultaneous row/column permutation: entry (i, j) of the result is
     matrix[order[i]][order[j]]."""

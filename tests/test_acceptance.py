@@ -217,7 +217,6 @@ def test_criterion_8_spectral_radii(sweep):
             assert abs(adjacency_radius - entry["adjacency_numeric"][0]) <= 1e-8, n
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("n", [1020, 1024, 1030, 2048])
 def test_exact_charpolys_match_closed_forms_up_to_max_order(n):
     # the exact charpoly in bounded memory up to the default --max-order

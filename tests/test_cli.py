@@ -339,6 +339,13 @@ def test_report_round_trip():
     assert VerificationReport.from_document(document) == report
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_verify_range_refuses_a_bad_tol(tol):
+    # NaN would fail every order and write "tol": NaN, which is not JSON
+    with pytest.raises(ValueError, match="finite nonnegative number"):
+        verify_range(4, 5, tol=tol)
+
+
 def _strip_elapsed(document):
     for record in document["records"]:
         record["elapsed_ms"] = 0

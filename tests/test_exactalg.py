@@ -308,32 +308,171 @@ def test_sweep_matrices_run_the_recurrence_once_per_distinct_block(monkeypatch):
             assert sorted(sizes) == [1, 3], (n, sizes)
 
 
+def test_sweep_matrices_never_build_a_stack_larger_than_3x3(monkeypatch):
+    # in the builders' element order, the integer stage reduces every Z_n
+    # matrix completely: the primes see only its 1 x 1 and 3 x 3 diagonal
+    # blocks, whatever n is
+    shapes = []
+    stack = exactalg._residue_stack
+
+    def spy(entries, primes):
+        shapes.append(entries.shape)
+        return stack(entries, primes)
+
+    monkeypatch.setattr(exactalg, "_residue_stack", spy)
+    for n in (12, 60, 110, 1024):
+        graph = strong_power_graph(CyclicGroup(n))
+        for matrix, formula in (
+            (adjacency_matrix(graph), adjacency_charpoly_formula),
+            (distance_matrix(graph), distance_charpoly_formula),
+        ):
+            shapes.clear()
+            assert charpoly(matrix) == formula(n), n
+            assert shapes and max(shapes) <= (3, 3), (n, shapes)
+
+
 def _distance_z120():
     order = list(range(120))
     random.Random(120).shuffle(order)
     return permuted(distance_matrix(strong_power_graph(CyclicGroup(120))), order)
 
 
+def _coprime_first_column(rng, n, bound):
+    """A random n x n matrix whose column 0 holds 2 and 3 below the
+    diagonal: no entry there divides the others, so the integer stage takes
+    no step and the primes reduce the whole matrix."""
+    rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+    for i in range(1, n):
+        rows[i][0] = 2 + i % 2
+    return rows
+
+
 def test_charpoly_is_the_same_for_every_stack_size(monkeypatch):
-    matrix = _distance_z120()  # permuted, so the Hessenberg step has work to do
-    expected = distance_charpoly_formula(120)
-    stacks = []
+    stacks = []  # (primes, block order) of each stack reduced
     reduce = exactalg._hessenberg
 
     def spy(h, pcol):
-        stacks.append(h.shape[0])
+        stacks.append(h.shape[:2])
         reduce(h, pcol)
 
     monkeypatch.setattr(exactalg, "_hessenberg", spy)
+    # permuted, so the integer stage has work to do; it leaves two distinct
+    # blocks, each reduced in every stack, and the largest sizes the stacks
+    matrix = _distance_z120()
+    expected = distance_charpoly_formula(120)
     assert charpoly(matrix) == expected
-    (basis,) = stacks  # the default limit holds the whole basis in one stack
-    assert basis > 10
+    (basis,) = {p for p, _ in stacks}  # the default limit holds the whole basis
+    assert len(stacks) == 2 and basis > 10
+    largest = max(k for _, k in stacks)
     for per_stack in range(1, basis + 1):
-        monkeypatch.setattr(exactalg, "_STACK_LIMIT", per_stack * 120 * 120)
+        monkeypatch.setattr(exactalg, "_STACK_LIMIT", per_stack * largest * largest)
         stacks.clear()
         assert charpoly(matrix) == expected, per_stack
         full, rest = divmod(basis, per_stack)
-        assert stacks == [per_stack] * full + ([rest] if rest else []), per_stack
+        sizes = [per_stack] * full + ([rest] if rest else [])
+        assert [p for p, _ in stacks] == [p for p in sizes for _ in range(2)], per_stack
+    # no integer step: the whole matrix is the one block of every stack
+    n = 24
+    rows = _coprime_first_column(random.Random(24), n, 999)
+    monkeypatch.setattr(exactalg, "_STACK_LIMIT", 1 << 22)
+    _assert_charpoly_by_determinants(rows)
+    stacks.clear()
+    expected = charpoly(IntMatrix(rows))
+    ((basis, order),) = stacks
+    assert order == n and basis > 10
+    for per_stack in range(1, basis + 1):
+        monkeypatch.setattr(exactalg, "_STACK_LIMIT", per_stack * n * n)
+        stacks.clear()
+        assert charpoly(IntMatrix(rows)) == expected, per_stack
+        full, rest = divmod(basis, per_stack)
+        assert stacks == [(per_stack, n)] * full + ([(rest, n)] if rest else []), per_stack
+
+
+def _conjugate(rows, i, j, c):
+    """rows := E rows E^-1 in place, for the unimodular E = I + c e_i e_j^T."""
+    for k in range(len(rows)):
+        rows[i][k] += c * rows[j][k]
+    for k in range(len(rows)):
+        rows[k][j] -= c * rows[k][i]
+
+
+@st.composite
+def _unimodular_conjugates(draw):
+    # block upper triangular, with column 0 = (a, 1, 0, ..., 0), conjugated
+    # by U = diag(1, L R) with L lower and R upper unitriangular.  U fixes
+    # e_0 and maps e_1 to (0, 1, l_21, ...), so column 0 of U M U^-1 is
+    # (a, 1, l_21, ...): a pivot of 1 that divides its column
+    a, b, d = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+    diagonal = [[[a, b], [1, d]]] + [
+        block for block, count in draw(_diagonal_blocks()) for _ in range(count)
+    ]
+    n = sum(len(block) for block in diagonal)
+    assume(n <= 10)
+    rng = draw(st.randoms(use_true_random=False))
+    rows, at = [[0] * n for _ in range(n)], 0
+    for block in diagonal:
+        k = len(block)
+        for i in range(k):
+            rows[at + i][at : at + k] = block[i]
+            rows[at + i][at + k :] = [rng.randint(-3, 3) for _ in range(n - at - k)]
+        at += k
+    pairs = [(i, j) for i in range(1, n) for j in range(1, n) if i != j]
+    ops = [(i, j, rng.choice([-2, -1, 1, 2])) for i, j in rng.sample(pairs, min(len(pairs), n))]
+    for i, j, c in sorted(ops, key=lambda op: op[0] > op[1]):  # R's, then L's
+        _conjugate(rows, i, j, c)
+    return rows, (1, n - 1)
+
+
+@st.composite
+def _near_the_int64_rule(draw):
+    # columns 0..j-1 already Hessenberg, with a zero subdiagonal entry at
+    # (j, j-1); column j needs a step, but entries near 2^62/n refuse it:
+    # the prefix stops at j and hands the block from j onward to the primes
+    n = draw(st.integers(3, 6))
+    j = draw(st.integers(0, n - 3))
+    small = (1 << 62) // n
+    near = st.integers(small - 2**20, small - 1)
+    entry = st.one_of(st.integers(-3, 3), near, near.map(lambda v: -v))
+    rows = draw(_square(n, entry))
+    for col in range(j):
+        for i in range(col + 2, n):
+            rows[i][col] = 0
+    if j:
+        rows[j][j - 1] = 0
+    rows[j + 2][j] = 1
+    rows[0][n - 1] = small - 1
+    return rows, (j, j)
+
+
+@st.composite
+def _coprime_first_columns(draw):
+    n = draw(st.integers(3, 8))
+    return _coprime_first_column(draw(st.randoms(use_true_random=False)), n, 9), (0, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_unimodular_conjugates(), _near_the_int64_rule(), _coprime_first_columns()))
+def test_charpoly_after_integer_steps(case):
+    # each kind of input stops the integer stage where it was built to
+    rows, (least, most) = case
+    assert least <= exactalg._integer_hessenberg(np.array(rows, dtype=np.int64)) <= most
+    _assert_charpoly_by_determinants(rows)
+
+
+def test_integer_steps_stop_where_int64_would_overflow():
+    # B = max|h| and q = 1 at column 0: the step is taken exactly when
+    # B * 2 * (1 + 4) < 2^62 / 4, and then the grown entries stop column 1
+    n = 4
+    top = ((1 << 62) // n - 1) // (2 * (n + 1))
+    for corner, done in ((top, 1), (top + 1, 0)):
+        rows = [
+            [corner, top, -top, top],
+            [1, top, top, -top],
+            [1, -top, top, top],
+            [-1, top, -top, top],
+        ]
+        assert exactalg._integer_hessenberg(np.array(rows, dtype=np.int64)) == done
+        _assert_charpoly_by_determinants(rows)
 
 
 def test_charpoly_memory_is_flat_in_the_basis_size(monkeypatch):
