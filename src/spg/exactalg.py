@@ -8,9 +8,8 @@ asserted to leave no remainder.
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -223,37 +222,21 @@ def _primes_between(lo: int, hi: int) -> np.ndarray:
     return primes
 
 
-@functools.lru_cache(maxsize=1)
-def _sieved_windows(n: int) -> list[list[int]]:
-    """Basis candidates for order n sieved so far: one descending list per
-    sieve window, the window of the largest primes first.
-
-    _prime_basis appends windows as it needs them.  The cache holds the
-    latest n only, so the adjacency and distance charpolys of one order
-    share one sieve, and nothing accumulates from order to order.
-    """
-    return []
-
-
 def _prime_basis(n: int, bound: int) -> tuple[list[int], int]:
-    """Descending primes p with n*(p-1)^2 < 2^53 whose product exceeds bound."""
-    top = math.isqrt((_DOT_LIMIT - 1) // max(n, 1)) + 1  # candidates lie below top
-    windows = _sieved_windows(n)
+    """Descending primes p with n*(p-1)^2 < 2^53 whose product exceeds bound,
+    sieved one window at a time from the largest candidate down."""
+    hi = math.isqrt((_DOT_LIMIT - 1) // max(n, 1)) + 1  # candidates lie below hi
     primes: list[int] = []
     product = 1
-    k = 0
     while product <= bound:
-        hi = top - k * _SIEVE_WINDOW
         if hi <= 2:
             raise AssertionError("prime basis exhausted; matrix too large")
-        if k == len(windows):
-            windows.append(_primes_between(max(2, hi - _SIEVE_WINDOW), hi)[::-1].tolist())
-        for p in windows[k]:
+        for p in _primes_between(max(2, hi - _SIEVE_WINDOW), hi)[::-1].tolist():
             primes.append(p)
             product *= p
             if product > bound:
                 break
-        k += 1
+        hi -= _SIEVE_WINDOW
     return primes, product
 
 
@@ -276,12 +259,8 @@ def _residue_stack(entries: np.ndarray, primes: Sequence[int]) -> np.ndarray:
     """Matrix reduced modulo each prime, stacked along axis 0 as int64.
 
     entries is an int64 array, or an object array of Python integers when
-    some entry is too large for int64 arithmetic.  When every entry already
-    lies in 0..min(primes)-1, as the 0, 1 and 2 of strong power graph
-    matrices do, it is its own residue and is copied into each layer.
+    some entry is too large for int64 arithmetic.
     """
-    if entries.dtype == np.int64 and entries.min() >= 0 and entries.max() < min(primes):
-        return np.broadcast_to(entries, (len(primes),) + entries.shape).copy()
     pcol = np.array(primes, dtype=entries.dtype).reshape(-1, 1, 1)
     return (entries[None] % pcol).astype(np.int64, copy=False)
 
@@ -398,15 +377,6 @@ def _distinct_blocks(h: np.ndarray, cuts: Sequence[int]) -> list[list]:
     return list(blocks.values())
 
 
-def _product_of_powers(factors: Iterable[tuple[np.ndarray, int]], pcol: np.ndarray) -> np.ndarray:
-    """The product of a[j] ** k mod pcol[j] over the (a, k) pairs of factors."""
-    result = None
-    for a, k in factors:
-        power = _poly_pow_mod(a, k, pcol)
-        result = power if result is None else _poly_mul_mod(result, power, pcol)
-    return result
-
-
 def _block_charpoly(h: np.ndarray, pcol: np.ndarray) -> np.ndarray:
     """Coefficients of det(xI - h[k]) mod pcol[k] for upper Hessenberg h[k],
     as a (P, n+1) array with ascending degree along axis 1.
@@ -421,8 +391,11 @@ def _block_charpoly(h: np.ndarray, pcol: np.ndarray) -> np.ndarray:
     n = h.shape[1]
     sub = np.diagonal(h, offset=-1, axis1=1, axis2=2)
     cuts = [0, *(np.flatnonzero(~sub.any(axis=0)) + 1).tolist(), n]
-    blocks = _distinct_blocks(h, cuts)
-    return _product_of_powers(((_hessenberg_charpoly(b, pcol), k) for b, k in blocks), pcol)
+    result = None
+    for block, count in _distinct_blocks(h, cuts):
+        power = _poly_pow_mod(_hessenberg_charpoly(block, pcol), count, pcol)
+        result = power if result is None else _poly_mul_mod(result, power, pcol)
+    return result
 
 
 def _integer_hessenberg(h: np.ndarray) -> int:
@@ -460,26 +433,98 @@ def _integer_hessenberg(h: np.ndarray) -> int:
     return n - 1
 
 
-def _integer_blocks(entries: np.ndarray) -> list[list]:
-    """[block, multiplicity] for each distinct diagonal block that
-    _integer_hessenberg leaves of the int64 matrix entries.  The blocks are
-    copied out, so that the reduced n x n matrix is freed, unless it is
-    one block."""
-    h = entries.copy()
-    done = _integer_hessenberg(h)
-    zeros = np.flatnonzero(np.diagonal(h, offset=-1)[:done] == 0) + 1
-    if not len(zeros):
-        return [[h, 1]]
-    blocks = _distinct_blocks(h, [0, *zeros.tolist(), len(h)])
-    return [[block.copy(), count] for block, count in blocks]
+def _exact_hessenberg_charpoly(h: list[list[int]]) -> list[int]:
+    """Coefficients of det(xI - h), ascending, for an upper Hessenberg h of
+    Python integers: the recurrence of _hessenberg_charpoly with no
+    modulus.  It multiplies and subtracts only, so it is exact over Z."""
+    n = len(h)
+    q = [[1]]  # q[m]: the charpoly of the leading m x m block
+    t: list[int] = []
+    for m in range(1, n + 1):
+        prev = q[m - 1]
+        diag = h[m - 1][m - 1]
+        qm = [0, *prev]
+        for d, c in enumerate(prev):
+            qm[d] -= diag * c
+        if m >= 2:
+            sub = h[m - 1][m - 2]
+            t = [v * sub for v in t] + [sub]
+            for i in range(m - 1):
+                w = h[i][m - 1] * t[i]
+                if w:
+                    for d, c in enumerate(q[i]):
+                        qm[d] -= w * c
+        q.append(qm)
+    return q[n]
+
+
+def _poly_pow(a: Sequence[int], k: int) -> list[int]:
+    """a(x)^k for k >= 1 over Python integers, ascending, by J. C. P.
+    Miller's recurrence (Knuth, TAOCP Vol. 2, Sec. 4.7).
+
+    With x^v factored out so that a_0 != 0, and s the degree of what is
+    left, g = a^k has g_0 = a_0^k and, for m >= 1,
+    m a_0 g_m = sum_{j=1..min(m,s)} ((k+1) j - m) a_j g_{m-j},
+    which follows from a g' = k a' g.  Each division is exact, and asserted.
+    That is at most s multiply-adds per coefficient of g, where
+    square-and-multiply by convolutions takes O(k * s) per coefficient.
+    """
+    v = next(i for i, c in enumerate(a) if c)
+    a = a[v:]
+    s = len(a) - 1
+    a0 = a[0]
+    g = [a0**k]
+    for m in range(1, k * s + 1):
+        total = sum(((k + 1) * j - m) * a[j] * g[m - j] for j in range(1, min(m, s) + 1))
+        quotient, remainder = divmod(total, m * a0)
+        assert not remainder, "inexact division in the power recurrence"
+        g.append(quotient)
+    return [0] * (v * k) + g
+
+
+def _hadamard_bound(entries: np.ndarray) -> int:
+    """2 * prod_i (1 + ceil(r_i)) for the Euclidean norms r_i of the rows of
+    the int64 or object array entries (see charpoly)."""
+    wide = entries
+    if entries.dtype == np.int64 and len(entries) * int(np.abs(entries).max()) ** 2 >= 1 << 63:
+        wide = entries.astype(object)
+    bound = 2
+    for s in (wide * wide).sum(axis=1).tolist():
+        bound *= 1 + (math.isqrt(s - 1) + 1 if s else 0)
+    return bound
+
+
+def _modular_charpoly(entries: np.ndarray, bound: int) -> list[int]:
+    """Coefficients of det(xI - M), ascending, for the int64 or object
+    array M = entries, by the Hessenberg method modulo each prime of a
+    basis whose product exceeds bound, then Garner's CRT into the
+    symmetric range.  bound must be at least twice every |coefficient|,
+    as _hadamard_bound of M, or of any matrix with M's charpoly, is.
+
+    The primes run in stacks of at most 2^22 residues of M (one prime per
+    stack once n > 1448), and each stack's n + 1 coefficients are copied
+    out before the next, so memory is O(n^2 + P * n) whatever the basis
+    size P.
+    """
+    n = len(entries)
+    primes, modulus = _prime_basis(n, bound)
+    step = max(1, _STACK_LIMIT // (n * n))  # primes per stack
+    residues = np.empty((len(primes), n + 1), dtype=np.int64)
+    for lo in range(0, len(primes), step):
+        chunk = primes[lo : lo + step]
+        pcol = np.array(chunk, dtype=np.int64).reshape(-1, 1)
+        stack = _residue_stack(entries, chunk)
+        _hessenberg(stack, pcol)
+        residues[lo : lo + step] = _block_charpoly(stack, pcol)
+    return _crt_signed(residues, primes, modulus)
 
 
 def charpoly(matrix: IntMatrix) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - M), monic of degree n.
 
     Hessenberg method (Cohen, *A Course in Computational Algebraic Number
-    Theory*, Alg. 2.2.9), first over the integers, then modulo each prime
-    of a basis for what is left.
+    Theory*, Alg. 2.2.9), first over the integers, then, for whatever the
+    integers could not reduce, modulo each prime of a basis.
 
     Integer stage.  When every |M[i, j]| < 2^62/n, an int64 copy of M is
     reduced column by column to upper Hessenberg form over Z, as long as
@@ -488,74 +533,79 @@ def charpoly(matrix: IntMatrix) -> IntPolynomial:
     integer similarity with an integer inverse, so the reduced matrix H has
     the charpoly of M, exactly.  Wherever a subdiagonal entry among the
     reduced columns is zero, H is block upper triangular, and its charpoly
-    is the product of those of its diagonal blocks; the columns from the
-    last such cut onward stay one trailing block.  A strong power graph's
-    matrix, in the element order the builders use, reduces completely, to
-    one 3 x 3 block and n - 3 equal 1 x 1 blocks: its minimal polynomial
-    has degree at most 4, and the pivots of its two working columns are
-    +-1 and the common value of the column.  A matrix of Python integers,
-    or one whose first column has no dividing pivot, is one block: the
-    whole of M.
+    is the product of those of its diagonal blocks.
 
-    Modular stage.  Each distinct block, the same order and the same
-    entries, is reduced modulo every basis prime to Hessenberg form, split
-    again wherever a subdiagonal entry is zero for every prime, and folded
-    (see _block_charpoly); its charpoly is raised to the block's
-    multiplicity by square-and-multiply, and the powers are multiplied by
-    batched convolutions mod p.  The primes run in stacks of at most 2^22
-    residues of the largest distinct block b (one prime per stack once
-    b > 1448), and each stack's n + 1 coefficients are copied out before
-    the next, so memory is O(n^2 + P * n) whatever the basis size P.
+    Exact fold.  Every block that lies wholly inside the reduced columns is
+    upper Hessenberg over Z; when the stage reduces every column, so is the
+    last one.  Each distinct block, the same order and the same entries,
+    runs the Hessenberg recurrence once in Python integers.  The
+    recurrence only multiplies and subtracts, so no division and no
+    modulus arise.  Its charpoly is raised to the block's multiplicity by
+    J. C. P. Miller's recurrence (see _poly_pow), whose divisions are
+    asserted exact, and the powers are multiplied with poly_mul.  A strong
+    power graph's matrix of Z_n, in the element order the builders use,
+    reduces completely, to one 3 x 3 block and n - 3 equal 1 x 1 blocks:
+    its minimal polynomial has degree at most 4, and the pivots of its two
+    working columns are +-1 and the common value of the column.  So its
+    charpoly never reaches the primes.
 
-    The coefficient c_k of x^(n-k) is (-1)^k times the sum of the C(n, k)
-    principal k x k minors.  By Hadamard's inequality the minor on rows S is
-    at most the product of the Euclidean norms r_i of rows i in S, so
-    |c_k| <= e_k(r_1, ..., r_n) <= prod_i (1 + r_i).  With each r_i rounded
+    Modular stage.  Only the trailing block, from the last cut onward,
+    when the integer stage stopped before the end, goes to the primes
+    (see _modular_charpoly); so does all of M when it is a matrix of
+    Python integers or has entries of 2^62/n or more.  That block B is
+    reduced modulo every basis prime to Hessenberg form, split again
+    wherever a subdiagonal entry is zero for every prime, and folded (see
+    _block_charpoly).  Every basis prime satisfies b * (p-1)^2 < 2^53 for
+    B's order b, so each int64 product of two residues, and each batched
+    dot product of at most b + 1 of them, stays far below 2^63 and is
+    exact.
+
+    The basis is sized by B's own entries.  B is an integer matrix and
+    the CRT recovers B's own charpoly, so Hadamard's bound on B holds,
+    however large B's entries grew in the integer stage.  When B is the
+    whole reduced matrix, which has M's charpoly, the bound on M holds as
+    well, and the smaller of the two is taken: the integer steps can grow
+    the rows far beyond M's.  The coefficient c_k of x^(b-k) is (-1)^k
+    times the sum of the C(b, k) principal k x k minors.  By Hadamard's
+    inequality the minor on rows S is at most the product of the Euclidean
+    norms r_i of rows i in S, so |c_k| <= e_k(r_1, ..., r_b) <=
+    prod_i (1 + r_i).  With each r_i rounded
     up to an integer, computed exactly as isqrt(s_i - 1) + 1 from the
-    integer s_i = sum_j M[i, j]^2, a basis whose product exceeds
+    integer s_i = sum_j B[i, j]^2, a basis whose product exceeds
     2 * prod_i (1 + ceil(r_i)) recovers every coefficient exactly by CRT in
-    the symmetric range.  The bound is taken on M itself: the charpoly it
-    bounds is the same for H, however large H's entries grew.  The s_i are
-    summed in int64 when n * max|M[i, j]|^2 < 2^63, and in Python integers
-    otherwise.
+    the symmetric range (see _hadamard_bound).  The s_i are summed in int64
+    when b * max|B[i, j]|^2 < 2^63, and in Python integers otherwise.
 
-    Every basis prime satisfies n * (p-1)^2 < 2^53, so each int64 product of
-    two residues, and each batched dot product of at most n + 1 of them,
-    stays far below 2^63 and is exact.  Each pivot inverse is asserted, and
-    so are the leading coefficient 1 and the x^(n-1) coefficient -tr(M).
+    Each pivot inverse is asserted, and so are the leading coefficient 1
+    and the x^(n-1) coefficient -tr(M).
     """
     n = matrix.n
     entries = matrix.entries
-    small = (1 << 62) // n  # below this, a sum of n entries (the trace) fits int64
-    fits = entries.dtype == np.int64 and -small < entries.min() and entries.max() < small
-    if not fits:
-        entries = entries.astype(object, copy=False)  # exact Python integers
-    wide = entries
-    if fits and n * int(np.abs(entries).max()) ** 2 >= 1 << 63:
-        wide = entries.astype(object)
-    squares = (wide * wide).sum(axis=1).tolist()
-    bound = 2
-    for s in squares:
-        bound *= 1 + (math.isqrt(s - 1) + 1 if s else 0)
-    primes, modulus = _prime_basis(n, bound)
-
-    blocks = _integer_blocks(entries) if fits else [[entries, 1]]
-    largest = max(len(block) for block, _ in blocks)
-    step = max(1, _STACK_LIMIT // (largest * largest))  # primes per stack
-    residues = np.empty((len(primes), n + 1), dtype=np.int64)
-    for lo in range(0, len(primes), step):
-        chunk = primes[lo : lo + step]
-        pcol = np.array(chunk, dtype=np.int64).reshape(-1, 1)
-        factors = []
-        for block, count in blocks:
-            stack = _residue_stack(block, chunk)
-            _hessenberg(stack, pcol)
-            factors.append((_block_charpoly(stack, pcol), count))
-        residues[lo : lo + step] = _product_of_powers(factors, pcol)
-    coeffs = _crt_signed(residues, primes, modulus)
-    assert coeffs[n] == 1, "charpoly is not monic"
-    assert coeffs[n - 1] == -int(entries.trace()), "x^(n-1) coefficient is not -tr(M)"
-    return IntPolynomial(coeffs)
+    small = (1 << 62) // n  # the integer stage's int64 limit (see _integer_hessenberg)
+    poly = IntPolynomial([1])
+    if entries.dtype == np.int64 and -small < entries.min() and entries.max() < small:
+        h = entries.copy()
+        done = _integer_hessenberg(h)
+        cuts = [0, *(np.flatnonzero(np.diagonal(h, offset=-1)[:done] == 0) + 1).tolist()]
+        if done == n - 1:
+            cuts.append(n)  # every column is reduced: the last block is Hessenberg too
+        for block, count in _distinct_blocks(h, cuts):
+            power = _poly_pow(_exact_hessenberg_charpoly(block.tolist()), count)
+            poly = poly_mul(poly, IntPolynomial(power))
+        rest = h[cuts[-1] :, cuts[-1] :]
+        if len(rest):
+            bound = _hadamard_bound(rest)
+            if cuts[-1] == 0:  # rest is all of h, which has M's charpoly
+                bound = min(bound, _hadamard_bound(entries))
+    else:
+        rest = entries.astype(object, copy=False)  # exact Python integers
+        bound = _hadamard_bound(rest)
+    if len(rest):
+        poly = poly_mul(poly, IntPolynomial(_modular_charpoly(rest, bound)))
+    trace = sum(np.diagonal(entries).tolist())  # Python integers: no int64 wraparound
+    assert poly.degree == n and poly.coeffs[n] == 1, "charpoly is not monic"
+    assert poly.coefficient(n - 1) == -trace, "x^(n-1) coefficient is not -tr(M)"
+    return poly
 
 
 # --- closed-form polynomials ---------------------------------------------------

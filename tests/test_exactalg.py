@@ -25,7 +25,7 @@ from spg.exactalg import (
     prime_adjacency_charpoly,
 )
 from spg import exactalg
-from spg.exactalg import _prime_basis, _primes_between
+from spg.exactalg import _hadamard_bound, _modular_charpoly, _prime_basis, _primes_between
 from spg.graphs import adjacency_matrix, distance_matrix, strong_power_graph
 
 from conftest import bareiss_det, identity_matrix, permuted, poly_eval
@@ -126,15 +126,18 @@ def test_charpoly_meets_the_hadamard_bound_with_equality(k):
     for _ in range(4):
         h = [row + row for row in h] + [row + [-v for v in row] for row in h]
     m = IntMatrix([[k * v for v in row] for row in h])
-    poly = charpoly(m)
-    assert abs(poly.coefficient(0)) == (4 * k) ** 16
-    assert poly.coefficient(0) == bareiss_det(m)  # n = 16 is even
     rows = m.entries.tolist()
-    for x in (-2, 1, 5):
-        shifted = IntMatrix(
-            [[x * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(rows)]
-        )
-        assert poly_eval(poly, x) == bareiss_det(shifted), x
+    # the integer stage reduces it; the modular stage is run on it directly,
+    # where the bound must hold with equality
+    modular = _modular_charpoly(m.entries, _hadamard_bound(m.entries))
+    for poly in (charpoly(m), IntPolynomial(modular)):
+        assert abs(poly.coefficient(0)) == (4 * k) ** 16
+        assert poly.coefficient(0) == bareiss_det(m)  # n = 16 is even
+        for x in (-2, 1, 5):
+            shifted = IntMatrix(
+                [[x * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+            )
+            assert poly_eval(poly, x) == bareiss_det(shifted), x
 
 
 def test_bareiss_det_examples():
@@ -179,11 +182,12 @@ def test_primes_between_small_windows():
         assert _primes_between(lo, hi).tolist() == expected, (lo, hi)
 
 
-def _assert_charpoly_by_determinants(rows):
-    """charpoly(M) is monic of degree n and agrees with det(xI - M), taken by
-    Bareiss, at the n + 1 points 0..n, which determine it."""
+def _assert_charpoly_by_determinants(rows, fold=charpoly):
+    """fold(M), charpoly(M) by default, is monic of degree n and agrees with
+    det(xI - M), taken by Bareiss, at the n + 1 points 0..n, which determine
+    it."""
     m = IntMatrix(rows)
-    poly = charpoly(m)
+    poly = fold(m)
     assert poly.degree == m.n and poly.is_monic()
     rows = m.entries.tolist()  # Python integers: no int64 wraparound below
     for x0 in range(m.n + 1):
@@ -194,6 +198,12 @@ def _assert_charpoly_by_determinants(rows):
             ]
         )
         assert poly_eval(poly, x0) == bareiss_det(shifted), (rows, x0)
+
+
+def _modular(matrix):
+    """The modular stage alone, run on all of the matrix, whatever the
+    integer stage would have reduced."""
+    return IntPolynomial(_modular_charpoly(matrix.entries, _hadamard_bound(matrix.entries)))
 
 
 def _square(n, entries):
@@ -238,6 +248,7 @@ def _pivot_hostile_square(n):
 @given(st.integers(2, 6).flatmap(_pivot_hostile_square))
 def test_charpoly_pivots_differ_between_primes(rows):
     _assert_charpoly_by_determinants(rows)
+    _assert_charpoly_by_determinants(rows, _modular)
 
 
 def test_charpoly_pivot_differs_for_largest_prime():
@@ -245,6 +256,7 @@ def test_charpoly_pivot_differs_for_largest_prime():
     top = _prime_basis(3, 1)[0][0]
     rows = [[1, 2, 0], [top, 0, 1], [1, 1, 3]]
     _assert_charpoly_by_determinants(rows)
+    _assert_charpoly_by_determinants(rows, _modular)
 
 
 def test_charpoly_does_not_split_where_only_some_primes_vanish():
@@ -254,6 +266,7 @@ def test_charpoly_does_not_split_where_only_some_primes_vanish():
     top = _prime_basis(3, 1)[0][0]
     rows = [[1, 2, 5], [top, 3, 1], [0, 2 * top, 4]]
     _assert_charpoly_by_determinants(rows)
+    _assert_charpoly_by_determinants(rows, _modular)
 
 
 def _diagonal_blocks():
@@ -279,61 +292,89 @@ def test_charpoly_folds_block_upper_triangular_matrices(blocks, rng):
             rows[at + i][at : at + k] = block[i]
             rows[at + i][at + k :] = [rng.randint(-3, 3) for _ in range(n - at - k)]
         at += k
-    _assert_charpoly_by_determinants(rows)
-    # conjugated by a permutation, the Hessenberg step has to find the blocks
+    # conjugated by a permutation, the Hessenberg step has to find the blocks;
+    # the modular stage must find them modulo every prime on its own
     order = list(range(n))
     rng.shuffle(order)
-    _assert_charpoly_by_determinants(permuted(IntMatrix(rows), order).entries.tolist())
+    for square in (rows, permuted(IntMatrix(rows), order).entries.tolist()):
+        _assert_charpoly_by_determinants(square)
+        _assert_charpoly_by_determinants(square, _modular)
+
+
+def _cyclic_matrices(n):
+    graph = strong_power_graph(CyclicGroup(n))
+    return (
+        (adjacency_matrix(graph), adjacency_charpoly_formula),
+        (distance_matrix(graph), distance_charpoly_formula),
+    )
 
 
 def test_sweep_matrices_run_the_recurrence_once_per_distinct_block(monkeypatch):
     # every Hessenberg form below is one 3 x 3 block and n - 3 equal 1 x 1
-    # blocks, so the recurrence runs twice, whatever n is
+    # blocks, so the exact recurrence runs twice, whatever n is
     sizes = []
-    recurrence = exactalg._hessenberg_charpoly
+    recurrence = exactalg._exact_hessenberg_charpoly
 
-    def spy(h, pcol):
-        sizes.append(h.shape[1])
-        return recurrence(h, pcol)
+    def spy(h):
+        sizes.append(len(h))
+        return recurrence(h)
 
-    monkeypatch.setattr(exactalg, "_hessenberg_charpoly", spy)
+    monkeypatch.setattr(exactalg, "_exact_hessenberg_charpoly", spy)
     for n in (12, 60, 110):
-        graph = strong_power_graph(CyclicGroup(n))
-        for matrix, formula in (
-            (adjacency_matrix(graph), adjacency_charpoly_formula),
-            (distance_matrix(graph), distance_charpoly_formula),
-        ):
+        for matrix, formula in _cyclic_matrices(n):
             sizes.clear()
             assert charpoly(matrix) == formula(n), n
             assert sorted(sizes) == [1, 3], (n, sizes)
 
 
-def test_sweep_matrices_never_build_a_stack_larger_than_3x3(monkeypatch):
+def test_sweep_matrices_never_reach_the_primes(monkeypatch):
     # in the builders' element order, the integer stage reduces every Z_n
-    # matrix completely: the primes see only its 1 x 1 and 3 x 3 diagonal
-    # blocks, whatever n is
-    shapes = []
-    stack = exactalg._residue_stack
+    # matrix completely, and its blocks are folded over Z: no prime basis is
+    # sought and no residue stack is built, whatever n is
+    calls = []
+    basis, stack = exactalg._prime_basis, exactalg._residue_stack
 
-    def spy(entries, primes):
-        shapes.append(entries.shape)
+    def basis_spy(n, bound):
+        calls.append("basis")
+        return basis(n, bound)
+
+    def stack_spy(entries, primes):
+        calls.append("stack")
         return stack(entries, primes)
 
-    monkeypatch.setattr(exactalg, "_residue_stack", spy)
+    monkeypatch.setattr(exactalg, "_prime_basis", basis_spy)
+    monkeypatch.setattr(exactalg, "_residue_stack", stack_spy)
     for n in (12, 60, 110, 1024):
-        graph = strong_power_graph(CyclicGroup(n))
-        for matrix, formula in (
-            (adjacency_matrix(graph), adjacency_charpoly_formula),
-            (distance_matrix(graph), distance_charpoly_formula),
-        ):
-            shapes.clear()
+        for matrix, formula in _cyclic_matrices(n):
             assert charpoly(matrix) == formula(n), n
-            assert shapes and max(shapes) <= (3, 3), (n, shapes)
+            assert calls == [], (n, calls)
+    # the spies see the calls of a matrix that does reach the primes
+    _assert_charpoly_by_determinants([[1, 2, 3], [2, 5, 7], [3, 1, 4]])
+    assert calls == ["basis", "stack"], calls
+
+
+@pytest.mark.parametrize("n", [12, 60, 120])
+def test_charpolys_of_shuffled_cyclic_matrices_match_the_closed_forms(n):
+    # some shuffles move vertex 0 so that the distance matrix's column 1 has
+    # no dividing pivot: the integer stage stops there, and the trailing
+    # block goes to the primes with a basis from its own Hadamard bound
+    stopped = 0
+    for seed in range(20):
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        for matrix, formula in _cyclic_matrices(n):
+            shuffled = permuted(matrix, order)
+            stopped += exactalg._integer_hessenberg(shuffled.entries.copy()) < n - 1
+            assert charpoly(shuffled) == formula(n), (n, seed)
+    assert stopped, n
 
 
 def _distance_z120():
+    # this shuffle stops the integer stage at column 1 (see
+    # test_charpoly_is_the_same_for_every_stack_size), so the primes reduce
+    # the whole matrix as one 120 x 120 block
     order = list(range(120))
-    random.Random(120).shuffle(order)
+    random.Random(1).shuffle(order)
     return permuted(distance_matrix(strong_power_graph(CyclicGroup(120))), order)
 
 
@@ -356,36 +397,31 @@ def test_charpoly_is_the_same_for_every_stack_size(monkeypatch):
         reduce(h, pcol)
 
     monkeypatch.setattr(exactalg, "_hessenberg", spy)
-    # permuted, so the integer stage has work to do; it leaves two distinct
-    # blocks, each reduced in every stack, and the largest sizes the stacks
-    matrix = _distance_z120()
-    expected = distance_charpoly_formula(120)
-    assert charpoly(matrix) == expected
-    (basis,) = {p for p, _ in stacks}  # the default limit holds the whole basis
-    assert len(stacks) == 2 and basis > 10
-    largest = max(k for _, k in stacks)
-    for per_stack in range(1, basis + 1):
-        monkeypatch.setattr(exactalg, "_STACK_LIMIT", per_stack * largest * largest)
-        stacks.clear()
-        assert charpoly(matrix) == expected, per_stack
-        full, rest = divmod(basis, per_stack)
-        sizes = [per_stack] * full + ([rest] if rest else [])
-        assert [p for p, _ in stacks] == [p for p in sizes for _ in range(2)], per_stack
-    # no integer step: the whole matrix is the one block of every stack
-    n = 24
-    rows = _coprime_first_column(random.Random(24), n, 999)
-    monkeypatch.setattr(exactalg, "_STACK_LIMIT", 1 << 22)
+    # the shuffled Z_120 takes one integer step and stops at column 1; the
+    # coprime first column takes none.  Either way the trailing block is the
+    # whole matrix, the one block of every stack
+    z120 = _distance_z120()
+    assert exactalg._integer_hessenberg(z120.entries.copy()) == 1
+    rows = _coprime_first_column(random.Random(24), 24, 999)
+    assert exactalg._integer_hessenberg(np.array(rows, dtype=np.int64)) == 0
     _assert_charpoly_by_determinants(rows)
-    stacks.clear()
-    expected = charpoly(IntMatrix(rows))
-    ((basis, order),) = stacks
-    assert order == n and basis > 10
-    for per_stack in range(1, basis + 1):
-        monkeypatch.setattr(exactalg, "_STACK_LIMIT", per_stack * n * n)
+    coprime = IntMatrix(rows)
+    for matrix, expected, least in (
+        (z120, distance_charpoly_formula(120), 5),
+        (coprime, charpoly(coprime), 10),
+    ):
+        n = matrix.n
+        monkeypatch.setattr(exactalg, "_STACK_LIMIT", 1 << 22)
         stacks.clear()
-        assert charpoly(IntMatrix(rows)) == expected, per_stack
-        full, rest = divmod(basis, per_stack)
-        assert stacks == [(per_stack, n)] * full + ([(rest, n)] if rest else []), per_stack
+        assert charpoly(matrix) == expected
+        ((basis, order),) = stacks  # the default limit holds the whole basis
+        assert order == n and basis > least, (n, basis)
+        for per_stack in range(1, basis + 1):
+            monkeypatch.setattr(exactalg, "_STACK_LIMIT", per_stack * n * n)
+            stacks.clear()
+            assert charpoly(matrix) == expected, per_stack
+            full, rest = divmod(basis, per_stack)
+            assert stacks == [(per_stack, n)] * full + ([(rest, n)] if rest else []), per_stack
 
 
 def _conjugate(rows, i, j, c):
@@ -475,10 +511,47 @@ def test_integer_steps_stop_where_int64_would_overflow():
         _assert_charpoly_by_determinants(rows)
 
 
+def test_basis_of_a_whole_grown_block_is_sized_by_the_input(monkeypatch):
+    # a dense -9..9 matrix with +-1 below the diagonal of column 0 takes
+    # integer steps that grow its rows, then stops with no zero subdiagonal
+    # entry: all of the reduced h goes to the primes, and M's rows, not h's,
+    # size the basis
+    rng = random.Random(0)
+    n = 24
+    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    for i in range(1, n):
+        rows[i][0] = rng.choice([-1, 1])
+    m = np.array(rows, dtype=np.int64)
+    h = m.copy()
+    done = exactalg._integer_hessenberg(h)
+    assert 0 < done < n - 1 and np.diagonal(h, offset=-1)[:done].all()
+    grown, own = (len(_prime_basis(n, _hadamard_bound(a))[0]) for a in (h, m))
+    assert grown > 2 * own, (grown, own)
+    bounds = []
+    basis = exactalg._prime_basis
+
+    def spy(order, bound):
+        bounds.append((order, bound))
+        return basis(order, bound)
+
+    monkeypatch.setattr(exactalg, "_prime_basis", spy)
+    _assert_charpoly_by_determinants(rows)
+    assert bounds == [(n, _hadamard_bound(m))], bounds
+
+
 def test_charpoly_memory_is_flat_in_the_basis_size(monkeypatch):
     # one prime per stack: the peak is a few n x n arrays whatever the basis
-    # size P; one (P, n, n) stack of this 19-prime basis alone is 2.2 MB
+    # size P; a full stack of 8 primes alone would take the whole bound below
     matrix = _distance_z120()
+    assert exactalg._integer_hessenberg(matrix.entries.copy()) == 1
+    stacks = []
+    stack = exactalg._residue_stack
+
+    def spy(entries, primes):
+        stacks.append((len(primes), entries.shape))
+        return stack(entries, primes)
+
+    monkeypatch.setattr(exactalg, "_residue_stack", spy)
     monkeypatch.setattr(exactalg, "_STACK_LIMIT", 1)
     tracemalloc.start()
     try:
@@ -487,12 +560,14 @@ def test_charpoly_memory_is_flat_in_the_basis_size(monkeypatch):
     finally:
         tracemalloc.stop()
     assert poly == distance_charpoly_formula(120)
+    # the stacks ran, one prime at a time, on the whole matrix
+    assert len(stacks) > 5 and set(stacks) == {(1, (120, 120))}, stacks
     assert peak < 8 * 120 * 120 * 8, peak
 
 
 def test_charpoly_of_matrices_whose_entries_are_not_residues(monkeypatch):
-    # the stack copies a matrix whose entries all lie in 0..p_min-1 and
-    # reduces any other; either way each layer must be the matrix mod p
+    # each layer of the stack must be the matrix mod p, whatever the sign
+    # and size of its entries
     seen = []
     stack = exactalg._residue_stack
 
@@ -511,7 +586,6 @@ def test_charpoly_of_matrices_whose_entries_are_not_residues(monkeypatch):
             cases.append([[rng.randint(-(2**bits), 2**bits) for _ in range(n)] for _ in range(n)])
     for rows in cases:
         _assert_charpoly_by_determinants(rows)
-    assert any(0 <= lo and hi < p for lo, hi, p in seen)  # copied
     assert any(lo < 0 for lo, hi, p in seen)  # reduced: negative entries
     assert any(hi >= p for lo, hi, p in seen)  # reduced: entries past the smallest prime
 
@@ -523,6 +597,8 @@ _ENTRY = st.integers(-(2**66), 2**66)
 @given(_ENTRY, _ENTRY, _ENTRY, _ENTRY)
 @example(2**63 + 1, -1, 3, 2**63 + 7)  # np.array would infer float64 here
 @example(-(2**63), 5, 1, 2**62)
+@example(2**62, 0, 0, 2**62)  # the trace, 2^63, would wrap in int64
+@example(2**63 - 1, 0, 0, 1)
 def test_charpoly_orders_one_and_two(a, b, c, d):
     assert charpoly(IntMatrix([[a]])) == IntPolynomial([-a, 1])
     expected = IntPolynomial([a * d - b * c, -(a + d), 1])
@@ -567,6 +643,33 @@ def test_poly_mul_and_eval():
     assert poly_eval(IntPolynomial([-7, -11, -1, 1]), -1) == 2
     assert poly_eval(IntPolynomial([-7, -11, -1, 1]), Fraction(1, 2)) == Fraction(-101, 8)
     assert poly_eval(IntPolynomial([]), 3) == 0
+
+
+_COEFF = st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def _polynomials_and_exponents(draw):
+    # degree 1..4, a_0 = 0 or not, small inner coefficients so that some are 0
+    degree = draw(st.integers(1, 4))
+    coeff = st.one_of(st.integers(-2, 2), _COEFF)
+    inner = draw(st.lists(coeff, min_size=degree - 1, max_size=degree - 1))
+    a0 = draw(st.one_of(st.just(0), _COEFF.filter(bool)))
+    lead = draw(_COEFF.filter(bool))
+    return [a0, *inner, lead], draw(st.integers(1, 40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polynomials_and_exponents())
+@example(([1, 1], 40))
+@example(([0, 0, 0, -3], 7))  # a monomial: x^3 is factored out whole
+@example(([0, 0, 5, 0, 2**70], 40))
+def test_power_recurrence_matches_repeated_products(case):
+    a, k = case
+    expected = IntPolynomial([1])
+    for _ in range(k):
+        expected = poly_mul(expected, IntPolynomial(a))
+    assert IntPolynomial(exactalg._poly_pow(a, k)) == expected
 
 
 def test_binom_power():
