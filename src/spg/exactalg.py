@@ -409,14 +409,22 @@ def _integer_hessenberg(h: np.ndarray) -> int:
     step a similarity over Z; and only when the step keeps every entry
     below 2^62/n, checked before it from B = max|h| and q = max|u|: the
     rows grow to at most B(1+q), then column m+1 to B(1+q)(1+nq).  The
-    reduction stops at the first column where either fails.
+    reduction stops at the first column where either fails.  When the next
+    column is already in Hessenberg form, one scan of the entries below the
+    subdiagonal finds the first later column that is not.  A step rewrites
+    the columns from m on, so each scan starts after the last step.
     """
     n = len(h)
     small = (1 << 62) // n
-    for m in range(n - 2):
+    m = 0
+    while m < n - 2:
+        if not h[m + 2 :, m].any():
+            # entry (i, j) of the slice is h[m+2+i, m+j], below the subdiagonal iff i >= j
+            pending = np.flatnonzero(np.tril(h[m + 2 :, m:]).any(axis=0))
+            if not pending.size:
+                break
+            m += int(pending[0])
         col = h[m + 1 :, m]
-        if not col[1:].any():
-            continue  # already in Hessenberg form
         mag = np.abs(col)
         k = int(np.argmin(np.where(col != 0, mag, small)))
         pivot = int(col[k])
@@ -430,6 +438,7 @@ def _integer_hessenberg(h: np.ndarray) -> int:
         u = h[m + 2 :, m] // pivot
         h[m + 2 :, m:] -= u[:, None] * h[m + 1, m:]
         h[:, m + 1] += h[:, m + 2 :] @ u
+        m += 1
     return n - 1
 
 

@@ -1,14 +1,16 @@
 """Strong power graph construction and unweighted graph machinery.
 
-A graph is a read-only n x n boolean adjacency array.  The builder walks the
-powers of every element at once through the group's broadcastable law, and
-adjacency, distances and components come from boolean matrix products: the
-power sets meet where (powers @ powers.T) > 0, and the BFS advances every
-source by one level per product.
+A graph is a read-only n x n boolean adjacency array.  The builder raises
+every element at once through the group's broadcastable law, a block of
+about sqrt(n) exponents per call, and adjacency, distances and components
+come from boolean matrix products: the power sets meet where
+(powers @ powers.T) > 0, and the BFS advances every source by one level per
+product.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -103,25 +105,55 @@ def _meets(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.astype(np.float32, copy=False) @ y.astype(np.float32, copy=False)) > 0
 
 
+def _power_sets(g: GroupSpec) -> np.ndarray:
+    """n x n float32 0/1 array whose row a marks {a^k : 1 <= k <= n-1}.
+
+    Every element is raised at once, a block of exponents per law call, and
+    each block is marked as soon as it is made.  Row j of a block holds
+    a^(s+j) for every a, as int32 indices.  With w = isqrt(n), the first w
+    rows come by doubling, a^(m+1..m+j) = a^(1..j) a^m; every later block
+    is the one before it times a^w, a^(s+1..s+w) = a^(s+1-w..s) a^w.  That
+    is about log2(w) + n/w law calls, on at most w x n indices each, using
+    the law and associativity alone.  The marking stops before the first row
+    where every a^(k+1) equals a: every power cycle has then closed, and
+    later rows would only repeat earlier ones.
+    """
+    n = g.order
+    powers = np.zeros((n, n), dtype=np.float32)
+    if n < 2:
+        return powers  # no exponent 1 <= k <= n-1
+    np.fill_diagonal(powers, 1)  # a^1 = a
+    flat, starts = powers.reshape(-1), np.arange(0, n * n, n)  # row a starts at a * n
+    width = math.isqrt(n)
+    head = np.empty((width, n), dtype=np.int32)  # rows a^1 .. a^w
+    head[0] = elems = np.arange(n, dtype=np.int32)
+    m, block = 1, head
+    while m < n - 1:
+        if m < width:
+            j = min(m, width - m)
+            head[m : m + j] = g.law(head[:j], head[m - 1])
+            new = head[m : m + j]
+        else:
+            new = block = g.law(block[: n - 1 - m], head[-1]).astype(np.int32, copy=False)
+        cycled = (new == elems).all(axis=1)
+        if cycled.any():
+            flat[new[: cycled.argmax()] + starts] = 1
+            break
+        flat[new + starts] = 1
+        m += len(new)
+    return powers
+
+
 def strong_power_graph(g: GroupSpec) -> SimpleGraph:
     """Strong power graph of g, built from the definition.
 
     Distinct x, y are adjacent iff some positive powers below |G| coincide,
     i.e. the power sets {x^k : 1 <= k <= n-1} and {y^k : 1 <= k <= n-1}
-    intersect.  Row a of `powers` marks the power set of a; all elements
-    are raised together, one application of the group law per exponent.
-    Once every a^(k+1) equals a, every power cycle has closed and the
-    remaining exponents only repeat them.
+    intersect.  Row a of `powers` marks the power set of a, made from the
+    group law in blocks of about sqrt(n) exponents (see _power_sets), and
+    the sets meet where powers @ powers.T is positive.
     """
-    n = g.order
-    elems = np.arange(n)
-    powers = np.zeros((n, n), dtype=np.float32)
-    current = elems
-    for _ in range(n - 1):
-        powers[elems, current] = 1
-        current = g.law(current, elems)
-        if np.array_equal(current, elems):
-            break
+    powers = _power_sets(g)
     adj = _meets(powers, powers.T)
     np.fill_diagonal(adj, False)
     return SimpleGraph(adj)

@@ -65,7 +65,10 @@ class GroupSpec:
         a and b are ints or integer numpy arrays of broadcastable shapes; the
         law is integer arithmetic (or a table lookup) that applies
         elementwise, so one definition serves single products and whole
-        index arrays alike.
+        index arrays alike.  The graph builder passes a 2-D int32 block of
+        indices, one row per exponent, and one int32 row that broadcasts
+        against it; a law must be exact on such blocks and return indices
+        in 0..order-1 of any integer dtype.
         """
         raise NotImplementedError
 

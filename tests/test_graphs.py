@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,91 @@ def test_builder_matches_reference_on_relabelled_cayley_tables():
         assert strong_power_graph(loaded) == expected, g
         # relabelling is an isomorphism, so the edge count is kept
         assert expected.edge_count() == strong_power_graph(g).edge_count(), g
+
+
+def _cycle_row_position(g) -> str:
+    """Where the builder's blocks of powers meet the first row k + 1 with
+    a^(k+1) = a for every a, i.e. k = the exponent of g.  The blocks are the
+    rows 1..w made by doubling, w = isqrt(n), then strides of w rows."""
+    n = g.order
+    w = math.isqrt(n)
+    row = math.lcm(*(g.element_order(a) for a in range(n))) + 1
+    if row > n - 1:
+        return "never, n - 1 a multiple of w" if (n - 1) % w == 0 else "never"
+    if row <= w:
+        return "doubling"
+    return "first row of a stride" if (row - w - 1) % w == 0 else "inside a stride"
+
+
+def test_builder_matches_reference_past_order_64():
+    rng = random.Random(20261019)
+    groups = [
+        DirectProductGroup([2] * 7),  # n = 128, w = 11, cycles at row 3
+        DirectProductGroup([11, 11]),  # n = 121, row 12
+        DihedralGroup(98),  # n = 196, w = 14, row 99 = 15 + 6 * 14
+        DihedralGroup(64),  # n = 128, row 65
+        DirectProductGroup([2, 100]),  # n = 200, row 101
+        CyclicGroup(101),  # n - 1 = 100 = 10 * 10
+        CyclicGroup(150),
+        CyclicGroup(250),
+        DihedralGroup(125),  # n = 250, exponent 250
+    ]
+    for source in (DihedralGroup(64), CyclicGroup(121)):
+        # the table's law returns int64 products from the builder's int32 blocks
+        groups.append(load_cayley_table(_relabelled_document(source.cayley_table(), rng)))
+    positions = [_cycle_row_position(g) for g in groups]
+    assert set(positions) == {
+        "doubling",
+        "first row of a stride",
+        "inside a stride",
+        "never",
+        "never, n - 1 a multiple of w",
+    }, positions
+    for g, position in zip(groups, positions):
+        expected = SimpleGraph(masks_to_rows(reference_strong_power_graph(g)))
+        assert strong_power_graph(g) == expected, (g, position)
+
+
+@pytest.mark.parametrize(
+    "kind, arg, blocks",
+    [
+        # w = 15: doubling to a^15, then a^(s+1..s+15) = a^(s-14..s) a^15 up
+        # to a^249, each exponent raised once; one call per exponent made 249
+        (CyclicGroup, 250, [1, 2, 4, 7] + [15] * 15 + [9]),
+        # n = 128, w = 11: a^65 = a for every a, inside the block of rows
+        # 56..66, where the build stops
+        (DihedralGroup, 64, [1, 2, 4, 3] + [11] * 5),
+    ],
+)
+def test_builder_raises_int32_blocks_in_about_two_sqrt_n_law_calls(kind, arg, blocks):
+    g = kind(arg)
+    n = g.order
+    law, rows = g.law, []
+
+    def spy(a, b):
+        assert a.dtype == b.dtype == np.int32 and a.ndim == 2 and b.shape == (n,)
+        rows.append(len(a))
+        return law(a, b)
+
+    g.law = spy
+    assert strong_power_graph(g) == strong_power_graph_structural(g)
+    assert rows == blocks
+    assert len(rows) <= 2 * math.ceil(math.sqrt(n)) + math.ceil(math.log2(n))
+
+
+def test_build_memory_is_the_power_sets_and_their_product():
+    g = CyclicGroup(1024)
+    tracemalloc.start()
+    try:
+        strong_power_graph(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the n x n float32 power sets, their float32 product and its boolean
+    # mask make 9 MiB; the former loop of one law call per exponent peaked at
+    # 9,454,276 bytes with numpy 2.4, and the blocks of about sqrt(n)
+    # exponents may not raise that
+    assert peak <= 9_454_276, peak
 
 
 @st.composite
