@@ -111,9 +111,10 @@ class IntPolynomial:
 
     def __init__(self, coeffs: Sequence[int]):
         coeffs = list(coeffs)
-        for c in coeffs:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValueError(f"coefficient {c!r} is not an integer")
+        if not set(map(type, coeffs)) <= {int}:  # scan only to name the offender
+            for c in coeffs:
+                if not isinstance(c, int) or isinstance(c, bool):
+                    raise ValueError(f"coefficient {c!r} is not an integer")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
@@ -410,8 +411,8 @@ def _integer_hessenberg(h: np.ndarray) -> int:
     below 2^62/n, checked before it from B = max|h| and q = max|u|: the
     rows grow to at most B(1+q), then column m+1 to B(1+q)(1+nq).  The
     reduction stops at the first column where either fails.  When the next
-    column is already in Hessenberg form, one scan of the entries below the
-    subdiagonal finds the first later column that is not.  A step rewrites
+    column is already in Hessenberg form, one scan of each row's first
+    nonzero entry finds the first later column that is not.  A step rewrites
     the columns from m on, so each scan starts after the last step.
     """
     n = len(h)
@@ -419,11 +420,16 @@ def _integer_hessenberg(h: np.ndarray) -> int:
     m = 0
     while m < n - 2:
         if not h[m + 2 :, m].any():
-            # entry (i, j) of the slice is h[m+2+i, m+j], below the subdiagonal iff i >= j
-            pending = np.flatnonzero(np.tril(h[m + 2 :, m:]).any(axis=0))
+            # entry (i, j) of the slice is h[m+2+i, m+j], below the subdiagonal
+            # iff i >= j: the next column to step is the least first nonzero
+            # column j <= i of any row i
+            nonzero = h[m + 2 :, m:] != 0
+            first = nonzero.argmax(axis=1)
+            rows = np.arange(len(first))
+            pending = first[(first <= rows) & nonzero[rows, first]]
             if not pending.size:
                 break
-            m += int(pending[0])
+            m += int(pending.min())
         col = h[m + 1 :, m]
         mag = np.abs(col)
         k = int(np.argmin(np.where(col != 0, mag, small)))
@@ -484,7 +490,9 @@ def _poly_pow(a: Sequence[int], k: int) -> list[int]:
     a0 = a[0]
     g = [a0**k]
     for m in range(1, k * s + 1):
-        total = sum(((k + 1) * j - m) * a[j] * g[m - j] for j in range(1, min(m, s) + 1))
+        total = 0
+        for j in range(1, min(m, s) + 1):
+            total += ((k + 1) * j - m) * a[j] * g[m - j]
         quotient, remainder = divmod(total, m * a0)
         assert not remainder, "inexact division in the power recurrence"
         g.append(quotient)

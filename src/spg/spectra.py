@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -117,8 +116,11 @@ def solve_cubic_trig(a2: int, a1: int, a0: int) -> tuple[tuple[float, float, flo
     nonnegative; this is decided in integers, and ComplexRoots is raised
     otherwise.  theta is computed as atan2(sqrt(4 delta^3 - N^2), N), which
     stays accurate where the arccos of a float near 1 does not (Kahan, *To
-    Solve a Real Cubic Equation*, 1986).  Each root then takes Newton steps,
-    with f / f' evaluated exactly in Fraction, until it stops moving.
+    Solve a Real Cubic Equation*, 1986).  Each root r = m / q (q a power
+    of two) then takes Newton steps until it stops moving.  Each step forms
+    q^3 f(r) and q^2 f'(r) as integers, so the next iterate
+    (m q^2 f' - q^3 f) / (q^3 f') is one int / int true division: the
+    correctly rounded float of the exact Newton step.
     Cubics with 4 delta^3 beyond the float range raise OverflowError.
     """
     delta = a2 * a2 - 3 * a1
@@ -132,11 +134,13 @@ def solve_cubic_trig(a2: int, a1: int, a0: int) -> tuple[tuple[float, float, flo
     for k in (0, 1, -1):
         r = (scale * math.cos((theta + 2.0 * math.pi * k) / 3.0) - a2) / 3.0
         for _ in range(_NEWTON_STEPS):
-            x = Fraction(r)
-            slope = (3 * x + 2 * a2) * x + a1
+            # r = m / q exactly, so value = q^3 f(r) and slope = q^2 f'(r)
+            m, q = r.as_integer_ratio()
+            slope = (3 * m + 2 * a2 * q) * m + a1 * q * q
             if slope == 0:
                 break
-            moved = float(x - (((x + a2) * x + a1) * x + a0) / slope)
+            value = ((m + a2 * q) * m + a1 * q * q) * m + a0 * q * q * q
+            moved = (m * slope - value) / (q * slope)
             if moved == r:
                 break
             r = moved
@@ -219,15 +223,20 @@ def _tridiagonal_eigenvalues(d: list[float], e: list[float], max_iterations: int
     """Eigenvalues of the symmetric tridiagonal matrix with diagonal d and
     subdiagonal e[:-1] (e[-1] is 0), by implicit-shift QL: the tql1 of
     Bowdler, Martin, Reinsch and Wilkinson (Numer. Math. 1968).  d and e are
-    overwritten.  e[m] deflates once |e[m]| <= eps (|d[m]| + |d[m+1]|).
+    overwritten.  e[m] deflates once |e[m]| <= eps * norm, where norm is
+    the largest |d[l]| + |e[l]| over the l reached so far, as in tql1.  A
+    test local to d[m] and d[m+1] alone never fires on a cluster of
+    eigenvalues at roundoff level around zero.
     """
     n = len(d)
     eps = sys.float_info.epsilon
+    norm = 0.0
     for l in range(n):
+        norm = max(norm, abs(d[l]) + abs(e[l]))
         iterations = 0
         while True:
             m = l
-            while m < n - 1 and abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
+            while m < n - 1 and abs(e[m]) > eps * norm:
                 m += 1
             if m == l:
                 break
@@ -288,8 +297,11 @@ def symmetric_eigenvalues(
     therefore the exact spectrum of A + E with
     ||E||_F <= sqrt(2n) * skip < tol * max(1, ||A||_F), plus O(n eps ||A||_F)
     rounding; by the Hoffman-Wielandt inequality each eigenvalue is within
-    that distance of A's.  QL raises NoConvergence after max_iterations
-    iterations on one eigenvalue (30, as in tql1).
+    that distance of A's.  QL's deflation drops each subdiagonal entry
+    |e| <= eps * norm <= 2 eps ||A||_F (see _tridiagonal_eigenvalues), at
+    most n - 1 of them, which lies inside the O(n eps ||A||_F) term.  QL
+    raises NoConvergence after max_iterations iterations on one eigenvalue
+    (30, as in tql1).
     """
     a = _as_array(matrix)
     if not np.isfinite(a).all():

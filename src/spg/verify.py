@@ -14,7 +14,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from .exactalg import (
@@ -84,7 +84,8 @@ class VerificationReport:
 
     def to_document(self) -> dict:
         return {
-            "records": [asdict(r) for r in self.records],
+            # every field is a scalar, so a shallow copy is what asdict returns
+            "records": [dict(vars(r)) for r in self.records],
             "summary": {
                 "range": [self.n_min, self.n_max],
                 "tol": self.tol,
@@ -119,11 +120,10 @@ def _verify_single(task: tuple[int, float]) -> VerificationRecord:
     composite = is_composite(n)
 
     adjacency = adjacency_matrix(graph)
-    adjacency_match = charpoly(adjacency) == adjacency_charpoly_formula(n)
+    adjacency_poly = charpoly(adjacency)
+    adjacency_match = adjacency_poly == adjacency_charpoly_formula(n)
     if is_prime(n):
-        adjacency_match = adjacency_match and (
-            prime_adjacency_charpoly(n) == adjacency_charpoly_formula(n)
-        )
+        adjacency_match = adjacency_match and prime_adjacency_charpoly(n) == adjacency_poly
     closed_adjacency = adjacency_spectrum_closed(group)
     numeric_adjacency = symmetric_eigenvalues(adjacency)
     cmp_adjacency = compare_spectra(closed_adjacency, numeric_adjacency)

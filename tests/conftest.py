@@ -3,6 +3,9 @@ tables, and the reference implementations spg is checked against."""
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from spg.groups import (
     NotLatinSquare,
     load_cayley_table,
 )
+from spg.spectra import _NEWTON_STEPS, ComplexRoots
 
 # quaternion units as (sign, axis) with axes 1, i, j, k; index layout
 # [1, -1, i, -i, j, -j, k, -k] before relabelling
@@ -63,6 +67,34 @@ def poly_eval(p: IntPolynomial, x):
     for c in reversed(p.coeffs):
         result = result * x + c
     return result
+
+
+def reference_solve_cubic_trig(a2: int, a1: int, a0: int):
+    """spg.spectra.solve_cubic_trig with each Newton step's f / f' evaluated
+    in Fraction; the integer Newton step there must return the same tuple,
+    or raise the same exception type."""
+    delta = a2 * a2 - 3 * a1
+    numerator = -2 * a2**3 + 9 * a2 * a1 - 27 * a0
+    disc = 4 * delta**3 - numerator**2
+    if disc < 0:
+        raise ComplexRoots(f"cubic ({a2}, {a1}, {a0}) has fewer than three real roots")
+    theta = math.atan2(math.sqrt(disc), numerator)
+    scale = 2.0 * math.sqrt(delta)
+    roots = []
+    for k in (0, 1, -1):
+        r = (scale * math.cos((theta + 2.0 * math.pi * k) / 3.0) - a2) / 3.0
+        for _ in range(_NEWTON_STEPS):
+            x = Fraction(r)
+            slope = (3 * x + 2 * a2) * x + a1
+            if slope == 0:
+                break
+            moved = float(x - (((x + a2) * x + a1) * x + a0) / slope)
+            if moved == r:
+                break
+            r = moved
+        roots.append(r)
+    roots.sort(reverse=True)
+    return (roots[0], roots[1], roots[2]), theta
 
 
 def bareiss_det(matrix: IntMatrix) -> int:

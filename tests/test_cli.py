@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and report round-tripping."""
 
+import dataclasses
 import json
 import math
 
@@ -337,6 +338,15 @@ def test_report_round_trip():
     report = verify_range(4, 8)
     document = json.loads(report.to_json())
     assert VerificationReport.from_document(document) == report
+
+
+def test_report_json_is_the_asdict_text():
+    # to_document copies each record shallowly; the text must be what
+    # dataclasses.asdict's deep copy gives
+    report = verify_range(2, 60)
+    document = report.to_document()
+    document["records"] = [dataclasses.asdict(r) for r in report.records]
+    assert report.to_json() == json.dumps(document, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])

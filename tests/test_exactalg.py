@@ -495,6 +495,29 @@ def test_charpoly_after_integer_steps(case):
     _assert_charpoly_by_determinants(rows)
 
 
+@pytest.mark.parametrize("n, j", [(5, 1), (7, 3), (9, 5)])
+def test_integer_stage_scans_to_the_first_pending_column(n, j):
+    # upper triangular with a nonzero diagonal, so every row's first nonzero
+    # entry lies above the subdiagonal, and row n - 2 is zero; only column j
+    # has entries below the subdiagonal, multiples of its subdiagonal 1.  The
+    # scan must step column j first, which leaves the columns before it alone
+    rng = random.Random(n)
+    rows = [[rng.randint(-3, 3) if c > r else 0 for c in range(n)] for r in range(n)]
+    for r in range(n):
+        rows[r][r] = rng.choice([-2, -1, 1, 2])
+    rows[j + 1][j] = 1
+    for i in range(j + 2, n):
+        rows[i][j] = rng.choice([-2, 2, 3])
+    rows[n - 2] = [0] * n
+    matrix = np.array(rows, dtype=np.int64)
+    h = matrix.copy()
+    done = exactalg._integer_hessenberg(h)
+    assert done > j
+    assert np.array_equal(h[:, :j], matrix[:, :j])
+    assert not np.tril(h, -2)[:, :done].any()
+    _assert_charpoly_by_determinants(rows)
+
+
 def test_integer_steps_stop_where_int64_would_overflow():
     # B = max|h| and q = 1 at column 0: the step is taken exactly when
     # B * 2 * (1 + 4) < 2^62 / 4, and then the grown entries stop column 1

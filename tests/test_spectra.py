@@ -35,7 +35,7 @@ from spg.spectra import (
     symmetric_eigenvalues,
 )
 
-from conftest import complete_graph, identity_matrix, poly_eval
+from conftest import complete_graph, identity_matrix, poly_eval, reference_solve_cubic_trig
 
 # frozen oracle values for the n = 4 worked instance (bisection + Newton on
 # the cubics, arccos for the angles; they also match numpy.linalg.eigvalsh)
@@ -95,6 +95,52 @@ def test_cubic_residuals_over_sweep():
             for r in roots:
                 residual = ((r + a2) * r + a1) * r + a0
                 assert abs(residual) <= budget, (n, r)
+
+
+def _cubic_outcome(solve, cubic):
+    """The roots and angle, or the type of the exception raised."""
+    try:
+        return solve(*cubic)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_integer_newton_matches_the_fraction_reference_on_the_paper_cubics():
+    for n in range(4, 3001):
+        if not is_composite(n):
+            continue
+        for cubic in (distance_cubic(n), adjacency_cubic(n)):
+            a0, a1, a2, _ = cubic.coeffs
+            got = _cubic_outcome(solve_cubic_trig, (a2, a1, a0))
+            assert got == _cubic_outcome(reference_solve_cubic_trig, (a2, a1, a0)), (n, cubic)
+
+
+_ROOTS = st.integers(-(2**53), 2**53)
+
+
+@st.composite
+def _integer_root_cubics(draw):
+    """(a2, a1, a0) of (x - r1)(x - r2)(x - r3) + shift, with repeated roots
+    drawn often; a nonzero shift may leave only one real root."""
+    r1 = draw(_ROOTS)
+    r2 = draw(st.one_of(st.just(r1), _ROOTS))
+    r3 = draw(st.one_of(st.just(r1), st.just(r2), _ROOTS))
+    shift = draw(st.sampled_from([0, 0, 1, -1, 3]))
+    return -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3 + shift
+
+
+@settings(max_examples=500, deadline=None)
+@given(_integer_root_cubics())
+def test_integer_newton_matches_the_fraction_reference(cubic):
+    got = _cubic_outcome(solve_cubic_trig, cubic)
+    assert got == _cubic_outcome(reference_solve_cubic_trig, cubic)
+
+
+def test_integer_newton_overflows_like_the_fraction_reference():
+    cubic = (0, -(10**110), 0)  # 4 delta^3 is beyond the float range
+    with pytest.raises(OverflowError):
+        solve_cubic_trig(*cubic)
+    assert _cubic_outcome(reference_solve_cubic_trig, cubic) is OverflowError
 
 
 def test_distance_spectrum_complete_case():
@@ -315,6 +361,16 @@ def test_oracle_matches_eigvalsh_on_strong_power_graphs():
         except DisconnectedGraph:
             continue
         _assert_agrees_with_eigvalsh(distance, 1e-11, (group, "distance"))
+
+
+def test_oracle_converges_on_low_rank_integer_matrices():
+    # R R^T for a random n x 3 R has n - 3 zero eigenvalues, which QL meets
+    # as a cluster at roundoff level; a deflation test local to the
+    # neighbouring diagonal entries never fired on 6 of these
+    for n in (40, 60, 80, 100):
+        for seed in range(40):
+            r = np.random.default_rng(seed).integers(-3, 4, (n, 3))
+            _assert_agrees_with_eigvalsh(IntMatrix(r @ r.T), 1e-13, (n, seed))
 
 
 @st.composite
