@@ -29,6 +29,7 @@ from .graphs import (
     matrix_to_csv,
     strong_power_graph,
     to_dot,
+    to_json,
 )
 from .groups import (
     CayleyGroup,

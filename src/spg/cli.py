@@ -39,6 +39,7 @@ from .graphs import (
     matrix_to_csv,
     strong_power_graph,
     to_dot,
+    to_json,
 )
 from .groups import (
     CayleyTableError,
@@ -153,13 +154,7 @@ def cmd_build(args: argparse.Namespace) -> tuple[int, str]:
         return EXIT_OK, to_dot(graph, labels)
     if args.format == "csv":
         return EXIT_OK, matrix_to_csv(adjacency_matrix(graph))
-    document = {
-        "group": args.group,
-        "n": graph.n,
-        "edges": graph.edges(),
-    }
-    # compact: indented, the ~32k edges of a 256-vertex graph take a line per number
-    return EXIT_OK, json.dumps(document, separators=(",", ":"), sort_keys=True) + "\n"
+    return EXIT_OK, to_json(graph, args.group)
 
 
 def _closed_form_poly(matrix_kind: str, n: int) -> Optional[IntPolynomial]:

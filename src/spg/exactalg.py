@@ -196,6 +196,7 @@ def binom_power(k: int) -> IntPolynomial:
 _DOT_LIMIT = 1 << 53  # every basis prime has n * (p-1)^2 below this
 _SIEVE_WINDOW = 1 << 11  # candidates sieved per pass of the prime search
 _STACK_LIMIT = 1 << 22  # residues per (primes, n, n) stack, but at least one prime
+_ROW_UPDATE_LIMIT = 1 << 16  # int64 entries per block of an integer Hessenberg row update
 
 
 def _primes_between(lo: int, hi: int) -> np.ndarray:
@@ -413,7 +414,8 @@ def _integer_hessenberg(h: np.ndarray) -> int:
     reduction stops at the first column where either fails.  When the next
     column is already in Hessenberg form, one scan of each row's first
     nonzero entry finds the first later column that is not.  A step rewrites
-    the columns from m on, so each scan starts after the last step.
+    the columns from m on, so each scan starts after the last step.  Its row
+    update runs a block of rows at a time, so no n^2 int64 temporary is made.
     """
     n = len(h)
     small = (1 << 62) // n
@@ -442,7 +444,11 @@ def _integer_hessenberg(h: np.ndarray) -> int:
             h[[m + 1, m + 1 + k]] = h[[m + 1 + k, m + 1]]
             h[:, [m + 1, m + 1 + k]] = h[:, [m + 1 + k, m + 1]]
         u = h[m + 2 :, m] // pivot
-        h[m + 2 :, m:] -= u[:, None] * h[m + 1, m:]
+        # a block of rows at a time, so the product u_i h[m+1, m:] never
+        # holds more than _ROW_UPDATE_LIMIT entries; one block up to n = 256
+        rows = max(1, _ROW_UPDATE_LIMIT // (n - m))
+        for top in range(0, len(u), rows):
+            h[m + 2 + top : m + 2 + top + rows, m:] -= u[top : top + rows, None] * h[m + 1, m:]
         h[:, m + 1] += h[:, m + 2 :] @ u
         m += 1
     return n - 1

@@ -5,13 +5,16 @@ every element at once through the group's broadcastable law, a block of
 about sqrt(n) exponents per call, and adjacency, distances and components
 come from boolean matrix products: the power sets meet where
 (powers @ powers.T) > 0, and the BFS advances every source by one level per
-product.
+product.  The DOT and JSON edge lists are written row by row from the
+adjacency array, the neighbours v > u of each vertex u at a time, never from
+a list of every edge.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +32,7 @@ __all__ = [
     "is_complete",
     "components",
     "to_dot",
+    "to_json",
     "matrix_to_csv",
 ]
 
@@ -78,8 +82,8 @@ class SimpleGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges (u, v) with u < v, in lexicographic order."""
-        u, v = np.nonzero(np.triu(self.adj, 1))
-        return list(zip(u.tolist(), v.tolist()))
+        ids = np.arange(self.n, dtype=object)  # Python ints
+        return [(u, v) for u, vs in _upper_rows(self, ids) for v in vs]
 
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.adj)) // 2
@@ -96,6 +100,18 @@ class SimpleGraph:
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, edges={self.edge_count()})"
+
+
+def _upper_rows(graph: SimpleGraph, names: np.ndarray) -> Iterator[tuple[int, list]]:
+    """Each vertex u with at least one neighbour v > u, ascending, and the
+    list of names[v] for those v, ascending.  names is a length-n object
+    array; each row is one boolean mask of adj[u, u+1:], so no list of every
+    edge is ever held."""
+    adj = graph.adj
+    for u in range(graph.n - 1):
+        vs = names[u + 1 :][adj[u, u + 1 :]].tolist()
+        if vs:
+            yield u, vs
 
 
 def _meets(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -169,16 +185,20 @@ def _distances(graph: SimpleGraph) -> np.ndarray:
 
     Level-synchronous BFS from every source at once: row s of `frontier`
     holds the vertices first reached from s at the current level, and one
-    boolean product advances all rows by a level.
+    boolean product advances all rows by a level.  The search stops when
+    the frontier is empty or no pair is left unreached, so a complete graph
+    takes no product at all.
     """
     dist = np.where(graph.adj, 1, -1).astype(np.int64, copy=False)
     np.fill_diagonal(dist, 0)
+    unreached = dist < 0
     step = graph.adj.astype(np.float32)
     frontier, level = graph.adj, 1
-    while frontier.any():
+    while unreached.any() and frontier.any():
         level += 1
-        frontier = _meets(frontier, step) & (dist < 0)
+        frontier = _meets(frontier, step) & unreached
         dist[frontier] = level
+        unreached[frontier] = False
     return dist
 
 
@@ -220,6 +240,10 @@ def diameter(graph: SimpleGraph) -> int:
     return int(_connected_distances(graph).max())
 
 
+def _vertex_names(n: int) -> np.ndarray:
+    return np.array([str(v) for v in range(n)], dtype=object)
+
+
 def to_dot(graph: SimpleGraph, labels: Optional[Sequence[str]] = None) -> str:
     """Graphviz DOT text for the graph, one vertex/edge per line."""
     lines = ["graph G {"]
@@ -227,10 +251,20 @@ def to_dot(graph: SimpleGraph, labels: Optional[Sequence[str]] = None) -> str:
         name = labels[v] if labels is not None else str(v)
         name = name.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {v} [label="{name}"];')
-    for u, v in graph.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    for u, vs in _upper_rows(graph, _vertex_names(graph.n)):
+        lines.append(f"  {u} -- " + f";\n  {u} -- ".join(vs) + ";")
+    lines.append("}\n")  # joined in, not appended to a copy of the text
+    return "\n".join(lines)
+
+
+def to_json(graph: SimpleGraph, group: str) -> str:
+    """Compact JSON {"edges": [[u, v], ...], "group": group, "n": n} with
+    sorted keys and a trailing newline; the edges are those of edges().
+    Compact because, indented, the ~32k edges of a 256-vertex graph would
+    take a line per number."""
+    names = _vertex_names(graph.n)
+    rows = ",".join(f"[{u}," + f"],[{u},".join(vs) + "]" for u, vs in _upper_rows(graph, names))
+    return f'{{"edges":[{rows}],"group":{json.dumps(group)},"n":{graph.n}}}\n'
 
 
 def matrix_to_csv(matrix: IntMatrix) -> str:

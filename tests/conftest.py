@@ -3,6 +3,7 @@ tables, and the reference implementations spg is checked against."""
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -131,6 +132,34 @@ def graph_from_edges(n: int, edges) -> SimpleGraph:
             raise ValueError(f"self-loop at vertex {u}")
         adj[u, v] = adj[v, u] = True
     return SimpleGraph(adj)
+
+
+def reference_edges(graph: SimpleGraph) -> list[tuple[int, int]]:
+    """Edges (u, v) with u < v, in lexicographic order, from one np.nonzero
+    of the upper triangle; SimpleGraph.edges must return the same list."""
+    u, v = np.nonzero(np.triu(graph.adj, 1))
+    return list(zip(u.tolist(), v.tolist()))
+
+
+def reference_to_dot(graph: SimpleGraph, labels=None) -> str:
+    """DOT text written one line per vertex and one per edge of
+    reference_edges; spg.graphs.to_dot must return the same text."""
+    lines = ["graph G {"]
+    for v in range(graph.n):
+        name = labels[v] if labels is not None else str(v)
+        name = name.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  {v} [label="{name}"];')
+    for u, v in reference_edges(graph):
+        lines.append(f"  {u} -- {v};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_to_json(graph: SimpleGraph, group: str) -> str:
+    """The build command's JSON document as json.dumps writes it from the
+    list of reference_edges; spg.graphs.to_json must return the same text."""
+    document = {"group": group, "n": graph.n, "edges": reference_edges(graph)}
+    return json.dumps(document, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 def complete_graph(n: int) -> SimpleGraph:

@@ -518,6 +518,62 @@ def test_integer_stage_scans_to_the_first_pending_column(n, j):
     _assert_charpoly_by_determinants(rows)
 
 
+def _stepping_inputs():
+    """Matrices that take integer steps: Z_n's adjacency and distance
+    matrices, shuffled ones, dense -9..9 ones with +-1 under column 0 whose
+    rows grow, and sparse 0/+-1 ones."""
+    inputs = [m.entries for n in (12, 60, 110) for m, _ in _cyclic_matrices(n)]
+    for seed in range(5):
+        order = list(range(120))
+        random.Random(seed).shuffle(order)
+        inputs += [permuted(m, order).entries for m, _ in _cyclic_matrices(120)]
+    rng = np.random.default_rng(13)
+    for n in (24, 40):
+        dense = rng.integers(-9, 10, (n, n))
+        dense[1:, 0] = rng.choice([-1, 1], n - 1)
+        inputs.append(dense)
+        inputs.append(rng.integers(-1, 2, (n, n)) * (rng.random((n, n)) < 0.1))
+    return [np.asarray(m, dtype=np.int64) for m in inputs]
+
+
+def test_integer_row_update_is_the_same_in_any_block_size(monkeypatch):
+    # the row update of a step runs a block of rows at a time; blocks of one
+    # row, or of a few rows that do not divide the rest, must give the same
+    # reduced h and the same number of reduced columns
+    inputs = _stepping_inputs()
+    expected = []
+    for m in inputs:
+        h = m.copy()
+        expected.append((exactalg._integer_hessenberg(h), h))
+    assert sum(done > 1 for done, _ in expected) > len(expected) // 2
+    for limit in (1, 50):
+        monkeypatch.setattr(exactalg, "_ROW_UPDATE_LIMIT", limit)
+        for m, (done, reduced) in zip(inputs, expected):
+            h = m.copy()
+            assert exactalg._integer_hessenberg(h) == done
+            assert np.array_equal(h, reduced)
+
+
+def test_integer_row_update_holds_no_square_temporary():
+    """The update of all rows at once made the whole (n-2) x n int64
+    product: a tracemalloc peak of 8,522,092 bytes on Z_1024's distance
+    matrix with numpy 2.4.  In blocks of rows it peaks at 1,126,646 bytes,
+    most of it the n x n boolean scan for the next pending column."""
+    # up to n = 256 one block holds every row, so the sweep's matrices
+    # (n <= 110) take one update per step
+    assert exactalg._ROW_UPDATE_LIMIT // 256 >= 254
+    n = 1024
+    h = distance_matrix(strong_power_graph(CyclicGroup(n))).entries.copy()
+    tracemalloc.start()
+    try:
+        done = exactalg._integer_hessenberg(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert done == n - 1
+    assert peak <= n * n + 2 * 8 * exactalg._ROW_UPDATE_LIMIT, peak
+
+
 def test_integer_steps_stop_where_int64_would_overflow():
     # B = max|h| and q = 1 at column 0: the step is taken exactly when
     # B * 2 * (1 + 4) < 2^62 / 4, and then the grown entries stop column 1

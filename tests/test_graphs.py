@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spg import graphs
 from spg.exactalg import IntMatrix
 from spg.graphs import (
     DisconnectedGraph,
@@ -23,6 +24,7 @@ from spg.graphs import (
     matrix_to_csv,
     strong_power_graph,
     to_dot,
+    to_json,
 )
 from spg.groups import (
     CyclicGroup,
@@ -41,7 +43,10 @@ from conftest import (
     permuted,
     reference_bfs_distances,
     reference_components,
+    reference_edges,
     reference_strong_power_graph,
+    reference_to_dot,
+    reference_to_json,
     strong_power_graph_structural,
 )
 
@@ -251,6 +256,33 @@ def test_distances_and_components_match_the_bfs_reference(case):
         assert not is_connected(graph)
 
 
+def test_bfs_stops_once_every_pair_is_reached(monkeypatch):
+    # a connected graph of diameter d takes d - 1 boolean products, so a
+    # complete graph (every noncyclic group) takes none; a disconnected one
+    # runs until the frontier is empty, one product past its last level
+    cases = [
+        (strong_power_graph(DirectProductGroup((10, 25))), 0),
+        (strong_power_graph(DihedralGroup(125)), 0),
+        (complete_graph(1), 0),
+        (strong_power_graph(CyclicGroup(12)), 1),
+        (graph_from_edges(6, [(i, i + 1) for i in range(5)]), 4),
+        (strong_power_graph(CyclicGroup(5)), 1),
+        (graph_from_edges(5, [(0, 1), (1, 2), (3, 4)]), 2),
+    ]
+    products = []
+    meets = graphs._meets
+
+    def spy(x, y):
+        products.append(1)
+        return meets(x, y)
+
+    monkeypatch.setattr(graphs, "_meets", spy)
+    for graph, expected in cases:
+        products.clear()
+        is_connected(graph)
+        assert len(products) == expected, (graph, products)
+
+
 def test_graph_adjacency_is_read_only_and_copied():
     rows = np.array([[0, 1], [1, 0]])
     graph = SimpleGraph(rows)
@@ -363,6 +395,33 @@ def test_dot_escapes_labels():
         assert match is not None, line
         assert int(match.group(1)) == v
         assert re.sub(r"\\(.)", r"\1", match.group(2)) == labels[v]
+
+
+def _assert_serializers_match_the_references(graph, labels, group):
+    assert graph.edges() == reference_edges(graph), group
+    assert to_dot(graph) == reference_to_dot(graph), group
+    assert to_dot(graph, labels) == reference_to_dot(graph, labels), group
+    assert to_json(graph, group) == reference_to_json(graph, group), group
+
+
+def test_serializers_match_the_per_edge_references_over_catalog(catalog60):
+    # the catalog holds Z_1 (one vertex, no edges) and Z_2 (an edgeless row)
+    for name, g in catalog60:
+        labels = [g.label(v) for v in range(g.order)]
+        _assert_serializers_match_the_references(strong_power_graph(g), labels, name)
+    graph = strong_power_graph(CyclicGroup(256))
+    _assert_serializers_match_the_references(graph, [f"z{v}" for v in range(256)], "cyclic:256")
+
+
+def test_serializers_match_the_per_edge_references_on_relabelled_tables():
+    rng = random.Random(13)
+    for g in (CyclicGroup(36), DirectProductGroup((2, 2, 8)), DihedralGroup(20), CyclicGroup(97)):
+        document = _relabelled_document(g.cayley_table(), rng)
+        for labels in (None, [f'"{v}\\' if v % 3 else f"e\\{v}\"x" for v in range(g.order)]):
+            loaded = load_cayley_table(dict(document, labels=labels) if labels else document)
+            group = f'cayley:/tables/"{g.order}"\\é.json'
+            names = [loaded.label(v) for v in range(loaded.order)]
+            _assert_serializers_match_the_references(strong_power_graph(loaded), names, group)
 
 
 def test_csv_export():
