@@ -272,9 +272,7 @@ def _hessenberg(h: np.ndarray, pcol: np.ndarray) -> None:
     modulo pcol[k], all primes of the stack in one batch (Cohen, Alg. 2.2.9).
 
     As in Cohen's algorithm, a column that is already zero below the
-    subdiagonal is skipped.  A matrix with a low-degree minimal polynomial,
-    such as a strong power graph's adjacency or distance matrix, splits into
-    small Hessenberg blocks and skips most columns.
+    subdiagonal for every prime is skipped.
     """
     num, n, _ = h.shape
     p = pcol[:, 0]
@@ -317,8 +315,9 @@ def _hessenberg_charpoly(h: np.ndarray, pcol: np.ndarray) -> np.ndarray:
     The charpoly q_m of the leading m x m block obeys
     q_m = (x - h[m-1,m-1]) q_{m-1} - sum_{i<m-1} h[i,m-1] t_i q_i, where
     t_i = h[i+1,i] h[i+2,i+1] ... h[m-1,m-2] is carried as a running vector.
-    _block_charpoly calls it on one diagonal block at a time, so its
-    (P, n+1, n+1) table is only as large as that block.
+    Each coefficient sums at most n products of two residues, so it stays
+    below 2^53 for every basis prime.  Its (P, n+1, n+1) table is about as
+    large as the stack h itself.
     """
     num, n, _ = h.shape
     q = np.zeros((num, n + 1, n + 1), dtype=np.int64)  # q[:, i, d]: x^d in q_i
@@ -338,66 +337,16 @@ def _hessenberg_charpoly(h: np.ndarray, pcol: np.ndarray) -> np.ndarray:
     return q[:, n].copy()
 
 
-def _poly_mul_mod(a: np.ndarray, b: np.ndarray, pcol: np.ndarray) -> np.ndarray:
-    """Product of the polynomials a[k] and b[k] mod pcol[k], coefficients
-    ascending along axis 1, as one batched convolution over all primes.
-
-    Coefficient d sums a[i] * b[d-i] over at most min(len a, len b) terms,
-    each below (p-1)^2.  charpoly forms no product of degree above n, so
-    that is at most n terms for n >= 2, and the sum stays below 2^53.
-    """
-    if a.shape[1] > b.shape[1]:
-        a, b = b, a
-    k = a.shape[1]
-    padded = np.zeros((b.shape[0], b.shape[1] + 2 * (k - 1)), dtype=np.int64)
-    padded[:, k - 1 : k - 1 + b.shape[1]] = b
-    windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=1)
-    return np.einsum("pdj,pj->pd", windows, a[:, ::-1]) % pcol
-
-
-def _poly_pow_mod(a: np.ndarray, k: int, pcol: np.ndarray) -> np.ndarray:
-    """a[j] ** k mod pcol[j] for k >= 1, by square-and-multiply."""
-    result = None
-    while True:
-        if k & 1:
-            result = a if result is None else _poly_mul_mod(result, a, pcol)
-        k >>= 1
-        if not k:
-            return result
-        a = _poly_mul_mod(a, a, pcol)
-
-
 def _distinct_blocks(h: np.ndarray, cuts: Sequence[int]) -> list[list]:
-    """The diagonal blocks h[..., lo:hi, lo:hi] between consecutive cuts, one
-    [block, multiplicity] pair per distinct block: the same order and the
-    same entries."""
+    """The diagonal blocks h[lo:hi, lo:hi] of the 2-D int64 array h between
+    consecutive cuts, one [block, multiplicity] pair per distinct block: the
+    same order and the same entries."""
     blocks: dict[tuple[int, bytes], list] = {}
     for lo, hi in zip(cuts, cuts[1:]):
-        block = h[..., lo:hi, lo:hi]
+        block = h[lo:hi, lo:hi]
         seen = blocks.setdefault((hi - lo, block.tobytes()), [block, 0])
         seen[1] += 1
     return list(blocks.values())
-
-
-def _block_charpoly(h: np.ndarray, pcol: np.ndarray) -> np.ndarray:
-    """Coefficients of det(xI - h[k]) mod pcol[k] for upper Hessenberg h[k],
-    as a (P, n+1) array with ascending degree along axis 1.
-
-    Where a subdiagonal entry is zero for every prime, every h[k] is block
-    upper triangular there, and its charpoly is the product of those of
-    its diagonal blocks (Cohen, Alg. 2.2.9).  Each distinct block, the same
-    order and the same residues for every prime, runs the recurrence once;
-    its charpoly is raised to the block's multiplicity, and the powers are
-    multiplied together.
-    """
-    n = h.shape[1]
-    sub = np.diagonal(h, offset=-1, axis1=1, axis2=2)
-    cuts = [0, *(np.flatnonzero(~sub.any(axis=0)) + 1).tolist(), n]
-    result = None
-    for block, count in _distinct_blocks(h, cuts):
-        power = _poly_pow_mod(_hessenberg_charpoly(block, pcol), count, pcol)
-        result = power if result is None else _poly_mul_mod(result, power, pcol)
-    return result
 
 
 def _integer_hessenberg(h: np.ndarray) -> int:
@@ -405,17 +354,22 @@ def _integer_hessenberg(h: np.ndarray) -> int:
     Hessenberg form by similarity transforms over the integers, and return
     how many leading columns are in that form.
 
-    Column m takes a step only when its nonzero entry of least magnitude at
-    or below the subdiagonal divides every entry there, so that the
-    multipliers u are integers and (I - u e^T)^-1 = I + u e^T keeps the
-    step a similarity over Z; and only when the step keeps every entry
-    below 2^62/n, checked before it from B = max|h| and q = max|u|: the
-    rows grow to at most B(1+q), then column m+1 to B(1+q)(1+nq).  The
-    reduction stops at the first column where either fails.  When the next
-    column is already in Hessenberg form, one scan of each row's first
-    nonzero entry finds the first later column that is not.  A step rewrites
-    the columns from m on, so each scan starts after the last step.  Its row
-    update runs a block of rows at a time, so no n^2 int64 temporary is made.
+    Column m is cleared by Euclid's algorithm.  Each pass moves the nonzero
+    entry of least magnitude at or below the subdiagonal to the subdiagonal
+    as pivot, and subtracts u_i times the pivot row from each row below it,
+    with u_i the integer nearest to entry_i / pivot; the columns take the
+    inverse, (I - u e^T)^-1 = I + u e^T, so the pass is a similarity over
+    Z.  It leaves every entry below the pivot at most |pivot|/2, so the
+    least magnitude falls until the column is clear, and only then does m
+    advance.  Before each pass, B = max|h| and q = round(max|entry| /
+    |pivot|), which bounds |u|, must show that the pass keeps every entry
+    below 2^62/n: the rows grow to at most B(1+q), then column m+1 to
+    B(1+q)(1+nq).  The reduction stops at the first pass where it would
+    not.  When the next column is already in Hessenberg form, one scan of
+    each row's first nonzero entry finds the first later column that is
+    not.  A pass rewrites the columns from m on, so each scan starts after
+    the last pass.  Its row update runs a block of rows at a time, so no n^2
+    int64 temporary is made.
     """
     n = len(h)
     small = (1 << 62) // n
@@ -436,21 +390,22 @@ def _integer_hessenberg(h: np.ndarray) -> int:
         mag = np.abs(col)
         k = int(np.argmin(np.where(col != 0, mag, small)))
         pivot = int(col[k])
-        q = int(mag.max()) // abs(pivot)
+        q = (2 * int(mag.max()) + abs(pivot)) // (2 * abs(pivot))
         big = max(int(h.max()), -int(h.min()))
-        if (col % pivot).any() or big * (1 + q) * (1 + n * q) >= small:
+        if big * (1 + q) * (1 + n * q) >= small:
             return m
         if k:
             h[[m + 1, m + 1 + k]] = h[[m + 1 + k, m + 1]]
             h[:, [m + 1, m + 1 + k]] = h[:, [m + 1 + k, m + 1]]
-        u = h[m + 2 :, m] // pivot
+        u = (2 * h[m + 2 :, m] + pivot) // (2 * pivot)
         # a block of rows at a time, so the product u_i h[m+1, m:] never
         # holds more than _ROW_UPDATE_LIMIT entries; one block up to n = 256
         rows = max(1, _ROW_UPDATE_LIMIT // (n - m))
         for top in range(0, len(u), rows):
             h[m + 2 + top : m + 2 + top + rows, m:] -= u[top : top + rows, None] * h[m + 1, m:]
         h[:, m + 1] += h[:, m + 2 :] @ u
-        m += 1
+        if not h[m + 2 :, m].any():
+            m += 1
     return n - 1
 
 
@@ -538,7 +493,7 @@ def _modular_charpoly(entries: np.ndarray, bound: int) -> list[int]:
         pcol = np.array(chunk, dtype=np.int64).reshape(-1, 1)
         stack = _residue_stack(entries, chunk)
         _hessenberg(stack, pcol)
-        residues[lo : lo + step] = _block_charpoly(stack, pcol)
+        residues[lo : lo + step] = _hessenberg_charpoly(stack, pcol)
     return _crt_signed(residues, primes, modulus)
 
 
@@ -550,13 +505,14 @@ def charpoly(matrix: IntMatrix) -> IntPolynomial:
     integers could not reduce, modulo each prime of a basis.
 
     Integer stage.  When every |M[i, j]| < 2^62/n, an int64 copy of M is
-    reduced column by column to upper Hessenberg form over Z, as long as
-    each column's pivot divides the rest of its column and the step keeps
-    every entry below 2^62/n (see _integer_hessenberg).  Each step is an
-    integer similarity with an integer inverse, so the reduced matrix H has
-    the charpoly of M, exactly.  Wherever a subdiagonal entry among the
-    reduced columns is zero, H is block upper triangular, and its charpoly
-    is the product of those of its diagonal blocks.
+    reduced column by column to upper Hessenberg form over Z, each column
+    cleared by Euclid's algorithm in passes of one integer step each.  It
+    stops only before a pass that could take an entry to 2^62/n or more
+    (see _integer_hessenberg).  Each pass is an integer similarity with an
+    integer inverse, so the reduced matrix H has the charpoly of M,
+    exactly.  Wherever a subdiagonal entry among the reduced columns is
+    zero, H is block upper triangular, and its charpoly is the product of
+    those of its diagonal blocks.
 
     Exact fold.  Every block that lies wholly inside the reduced columns is
     upper Hessenberg over Z; when the stage reduces every column, so is the
@@ -568,20 +524,19 @@ def charpoly(matrix: IntMatrix) -> IntPolynomial:
     asserted exact, and the powers are multiplied with poly_mul.  A strong
     power graph's matrix of Z_n, in the element order the builders use,
     reduces completely, to one 3 x 3 block and n - 3 equal 1 x 1 blocks:
-    its minimal polynomial has degree at most 4, and the pivots of its two
-    working columns are +-1 and the common value of the column.  So its
-    charpoly never reaches the primes.
+    its minimal polynomial has degree at most 4, and each of its two
+    working columns clears in one pass.  So its charpoly never reaches the
+    primes.
 
     Modular stage.  Only the trailing block, from the last cut onward,
     when the integer stage stopped before the end, goes to the primes
     (see _modular_charpoly); so does all of M when it is a matrix of
     Python integers or has entries of 2^62/n or more.  That block B is
-    reduced modulo every basis prime to Hessenberg form, split again
-    wherever a subdiagonal entry is zero for every prime, and folded (see
-    _block_charpoly).  Every basis prime satisfies b * (p-1)^2 < 2^53 for
-    B's order b, so each int64 product of two residues, and each batched
-    dot product of at most b + 1 of them, stays far below 2^63 and is
-    exact.
+    reduced modulo every basis prime to Hessenberg form, and the
+    recurrence runs on it whole (see _hessenberg_charpoly).  Every basis
+    prime satisfies b * (p-1)^2 < 2^53 for B's order b, so each int64
+    product of two residues, and each batched dot product of at most b + 1
+    of them, stays far below 2^63 and is exact.
 
     The basis is sized by B's own entries.  B is an integer matrix and
     the CRT recovers B's own charpoly, so Hadamard's bound on B holds,
@@ -592,12 +547,12 @@ def charpoly(matrix: IntMatrix) -> IntPolynomial:
     times the sum of the C(b, k) principal k x k minors.  By Hadamard's
     inequality the minor on rows S is at most the product of the Euclidean
     norms r_i of rows i in S, so |c_k| <= e_k(r_1, ..., r_b) <=
-    prod_i (1 + r_i).  With each r_i rounded
-    up to an integer, computed exactly as isqrt(s_i - 1) + 1 from the
-    integer s_i = sum_j B[i, j]^2, a basis whose product exceeds
-    2 * prod_i (1 + ceil(r_i)) recovers every coefficient exactly by CRT in
-    the symmetric range (see _hadamard_bound).  The s_i are summed in int64
-    when b * max|B[i, j]|^2 < 2^63, and in Python integers otherwise.
+    prod_i (1 + r_i).  With each r_i rounded up to an integer, computed
+    exactly as isqrt(s_i - 1) + 1 from the integer s_i = sum_j B[i, j]^2,
+    a basis whose product exceeds 2 * prod_i (1 + ceil(r_i)) recovers every
+    coefficient exactly by CRT in the symmetric range (see
+    _hadamard_bound).  The s_i are summed in int64 when
+    b * max|B[i, j]|^2 < 2^63, and in Python integers otherwise.
 
     Each pivot inverse is asserted, and so are the leading coefficient 1
     and the x^(n-1) coefficient -tr(M).

@@ -261,8 +261,9 @@ def test_charpoly_pivot_differs_for_largest_prime():
 
 def test_charpoly_does_not_split_where_only_some_primes_vanish():
     # already upper Hessenberg, with subdiagonal entries that are multiples of
-    # the largest basis prime: zero modulo that prime only, so the fold must
-    # keep one 3 x 3 block for every prime
+    # the largest basis prime: zero modulo that prime only.  The exact fold
+    # keeps one 3 x 3 block, and the modular recurrence, run on the whole
+    # block for every prime, must stay right modulo that prime too
     top = _prime_basis(3, 1)[0][0]
     rows = [[1, 2, 5], [top, 3, 1], [0, 2 * top, 4]]
     _assert_charpoly_by_determinants(rows)
@@ -292,8 +293,8 @@ def test_charpoly_folds_block_upper_triangular_matrices(blocks, rng):
             rows[at + i][at : at + k] = block[i]
             rows[at + i][at + k :] = [rng.randint(-3, 3) for _ in range(n - at - k)]
         at += k
-    # conjugated by a permutation, the Hessenberg step has to find the blocks;
-    # the modular stage must find them modulo every prime on its own
+    # conjugated by a permutation, the integer stage has to find the blocks;
+    # the modular stage reduces the whole matrix modulo every prime, unsplit
     order = list(range(n))
     rng.shuffle(order)
     for square in (rows, permuted(IntMatrix(rows), order).entries.tolist()):
@@ -348,40 +349,51 @@ def test_sweep_matrices_never_reach_the_primes(monkeypatch):
         for matrix, formula in _cyclic_matrices(n):
             assert charpoly(matrix) == formula(n), n
             assert calls == [], (n, calls)
-    # the spies see the calls of a matrix that does reach the primes
-    _assert_charpoly_by_determinants([[1, 2, 3], [2, 5, 7], [3, 1, 4]])
+    # the spies see the calls of a matrix that does reach the primes: its
+    # 2^60 corner makes the growth rule refuse the first pass
+    rows = [[2**60, 2, 3], [2, 5, 7], [3, 1, 4]]
+    assert exactalg._integer_hessenberg(np.array(rows, dtype=np.int64)) == 0
+    _assert_charpoly_by_determinants(rows)
     assert calls == ["basis", "stack"], calls
 
 
 @pytest.mark.parametrize("n", [12, 60, 120])
 def test_charpolys_of_shuffled_cyclic_matrices_match_the_closed_forms(n):
-    # some shuffles move vertex 0 so that the distance matrix's column 1 has
-    # no dividing pivot: the integer stage stops there, and the trailing
-    # block goes to the primes with a basis from its own Hadamard bound
-    stopped = 0
+    # some shuffles move vertex 0 so that a column holds no entry that
+    # divides the rest, such as -13 and -2s in column 1 of Z_12's distance
+    # matrix for seed 1: Euclid's passes clear it, and every shuffle reduces
+    # completely over Z
     for seed in range(20):
         order = list(range(n))
         random.Random(seed).shuffle(order)
         for matrix, formula in _cyclic_matrices(n):
             shuffled = permuted(matrix, order)
-            stopped += exactalg._integer_hessenberg(shuffled.entries.copy()) < n - 1
+            assert exactalg._integer_hessenberg(shuffled.entries.copy()) == n - 1, (n, seed)
             assert charpoly(shuffled) == formula(n), (n, seed)
-    assert stopped, n
 
 
-def _distance_z120():
-    # this shuffle stops the integer stage at column 1 (see
-    # test_charpoly_is_the_same_for_every_stack_size), so the primes reduce
-    # the whole matrix as one 120 x 120 block
-    order = list(range(120))
-    random.Random(1).shuffle(order)
-    return permuted(distance_matrix(strong_power_graph(CyclicGroup(120))), order)
+def _beside_a_large_entry(rows):
+    """rows, a square list of lists, beside a 1 x 1 block just under the
+    integer stage's int64 limit 2^62/n: the growth rule refuses the first
+    pass, so the stage reduces no column and the primes reduce the whole
+    matrix."""
+    n = len(rows) + 1
+    return [row + [0] for row in rows] + [[0] * (n - 1) + [(1 << 62) // n - 1]]
+
+
+def _distance_z119_beside_a_large_entry():
+    """A 120 x 120 input that goes to the primes whole, with its charpoly."""
+    rows = _beside_a_large_entry(
+        distance_matrix(strong_power_graph(CyclicGroup(119))).entries.tolist()
+    )
+    factor = IntPolynomial([-rows[-1][-1], 1])
+    return IntMatrix(rows), poly_mul(distance_charpoly_formula(119), factor)
 
 
 def _coprime_first_column(rng, n, bound):
     """A random n x n matrix whose column 0 holds 2 and 3 below the
-    diagonal: no entry there divides the others, so the integer stage takes
-    no step and the primes reduce the whole matrix."""
+    diagonal: no entry there divides the others, so the integer stage
+    clears it by Euclid's passes."""
     rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
     for i in range(1, n):
         rows[i][0] = 2 + i % 2
@@ -397,19 +409,15 @@ def test_charpoly_is_the_same_for_every_stack_size(monkeypatch):
         reduce(h, pcol)
 
     monkeypatch.setattr(exactalg, "_hessenberg", spy)
-    # the shuffled Z_120 takes one integer step and stops at column 1; the
-    # coprime first column takes none.  Either way the trailing block is the
-    # whole matrix, the one block of every stack
-    z120 = _distance_z120()
-    assert exactalg._integer_hessenberg(z120.entries.copy()) == 1
-    rows = _coprime_first_column(random.Random(24), 24, 999)
-    assert exactalg._integer_hessenberg(np.array(rows, dtype=np.int64)) == 0
+    # beside a large entry, the integer stage takes no pass, so the trailing
+    # block is the whole matrix, the one block of every stack
+    z119, z119_charpoly = _distance_z119_beside_a_large_entry()
+    rng = random.Random(24)
+    rows = _beside_a_large_entry([[rng.randint(-999, 999) for _ in range(23)] for _ in range(23)])
     _assert_charpoly_by_determinants(rows)
-    coprime = IntMatrix(rows)
-    for matrix, expected, least in (
-        (z120, distance_charpoly_formula(120), 5),
-        (coprime, charpoly(coprime), 10),
-    ):
+    dense = IntMatrix(rows)
+    for matrix, expected, least in ((z119, z119_charpoly, 5), (dense, charpoly(dense), 10)):
+        assert exactalg._integer_hessenberg(matrix.entries.copy()) == 0
         n = matrix.n
         monkeypatch.setattr(exactalg, "_STACK_LIMIT", 1 << 22)
         stacks.clear()
@@ -483,7 +491,7 @@ def _near_the_int64_rule(draw):
 @st.composite
 def _coprime_first_columns(draw):
     n = draw(st.integers(3, 8))
-    return _coprime_first_column(draw(st.randoms(use_true_random=False)), n, 9), (0, 0)
+    return _coprime_first_column(draw(st.randoms(use_true_random=False)), n, 9), (1, n - 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -516,6 +524,50 @@ def test_integer_stage_scans_to_the_first_pending_column(n, j):
     assert np.array_equal(h[:, :j], matrix[:, :j])
     assert not np.tril(h, -2)[:, :done].any()
     _assert_charpoly_by_determinants(rows)
+
+
+@pytest.mark.parametrize("column", [[2, 3], [6, 10, 15], [-15, 6, 0, 10]])
+def test_integer_stage_clears_a_column_with_no_dividing_pivot(column):
+    # no entry below the diagonal of column 0 divides the others: Euclid's
+    # passes leave their gcd, +-1, on the subdiagonal and zeros below it
+    n = len(column) + 1
+    rng = random.Random(n)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    for i, v in enumerate(column, start=1):
+        rows[i][0] = v
+    h = np.array(rows, dtype=np.int64)
+    done = exactalg._integer_hessenberg(h)
+    assert done == n - 1
+    assert abs(h[1, 0]) == 1
+    assert not np.tril(h, -2)[:, :done].any()
+    _assert_charpoly_by_determinants(rows)
+    assert charpoly(IntMatrix(h)) == charpoly(IntMatrix(rows))
+
+
+def test_integer_stage_stops_at_a_later_pass_of_a_column():
+    # column 0 is Hessenberg with a zero subdiagonal, so the cut falls at 1.
+    # Column 1 holds 2 and 3 below its diagonal.  Its first pass (q = 2) is
+    # allowed, since top * 3 * 11 < 2^62/5, and leaves 2 and -1 there, but
+    # it grows row 3 to -3 top; the second pass (q = 2 again) would then
+    # break the int64 rule, so the stage stops at column 1 after one pass
+    n = 5
+    top = ((1 << 62) // n - 1) // 33
+    rows = [
+        [1, 1, 0, 0, 0],
+        [0, 1, 0, 0, 0],
+        [0, 2, top, 1, 0],
+        [0, 3, -top, 0, 1],
+        [0, 0, 1, 1, 1],
+    ]
+    h = np.array(rows, dtype=np.int64)
+    assert exactalg._integer_hessenberg(h) == 1
+    assert h[2:, 1].tolist() == [2, -1, 0]
+    assert max(int(h.max()), -int(h.min())) == 3 * top + 4
+    # the trailing block h[1:, 1:] goes to the primes
+    _assert_charpoly_by_determinants(rows)
+    _assert_charpoly_by_determinants(h[1:, 1:].tolist(), _modular)
+    trailing = _modular(IntMatrix(h[1:, 1:]))
+    assert charpoly(IntMatrix(rows)) == poly_mul(IntPolynomial([-1, 1]), trailing)
 
 
 def _stepping_inputs():
@@ -621,8 +673,8 @@ def test_basis_of_a_whole_grown_block_is_sized_by_the_input(monkeypatch):
 def test_charpoly_memory_is_flat_in_the_basis_size(monkeypatch):
     # one prime per stack: the peak is a few n x n arrays whatever the basis
     # size P; a full stack of 8 primes alone would take the whole bound below
-    matrix = _distance_z120()
-    assert exactalg._integer_hessenberg(matrix.entries.copy()) == 1
+    matrix, expected = _distance_z119_beside_a_large_entry()
+    assert exactalg._integer_hessenberg(matrix.entries.copy()) == 0
     stacks = []
     stack = exactalg._residue_stack
 
@@ -638,7 +690,7 @@ def test_charpoly_memory_is_flat_in_the_basis_size(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert poly == distance_charpoly_formula(120)
+    assert poly == expected
     # the stacks ran, one prime at a time, on the whole matrix
     assert len(stacks) > 5 and set(stacks) == {(1, (120, 120))}, stacks
     assert peak < 8 * 120 * 120 * 8, peak
