@@ -22,7 +22,7 @@ import logging
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from .exactalg import (
     IntPolynomial,
@@ -68,6 +68,10 @@ EXIT_INAPPLICABLE = 3
 # each is at most 32 MiB (2048^2 int64 entries).
 DEFAULT_MAX_ORDER = 2048
 
+# main writes the document this many characters at a time, so a text-mode
+# write encodes one slice, not a copy of the whole document
+WRITE_SLICE = 1 << 20
+
 log = logging.getLogger("spg.cli")
 
 
@@ -104,7 +108,7 @@ def parse_group_spec(text: str, max_order: Optional[int] = None) -> GroupSpec:
                     document = json.load(handle)
             except OSError as exc:
                 raise GroupSpecParseError(f"cannot read Cayley table {tail!r}: {exc}")
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
                 raise GroupSpecParseError(f"invalid JSON in {tail!r}: {exc}")
             order = document.get("order") if isinstance(document, dict) else None
             if isinstance(order, int):
@@ -301,13 +305,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(document)
+                _write(handle, document)
         except OSError as exc:
             print(f"spg: error: cannot write {out_path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     else:
-        sys.stdout.write(document)
+        _write(sys.stdout, document)
     return code
+
+
+def _write(handle: TextIO, document: str) -> None:
+    for start in range(0, len(document), WRITE_SLICE):
+        handle.write(document[start : start + WRITE_SLICE])
 
 
 if __name__ == "__main__":

@@ -194,51 +194,22 @@ def binom_power(k: int) -> IntPolynomial:
 # --- characteristic polynomial ------------------------------------------------
 
 _DOT_LIMIT = 1 << 53  # every basis prime has n * (p-1)^2 below this
-_SIEVE_WINDOW = 1 << 11  # candidates sieved per pass of the prime search
-_STACK_LIMIT = 1 << 22  # residues per (primes, n, n) stack, but at least one prime
 _ROW_UPDATE_LIMIT = 1 << 16  # int64 entries per block of an integer Hessenberg row update
-
-
-def _primes_between(lo: int, hi: int) -> np.ndarray:
-    """Primes in [lo, hi), ascending, by sieving that window alone."""
-    root = math.isqrt(hi - 1)
-    small = np.ones(root + 1, dtype=bool)
-    small[:2] = False
-    for q in range(2, math.isqrt(root) + 1):
-        if small[q]:
-            small[q * q :: q] = False
-    window = np.ones(hi - lo, dtype=bool)
-    window[lo % 2 :: 2] = False  # the even numbers; 2 itself is put back below
-    # every odd multiple to strike, in one scatter: each odd prime q up to the
-    # root strikes `count` multiples, from the first one in the window at or
-    # above q^2, in steps of q
-    q = np.flatnonzero(small)[1:]
-    first = np.maximum(q * q, -(-lo // q) * q) - lo
-    count = np.maximum(0, -(-(hi - lo - first) // q))
-    ends = np.cumsum(count)
-    k = np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - count, count)
-    window[np.repeat(first, count) + k * np.repeat(q, count)] = False
-    primes = np.flatnonzero(window) + lo
-    if lo <= 2 < hi:
-        primes = np.concatenate(([2], primes))
-    return primes
 
 
 def _prime_basis(n: int, bound: int) -> tuple[list[int], int]:
     """Descending primes p with n*(p-1)^2 < 2^53 whose product exceeds bound,
-    sieved one window at a time from the largest candidate down."""
-    hi = math.isqrt((_DOT_LIMIT - 1) // max(n, 1)) + 1  # candidates lie below hi
+    each candidate from the largest down tested by is_prime."""
+    p = math.isqrt((_DOT_LIMIT - 1) // max(n, 1)) + 1  # candidates lie below this
     primes: list[int] = []
     product = 1
     while product <= bound:
-        if hi <= 2:
+        p -= 1
+        if p < 2:
             raise AssertionError("prime basis exhausted; matrix too large")
-        for p in _primes_between(max(2, hi - _SIEVE_WINDOW), hi)[::-1].tolist():
+        if is_prime(p):
             primes.append(p)
             product *= p
-            if product > bound:
-                break
-        hi -= _SIEVE_WINDOW
     return primes, product
 
 
@@ -257,84 +228,53 @@ def _crt_signed(residues: np.ndarray, primes: Sequence[int], modulus: int) -> li
     return [v - modulus if 2 * v > modulus else v for v in x.tolist()]
 
 
-def _residue_stack(entries: np.ndarray, primes: Sequence[int]) -> np.ndarray:
-    """Matrix reduced modulo each prime, stacked along axis 0 as int64.
-
-    entries is an int64 array, or an object array of Python integers when
-    some entry is too large for int64 arithmetic.
-    """
-    pcol = np.array(primes, dtype=entries.dtype).reshape(-1, 1, 1)
-    return (entries[None] % pcol).astype(np.int64, copy=False)
-
-
-def _hessenberg(h: np.ndarray, pcol: np.ndarray) -> None:
-    """Reduce each h[k] in place to an upper Hessenberg matrix similar to it
-    modulo pcol[k], all primes of the stack in one batch (Cohen, Alg. 2.2.9).
-
-    As in Cohen's algorithm, a column that is already zero below the
-    subdiagonal for every prime is skipped.
-    """
-    num, n, _ = h.shape
-    p = pcol[:, 0]
-    p3 = pcol[:, :, None]
-    rows = np.arange(num)
-    work = np.empty(h.size, dtype=np.int64)
+def _hessenberg(h: np.ndarray, p: int) -> None:
+    """Reduce the int64 matrix h of residues mod p in place to an upper
+    Hessenberg matrix similar to it modulo p (Cohen, Alg. 2.2.9)."""
+    n = len(h)
     for m in range(n - 2):
-        if not h[:, m + 2 :, m].any():
-            continue  # column m is already in Hessenberg form for every prime
-        if not h[:, m + 1, m].all():
-            # pivot: the first nonzero entry at or below the subdiagonal of
-            # column m; with none, u below is zero and the step changes nothing
-            piv = np.argmax(h[:, m + 1 :, m] != 0, axis=1) + m + 1
-            top = h[rows, m + 1].copy()
-            h[rows, m + 1] = h[rows, piv]
-            h[rows, piv] = top
-            left = h[rows, :, m + 1].copy()
-            h[rows, :, m + 1] = h[rows, :, piv]
-            h[rows, :, piv] = left
-        pivot = h[:, m + 1, m]
-        inv = np.array(
-            [pow(v, -1, q) if v else 0 for v, q in zip(pivot.tolist(), p.tolist())],
-            dtype=np.int64,
-        )
-        assert (pivot * inv % p == (pivot != 0)).all(), "bad pivot inverse"
-        # rows m+2.. -= u * row m+1, then columns m+1 += (columns m+2..) @ u
-        u = h[:, m + 2 :, m] * inv[:, None] % pcol
-        t = work[: num * (n - m - 2) * (n - m)].reshape(num, n - m - 2, n - m)
-        np.multiply(u[:, :, None], h[:, m + 1, None, m:], out=t)
-        np.subtract(h[:, m + 2 :, m:], t, out=t)
-        np.remainder(t, p3, out=h[:, m + 2 :, m:])
-        h[:, :, m + 1] += np.einsum("pik,pk->pi", h[:, :, m + 2 :], u)
-        h[:, :, m + 1] %= pcol
+        if not h[m + 2 :, m].any():
+            continue  # column m is already in Hessenberg form
+        if not h[m + 1, m]:
+            # pivot: the first nonzero entry below the subdiagonal of column m
+            k = m + 2 + int(np.argmax(h[m + 2 :, m] != 0))
+            h[[m + 1, k]] = h[[k, m + 1]]
+            h[:, [m + 1, k]] = h[:, [k, m + 1]]
+        pivot = int(h[m + 1, m])
+        inv = pow(pivot, -1, p)
+        assert pivot * inv % p == 1, "bad pivot inverse"
+        # rows m+2.. -= u * row m+1, then column m+1 += (columns m+2..) @ u
+        u = h[m + 2 :, m] * inv % p
+        h[m + 2 :, m:] = (h[m + 2 :, m:] - u[:, None] * h[m + 1, m:]) % p
+        h[:, m + 1] = (h[:, m + 1] + h[:, m + 2 :] @ u) % p
 
 
-def _hessenberg_charpoly(h: np.ndarray, pcol: np.ndarray) -> np.ndarray:
-    """Coefficients of det(xI - h[k]) mod pcol[k] for upper Hessenberg h[k],
-    as a (P, n+1) array with ascending degree along axis 1.
+def _hessenberg_charpoly(h: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients of det(xI - h) mod p for the upper Hessenberg int64
+    matrix h of residues mod p, as n + 1 residues in ascending degree.
 
     The charpoly q_m of the leading m x m block obeys
     q_m = (x - h[m-1,m-1]) q_{m-1} - sum_{i<m-1} h[i,m-1] t_i q_i, where
     t_i = h[i+1,i] h[i+2,i+1] ... h[m-1,m-2] is carried as a running vector.
     Each coefficient sums at most n products of two residues, so it stays
-    below 2^53 for every basis prime.  Its (P, n+1, n+1) table is about as
-    large as the stack h itself.
+    below 2^53 for every basis prime.
     """
-    num, n, _ = h.shape
-    q = np.zeros((num, n + 1, n + 1), dtype=np.int64)  # q[:, i, d]: x^d in q_i
-    q[:, 0, 0] = 1
-    t = np.zeros((num, n), dtype=np.int64)
+    n = len(h)
+    q = np.zeros((n + 1, n + 1), dtype=np.int64)  # q[i, d]: x^d in q_i
+    q[0, 0] = 1
+    t = np.zeros(n, dtype=np.int64)
     for m in range(1, n + 1):
-        prev = q[:, m - 1, :m]
-        q[:, m, 1 : m + 1] = prev
-        q[:, m, :m] -= h[:, m - 1, m - 1, None] * prev
+        prev = q[m - 1, :m]
+        q[m, 1 : m + 1] = prev
+        q[m, :m] -= h[m - 1, m - 1] * prev
         if m >= 2:
-            sub = h[:, m - 1, m - 2, None]
-            t[:, : m - 2] = t[:, : m - 2] * sub % pcol
-            t[:, m - 2] = sub[:, 0]
-            w = h[:, : m - 1, m - 1] * t[:, : m - 1] % pcol
-            q[:, m, : m - 1] -= np.einsum("pi,pid->pd", w, q[:, : m - 1, : m - 1])
-        q[:, m, : m + 1] %= pcol
-    return q[:, n].copy()
+            sub = h[m - 1, m - 2]
+            t[: m - 2] = t[: m - 2] * sub % p
+            t[m - 2] = sub
+            w = h[: m - 1, m - 1] * t[: m - 1] % p
+            q[m, : m - 1] -= w @ q[: m - 1, : m - 1]
+        q[m, : m + 1] %= p
+    return q[n]
 
 
 def _distinct_blocks(h: np.ndarray, cuts: Sequence[int]) -> list[list]:
@@ -479,21 +419,17 @@ def _modular_charpoly(entries: np.ndarray, bound: int) -> list[int]:
     symmetric range.  bound must be at least twice every |coefficient|,
     as _hadamard_bound of M, or of any matrix with M's charpoly, is.
 
-    The primes run in stacks of at most 2^22 residues of M (one prime per
-    stack once n > 1448), and each stack's n + 1 coefficients are copied
-    out before the next, so memory is O(n^2 + P * n) whatever the basis
-    size P.
+    One prime at a time: M mod p is reduced and its n + 1 coefficients
+    are written to one row of the (P, n + 1) residue array before the
+    next prime, so memory is O(n^2 + P * n) whatever the basis size P.
     """
     n = len(entries)
     primes, modulus = _prime_basis(n, bound)
-    step = max(1, _STACK_LIMIT // (n * n))  # primes per stack
     residues = np.empty((len(primes), n + 1), dtype=np.int64)
-    for lo in range(0, len(primes), step):
-        chunk = primes[lo : lo + step]
-        pcol = np.array(chunk, dtype=np.int64).reshape(-1, 1)
-        stack = _residue_stack(entries, chunk)
-        _hessenberg(stack, pcol)
-        residues[lo : lo + step] = _hessenberg_charpoly(stack, pcol)
+    for k, p in enumerate(primes):
+        h = (entries % p).astype(np.int64, copy=False)
+        _hessenberg(h, p)
+        residues[k] = _hessenberg_charpoly(h, p)
     return _crt_signed(residues, primes, modulus)
 
 
@@ -531,12 +467,12 @@ def charpoly(matrix: IntMatrix) -> IntPolynomial:
     Modular stage.  Only the trailing block, from the last cut onward,
     when the integer stage stopped before the end, goes to the primes
     (see _modular_charpoly); so does all of M when it is a matrix of
-    Python integers or has entries of 2^62/n or more.  That block B is
-    reduced modulo every basis prime to Hessenberg form, and the
-    recurrence runs on it whole (see _hessenberg_charpoly).  Every basis
-    prime satisfies b * (p-1)^2 < 2^53 for B's order b, so each int64
-    product of two residues, and each batched dot product of at most b + 1
-    of them, stays far below 2^63 and is exact.
+    Python integers or has entries of 2^62/n or more.  One prime at a
+    time, that block B is reduced modulo p to Hessenberg form and the
+    recurrence runs on it whole (see _hessenberg_charpoly), in O(b^2 +
+    P * b) memory for B's order b and P basis primes, found by is_prime.
+    Every basis prime has b * (p-1)^2 < 2^53, so each int64 product of
+    two residues, and each dot product of at most b of them, is exact.
 
     The basis is sized by B's own entries.  B is an integer matrix and
     the CRT recovers B's own charpoly, so Hadamard's bound on B holds,

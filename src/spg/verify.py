@@ -23,7 +23,13 @@ from .exactalg import (
     distance_charpoly_formula,
     prime_adjacency_charpoly,
 )
-from .graphs import DisconnectedGraph, adjacency_matrix, distance_matrix, strong_power_graph
+from .graphs import (
+    DisconnectedGraph,
+    adjacency_matrix,
+    distance_matrix,
+    is_connected,
+    strong_power_graph,
+)
 from .groups import CyclicGroup, is_composite, is_prime
 from .spectra import (
     adjacency_spectrum_closed,
@@ -132,6 +138,7 @@ def _verify_single(task: tuple[int, float]) -> VerificationRecord:
     distance_dev: Optional[float] = None
     distance_mult: Optional[bool] = None
     theta_distance: Optional[float] = None
+    theta_in_range = cmp_adjacency.theta_in_range
     if composite:
         try:
             distance = distance_matrix(graph)
@@ -145,17 +152,9 @@ def _verify_single(task: tuple[int, float]) -> VerificationRecord:
             distance_dev = cmp_distance.max_abs_deviation
             distance_mult = cmp_distance.multiplicity_match
             theta_distance = closed_distance.theta
-    else:
-        try:
-            distance_matrix(graph)
-        except DisconnectedGraph:
-            pass  # expected: prime orders give a disconnected graph
-        else:
-            distance_match = False  # connected at prime order contradicts theory
-
-    theta_adjacency = closed_adjacency.theta
-    thetas = [t for t in (theta_distance, theta_adjacency) if t is not None]
-    theta_in_range = all(0.0 < t < math.pi / 2.0 for t in thetas)
+            theta_in_range = theta_in_range and cmp_distance.theta_in_range
+    elif is_connected(graph):
+        distance_match = False  # connected at prime order contradicts theory
 
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     record = VerificationRecord(
@@ -168,7 +167,7 @@ def _verify_single(task: tuple[int, float]) -> VerificationRecord:
         spectrum_distance_mult_match=distance_mult,
         spectrum_adjacency_mult_match=cmp_adjacency.multiplicity_match,
         theta_distance=theta_distance,
-        theta_adjacency=theta_adjacency,
+        theta_adjacency=closed_adjacency.theta,
         theta_in_range=theta_in_range,
         elapsed_ms=elapsed_ms,
     )

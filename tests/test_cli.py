@@ -2,9 +2,11 @@
 
 import argparse
 import dataclasses
+import io
 import json
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -116,6 +118,39 @@ def test_build_memory_is_twice_the_text_and_the_adjacency():
         assert peak <= 2.5 * len(text) + n * n, (fmt, peak, len(text))
 
 
+def test_documents_are_written_in_slices(monkeypatch, tmp_path):
+    # Z_512's DOT text is about 1.7 million characters: more than one slice,
+    # on stdout and into --out alike, and the same text either way
+    args = argparse.Namespace(group="cyclic:512", format="dot", max_order=512)
+    text = cli.cmd_build(args)[1]
+    assert len(text) > cli.WRITE_SLICE == 1 << 20
+    sizes = []
+
+    class Stdout(io.StringIO):
+        def write(self, chunk):
+            sizes.append(len(chunk))
+            return super().write(chunk)
+
+    stdout = Stdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["build", "--group", "cyclic:512", "--format", "dot"]) == 0
+    assert stdout.getvalue() == text
+    assert sizes == [cli.WRITE_SLICE, len(text) - cli.WRITE_SLICE], sizes
+
+    def recording_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        write = handle.write
+        handle.write = lambda chunk: (sizes.append(len(chunk)), write(chunk))[1]
+        return handle
+
+    sizes.clear()
+    path = tmp_path / "z512.dot"
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    assert main(["build", "--group", "cyclic:512", "--format", "dot", "--out", str(path)]) == 0
+    assert path.read_text(encoding="utf-8") == text
+    assert sizes == [cli.WRITE_SLICE, len(text) - cli.WRITE_SLICE], sizes
+
+
 def test_build_rejects_bad_spec(capsys):
     code, _, err = run_cli(capsys, ["build", "--group", "cyclic:0"])
     assert code == 2
@@ -224,6 +259,16 @@ def test_malformed_cayley_documents_are_usage_errors(capsys, tmp_path, document)
     assert code == 2
     assert out == ""
     assert err.startswith("spg: error:") and "Traceback" not in err
+
+
+def test_deeply_nested_cayley_json_is_a_usage_error(capsys, tmp_path):
+    # json.load gives up on this depth with RecursionError, not JSONDecodeError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    code, out, err = run_cli(capsys, ["build", "--group", f"cayley:{path}"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("spg: error: invalid JSON in ") and "Traceback" not in err
 
 
 def _outputs(capsys, argvs):

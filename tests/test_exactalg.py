@@ -25,7 +25,7 @@ from spg.exactalg import (
     prime_adjacency_charpoly,
 )
 from spg import exactalg
-from spg.exactalg import _hadamard_bound, _modular_charpoly, _prime_basis, _primes_between
+from spg.exactalg import _hadamard_bound, _modular_charpoly, _prime_basis
 from spg.graphs import adjacency_matrix, distance_matrix, strong_power_graph
 
 from conftest import bareiss_det, identity_matrix, permuted, poly_eval
@@ -174,12 +174,6 @@ def test_prime_basis_matches_trial_division(n):
     # 2^4000 needs primes from more than one sieve window at every n here
     for bound in (2, 2 * (1 + 2 * n) ** n, 2**4000):
         assert _prime_basis(n, bound) == _trial_division_basis(n, bound), (n, bound)
-
-
-def test_primes_between_small_windows():
-    for lo, hi in ((2, 3), (2, 200), (3, 200), (90, 91), (1000, 1100)):
-        expected = [k for k in range(lo, hi) if is_prime(k)]
-        assert _primes_between(lo, hi).tolist() == expected, (lo, hi)
 
 
 def _assert_charpoly_by_determinants(rows, fold=charpoly):
@@ -331,20 +325,21 @@ def test_sweep_matrices_run_the_recurrence_once_per_distinct_block(monkeypatch):
 def test_sweep_matrices_never_reach_the_primes(monkeypatch):
     # in the builders' element order, the integer stage reduces every Z_n
     # matrix completely, and its blocks are folded over Z: no prime basis is
-    # sought and no residue stack is built, whatever n is
+    # sought and no matrix is reduced modulo a prime, whatever n is
     calls = []
-    basis, stack = exactalg._prime_basis, exactalg._residue_stack
+    basis, reduce = exactalg._prime_basis, exactalg._hessenberg
 
     def basis_spy(n, bound):
-        calls.append("basis")
-        return basis(n, bound)
+        primes, product = basis(n, bound)
+        calls.append(("basis", len(primes)))
+        return primes, product
 
-    def stack_spy(entries, primes):
-        calls.append("stack")
-        return stack(entries, primes)
+    def reduce_spy(h, p):
+        calls.append(("hessenberg", h.shape))
+        reduce(h, p)
 
     monkeypatch.setattr(exactalg, "_prime_basis", basis_spy)
-    monkeypatch.setattr(exactalg, "_residue_stack", stack_spy)
+    monkeypatch.setattr(exactalg, "_hessenberg", reduce_spy)
     for n in (12, 60, 110, 1024):
         for matrix, formula in _cyclic_matrices(n):
             assert charpoly(matrix) == formula(n), n
@@ -354,7 +349,8 @@ def test_sweep_matrices_never_reach_the_primes(monkeypatch):
     rows = [[2**60, 2, 3], [2, 5, 7], [3, 1, 4]]
     assert exactalg._integer_hessenberg(np.array(rows, dtype=np.int64)) == 0
     _assert_charpoly_by_determinants(rows)
-    assert calls == ["basis", "stack"], calls
+    primes = calls[0][1]
+    assert calls == [("basis", primes)] + [("hessenberg", (3, 3))] * primes, calls
 
 
 @pytest.mark.parametrize("n", [12, 60, 120])
@@ -400,17 +396,24 @@ def _coprime_first_column(rng, n, bound):
     return rows
 
 
-def test_charpoly_is_the_same_for_every_stack_size(monkeypatch):
-    stacks = []  # (primes, block order) of each stack reduced
-    reduce = exactalg._hessenberg
+def test_charpoly_reduces_the_whole_matrix_once_per_basis_prime(monkeypatch):
+    reduced = []  # (prime, shape) of each matrix reduced modulo a prime
+    basis, reduce = exactalg._prime_basis, exactalg._hessenberg
+    primes = []
 
-    def spy(h, pcol):
-        stacks.append(h.shape[:2])
-        reduce(h, pcol)
+    def basis_spy(n, bound):
+        found = basis(n, bound)
+        primes[:] = found[0]
+        return found
 
+    def spy(h, p):
+        reduced.append((p, h.shape))
+        reduce(h, p)
+
+    monkeypatch.setattr(exactalg, "_prime_basis", basis_spy)
     monkeypatch.setattr(exactalg, "_hessenberg", spy)
-    # beside a large entry, the integer stage takes no pass, so the trailing
-    # block is the whole matrix, the one block of every stack
+    # beside a large entry, the integer stage takes no pass, so the whole
+    # matrix goes to the primes, and each basis prime reduces it once
     z119, z119_charpoly = _distance_z119_beside_a_large_entry()
     rng = random.Random(24)
     rows = _beside_a_large_entry([[rng.randint(-999, 999) for _ in range(23)] for _ in range(23)])
@@ -419,17 +422,9 @@ def test_charpoly_is_the_same_for_every_stack_size(monkeypatch):
     for matrix, expected, least in ((z119, z119_charpoly, 5), (dense, charpoly(dense), 10)):
         assert exactalg._integer_hessenberg(matrix.entries.copy()) == 0
         n = matrix.n
-        monkeypatch.setattr(exactalg, "_STACK_LIMIT", 1 << 22)
-        stacks.clear()
+        reduced.clear()
         assert charpoly(matrix) == expected
-        ((basis, order),) = stacks  # the default limit holds the whole basis
-        assert order == n and basis > least, (n, basis)
-        for per_stack in range(1, basis + 1):
-            monkeypatch.setattr(exactalg, "_STACK_LIMIT", per_stack * n * n)
-            stacks.clear()
-            assert charpoly(matrix) == expected, per_stack
-            full, rest = divmod(basis, per_stack)
-            assert stacks == [(per_stack, n)] * full + ([(rest, n)] if rest else []), per_stack
+        assert reduced == [(p, (n, n)) for p in primes] and len(primes) > least, (n, reduced)
 
 
 def _conjugate(rows, i, j, c):
@@ -671,19 +666,18 @@ def test_basis_of_a_whole_grown_block_is_sized_by_the_input(monkeypatch):
 
 
 def test_charpoly_memory_is_flat_in_the_basis_size(monkeypatch):
-    # one prime per stack: the peak is a few n x n arrays whatever the basis
-    # size P; a full stack of 8 primes alone would take the whole bound below
+    # one prime at a time: the peak is a few n x n arrays whatever the basis
+    # size P; eight int64 copies of the matrix would take the whole bound
     matrix, expected = _distance_z119_beside_a_large_entry()
     assert exactalg._integer_hessenberg(matrix.entries.copy()) == 0
-    stacks = []
-    stack = exactalg._residue_stack
+    reduced = []
+    reduce = exactalg._hessenberg
 
-    def spy(entries, primes):
-        stacks.append((len(primes), entries.shape))
-        return stack(entries, primes)
+    def spy(h, p):
+        reduced.append(h.shape)
+        reduce(h, p)
 
-    monkeypatch.setattr(exactalg, "_residue_stack", spy)
-    monkeypatch.setattr(exactalg, "_STACK_LIMIT", 1)
+    monkeypatch.setattr(exactalg, "_hessenberg", spy)
     tracemalloc.start()
     try:
         poly = charpoly(matrix)
@@ -691,25 +685,31 @@ def test_charpoly_memory_is_flat_in_the_basis_size(monkeypatch):
     finally:
         tracemalloc.stop()
     assert poly == expected
-    # the stacks ran, one prime at a time, on the whole matrix
-    assert len(stacks) > 5 and set(stacks) == {(1, (120, 120))}, stacks
+    # the primes ran on the whole matrix
+    assert len(reduced) > 5 and set(reduced) == {(120, 120)}, reduced
     assert peak < 8 * 120 * 120 * 8, peak
 
 
 def test_charpoly_of_matrices_whose_entries_are_not_residues(monkeypatch):
-    # each layer of the stack must be the matrix mod p, whatever the sign
-    # and size of its entries
+    # each prime must reduce the matrix mod p that went to the primes,
+    # whatever the sign and size of its entries
     seen = []
-    stack = exactalg._residue_stack
+    modular, reduce = exactalg._modular_charpoly, exactalg._hessenberg
+    sent = []  # the matrix given to the modular stage
 
-    def spy(entries, primes):
-        h = stack(entries, primes)
+    def modular_spy(entries, bound):
+        sent[:] = [entries]
+        return modular(entries, bound)
+
+    def spy(h, p):
+        (entries,) = sent
         assert h.dtype == np.int64 and h.flags.writeable and h.flags.c_contiguous
-        assert h.tolist() == [[[v % p for v in row] for row in entries.tolist()] for p in primes]
-        seen.append((min(entries.flat), max(entries.flat), min(primes)))
-        return h
+        assert h.tolist() == [[v % p for v in row] for row in entries.tolist()]
+        seen.append((min(entries.flat), max(entries.flat), p))
+        reduce(h, p)
 
-    monkeypatch.setattr(exactalg, "_residue_stack", spy)
+    monkeypatch.setattr(exactalg, "_modular_charpoly", modular_spy)
+    monkeypatch.setattr(exactalg, "_hessenberg", spy)
     rng = random.Random(278)
     cases = [[[0, 1, 2], [1, 0, 1], [2, 1, 0]], [[-1, 2], [3, -4]], [[2**40, -3], [5, 2**40 + 1]]]
     for bits in (2, 8, 31, 45):
