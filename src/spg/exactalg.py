@@ -185,10 +185,16 @@ def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 
 def binom_power(k: int) -> IntPolynomial:
-    """(x + 1)^k via the Pascal row."""
+    """(x + 1)^k via the multiplicative Pascal row,
+    C(k, i + 1) = C(k, i) (k - i) / (i + 1), each division exact."""
     if k < 0:
         raise ValueError("exponent must be nonnegative")
-    return IntPolynomial([math.comb(k, i) for i in range(k + 1)])
+    row = [1]
+    for i in range(k):
+        coeff, remainder = divmod(row[-1] * (k - i), i + 1)
+        assert not remainder, "inexact division in the Pascal row"
+        row.append(coeff)
+    return IntPolynomial(row)
 
 
 # --- characteristic polynomial ------------------------------------------------

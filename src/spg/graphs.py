@@ -70,11 +70,10 @@ class SimpleGraph:
         loops = np.flatnonzero(adj.diagonal())
         if loops.size:
             raise ValueError(f"self-loop at vertex {int(loops[0])}")
-        # the mismatch pattern is symmetric, so its first entry in row-major
-        # order is the lowest pair (u, v) and has u < v
-        asymmetric = np.argwhere(adj != adj.T)
-        if asymmetric.size:
-            u, v = asymmetric[0].tolist()
+        if (adj != adj.T).any():
+            # the mismatch pattern is symmetric, so its first entry in
+            # row-major order is the lowest pair (u, v) and has u < v
+            u, v = np.argwhere(adj != adj.T)[0].tolist()
             raise ValueError(f"asymmetric adjacency between {u} and {v}")
         adj.flags.writeable = False
         self.n = adj.shape[0]

@@ -37,6 +37,12 @@ MatrixLike = Union[IntMatrix, np.ndarray, Sequence[Sequence[float]]]
 # Newton steps per cubic root; a simple root stops moving after a few
 _NEWTON_STEPS = 64
 
+# rows per vectorised skip test of the Householder reduction; row i of a
+# block's slab a[k:k+c, k+2:] starts its part below the subdiagonal at
+# column i, which the fixed upper-triangular mask selects
+_SCAN_ROWS = 32
+_SCAN_MASK = np.triu(np.ones((_SCAN_ROWS, _SCAN_ROWS), dtype=bool))
+
 
 class ComplexRoots(ArithmeticError):
     """The cubic does not have three real roots."""
@@ -208,15 +214,34 @@ def adjacency_spectrum_closed(g: GroupSpec) -> ClosedFormSpectrum:
     return _cubic_spectrum(n, adjacency_cubic(n), "adjacency-cyclic-composite")
 
 
-def _as_array(matrix: MatrixLike) -> np.ndarray:
+def _working_copy(matrix: MatrixLike) -> tuple[np.ndarray, float]:
+    """One float64 copy of a finite, exactly symmetric square matrix, and
+    the largest magnitude among its entries (0.0 when it has none).
+
+    An int64 IntMatrix is checked on its integers: they are finite, and
+    symmetry is decided before the conversion can round two unequal
+    entries to one float.  Any other input is converted first and checked
+    as floats.
+    """
+    if isinstance(matrix, IntMatrix) and matrix.entries.dtype == np.int64:
+        ints = matrix.entries
+        if not np.array_equal(ints, ints.T):
+            raise NonSymmetric("matrix is not exactly symmetric")
+        top = max(int(ints.max()), -int(ints.min())) if ints.size else 0
+        return ints.astype(np.float64), float(top)
     source = matrix.entries if isinstance(matrix, IntMatrix) else matrix
     try:
-        arr = np.asarray(source, dtype=np.float64)
+        a = np.array(source, dtype=np.float64)
     except OverflowError:
         raise NonFinite("matrix has an integer entry beyond the float64 range") from None
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NonSymmetric(f"expected a square matrix, got shape {arr.shape}")
-    return arr
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NonSymmetric(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFinite("matrix has NaN or infinite entries")
+    if not np.array_equal(a, a.T):
+        raise NonSymmetric("matrix is not exactly symmetric")
+    top = max(float(a.max()), -float(a.min())) if a.size else 0.0
+    return a, top
 
 
 def _tridiagonal_eigenvalues(d: list[float], e: list[float], max_iterations: int) -> list[float]:
@@ -275,6 +300,25 @@ def _tridiagonal_eigenvalues(d: list[float], e: list[float], max_iterations: int
     return d
 
 
+def _reflect(a: np.ndarray, k: int) -> None:
+    """Householder step k on the scaled symmetric working array a: reflect
+    row k right of the diagonal (which equals column k below it) onto its
+    first entry, and apply the reflection to the trailing block as one
+    rank-2 update B -= v w^T + w v^T, with p = beta B v and
+    w = p - (beta/2)(p^T v) v (Golub & Van Loan, sec. 8.3.1; LAPACK's
+    dsytd2 and dsyr2).  Only a[k, k+1] and the trailing block are written."""
+    x = a[k, k + 1 :]
+    alpha = -math.copysign(math.sqrt(float(x @ x)), x[0])
+    v = x.copy()
+    v[0] -= alpha
+    beta = 2.0 / float(v @ v)
+    block = a[k + 1 :, k + 1 :]
+    p = beta * (block @ v)
+    w = p - (0.5 * beta * float(p @ v)) * v
+    block -= np.stack((v, w), 1) @ np.stack((w, v))
+    a[k, k + 1] = alpha
+
+
 def symmetric_eigenvalues(
     matrix: MatrixLike, tol: float = 1e-12, max_iterations: int = 30
 ) -> list[float]:
@@ -283,52 +327,53 @@ def symmetric_eigenvalues(
     (Golub & Van Loan, *Matrix Computations*, sec. 8.3).
 
     Input must be finite and exactly symmetric (these matrices come from
-    integers); NonFinite and NonSymmetric name the fault otherwise.  A
-    matrix with an entry of magnitude 1 or more is first scaled down by a
-    power of two, exactly, so that its largest entry lies in [1/2, 1); no
-    intermediate can then overflow.
+    integers); NonFinite and NonSymmetric name the fault otherwise.  An
+    int64 IntMatrix is checked on its integers, so two entries that differ
+    but round to one float64 are still caught; other input is checked on
+    its float64 copy.  That one copy is the working array.  When an entry
+    has magnitude 1 or more, the copy is scaled in place by a power of two,
+    exactly, so that its largest entry lies in [1/2, 1); no intermediate
+    can then overflow.
 
     Step k of the reduction reflects the column below the diagonal onto its
     first entry.  When the part of that column below the subdiagonal has
     norm at most skip = tol * max(1, ||A||_F) / (10 n), the step is skipped
-    and that part is dropped.  These matrices have minimal polynomials of
-    degree at most 4, so after a few reflections the remaining columns sit
-    at roundoff level and almost every step is skipped.  The result is
-    therefore the exact spectrum of A + E with
-    ||E||_F <= sqrt(2n) * skip < tol * max(1, ||A||_F), plus O(n eps ||A||_F)
-    rounding; by the Hoffman-Wielandt inequality each eigenvalue is within
-    that distance of A's.  QL's deflation drops each subdiagonal entry
-    |e| <= eps * norm <= 2 eps ||A||_F (see _tridiagonal_eigenvalues), at
-    most n - 1 of them, which lies inside the O(n eps ||A||_F) term.  QL
-    raises NoConvergence after max_iterations iterations on one eigenvalue
-    (30, as in tql1).
+    and that part is dropped.  A skipped step writes nothing, so the test
+    runs over a block of _SCAN_ROWS rows at once, and the reduction
+    reflects at the first row of the block that fails it and resumes
+    after that row.  Each reflection is one rank-2 update (see _reflect).
+    These matrices have minimal polynomials of degree at most 4, so after a
+    few reflections the remaining columns sit at roundoff level and almost
+    every step is skipped.  The result is therefore the exact spectrum of
+    A + E with ||E||_F <= sqrt(2n) * skip < tol * max(1, ||A||_F), plus
+    O(n eps ||A||_F) rounding; by the Hoffman-Wielandt inequality each
+    eigenvalue is within that distance of A's.  QL's deflation drops each
+    subdiagonal entry |e| <= eps * norm <= 2 eps ||A||_F (see
+    _tridiagonal_eigenvalues), at most n - 1 of them, which lies inside the
+    O(n eps ||A||_F) term.  QL raises NoConvergence after max_iterations
+    iterations on one eigenvalue (30, as in tql1).
     """
-    a = _as_array(matrix)
-    if not np.isfinite(a).all():
-        raise NonFinite("matrix has NaN or infinite entries")
-    if not np.array_equal(a, a.T):
-        raise NonSymmetric("matrix is not exactly symmetric")
+    a, top = _working_copy(matrix)
     n = a.shape[0]
     if n <= 1:
         return a.diagonal().tolist()
-    shift = max(0, math.frexp(float(np.abs(a).max()))[1])
-    a = np.ldexp(a, -shift)  # the working copy: a caller's float64 array is only read
+    shift = max(0, math.frexp(top)[1])
+    np.ldexp(a, -shift, out=a)
     skip = tol * max(math.ldexp(1.0, -shift), float(np.linalg.norm(a))) / (10.0 * n)
-    for k in range(n - 2):
-        x = a[k, k + 1 :]  # equals column k below the diagonal: a stays symmetric
-        tail = x[1:]
-        if tail @ tail <= skip * skip:
-            continue
-        alpha = -math.copysign(math.sqrt(float(x @ x)), x[0])
-        v = x.copy()
-        v[0] -= alpha
-        beta = 2.0 / float(v @ v)
-        block = a[k + 1 :, k + 1 :]
-        p = beta * (block @ v)
-        w = p - (0.5 * beta * float(p @ v)) * v
-        block -= np.outer(v, w)
-        block -= np.outer(w, v)
-        a[k, k + 1] = alpha
+    k = 0
+    while k < n - 2:
+        slab = a[k : min(k + _SCAN_ROWS, n - 2), k + 2 :]
+        rows = slab.shape[0]
+        head = np.where(_SCAN_MASK[:rows, : slab.shape[1]], slab[:, :_SCAN_ROWS], 0.0)
+        rest = slab[:, _SCAN_ROWS:]
+        tails = np.einsum("ij,ij->i", head, head) + np.einsum("ij,ij->i", rest, rest)
+        fails = np.flatnonzero(tails > skip * skip)
+        if fails.size:
+            k += int(fails[0])
+            _reflect(a, k)
+            k += 1
+        else:
+            k += rows
     d = a.diagonal().tolist()
     e = a.diagonal(1).tolist() + [0.0]
     values = _tridiagonal_eigenvalues(d, e, max_iterations)

@@ -809,6 +809,11 @@ def test_binom_power():
     assert binom_power(5).coefficient(2) == 10
 
 
+def test_binom_power_matches_math_comb():
+    for k in [*range(201), 2045]:
+        assert binom_power(k).coeffs == tuple(math.comb(k, i) for i in range(k + 1)), k
+
+
 def test_distance_formula_n4():
     assert distance_charpoly_formula(4) == IntPolynomial([-7, -18, -12, 0, 1])
 

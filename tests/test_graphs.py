@@ -68,6 +68,17 @@ def test_simple_graph_rejects_loops_and_asymmetry():
         SimpleGraph([[0, 1, 0], [1, 0, 0]])
 
 
+def test_simple_graph_names_the_lowest_asymmetric_pair():
+    adj = np.zeros((12, 12), dtype=bool)
+    adj[9, 2] = adj[5, 11] = adj[4, 7] = adj[7, 3] = True  # every one is unmatched
+    adj[1, 6] = adj[6, 1] = True  # a matched edge below all of them
+    with pytest.raises(ValueError, match=r"^asymmetric adjacency between 2 and 9$"):
+        SimpleGraph(adj)
+    adj[2, 9] = True  # matched now, so (3, 7) is the lowest pair left
+    with pytest.raises(ValueError, match=r"^asymmetric adjacency between 3 and 7$"):
+        SimpleGraph(adj)
+
+
 def test_z4_edges_from_definition():
     graph = strong_power_graph(CyclicGroup(4))
     assert sorted(graph.edges()) == [(0, 2), (1, 2), (1, 3), (2, 3)]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spg import spectra
 from spg.exactalg import (
     IntMatrix,
     UnsupportedN,
@@ -292,6 +293,12 @@ def test_jacobi_rejects_asymmetric_input():
         symmetric_eigenvalues(np.ones((2, 3)))
 
 
+def test_oracle_checks_symmetry_before_rounding_to_float():
+    # both off-diagonal entries round to the float 2^53
+    with pytest.raises(NonSymmetric):
+        symmetric_eigenvalues(IntMatrix([[0, 2**53 + 1], [2**53, 0]]))
+
+
 def test_jacobi_no_convergence_with_zero_sweeps():
     with pytest.raises(NoConvergence):
         symmetric_eigenvalues(IntMatrix([[0, 1], [1, 0]]), max_iterations=0)
@@ -371,6 +378,74 @@ def test_oracle_converges_on_low_rank_integer_matrices():
         for seed in range(40):
             r = np.random.default_rng(seed).integers(-3, 4, (n, 3))
             _assert_agrees_with_eigvalsh(IntMatrix(r @ r.T), 1e-13, (n, seed))
+
+
+def _count_reflections(monkeypatch) -> list[int]:
+    """Record the step k of every reflection the oracle applies."""
+    steps: list[int] = []
+    reflect = spectra._reflect
+
+    def spy(a, k):
+        steps.append(k)
+        reflect(a, k)
+
+    monkeypatch.setattr(spectra, "_reflect", spy)
+    return steps
+
+
+def _row_by_row_steps(matrix, tol: float = 1e-12) -> list[int]:
+    """The reference for the block scan: the steps the reduction reflects
+    at when each row's skip test runs on its own, one row after another."""
+    a, top = spectra._working_copy(matrix)
+    n = a.shape[0]
+    shift = max(0, math.frexp(top)[1])
+    np.ldexp(a, -shift, out=a)
+    skip = tol * max(math.ldexp(1.0, -shift), float(np.linalg.norm(a))) / (10.0 * n)
+    steps = []
+    for k in range(n - 2):
+        tail = a[k, k + 2 :]
+        if tail @ tail > skip * skip:
+            spectra._reflect(a, k)
+            steps.append(k)
+    return steps
+
+
+_C = spectra._SCAN_ROWS
+
+
+@pytest.mark.parametrize("j", [0, _C - 1, _C, _C + 1, 2 * _C, 97])
+def test_oracle_block_scan_reflects_at_the_first_heavy_row(j, monkeypatch):
+    # only row j (and column j) has weight below the subdiagonal, so every
+    # earlier step is skipped, wherever row j falls in the scan's blocks
+    n = 100
+    rng = np.random.default_rng(j)
+    a = np.diag(rng.integers(-5, 6, n)) + np.diag(rng.integers(1, 4, n - 1), 1)
+    a[j, j + 2 :] = rng.integers(-3, 4, n - j - 2)
+    a[j, j + 2] = 7
+    a = np.triu(a) + np.triu(a, 1).T
+    steps = _count_reflections(monkeypatch)
+    _assert_agrees_with_eigvalsh(IntMatrix(a), 1e-11, j)
+    scanned = list(steps)
+    assert scanned[0] == j
+    assert scanned == _row_by_row_steps(IntMatrix(a))
+
+
+def test_strong_power_graph_matrices_need_at_most_three_reflections(monkeypatch):
+    steps = _count_reflections(monkeypatch)
+    groups = [CyclicGroup(n) for n in range(2, 251)] + list(_spectrum_workload_groups())
+    for group in groups:
+        graph = strong_power_graph(group)
+        matrices = [adjacency_matrix(graph)]
+        try:
+            matrices.append(distance_matrix(graph))
+        except DisconnectedGraph:
+            pass
+        for matrix in matrices:
+            steps.clear()
+            symmetric_eigenvalues(matrix)
+            scanned = list(steps)
+            assert len(scanned) <= 3, (group, scanned)
+            assert scanned == _row_by_row_steps(matrix), group
 
 
 @st.composite
