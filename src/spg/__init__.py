@@ -10,12 +10,17 @@ from .exactalg import (
     UnsupportedN,
     adjacency_charpoly_formula,
     adjacency_cubic,
+    adjacency_formula_factors,
     binom_power,
     charpoly,
+    charpoly_factors,
     distance_charpoly_formula,
     distance_cubic,
+    distance_formula_factors,
     poly_mul,
     prime_adjacency_charpoly,
+    prime_adjacency_factors,
+    same_product,
 )
 from .graphs import (
     DisconnectedGraph,

@@ -2,10 +2,11 @@
 
 Subcommands:
   build     construct a strong power graph (DOT, JSON edge list, or CSV matrix)
-  charpoly  exact characteristic polynomial, compared to its closed form
+  charpoly  exact characteristic polynomial, compared expanded to its closed form
   spectrum  closed-form spectrum, numeric eigenvalues (Householder + QL), and
             their comparison
-  verify    run every applicable check over a range of cyclic orders
+  verify    run every applicable check over a range of cyclic orders; the
+            charpolys are compared as factor lists, none expanded
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 (including a group order above --max-order), 3 inapplicable input
@@ -171,6 +172,8 @@ def _closed_form_poly(matrix_kind: str, n: int) -> Optional[IntPolynomial]:
 
 
 def cmd_charpoly(args: argparse.Namespace) -> tuple[int, str]:
+    """The exact charpoly and, for a cyclic group, its closed form, both
+    expanded: the document shows the polynomials it compares."""
     group = parse_group_spec(args.group, args.max_order)
     graph = strong_power_graph(group)
     matrix = distance_matrix(graph) if args.matrix == "distance" else adjacency_matrix(graph)

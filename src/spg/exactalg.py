@@ -1,5 +1,7 @@
 """Exact integer linear algebra: matrices, dense polynomials, characteristic
-polynomials, and the closed-form polynomials they are checked against.
+polynomials as factor lists, their comparison on a coprime basis, and the
+closed-form polynomials they are checked against.  The tiled symmetry check
+that the graph constructor and the eigenvalue oracle share lives here too.
 
 Everything here is exact: matrices hold int64 or Python integers, polynomials
 hold Python integers, and every division performed by an algorithm is
@@ -9,7 +11,7 @@ asserted to leave no remainder.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,14 +24,20 @@ __all__ = [
     "UnsupportedN",
     "NotPrime",
     "InexactDivision",
+    "first_asymmetry",
     "poly_mul",
     "binom_power",
     "charpoly",
+    "charpoly_factors",
+    "same_product",
     "distance_cubic",
     "adjacency_cubic",
     "distance_charpoly_formula",
     "adjacency_charpoly_formula",
     "prime_adjacency_charpoly",
+    "distance_formula_factors",
+    "adjacency_formula_factors",
+    "prime_adjacency_factors",
 ]
 
 class PrimeOrTrivialN(ValueError):
@@ -100,6 +108,33 @@ class IntMatrix:
         return f"IntMatrix(n={self.n})"
 
 
+_SYMMETRY_TILE = 256  # rows and columns per tile of first_asymmetry
+
+
+def first_asymmetry(x: np.ndarray) -> Optional[tuple[int, int]]:
+    """The lowest pair (u, v) in row-major order with x[u, v] != x[v, u],
+    or None when the square array x equals its transpose.
+
+    The mismatch pattern is symmetric, so that pair has u < v.  Each tile
+    x[i:i+b, j:j+b] with j >= i is compared with x[j:j+b, i:i+b].T, for
+    b = _SYMMETRY_TILE: a whole-array compare against x.T reads one operand
+    a whole row apart per element, a tile only a tile's row apart.  An
+    array of order at most b is one tile, compared whole.
+    """
+    b = _SYMMETRY_TILE
+    n = len(x)
+    for i in range(0, n, b):
+        pairs = []
+        for j in range(i, n, b):
+            mismatch = x[i : i + b, j : j + b] != x[j : j + b, i : i + b].T
+            if mismatch.any():
+                u, v = np.argwhere(mismatch)[0].tolist()
+                pairs.append((i + u, j + v))
+        if pairs:
+            return min(pairs)
+    return None
+
+
 class IntPolynomial:
     """Dense univariate polynomial over the integers, coefficients ascending.
 
@@ -141,10 +176,6 @@ class IntPolynomial:
         if not self.coeffs:
             return ["0"]
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_coeff_strings(cls, items: Sequence[str]) -> "IntPolynomial":
-        return cls([int(s) for s in items])
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -281,18 +312,6 @@ def _hessenberg_charpoly(h: np.ndarray, p: int) -> np.ndarray:
             q[m, : m - 1] -= w @ q[: m - 1, : m - 1]
         q[m, : m + 1] %= p
     return q[n]
-
-
-def _distinct_blocks(h: np.ndarray, cuts: Sequence[int]) -> list[list]:
-    """The diagonal blocks h[lo:hi, lo:hi] of the 2-D int64 array h between
-    consecutive cuts, one [block, multiplicity] pair per distinct block: the
-    same order and the same entries."""
-    blocks: dict[tuple[int, bytes], list] = {}
-    for lo, hi in zip(cuts, cuts[1:]):
-        block = h[lo:hi, lo:hi]
-        seen = blocks.setdefault((hi - lo, block.tobytes()), [block, 0])
-        seen[1] += 1
-    return list(blocks.values())
 
 
 def _integer_hessenberg(h: np.ndarray) -> int:
@@ -439,8 +458,12 @@ def _modular_charpoly(entries: np.ndarray, bound: int) -> list[int]:
     return _crt_signed(residues, primes, modulus)
 
 
-def charpoly(matrix: IntMatrix) -> IntPolynomial:
-    """Exact characteristic polynomial det(xI - M), monic of degree n.
+def charpoly_factors(matrix: IntMatrix) -> list[tuple[IntPolynomial, int]]:
+    """The characteristic polynomial det(xI - M) as monic factors with
+    multiplicities, [(f_1, m_1), ...], whose product f_1^m_1 f_2^m_2 ...
+    is it: the charpolys of the distinct diagonal blocks the integer stage
+    splits M into, and of the trailing block left to the primes.  The
+    factors are neither coprime nor squarefree (see same_product).
 
     Hessenberg method (Cohen, *A Course in Computational Algebraic Number
     Theory*, Alg. 2.2.9), first over the integers, then, for whatever the
@@ -456,29 +479,29 @@ def charpoly(matrix: IntMatrix) -> IntPolynomial:
     zero, H is block upper triangular, and its charpoly is the product of
     those of its diagonal blocks.
 
-    Exact fold.  Every block that lies wholly inside the reduced columns is
-    upper Hessenberg over Z; when the stage reduces every column, so is the
-    last one.  Each distinct block, the same order and the same entries,
-    runs the Hessenberg recurrence once in Python integers.  The
-    recurrence only multiplies and subtracts, so no division and no
-    modulus arise.  Its charpoly is raised to the block's multiplicity by
-    J. C. P. Miller's recurrence (see _poly_pow), whose divisions are
-    asserted exact, and the powers are multiplied with poly_mul.  A strong
-    power graph's matrix of Z_n, in the element order the builders use,
-    reduces completely, to one 3 x 3 block and n - 3 equal 1 x 1 blocks:
-    its minimal polynomial has degree at most 4, and each of its two
-    working columns clears in one pass.  So its charpoly never reaches the
-    primes.
+    Exact blocks.  Every block that lies wholly inside the reduced columns
+    is upper Hessenberg over Z; when the stage reduces every column, so is
+    the last one.  The 1 x 1 blocks are counted by value in one np.unique
+    over the diagonal: a block [v] is the factor x - v.  Each distinct
+    larger block, the same order and the same entries, runs the Hessenberg
+    recurrence once in Python integers (see _exact_hessenberg_charpoly).
+    The recurrence only multiplies and subtracts, so no division and no
+    modulus arise.  A strong power graph's matrix of Z_n, in the element
+    order the builders use, reduces completely, to one 3 x 3 block and
+    n - 3 equal 1 x 1 blocks: its minimal polynomial has degree at most 4,
+    and each of its two working columns clears in one pass.  So its
+    charpoly never reaches the primes.
 
     Modular stage.  Only the trailing block, from the last cut onward,
     when the integer stage stopped before the end, goes to the primes
-    (see _modular_charpoly); so does all of M when it is a matrix of
-    Python integers or has entries of 2^62/n or more.  One prime at a
-    time, that block B is reduced modulo p to Hessenberg form and the
-    recurrence runs on it whole (see _hessenberg_charpoly), in O(b^2 +
-    P * b) memory for B's order b and P basis primes, found by is_prime.
-    Every basis prime has b * (p-1)^2 < 2^53, so each int64 product of
-    two residues, and each dot product of at most b of them, is exact.
+    (see _modular_charpoly), as one factor of multiplicity 1; so does all
+    of M when it is a matrix of Python integers or has entries of 2^62/n
+    or more.  One prime at a time, that block B is reduced modulo p to
+    Hessenberg form and the recurrence runs on it whole (see
+    _hessenberg_charpoly), in O(b^2 + P * b) memory for B's order b and P
+    basis primes, found by is_prime.  Every basis prime has
+    b * (p-1)^2 < 2^53, so each int64 product of two residues, and each
+    dot product of at most b of them, is exact.
 
     The basis is sized by B's own entries.  B is an integer matrix and
     the CRT recovers B's own charpoly, so Hadamard's bound on B holds,
@@ -496,22 +519,30 @@ def charpoly(matrix: IntMatrix) -> IntPolynomial:
     _hadamard_bound).  The s_i are summed in int64 when
     b * max|B[i, j]|^2 < 2^63, and in Python integers otherwise.
 
-    Each pivot inverse is asserted, and so are the leading coefficient 1
-    and the x^(n-1) coefficient -tr(M).
+    Each pivot inverse is asserted, and so are these: every factor is
+    monic, sum m * deg f = n, and sum m * [x^(deg f - 1)] f = -tr(M), the
+    x^(n-1) coefficient of the product.
     """
     n = matrix.n
     entries = matrix.entries
     small = (1 << 62) // n  # the integer stage's int64 limit (see _integer_hessenberg)
-    poly = IntPolynomial([1])
+    factors: list[tuple[IntPolynomial, int]] = []
     if entries.dtype == np.int64 and -small < entries.min() and entries.max() < small:
         h = entries.copy()
         done = _integer_hessenberg(h)
         cuts = [0, *(np.flatnonzero(np.diagonal(h, offset=-1)[:done] == 0) + 1).tolist()]
         if done == n - 1:
             cuts.append(n)  # every column is reduced: the last block is Hessenberg too
-        for block, count in _distinct_blocks(h, cuts):
-            power = _poly_pow(_exact_hessenberg_charpoly(block.tolist()), count)
-            poly = poly_mul(poly, IntPolynomial(power))
+        starts = np.array(cuts[:-1], dtype=np.int64)
+        sizes = np.diff(cuts)
+        values, counts = np.unique(np.diagonal(h)[starts[sizes == 1]], return_counts=True)
+        factors += [(IntPolynomial([-v, 1]), m) for v, m in zip(values.tolist(), counts.tolist())]
+        blocks: dict[tuple[int, bytes], list] = {}
+        for lo, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
+            block = h[lo : lo + size, lo : lo + size]
+            blocks.setdefault((size, block.tobytes()), [block, 0])[1] += 1
+        for block, m in blocks.values():
+            factors.append((IntPolynomial(_exact_hessenberg_charpoly(block.tolist())), m))
         rest = h[cuts[-1] :, cuts[-1] :]
         if len(rest):
             bound = _hadamard_bound(rest)
@@ -521,18 +552,140 @@ def charpoly(matrix: IntMatrix) -> IntPolynomial:
         rest = entries.astype(object, copy=False)  # exact Python integers
         bound = _hadamard_bound(rest)
     if len(rest):
-        poly = poly_mul(poly, IntPolynomial(_modular_charpoly(rest, bound)))
+        factors.append((IntPolynomial(_modular_charpoly(rest, bound)), 1))
     trace = sum(np.diagonal(entries).tolist())  # Python integers: no int64 wraparound
-    assert poly.degree == n and poly.coeffs[n] == 1, "charpoly is not monic"
-    assert poly.coefficient(n - 1) == -trace, "x^(n-1) coefficient is not -tr(M)"
+    assert all(f.is_monic() for f, _ in factors), "a block charpoly is not monic"
+    assert sum(m * f.degree for f, m in factors) == n, "block orders do not sum to n"
+    assert sum(m * f.coefficient(f.degree - 1) for f, m in factors) == -trace, (
+        "x^(n-1) coefficient is not -tr(M)"
+    )
+    return factors
+
+
+def charpoly(matrix: IntMatrix) -> IntPolynomial:
+    """Exact characteristic polynomial det(xI - M), monic of degree n: the
+    product of charpoly_factors(M), each factor raised to its multiplicity
+    by J. C. P. Miller's recurrence (see _poly_pow), whose divisions are
+    asserted exact, and the powers multiplied with poly_mul."""
+    poly = IntPolynomial([1])
+    for factor, m in charpoly_factors(matrix):
+        poly = poly_mul(poly, IntPolynomial(_poly_pow(list(factor.coeffs), m)))
     return poly
+
+
+# --- comparison of factored polynomials ---------------------------------------
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content, the sign taken so the leading coefficient
+    is positive; each division is asserted exact."""
+    content = math.gcd(*a)
+    if a[-1] < 0:
+        content = -content
+    out = []
+    for c in a:
+        quotient, remainder = divmod(c, content)
+        assert not remainder, "inexact content division"
+        out.append(quotient)
+    return out
+
+
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A remainder of a by b over Z, up to a factor lc(b)^k (Knuth, TAOCP
+    Vol. 2, Sec. 4.6.1): each step scales a by lc(b) and cancels its
+    leading term, so no division arises.  The result, with trailing zeros
+    stripped, has degree below b's."""
+    r = list(a)
+    lead, db = b[-1], len(b) - 1
+    while len(r) > db:
+        top, shift = r[-1], len(r) - 1 - db
+        if lead != 1:
+            r = [lead * c for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= top * c
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _divide_exactly(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The quotient a / b for monic b, asserted to leave no remainder."""
+    r = list(a)
+    db = len(b) - 1
+    quotient = [0] * (len(a) - db)
+    for k in range(len(quotient) - 1, -1, -1):
+        top = quotient[k] = r[k + db]
+        if top:
+            for i, c in enumerate(b):
+                r[k + i] -= top * c
+    assert not any(r[:db]), "inexact polynomial division"
+    return tuple(quotient)
+
+
+def _gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The monic gcd of two monic polynomials over Z, by the primitive
+    pseudo-remainder sequence: each remainder divided by its content.  A
+    primitive divisor of a monic polynomial has leading coefficient +-1
+    (Gauss's lemma), and the last nonzero remainder, made primitive with a
+    positive lead, is asserted monic."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _pseudo_remainder(a, b)
+        a, b = b, (_primitive(r) if r else r)
+    assert a[-1] == 1, "gcd of monic polynomials is not monic up to sign"
+    return tuple(a)
+
+
+def same_product(
+    a: Sequence[tuple[IntPolynomial, int]], b: Sequence[tuple[IntPolynomial, int]]
+) -> bool:
+    """Whether two lists of monic factors with integer multiplicities,
+    [(f, m), ...], have the same product f_1^m_1 f_2^m_2 ...; a negative
+    multiplicity divides by its factor.
+
+    No product is expanded.  The factors of both lists are refined into one
+    basis of pairwise coprime monic polynomials, each carrying its exponent
+    in a and in b (Bach, Driscoll & Shallit, *Factor refinement*, J.
+    Algorithms 15, 1993).  A factor equal to a basis element adds its
+    exponent to it.  Otherwise, where it meets a basis element g with
+    d = gcd(f, g) of positive degree, g is replaced by d, g / d and f / d,
+    d taking both exponents summed, and each of the three is placed again;
+    the total degree falls at every split, so the refinement ends.  Over a
+    coprime basis the two products agree exactly when their exponent
+    vectors do.  gcds are primitive pseudo-remainder sequences in Z[x] (see
+    _gcd); every content division and every quotient is asserted exact.
+    """
+    for f, _ in (*a, *b):
+        if not f.is_monic():
+            raise ValueError(f"factor {f} is not monic")
+    work = [(f.coeffs, m, 0) for f, m in a] + [(f.coeffs, 0, m) for f, m in b]
+    basis: dict[tuple[int, ...], list[int]] = {}  # element -> [exponent in a, in b]
+    while work:
+        f, ea, eb = work.pop()
+        if len(f) == 1:
+            continue  # the constant 1
+        if f in basis:
+            basis[f][0] += ea
+            basis[f][1] += eb
+            continue
+        for g in basis:
+            d = _gcd(f, g)
+            if len(d) > 1:
+                ga, gb = basis.pop(g)
+                work += [(d, ea + ga, eb + gb), (_divide_exactly(g, d), ga, gb),
+                         (_divide_exactly(f, d), ea, eb)]
+                break
+        else:
+            basis[f] = [ea, eb]
+    return all(ea == eb for ea, eb in basis.values())
 
 
 # --- closed-form polynomials ---------------------------------------------------
 #
 # The two cubics below are the only place the paper's closed forms are spelled
-# out: the charpoly formulas multiply them by (x+1)^(n-3), and the closed-form
-# spectra in spg.spectra solve them.
+# out: the factor lists pair them with (x+1)^(n-3), the charpoly formulas
+# expand that product, and the closed-form spectra in spg.spectra solve them.
 
 
 def distance_cubic(n: int) -> IntPolynomial:
@@ -553,47 +706,70 @@ def adjacency_cubic(n: int) -> IntPolynomial:
     return IntPolynomial([(n - phi - 1) * (phi - 1), 3 - 2 * n + phi, 3 - n, 1])
 
 
+def distance_formula_factors(n: int) -> list[tuple[IntPolynomial, int]]:
+    """The closed form of the distance characteristic polynomial of the
+    strong power graph of Z_n as factors, [(x+1, n-3), (distance_cubic(n),
+    1)], for composite n >= 4."""
+    if not is_composite(n):
+        raise PrimeOrTrivialN(f"closed form needs a composite order >= 4, got {n}")
+    return [(IntPolynomial([1, 1]), n - 3), (distance_cubic(n), 1)]
+
+
+def adjacency_formula_factors(n: int) -> list[tuple[IntPolynomial, int]]:
+    """The closed form of the adjacency characteristic polynomial of the
+    strong power graph of Z_n as factors, [(x+1, n-3), (adjacency_cubic(n),
+    1)], for any order n >= 2.  At n = 2 the exponent is -1 (see
+    adjacency_charpoly_formula)."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"order must be a positive integer, got {n!r}")
+    if n == 1:
+        raise UnsupportedN("the adjacency closed form does not cover order 1")
+    return [(IntPolynomial([1, 1]), n - 3), (adjacency_cubic(n), 1)]
+
+
+def prime_adjacency_factors(p: int) -> list[tuple[IntPolynomial, int]]:
+    """The adjacency characteristic polynomial for prime order p as
+    factors, [(x, 1), (x+1, p-2), (x+2-p, 1)]."""
+    if not is_prime(p):
+        raise NotPrime(f"expected a prime order, got {p}")
+    return [(IntPolynomial([0, 1]), 1), (IntPolynomial([1, 1]), p - 2), (IntPolynomial([2 - p, 1]), 1)]
+
+
 def distance_charpoly_formula(n: int) -> IntPolynomial:
     """Closed form of the distance characteristic polynomial of the strong
     power graph of Z_n, valid for composite n >= 4: (x+1)^(n-3) times
-    distance_cubic(n).
+    distance_cubic(n), expanded.
     """
-    if not is_composite(n):
-        raise PrimeOrTrivialN(f"closed form needs a composite order >= 4, got {n}")
-    return poly_mul(binom_power(n - 3), distance_cubic(n))
+    (_, k), (cubic, _) = distance_formula_factors(n)
+    return poly_mul(binom_power(k), cubic)
 
 
 def adjacency_charpoly_formula(n: int) -> IntPolynomial:
     """Closed form of the adjacency characteristic polynomial of the strong
     power graph of Z_n, for any order n >= 2: (x+1)^(n-3) times
-    adjacency_cubic(n).
+    adjacency_cubic(n), expanded.
 
     At n = 2 the exponent is negative; the cubic is divided exactly by
     (x+1), which yields x^2 and matches the edgeless two-vertex graph.
     Order 1 is rejected: the formula does not reduce to the true
     single-vertex characteristic polynomial x.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"order must be a positive integer, got {n!r}")
-    if n == 1:
-        raise UnsupportedN("the adjacency closed form does not cover order 1")
-    cubic = adjacency_cubic(n)
-    if n >= 3:
-        return poly_mul(binom_power(n - 3), cubic)
+    (_, k), (cubic, _) = adjacency_formula_factors(n)
+    if k >= 0:
+        return poly_mul(binom_power(k), cubic)
     # synthetic division by (x + 1): the remainder is the cubic's value at -1
     quotient = [0] * 3
     carry = 0
-    for k in range(3, 0, -1):
-        carry = cubic.coeffs[k] - carry
-        quotient[k - 1] = carry
+    for i in range(3, 0, -1):
+        carry = cubic.coeffs[i] - carry
+        quotient[i - 1] = carry
     if cubic.coeffs[0] - carry != 0:
         raise InexactDivision(f"(x+1) does not divide the n=2 cubic {cubic}")
     return IntPolynomial(quotient)
 
 
 def prime_adjacency_charpoly(p: int) -> IntPolynomial:
-    """Adjacency characteristic polynomial for prime order: x(x+1)^(p-2)(x+2-p)."""
-    if not is_prime(p):
-        raise NotPrime(f"expected a prime order, got {p}")
-    x = IntPolynomial([0, 1])
-    return poly_mul(poly_mul(x, binom_power(p - 2)), IntPolynomial([2 - p, 1]))
+    """Adjacency characteristic polynomial for prime order: x(x+1)^(p-2)(x+2-p),
+    expanded."""
+    (x, _), (_, k), (last, _) = prime_adjacency_factors(p)
+    return poly_mul(poly_mul(x, binom_power(k)), last)

@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .exactalg import IntMatrix
+from .exactalg import IntMatrix, first_asymmetry
 from .groups import GroupSpec
 
 __all__ = [
@@ -70,11 +70,9 @@ class SimpleGraph:
         loops = np.flatnonzero(adj.diagonal())
         if loops.size:
             raise ValueError(f"self-loop at vertex {int(loops[0])}")
-        if (adj != adj.T).any():
-            # the mismatch pattern is symmetric, so its first entry in
-            # row-major order is the lowest pair (u, v) and has u < v
-            u, v = np.argwhere(adj != adj.T)[0].tolist()
-            raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        pair = first_asymmetry(adj)
+        if pair is not None:
+            raise ValueError(f"asymmetric adjacency between {pair[0]} and {pair[1]}")
         adj.flags.writeable = False
         self.n = adj.shape[0]
         self.adj = adj

@@ -84,19 +84,6 @@ class GroupSpec:
                 f"element index {a!r} out of range for group of order {self.order}"
             )
 
-    def power(self, a: int, k: int) -> int:
-        """a composed with itself k times; k = 0 yields the identity."""
-        self._check(a)
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        result, base = 0, a
-        while k:
-            if k & 1:
-                result = self.op(result, base)
-            base = self.op(base, base)
-            k >>= 1
-        return result
-
     def element_order(self, a: int) -> int:
         """Smallest k >= 1 with a^k = identity, found by plain iteration."""
         self._check(a)

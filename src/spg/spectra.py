@@ -12,7 +12,14 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .exactalg import IntMatrix, IntPolynomial, UnsupportedN, adjacency_cubic, distance_cubic
+from .exactalg import (
+    IntMatrix,
+    IntPolynomial,
+    UnsupportedN,
+    adjacency_cubic,
+    distance_cubic,
+    first_asymmetry,
+)
 from .groups import GroupSpec, is_composite, is_prime
 
 __all__ = [
@@ -89,18 +96,12 @@ class ClosedFormSpectrum:
         )
         assert all(m >= 1 for _, m in self.entries), "multiplicities must be positive"
 
-    def total(self) -> int:
-        return sum(m for _, m in self.entries)
-
     def values(self) -> list[float]:
         """All eigenvalues expanded by multiplicity, descending."""
         out: list[float] = []
         for v, m in self.entries:
             out.extend([v] * m)
         return out
-
-    def max_value(self) -> float:
-        return self.entries[0][0]
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,7 @@ def _working_copy(matrix: MatrixLike) -> tuple[np.ndarray, float]:
     """
     if isinstance(matrix, IntMatrix) and matrix.entries.dtype == np.int64:
         ints = matrix.entries
-        if not np.array_equal(ints, ints.T):
+        if first_asymmetry(ints) is not None:
             raise NonSymmetric("matrix is not exactly symmetric")
         top = max(int(ints.max()), -int(ints.min())) if ints.size else 0
         return ints.astype(np.float64), float(top)
@@ -238,7 +239,7 @@ def _working_copy(matrix: MatrixLike) -> tuple[np.ndarray, float]:
         raise NonSymmetric(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFinite("matrix has NaN or infinite entries")
-    if not np.array_equal(a, a.T):
+    if first_asymmetry(a) is not None:
         raise NonSymmetric("matrix is not exactly symmetric")
     top = max(float(a.max()), -float(a.min())) if a.size else 0.0
     return a, top

@@ -58,6 +58,35 @@ def permuted(matrix: IntMatrix, order: list[int]) -> IntMatrix:
     return IntMatrix(matrix.entries[np.ix_(order, order)])
 
 
+def group_power(g: GroupSpec, a: int, k: int) -> int:
+    """a composed with itself k times through g.op, by squaring; k = 0
+    yields the identity."""
+    if k < 0:
+        raise ValueError("exponent must be nonnegative")
+    result, base = 0, a
+    while k:
+        if k & 1:
+            result = g.op(result, base)
+        base = g.op(base, base)
+        k >>= 1
+    return result
+
+
+def poly_from_coeff_strings(items) -> IntPolynomial:
+    """The inverse of IntPolynomial.to_coeff_strings."""
+    return IntPolynomial([int(s) for s in items])
+
+
+def spectrum_total(spectrum) -> int:
+    """The number of eigenvalues of a ClosedFormSpectrum, with multiplicity."""
+    return sum(m for _, m in spectrum.entries)
+
+
+def spectrum_max_value(spectrum) -> float:
+    """The largest eigenvalue of a ClosedFormSpectrum (its entries descend)."""
+    return spectrum.entries[0][0]
+
+
 def identity_matrix(n: int) -> IntMatrix:
     return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 

@@ -36,7 +36,7 @@ from spg.spectra import (
 )
 from spg.verify import VerificationRecord
 
-from conftest import strong_power_graph_structural
+from conftest import spectrum_max_value, strong_power_graph_structural
 
 N_MAX = 150
 COMPOSITES = [n for n in range(4, N_MAX + 1) if is_composite(n)]
@@ -166,7 +166,7 @@ def test_criterion_5_worked_instance_n4(sweep):
         assert abs(closed.theta - ORACLE_N4["theta_distance"]) <= 1e-4
 
         adjacency = entry["adjacency_closed"]
-        assert abs(adjacency.max_value() - ORACLE_N4["adjacency_largest"]) <= 1e-4
+        assert abs(spectrum_max_value(adjacency) - ORACLE_N4["adjacency_largest"]) <= 1e-4
         assert abs(adjacency.theta - ORACLE_N4["theta_adjacency"]) <= 1e-4
 
         for kind in ("distance", "adjacency"):
@@ -211,8 +211,8 @@ def test_criterion_8_spectral_radii(sweep):
         for n in COMPOSITES:
             entry = sweep[n]
             group = CyclicGroup(n)
-            distance_radius = distance_spectrum_closed(group).max_value()
-            adjacency_radius = adjacency_spectrum_closed(group).max_value()
+            distance_radius = spectrum_max_value(distance_spectrum_closed(group))
+            adjacency_radius = spectrum_max_value(adjacency_spectrum_closed(group))
             assert abs(distance_radius - entry["distance_numeric"][0]) <= 1e-8, n
             assert abs(adjacency_radius - entry["adjacency_numeric"][0]) <= 1e-8, n
 

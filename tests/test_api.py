@@ -1,8 +1,11 @@
-"""The exported names: every module's __all__ and the package namespace."""
+"""The exported names: every module's __all__, the package namespace, and
+README's Library example."""
 
 import ast
 import importlib
 import inspect
+import pathlib
+import re
 
 import pytest
 
@@ -29,3 +32,11 @@ def test_package_imports_only_exported_names():
         for alias in node.names:
             assert alias.name in module.__all__, (node.module, alias.name)
             assert getattr(spg, alias.name) is getattr(module, alias.name)
+
+
+def test_readme_library_block_runs():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    library = readme.read_text(encoding="utf-8").split("## Library", 1)[1]
+    block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    assert "charpoly_factors(" in block and "same_product(" in block
+    exec(compile(block, "README.md", "exec"), {})

@@ -18,18 +18,26 @@ from spg.exactalg import (
     PrimeOrTrivialN,
     UnsupportedN,
     adjacency_charpoly_formula,
+    adjacency_cubic,
+    adjacency_formula_factors,
     binom_power,
     charpoly,
+    charpoly_factors,
     distance_charpoly_formula,
+    distance_cubic,
+    distance_formula_factors,
+    first_asymmetry,
     poly_mul,
     prime_adjacency_charpoly,
+    prime_adjacency_factors,
+    same_product,
 )
 from spg import exactalg
 from spg.exactalg import _hadamard_bound, _modular_charpoly, _prime_basis
 from spg.graphs import adjacency_matrix, distance_matrix, strong_power_graph
 
-from conftest import bareiss_det, identity_matrix, permuted, poly_eval
-from spg.groups import CyclicGroup, is_prime
+from conftest import bareiss_det, identity_matrix, permuted, poly_eval, poly_from_coeff_strings
+from spg.groups import CyclicGroup, DihedralGroup, is_prime
 
 
 def test_int_matrix_takes_square_int64_arrays():
@@ -306,7 +314,8 @@ def _cyclic_matrices(n):
 
 def test_sweep_matrices_run_the_recurrence_once_per_distinct_block(monkeypatch):
     # every Hessenberg form below is one 3 x 3 block and n - 3 equal 1 x 1
-    # blocks, so the exact recurrence runs twice, whatever n is
+    # blocks; the 1 x 1 blocks are counted by value, so the exact recurrence
+    # runs once, on the 3 x 3 block, whatever n is
     sizes = []
     recurrence = exactalg._exact_hessenberg_charpoly
 
@@ -319,7 +328,7 @@ def test_sweep_matrices_run_the_recurrence_once_per_distinct_block(monkeypatch):
         for matrix, formula in _cyclic_matrices(n):
             sizes.clear()
             assert charpoly(matrix) == formula(n), n
-            assert sorted(sizes) == [1, 3], (n, sizes)
+            assert sizes == [3], (n, sizes)
 
 
 def test_sweep_matrices_never_reach_the_primes(monkeypatch):
@@ -875,7 +884,7 @@ def test_coefficient_string_round_trip():
     poly = distance_charpoly_formula(60)
     strings = poly.to_coeff_strings()
     assert all(isinstance(s, str) for s in strings)
-    assert IntPolynomial.from_coeff_strings(strings) == poly
+    assert poly_from_coeff_strings(strings) == poly
     assert IntPolynomial([]).to_coeff_strings() == ["0"]
 
 
@@ -892,3 +901,230 @@ def test_int_matrix_validation():
         IntMatrix([[1.5, 0], [0, 1]])
     with pytest.raises(ValueError):
         IntMatrix([])
+
+
+# --- factored charpolys -------------------------------------------------------
+
+X_PLUS_ONE = IntPolynomial([1, 1])
+
+
+def _expand(factors):
+    """The product of a factor list with nonnegative multiplicities, by
+    repeated poly_mul: the reference for charpoly and same_product."""
+    out = IntPolynomial([1])
+    for factor, m in factors:
+        for _ in range(m):
+            out = poly_mul(out, factor)
+    return out
+
+
+def _hadamard_16(k):
+    h = [[1]]
+    for _ in range(4):
+        h = [row + row for row in h] + [row + [-v for v in row] for row in h]
+    return IntMatrix([[k * v for v in row] for row in h])
+
+
+def test_charpoly_factors_of_the_paper_examples():
+    # the ROADMAP's examples: Z_12 adjacency, Z_97 adjacency, and K_20 (D_10)
+    graph = strong_power_graph(CyclicGroup(12))
+    cubic = IntPolynomial([21, -17, -9, 1])
+    assert charpoly_factors(adjacency_matrix(graph)) == [(X_PLUS_ONE, 9), (cubic, 1)]
+    assert cubic == adjacency_cubic(12)
+    factors = charpoly_factors(adjacency_matrix(strong_power_graph(CyclicGroup(97))))
+    assert factors == [
+        (X_PLUS_ONE, 94),
+        (IntPolynomial([0, 1]), 1),
+        (IntPolynomial([-95, -94, 1]), 1),
+    ]
+    assert same_product(factors, prime_adjacency_factors(97))
+    k20 = charpoly_factors(adjacency_matrix(strong_power_graph(DihedralGroup(10))))
+    assert same_product(k20, [(IntPolynomial([-19, 1]), 1), (X_PLUS_ONE, 19)])
+
+
+def _sweep_matrices(n):
+    """Z_n's adjacency matrix, and its distance matrix when n is composite."""
+    graph = strong_power_graph(CyclicGroup(n))
+    if is_prime(n) or n < 4:
+        return [adjacency_matrix(graph)]
+    return [adjacency_matrix(graph), distance_matrix(graph)]
+
+
+def _charpoly_product_cases():
+    for n in (2, 3, 4, 12, 60, 97, 110):
+        for matrix in _sweep_matrices(n):
+            yield f"Z_{n}", matrix, False
+    rng = random.Random(0)
+    n = 24
+    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    for i in range(1, n):
+        rows[i][0] = rng.choice([-1, 1])
+    yield "dense -9..9, n = 24", IntMatrix(rows), True
+    d120 = distance_matrix(strong_power_graph(CyclicGroup(120))).entries.tolist()
+    yield "Z_120 distance x 2^62", IntMatrix([[v << 62 for v in row] for row in d120]), True
+    # reduces over Z into 2 x 2 blocks, two of them with multiplicity 3
+    yield "Hadamard x 2^40", _hadamard_16(2**40), False
+    yield "Z_119 distance beside a large entry", _distance_z119_beside_a_large_entry()[0], True
+
+
+def test_charpoly_is_the_product_of_its_factors(monkeypatch):
+    modular = exactalg._modular_charpoly
+    sent = []
+
+    def spy(entries, bound):
+        sent.append(entries.shape)
+        return modular(entries, bound)
+
+    monkeypatch.setattr(exactalg, "_modular_charpoly", spy)
+    for name, matrix, primes in _charpoly_product_cases():
+        sent.clear()
+        factors = charpoly_factors(matrix)
+        assert bool(sent) == primes, name
+        assert all(m >= 1 and f.is_monic() for f, m in factors), name
+        assert charpoly(matrix) == _expand(factors), name
+    assert [m for _, m in charpoly_factors(_hadamard_16(2**40))].count(3) == 2
+
+
+def test_charpoly_factors_never_call_the_closed_forms(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the exact side called a closed form")
+
+    for name in ("distance_cubic", "adjacency_cubic", "binom_power", "totient", "is_composite"):
+        monkeypatch.setattr(exactalg, name, refuse)
+    for n in (2, 4, 12, 97, 110):
+        for matrix in _sweep_matrices(n):
+            charpoly_factors(matrix)
+
+
+def test_same_product_required_cases():
+    x = IntPolynomial([0, 1])
+    assert same_product([(X_PLUS_ONE, 3)], [(X_PLUS_ONE, 2), (X_PLUS_ONE, 1)])
+    for n in (2, 3, 7, 20, 151):
+        # K_n's 2 x 2 block (x - n + 1)(x + 1) shares x + 1 with its 1 x 1 blocks
+        root = IntPolynomial([1 - n, 1])
+        block = poly_mul(root, X_PLUS_ONE)
+        assert same_product([(block, 1), (X_PLUS_ONE, n - 2)], [(root, 1), (X_PLUS_ONE, n - 1)])
+        assert not same_product([(block, 1), (X_PLUS_ONE, n - 2)], [(root, 1), (X_PLUS_ONE, n)])
+    # n = 2: the paper's exponent n - 3 is -1
+    assert adjacency_formula_factors(2) == [(X_PLUS_ONE, -1), (IntPolynomial([0, 0, 1, 1]), 1)]
+    assert same_product(adjacency_formula_factors(2), [(x, 2)])
+    assert not same_product(adjacency_formula_factors(2), [(x, 1), (X_PLUS_ONE, 1)])
+
+
+@pytest.mark.parametrize("n", [4, 6, 12, 60, 110, 150])
+def test_same_product_refuses_a_cubic_off_by_one(n):
+    graph = strong_power_graph(CyclicGroup(n))
+    for matrix, closed in (
+        (adjacency_matrix(graph), adjacency_formula_factors(n)),
+        (distance_matrix(graph), distance_formula_factors(n)),
+    ):
+        exact = charpoly_factors(matrix)
+        assert same_product(exact, closed) and same_product(closed, exact)
+        (unit, k), (cubic, _) = closed
+        for step in (-1, 1):
+            wrong = IntPolynomial([cubic.coeffs[0] + step, *cubic.coeffs[1:]])
+            assert not same_product(exact, [(unit, k), (wrong, 1)]), (n, step)
+
+
+def test_same_product_takes_monic_factors_only():
+    with pytest.raises(ValueError, match="not monic"):
+        same_product([(IntPolynomial([1, 2]), 1)], [(IntPolynomial([1, 2]), 1)])
+    with pytest.raises(ValueError, match="not monic"):
+        same_product([(IntPolynomial([]), 1)], [])
+    assert same_product([(IntPolynomial([1]), 5)], [])  # the constant 1
+
+
+def test_closed_form_factor_lists_expand_to_the_formulas():
+    for n in range(2, 151):
+        if n >= 3:
+            assert _expand(adjacency_formula_factors(n)) == adjacency_charpoly_formula(n), n
+        if not is_prime(n) and n >= 4:
+            assert _expand(distance_formula_factors(n)) == distance_charpoly_formula(n), n
+            assert distance_formula_factors(n)[1] == (distance_cubic(n), 1)
+        else:
+            with pytest.raises(PrimeOrTrivialN):
+                distance_formula_factors(n)
+        if is_prime(n):
+            assert _expand(prime_adjacency_factors(n)) == prime_adjacency_charpoly(n), n
+    with pytest.raises(UnsupportedN):
+        adjacency_formula_factors(1)
+    with pytest.raises(NotPrime):
+        prime_adjacency_factors(6)
+
+
+_MONIC = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(lambda c: IntPolynomial([*c, 1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_MONIC, st.integers(1, 3)), min_size=1, max_size=4),
+    st.randoms(use_true_random=False),
+    st.booleans(),
+)
+def test_same_product_agrees_with_the_expanded_products(a, rng, perturb):
+    # b regroups the copies of a's factors into products of random groups;
+    # perturbed, one coefficient of one group moves by one
+    copies = [f for f, m in a for _ in range(m)]
+    rng.shuffle(copies)
+    b = []
+    while copies:
+        size = rng.randint(1, len(copies))
+        b.append((_expand([(f, 1) for f in copies[:size]]), 1))
+        copies = copies[size:]
+    if perturb:
+        k = rng.randrange(len(b))
+        coeffs = list(b[k][0].coeffs)
+        coeffs[rng.randrange(len(coeffs) - 1)] += rng.choice([-1, 1])
+        b[k] = (IntPolynomial(coeffs), 1)
+    assert same_product(a, b) == (_expand(a) == _expand(b))
+    assert same_product(a, b) == same_product(b, a)
+
+
+def test_gcds_and_quotients_are_exact_over_z():
+    # x^2 - 1 and x^2 + 3x + 2 share x + 1; (x - 1)(x + 1)(x + 2) by
+    # (x - 1)(x + 3) leaves 2x - 2, whose content 2 is divided out
+    assert exactalg._gcd((-1, 0, 1), (2, 3, 1)) == (1, 1)
+    assert exactalg._pseudo_remainder((-2, -1, 2, 1), (-3, 2, 1)) == [-2, 2]
+    assert exactalg._gcd((-2, -1, 2, 1), (-3, 2, 1)) == (-1, 1)
+    assert exactalg._gcd((2, -3, 0, 1), (1, -2, 1)) == (1, -2, 1)
+    assert exactalg._gcd((1, 0, 1), (1, 1)) == (1,)
+    assert exactalg._divide_exactly((-1, 0, 1), (1, 1)) == (-1, 1)
+    with pytest.raises(AssertionError, match="inexact polynomial division"):
+        exactalg._divide_exactly((1, 0, 1), (1, 1))
+
+
+# --- tiled symmetry check -----------------------------------------------------
+
+
+def _tile_positions(n, b):
+    """One entry (u, v) in each tile position of an n x n array cut into
+    b x b tiles, on and off the diagonal tiles and in the ragged last row
+    and column of tiles."""
+    starts = range(0, n, b)
+    for i in starts:
+        for j in starts:
+            u = i + (7 * (i + j) + 1) % min(b, n - i)
+            v = j + (5 * (i + j) + 3) % min(b, n - j)
+            if u != v:
+                yield u, v
+
+
+@pytest.mark.parametrize("n, b", [(1, 4), (3, 4), (4, 4), (11, 4), (13, 5), (549, 256)])
+def test_first_asymmetry_finds_one_entry_in_each_tile(monkeypatch, n, b):
+    monkeypatch.setattr(exactalg, "_SYMMETRY_TILE", b)
+    rng = np.random.default_rng(n)
+    base = rng.integers(-50, 50, size=(n, n))
+    base = base + base.T
+    booleans = (base % 3 == 0) & ~np.eye(n, dtype=bool)
+    for x in (base, booleans, base.astype(np.float64)):
+        assert first_asymmetry(x) is None
+        for u, v in _tile_positions(n, b):
+            y = x.copy()
+            y[u, v] = ~y[u, v] if y.dtype == bool else y[u, v] + 1
+            assert first_asymmetry(y) == (min(u, v), max(u, v)), (n, b, u, v)
+    # the lowest of several pairs, wherever the tiles put them
+    if n >= 11:
+        y = base.copy()
+        for u, v in [(n - 1, 3), (5, n - 2), (4, 9), (9, 6)]:
+            y[u, v] += 1
+        assert first_asymmetry(y) == (3, n - 1)

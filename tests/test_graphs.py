@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spg import graphs
+from spg import exactalg, graphs
 from spg.exactalg import IntMatrix
 from spg.graphs import (
     DisconnectedGraph,
@@ -77,6 +77,20 @@ def test_simple_graph_names_the_lowest_asymmetric_pair():
     adj[2, 9] = True  # matched now, so (3, 7) is the lowest pair left
     with pytest.raises(ValueError, match=r"^asymmetric adjacency between 3 and 7$"):
         SimpleGraph(adj)
+
+
+def test_simple_graph_checks_symmetry_tile_by_tile(monkeypatch):
+    # tiles of 4 over 11 vertices: the lowest pair is named from a ragged
+    # corner tile, from an off-diagonal tile and from a diagonal tile
+    monkeypatch.setattr(exactalg, "_SYMMETRY_TILE", 4)
+    adj = ~np.eye(11, dtype=bool)
+    for u, v in ((10, 9), (2, 10), (5, 6)):
+        broken = adj.copy()
+        broken[u, v] = False
+        low, high = sorted((u, v))
+        with pytest.raises(ValueError, match=rf"^asymmetric adjacency between {low} and {high}$"):
+            SimpleGraph(broken)
+    assert SimpleGraph(adj).edge_count() == 55
 
 
 def test_z4_edges_from_definition():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spg import spectra
+from spg import exactalg, spectra
 from spg.exactalg import (
     IntMatrix,
     UnsupportedN,
@@ -36,7 +36,14 @@ from spg.spectra import (
     symmetric_eigenvalues,
 )
 
-from conftest import complete_graph, identity_matrix, poly_eval, reference_solve_cubic_trig
+from conftest import (
+    complete_graph,
+    identity_matrix,
+    poly_eval,
+    reference_solve_cubic_trig,
+    spectrum_max_value,
+    spectrum_total,
+)
 
 # frozen oracle values for the n = 4 worked instance (bisection + Newton on
 # the cubics, arccos for the angles; they also match numpy.linalg.eigvalsh)
@@ -154,7 +161,7 @@ def test_distance_spectrum_complete_case():
 def test_distance_spectrum_cyclic_composite():
     spectrum = distance_spectrum_closed(CyclicGroup(4))
     assert spectrum.theta == pytest.approx(THETA_DISTANCE_N4, abs=1e-9)
-    assert spectrum.total() == 4
+    assert spectrum_total(spectrum) == 4
     values = spectrum.values()
     assert values[0] == pytest.approx(DISTANCE_ROOTS_N4[0], abs=1e-9)
     assert values[1] == pytest.approx(DISTANCE_ROOTS_N4[1], abs=1e-9)
@@ -195,7 +202,7 @@ def test_adjacency_spectrum_rejects_order_one():
 def test_adjacency_spectrum_cyclic_composite():
     spectrum = adjacency_spectrum_closed(CyclicGroup(4))
     assert spectrum.theta == pytest.approx(THETA_ADJACENCY_N4, abs=1e-9)
-    assert spectrum.max_value() == pytest.approx(ADJACENCY_ROOTS_N4[0], abs=1e-9)
+    assert spectrum_max_value(spectrum) == pytest.approx(ADJACENCY_ROOTS_N4[0], abs=1e-9)
 
 
 def test_adjacency_spectrum_noncyclic():
@@ -204,11 +211,11 @@ def test_adjacency_spectrum_noncyclic():
 
 def test_spectral_radii():
     def distance_radius(n):
-        return distance_spectrum_closed(CyclicGroup(n)).max_value()
+        return spectrum_max_value(distance_spectrum_closed(CyclicGroup(n)))
 
     assert distance_radius(4) == pytest.approx(DISTANCE_ROOTS_N4[0], abs=1e-9)
     assert distance_radius(6) == pytest.approx(DISTANCE_RADIUS_N6, abs=1e-9)
-    assert adjacency_spectrum_closed(CyclicGroup(4)).max_value() == pytest.approx(
+    assert spectrum_max_value(adjacency_spectrum_closed(CyclicGroup(4))) == pytest.approx(
         ADJACENCY_ROOTS_N4[0], abs=1e-9
     )
 
@@ -297,6 +304,20 @@ def test_oracle_checks_symmetry_before_rounding_to_float():
     # both off-diagonal entries round to the float 2^53
     with pytest.raises(NonSymmetric):
         symmetric_eigenvalues(IntMatrix([[0, 2**53 + 1], [2**53, 0]]))
+
+
+def test_oracle_checks_symmetry_tile_by_tile(monkeypatch):
+    # tiles of 4 over order 10: one unmatched entry in a ragged tile and one
+    # in a diagonal tile, as integers and as floats
+    monkeypatch.setattr(exactalg, "_SYMMETRY_TILE", 4)
+    d = distance_matrix(strong_power_graph(CyclicGroup(10))).entries
+    for u, v in ((9, 2), (5, 6)):
+        broken = d.copy()
+        broken[u, v] += 1
+        for matrix in (IntMatrix(broken), broken.astype(np.float64)):
+            with pytest.raises(NonSymmetric):
+                symmetric_eigenvalues(matrix)
+    assert len(symmetric_eigenvalues(IntMatrix(d))) == 10
 
 
 def test_jacobi_no_convergence_with_zero_sweeps():
