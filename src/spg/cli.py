@@ -65,8 +65,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INAPPLICABLE = 3
 
-# The graph and matrix builders allocate a few n x n arrays; at this order
-# each is at most 32 MiB (2048^2 int64 entries).
+# The builders, the charpoly and the oracle allocate a few n x n arrays.  At
+# this order the widest are the charpoly's int64 working copy and the
+# oracle's float64 working array, 32 MiB each; the graph builders' float32,
+# bool, int8 and int16 arrays take at most 16 MiB each.
 DEFAULT_MAX_ORDER = 2048
 
 # main writes the document this many characters at a time, so a text-mode

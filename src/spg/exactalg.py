@@ -3,9 +3,10 @@ polynomials as factor lists, their comparison on a coprime basis, and the
 closed-form polynomials they are checked against.  The tiled symmetry check
 that the graph constructor and the eigenvalue oracle share lives here too.
 
-Everything here is exact: matrices hold int64 or Python integers, polynomials
-hold Python integers, and every division performed by an algorithm is
-asserted to leave no remainder.
+Everything here is exact: matrices hold signed integer arrays, widened to
+int64 before any arithmetic, or Python integers; polynomials hold Python
+integers; and every division performed by an algorithm is asserted to leave
+no remainder.
 """
 
 from __future__ import annotations
@@ -58,11 +59,15 @@ class InexactDivision(ArithmeticError):
 
 class IntMatrix:
     """Immutable square integer matrix, held as one read-only n x n array
-    `entries`: int64 when every entry fits, otherwise an object array of
-    Python integers.
+    `entries`: a signed integer array, or an object array of Python
+    integers when some entry lies beyond int64.
 
-    A square 2-D int64 ndarray is copied as it is: its dtype already proves
-    every entry an integer.  Any other input is checked entry by entry.
+    A square 2-D ndarray of a signed integer dtype (int8 to int64) is copied
+    as it is, dtype and all: its dtype already proves every entry an
+    integer.  Any other input is checked entry by entry and becomes int64
+    when every entry fits.  Equality and the hash follow the values, not
+    the dtype.  Arithmetic widens first: an int8 or int16 array cannot hold
+    the squares, sums or residues the algorithms make.
     """
 
     __slots__ = ("entries", "n")
@@ -70,7 +75,7 @@ class IntMatrix:
     def __init__(self, rows: Union[Sequence[Sequence[int]], np.ndarray]):
         if (
             isinstance(rows, np.ndarray)
-            and rows.dtype == np.int64
+            and rows.dtype.kind == "i"
             and rows.ndim == 2
             and rows.shape[0] == rows.shape[1]
         ):
@@ -99,10 +104,12 @@ class IntMatrix:
 
     def __hash__(self) -> int:
         # an object array holds an entry beyond int64, so it never equals an
-        # int64 one, and its bytes are pointers: hash its decimal text
+        # integer one, and its bytes are pointers: hash its decimal text.
+        # Any other dtype is hashed over int64 values, so equal matrices of
+        # different dtypes hash equal
         if self.entries.dtype == object:
             return hash(str(self.entries.tolist()))
-        return hash(self.entries.tobytes())
+        return hash(self.entries.astype(np.int64, copy=False).tobytes())
 
     def __repr__(self) -> str:
         return f"IntMatrix(n={self.n})"
@@ -336,6 +343,7 @@ def _integer_hessenberg(h: np.ndarray) -> int:
     the last pass.  Its row update runs a block of rows at a time, so no n^2
     int64 temporary is made.
     """
+    assert h.dtype == np.int64, "the integer stage works on an int64 array"
     n = len(h)
     small = (1 << 62) // n
     m = 0
@@ -425,12 +433,20 @@ def _poly_pow(a: Sequence[int], k: int) -> list[int]:
     return [0] * (v * k) + g
 
 
+def _wide(entries: np.ndarray) -> np.ndarray:
+    """entries as an int64 or object array.  A narrower integer array would
+    wrap the squares and residues made from it: int8 holds no 100^2, and
+    under NumPy 2 an int8 array % 251 raises OverflowError."""
+    return entries if entries.dtype == object else entries.astype(np.int64, copy=False)
+
+
 def _hadamard_bound(entries: np.ndarray) -> int:
     """2 * prod_i (1 + ceil(r_i)) for the Euclidean norms r_i of the rows of
-    the int64 or object array entries (see charpoly)."""
-    wide = entries
-    if entries.dtype == np.int64 and len(entries) * int(np.abs(entries).max()) ** 2 >= 1 << 63:
-        wide = entries.astype(object)
+    the integer or object array entries (see charpoly), summed in int64 or
+    Python integers."""
+    wide = _wide(entries)
+    if wide.dtype == np.int64 and len(wide) * int(np.abs(wide).max()) ** 2 >= 1 << 63:
+        wide = wide.astype(object)
     bound = 2
     for s in (wide * wide).sum(axis=1).tolist():
         bound *= 1 + (math.isqrt(s - 1) + 1 if s else 0)
@@ -438,17 +454,19 @@ def _hadamard_bound(entries: np.ndarray) -> int:
 
 
 def _modular_charpoly(entries: np.ndarray, bound: int) -> list[int]:
-    """Coefficients of det(xI - M), ascending, for the int64 or object
-    array M = entries, by the Hessenberg method modulo each prime of a
-    basis whose product exceeds bound, then Garner's CRT into the
-    symmetric range.  bound must be at least twice every |coefficient|,
-    as _hadamard_bound of M, or of any matrix with M's charpoly, is.
+    """Coefficients of det(xI - M), ascending, for the integer or object
+    array M = entries, taken as int64 or Python integers (see _wide), by
+    the Hessenberg method modulo each prime of a basis whose product
+    exceeds bound, then Garner's CRT into the symmetric range.  bound must
+    be at least twice every |coefficient|, as _hadamard_bound of M, or of
+    any matrix with M's charpoly, is.
 
     One prime at a time: M mod p is reduced and its n + 1 coefficients
     are written to one row of the (P, n + 1) residue array before the
     next prime, so memory is O(n^2 + P * n) whatever the basis size P.
     """
     n = len(entries)
+    entries = _wide(entries)
     primes, modulus = _prime_basis(n, bound)
     residues = np.empty((len(primes), n + 1), dtype=np.int64)
     for k, p in enumerate(primes):
@@ -469,9 +487,10 @@ def charpoly_factors(matrix: IntMatrix) -> list[tuple[IntPolynomial, int]]:
     Theory*, Alg. 2.2.9), first over the integers, then, for whatever the
     integers could not reduce, modulo each prime of a basis.
 
-    Integer stage.  When every |M[i, j]| < 2^62/n, an int64 copy of M is
-    reduced column by column to upper Hessenberg form over Z, each column
-    cleared by Euclid's algorithm in passes of one integer step each.  It
+    Integer stage.  When every |M[i, j]| < 2^62/n, an int64 copy of M,
+    whatever M's integer dtype, is reduced column by column to upper
+    Hessenberg form over Z, each column cleared by Euclid's algorithm in
+    passes of one integer step each.  It
     stops only before a pass that could take an entry to 2^62/n or more
     (see _integer_hessenberg).  Each pass is an integer similarity with an
     integer inverse, so the reduced matrix H has the charpoly of M,
@@ -527,8 +546,8 @@ def charpoly_factors(matrix: IntMatrix) -> list[tuple[IntPolynomial, int]]:
     entries = matrix.entries
     small = (1 << 62) // n  # the integer stage's int64 limit (see _integer_hessenberg)
     factors: list[tuple[IntPolynomial, int]] = []
-    if entries.dtype == np.int64 and -small < entries.min() and entries.max() < small:
-        h = entries.copy()
+    if entries.dtype != object and -small < int(entries.min()) <= int(entries.max()) < small:
+        h = entries.astype(np.int64)  # the one int64 working copy, whatever M's dtype
         done = _integer_hessenberg(h)
         cuts = [0, *(np.flatnonzero(np.diagonal(h, offset=-1)[:done] == 0) + 1).tolist()]
         if done == n - 1:

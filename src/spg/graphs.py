@@ -173,12 +173,15 @@ def strong_power_graph(g: GroupSpec) -> SimpleGraph:
 
 
 def adjacency_matrix(graph: SimpleGraph) -> IntMatrix:
-    """0/1 symmetric matrix with zero diagonal."""
-    return IntMatrix(graph.adj.astype(np.int64))
+    """0/1 symmetric int8 matrix with zero diagonal."""
+    return IntMatrix(graph.adj.view(np.int8))  # bool and int8 share their bytes
 
 
 def _distances(graph: SimpleGraph) -> np.ndarray:
-    """All-pairs BFS distances, -1 where unreachable, as an int64 array.
+    """All-pairs BFS distances, -1 where unreachable, in the narrowest
+    signed dtype that holds -1..n-1: int8 up to n = 128, int16 above.  A
+    strong power graph's distances are at most 2, but a path on n vertices
+    reaches n - 1.
 
     Level-synchronous BFS from every source at once: row s of `frontier`
     holds the vertices first reached from s at the current level, and one
@@ -186,7 +189,8 @@ def _distances(graph: SimpleGraph) -> np.ndarray:
     the frontier is empty or no pair is left unreached, so a complete graph
     takes no product at all.
     """
-    dist = np.where(graph.adj, 1, -1).astype(np.int64, copy=False)
+    dist = np.full((graph.n, graph.n), -1, dtype=np.min_scalar_type(-graph.n))
+    dist[graph.adj] = 1
     np.fill_diagonal(dist, 0)
     unreached = dist < 0
     step = graph.adj.astype(np.float32)

@@ -44,6 +44,10 @@ MatrixLike = Union[IntMatrix, np.ndarray, Sequence[Sequence[float]]]
 # Newton steps per cubic root; a simple root stops moving after a few
 _NEWTON_STEPS = 64
 
+# float64 entries in the temporary of one row block of a rank-2 update
+# (64 KiB): the update never holds the whole m x m product
+_UPDATE_ENTRIES = 1 << 13
+
 # rows per vectorised skip test of the Householder reduction; row i of a
 # block's slab a[k:k+c, k+2:] starts its part below the subdiagonal at
 # column i, which the fixed upper-triangular mask selects
@@ -219,12 +223,13 @@ def _working_copy(matrix: MatrixLike) -> tuple[np.ndarray, float]:
     """One float64 copy of a finite, exactly symmetric square matrix, and
     the largest magnitude among its entries (0.0 when it has none).
 
-    An int64 IntMatrix is checked on its integers: they are finite, and
-    symmetry is decided before the conversion can round two unequal
-    entries to one float.  Any other input is converted first and checked
-    as floats.
+    An IntMatrix of a signed integer dtype (int8 to int64) is checked on
+    its integers, in its own dtype: they are finite, and symmetry is
+    decided before the conversion can round two unequal entries to one
+    float, and only then is its one float64 copy made.  Any other input is
+    converted first and checked as floats.
     """
-    if isinstance(matrix, IntMatrix) and matrix.entries.dtype == np.int64:
+    if isinstance(matrix, IntMatrix) and matrix.entries.dtype != object:
         ints = matrix.entries
         if first_asymmetry(ints) is not None:
             raise NonSymmetric("matrix is not exactly symmetric")
@@ -307,7 +312,10 @@ def _reflect(a: np.ndarray, k: int) -> None:
     first entry, and apply the reflection to the trailing block as one
     rank-2 update B -= v w^T + w v^T, with p = beta B v and
     w = p - (beta/2)(p^T v) v (Golub & Van Loan, sec. 8.3.1; LAPACK's
-    dsytd2 and dsyr2).  Only a[k, k+1] and the trailing block are written."""
+    dsytd2 and dsyr2).  The update runs a block of rows at a time, each
+    block's product [v w] [w v]^T holding at most _UPDATE_ENTRIES
+    entries, so no m x m temporary is made.  Only a[k, k+1] and the
+    trailing block are written."""
     x = a[k, k + 1 :]
     alpha = -math.copysign(math.sqrt(float(x @ x)), x[0])
     v = x.copy()
@@ -316,7 +324,10 @@ def _reflect(a: np.ndarray, k: int) -> None:
     block = a[k + 1 :, k + 1 :]
     p = beta * (block @ v)
     w = p - (0.5 * beta * float(p @ v)) * v
-    block -= np.stack((v, w), 1) @ np.stack((w, v))
+    left, right = np.stack((v, w), 1), np.stack((w, v))
+    rows = max(1, _UPDATE_ENTRIES // len(v))
+    for top in range(0, len(v), rows):
+        block[top : top + rows] -= left[top : top + rows] @ right
     a[k, k + 1] = alpha
 
 
@@ -329,9 +340,10 @@ def symmetric_eigenvalues(
 
     Input must be finite and exactly symmetric (these matrices come from
     integers); NonFinite and NonSymmetric name the fault otherwise.  An
-    int64 IntMatrix is checked on its integers, so two entries that differ
-    but round to one float64 are still caught; other input is checked on
-    its float64 copy.  That one copy is the working array.  When an entry
+    IntMatrix of any signed integer dtype is checked on its integers, so two
+    entries that differ but round to one float64 are still caught; other
+    input is checked on its float64 copy.  That one copy is the working
+    array, and the only n x n float64 array the oracle holds.  When an entry
     has magnitude 1 or more, the copy is scaled in place by a power of two,
     exactly, so that its largest entry lies in [1/2, 1); no intermediate
     can then overflow.

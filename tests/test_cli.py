@@ -5,7 +5,9 @@ import dataclasses
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 
@@ -522,3 +524,42 @@ def test_record_failure_predicate():
     assert flagged.failed(1e-8)
     drifted = VerificationRecord(**{**record.__dict__, "spectrum_distance_max_dev": 1e-3})
     assert drifted.failed(1e-8)
+
+
+
+# Runs argv[1:] as a child and prints its exit code and ru_maxrss (KiB).
+_RSS_LAUNCHER = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_spectrum_at_order_2048_peaks_under_120_mib(tmp_path):
+    """Whole-process peak RSS of `spg spectrum` on Z_2048's distance
+    matrix, read from os.wait4, in a fresh interpreter with BLAS on one
+    thread.  With int64 graph matrices and the oracle's rank-2 update made
+    as one m x m product it peaked at 140.7 MiB; with int8/int16 matrices
+    and one float64 array in the oracle, at 100.2 MiB (2-vCPU Xeon,
+    numpy 2.4).
+
+    Linux folds the peak RSS of the memory a process leaves at exec into
+    its ru_maxrss, so a child started straight from the test process would
+    report the test process's own peak.  A small launcher starts it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    out = tmp_path / "spectrum.json"
+    argv = ["spectrum", "--group", "cyclic:2048", "--matrix", "distance", "--out", str(out)]
+    launched = subprocess.run(
+        [sys.executable, "-c", _RSS_LAUNCHER, sys.executable, "-m", "spg.cli", *argv],
+        env={**os.environ, **threads, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, peak = map(int, launched.stdout.split())
+    assert code == 0
+    assert json.loads(out.read_text())["comparison"]["multiplicity_match"]
+    assert peak < 120 * 1024, peak  # KiB

@@ -61,15 +61,35 @@ def test_int_matrix_takes_square_int64_arrays():
     assert big == IntMatrix(np.array([[2**63, 0], [0, 1]], dtype=object))
     assert hash(big) == hash(IntMatrix([[2**63, 0], [0, 1]]))
     assert m != IntMatrix([[0, -3], [2**62, 6]]) and m != big
-    # any other array goes through the per-entry check
-    with pytest.raises(ValueError, match="expected an integer"):
-        IntMatrix(np.array([[1, 0], [0, 1]], dtype=np.int32))
+    # any signed integer array is taken as it is; any other array goes
+    # through the per-entry check
+    narrow = IntMatrix(np.array([[1, 0], [0, 1]], dtype=np.int32))
+    assert narrow.entries.dtype == np.int32 and narrow == identity_matrix(2)
     with pytest.raises(ValueError, match="expected an integer"):
         IntMatrix(np.eye(2))
     with pytest.raises(ValueError, match="row 0 has length 3"):
         IntMatrix(np.zeros((2, 3), dtype=np.int64))
     with pytest.raises(ValueError, match="at least one row"):
         IntMatrix(np.zeros((0, 0), dtype=np.int64))
+
+
+def test_int_matrix_keeps_a_signed_dtype_and_hashes_by_value():
+    values = [[0, -3, 7], [-3, 5, -128], [7, -128, 127]]
+    wide = IntMatrix(np.array(values, dtype=np.int64))
+    for dtype in (np.int8, np.int16, np.int32, np.int64, np.dtype(">i2")):
+        arr = np.array(values, dtype=dtype)
+        m = IntMatrix(arr)
+        assert m.entries.dtype == dtype and m.entries.tolist() == values
+        assert not m.entries.flags.writeable and not np.shares_memory(m.entries, arr)
+        arr[0, 0] = 9  # the matrix keeps its own copy
+        assert m.entries[0, 0] == 0
+        # equal values compare and hash equal, whatever the dtype
+        assert m == wide and hash(m) == hash(wide) == hash(IntMatrix(values))
+    assert IntMatrix(np.array(values, dtype=np.int8)) != IntMatrix([[0, -3, 7], [-3, 5, -128], [7, -128, 126]])
+    # unsigned, boolean and float arrays go through the per-entry check
+    for dtype in (np.uint8, np.uint64, bool, np.float32, np.float64):
+        with pytest.raises(ValueError, match="expected an integer"):
+            IntMatrix(np.eye(2, dtype=dtype))
 
 
 def test_charpoly_swap_matrix():
@@ -373,8 +393,63 @@ def test_charpolys_of_shuffled_cyclic_matrices_match_the_closed_forms(n):
         random.Random(seed).shuffle(order)
         for matrix, formula in _cyclic_matrices(n):
             shuffled = permuted(matrix, order)
-            assert exactalg._integer_hessenberg(shuffled.entries.copy()) == n - 1, (n, seed)
+            assert exactalg._integer_hessenberg(shuffled.entries.astype(np.int64)) == n - 1, (n, seed)
             assert charpoly(shuffled) == formula(n), (n, seed)
+
+
+def _dense_symmetric(rng, n, top):
+    """A random symmetric n x n int64 matrix with entries in -top..top,
+    both ends among them."""
+    x = rng.integers(-top, top + 1, (n, n))
+    x[0, 1], x[2, 3] = top, -top
+    return np.triu(x) + np.triu(x, 1).T
+
+
+def test_charpoly_of_narrow_matrices_equals_the_int64_copy(monkeypatch):
+    # the exact side widens before any arithmetic: squares of +-100 wrap in
+    # int8, and under NumPy 2 an int8 array % p raises for p > 127
+    rng = np.random.default_rng(18)
+    dense = _dense_symmetric(rng, 24, 100)
+    extreme = _dense_symmetric(rng, 12, 32767)
+    cases = [(dense, (np.int8, np.int16, np.int32)), (extreme, (np.int16, np.int32))]
+    for n in (60, 120):
+        order = list(range(n))
+        random.Random(n).shuffle(order)
+        shuffled = permuted(distance_matrix(strong_power_graph(CyclicGroup(n))), order)
+        cases.append((shuffled.entries, (np.int8, np.int16, np.int32)))
+    sent = []  # the shape of each matrix given to the modular stage
+    modular = exactalg._modular_charpoly
+
+    def spy(entries, bound):
+        sent.append(entries.shape)
+        return modular(entries, bound)
+
+    monkeypatch.setattr(exactalg, "_modular_charpoly", spy)
+    paths = []  # per case, the shapes the modular stage was given
+    for entries, dtypes in cases:
+        wide = IntMatrix(entries.astype(np.int64))
+        sent.clear()
+        factors, poly = charpoly_factors(wide), charpoly(wide)
+        paths.append(list(sent))
+        for dtype in dtypes:
+            narrow = IntMatrix(entries.astype(dtype))
+            assert narrow.entries.dtype == dtype
+            sent.clear()
+            assert charpoly_factors(narrow) == factors, dtype
+            assert charpoly(narrow) == poly, dtype
+            assert sent == paths[-1], dtype
+    # the dense +-100 matrix reduces two columns over Z with no zero
+    # subdiagonal entry, so the whole reduced matrix goes to the primes
+    # (cuts[-1] == 0) and its basis takes the input's own bound; the
+    # shuffled Z_n matrices never reach the primes
+    assert exactalg._integer_hessenberg(dense.copy()) == 2
+    assert paths[0] == [(24, 24)] * 2 and paths[2:] == [[], []], paths
+    _assert_charpoly_by_determinants(dense.tolist())
+    _assert_charpoly_by_determinants(extreme.tolist())
+    bound = _hadamard_bound(dense)
+    narrow = dense.astype(np.int8)
+    assert _hadamard_bound(narrow) == bound
+    assert _modular_charpoly(narrow, bound) == _modular_charpoly(dense, bound)
 
 
 def _beside_a_large_entry(rows):
@@ -619,7 +694,7 @@ def test_integer_row_update_holds_no_square_temporary():
     # (n <= 110) take one update per step
     assert exactalg._ROW_UPDATE_LIMIT // 256 >= 254
     n = 1024
-    h = distance_matrix(strong_power_graph(CyclicGroup(n))).entries.copy()
+    h = distance_matrix(strong_power_graph(CyclicGroup(n))).entries.astype(np.int64)
     tracemalloc.start()
     try:
         done = exactalg._integer_hessenberg(h)
@@ -678,7 +753,7 @@ def test_charpoly_memory_is_flat_in_the_basis_size(monkeypatch):
     # one prime at a time: the peak is a few n x n arrays whatever the basis
     # size P; eight int64 copies of the matrix would take the whole bound
     matrix, expected = _distance_z119_beside_a_large_entry()
-    assert exactalg._integer_hessenberg(matrix.entries.copy()) == 0
+    assert exactalg._integer_hessenberg(matrix.entries.astype(np.int64)) == 0
     reduced = []
     reduce = exactalg._hessenberg
 

@@ -321,11 +321,42 @@ def test_graph_adjacency_is_read_only_and_copied():
         SimpleGraph(np.zeros((0, 0), dtype=bool))
 
 
-def test_matrices_are_read_only_int64_arrays():
-    graph = strong_power_graph(CyclicGroup(6))
-    for matrix in (adjacency_matrix(graph), distance_matrix(graph)):
-        assert matrix.entries.dtype == np.int64 and matrix.entries.shape == (6, 6)
-        assert not matrix.entries.flags.writeable
+def test_matrices_are_read_only_narrow_arrays():
+    # adjacency is int8; distances take the narrowest signed dtype that
+    # holds -1..n-1, int8 up to n = 128 and int16 above
+    for g in (CyclicGroup(6), CyclicGroup(128), CyclicGroup(129), CyclicGroup(250),
+              DihedralGroup(3), DihedralGroup(64), DihedralGroup(65), DihedralGroup(125)):
+        n = g.order
+        graph = strong_power_graph(g)
+        adjacency, distance = adjacency_matrix(graph), distance_matrix(graph)
+        assert adjacency.entries.dtype == np.int8
+        assert distance.entries.dtype == (np.int8 if n <= 128 else np.int16), n
+        for matrix in (adjacency, distance):
+            assert matrix.entries.shape == (n, n) and not matrix.entries.flags.writeable
+        # a strong power graph has diameter at most 2
+        assert np.array_equal(adjacency.entries, graph.adj)
+        assert np.array_equal(distance.entries, np.where(graph.adj, 1, 2) - np.eye(n, dtype=int) * 2)
+
+
+def test_distance_dtype_holds_the_longest_path():
+    # a path on n vertices reaches distance n - 1, which int8 holds up to
+    # n = 128: a strong power graph's bound of 2 is not assumed
+    for n, dtype in ((100, np.int8), (128, np.int8), (129, np.int16), (300, np.int16)):
+        path = graph_from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        dist = distance_matrix(path).entries
+        assert dist.dtype == dtype, n
+        assert dist[0, n - 1] == dist[n - 1, 0] == n - 1
+        assert dist.tolist() == [[abs(u - v) for v in range(n)] for u in range(n)]
+        assert diameter(path) == n - 1
+        assert components(path) == [list(range(n))]
+    # two paths of 64 vertices side by side: unreachable pairs hold -1
+    pair = graph_from_edges(128, [(v, v + 1) for v in range(127) if v != 63])
+    dist = graphs._distances(pair)
+    assert dist.dtype == np.int8 and (dist[:64, 64:] == -1).all() and dist[0, 63] == 63
+    assert components(pair) == [list(range(64)), list(range(64, 128))]
+    assert not is_connected(pair)
+    with pytest.raises(DisconnectedGraph):
+        diameter(pair)
 
 
 def test_z5_splits_into_isolated_zero_and_clique():
