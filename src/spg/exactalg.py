@@ -115,7 +115,9 @@ class IntMatrix:
         return f"IntMatrix(n={self.n})"
 
 
-_SYMMETRY_TILE = 256  # rows and columns per tile of first_asymmetry
+# rows and columns per tile of first_asymmetry for items of 1 or 2 bytes;
+# wider items take half as many, which keeps two tiles within 256 KiB
+_SYMMETRY_TILE = 256
 
 
 def first_asymmetry(x: np.ndarray) -> Optional[tuple[int, int]]:
@@ -124,11 +126,12 @@ def first_asymmetry(x: np.ndarray) -> Optional[tuple[int, int]]:
 
     The mismatch pattern is symmetric, so that pair has u < v.  Each tile
     x[i:i+b, j:j+b] with j >= i is compared with x[j:j+b, i:i+b].T, for
-    b = _SYMMETRY_TILE: a whole-array compare against x.T reads one operand
-    a whole row apart per element, a tile only a tile's row apart.  An
-    array of order at most b is one tile, compared whole.
+    b = _SYMMETRY_TILE, or half of it when an item is wider than 2 bytes: a
+    whole-array compare against x.T reads one operand a whole row apart per
+    element, a tile only a tile's row apart.  An array of order at most b is
+    one tile, compared whole.
     """
-    b = _SYMMETRY_TILE
+    b = _SYMMETRY_TILE if x.itemsize <= 2 else _SYMMETRY_TILE // 2
     n = len(x)
     for i in range(0, n, b):
         pairs = []

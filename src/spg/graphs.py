@@ -1,18 +1,20 @@
 """Strong power graph construction and unweighted graph machinery.
 
 A graph is a read-only n x n boolean adjacency array.  The builder raises
-every element at once through the group's broadcastable law, a block of
-about sqrt(n) exponents per call, and adjacency, distances and components
-come from boolean matrix products: the power sets meet where
-(powers @ powers.T) > 0, and the BFS advances every source by one level per
-product.  The DOT and JSON edge lists are written row by row from the
-adjacency array, the neighbours v > u of each vertex u at a time, never from
-a list of every edge.
+the elements together through the group's broadcastable law, a block of
+max(sqrt(n), 2^14 / n) exponents per call (_power_blocks), and each
+element leaves the blocks once its power cycle closes.  Adjacency,
+distances and components come from boolean matrix products: the power sets
+meet where (powers @ powers.T) > 0, and the BFS advances every source by
+one level per product.  The DOT and JSON edge lists are written row by row
+from the adjacency array, the neighbours v > u of each vertex u at a time,
+never from a list of every edge.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 from typing import Iterator, Optional, Sequence
 
@@ -35,6 +37,8 @@ __all__ = [
     "to_json",
     "matrix_to_csv",
 ]
+
+log = logging.getLogger("spg.graphs")
 
 # float32 holds every integer below 2^24 exactly, so a 0/1 matrix product
 # whose inner dimension is below it counts without rounding
@@ -118,42 +122,75 @@ def _meets(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.astype(np.float32, copy=False) @ y.astype(np.float32, copy=False)) > 0
 
 
+# indices per block of powers when sqrt(n) rows would make a smaller one:
+# below n = 645 a block of 2^14 // n rows takes fewer law calls
+_BLOCK_ENTRIES = 2**14
+
+
+def _power_blocks(g: GroupSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The powers a^1 .. a^(n-1) of the elements a of g, raised together in
+    blocks of exponents, each element only while its power cycle is open.
+
+    Yields (elems, block): elems holds the int32 indices of the elements the
+    block carries, and row j of the int32 block holds a^(s+j) for each of
+    them.  After each block, an element with some a^(k+1) = a in it leaves:
+    its later powers only repeat ones already made.  The arrays are
+    read-only to the caller.
+
+    The first block is the head a^1 .. a^h, h = max(isqrt(n),
+    _BLOCK_ENTRIES // n) and at most n - 1, made by doubling over every
+    element, a^(m+1..m+j) = a^(1..j) a^m, and cut short once every
+    element has closed.  Every later block is the one before it times a^h,
+    a^(s+1..s+h) = a^(s+1-h..s) a^h, over the elements still open, and the
+    last one ends at a^(n-1).  That is about log2(h) + n/h law calls, on
+    int32 blocks of at most h rows, using the law and associativity alone.
+    The law calls, law entries and elements open after the head are logged
+    at debug level.
+    """
+    n = g.order
+    if n < 2:
+        return  # no exponent 1 <= k <= n-1
+    height = min(max(math.isqrt(n), _BLOCK_ENTRIES // n), n - 1)
+    block = np.empty((height, n), dtype=np.int32)  # rows a^1 .. a^h
+    block[0] = elems = np.arange(n, dtype=np.int32)
+    closed = np.zeros(n, dtype=bool)
+    calls, m = 0, 1
+    while m < height and not closed.all():
+        j = min(m, height - m)
+        new = block[m : m + j]
+        new[...] = g.law(block[:j], block[m - 1])
+        closed |= (new == elems).any(axis=0)
+        calls, m = calls + 1, m + j
+    yield elems, block[:m]
+    still_open = ~closed
+    head_open, entries = int(np.count_nonzero(still_open)), (m - 1) * n
+    step = block[-1]  # a^h, read only when the head was made whole
+    while m < n - 1 and still_open.any():
+        block = block[: n - 1 - m]
+        if not still_open.all():  # the closed elements leave
+            live = np.flatnonzero(still_open)
+            block, step, elems = block[:, live], step[live], elems[live]
+        block = g.law(block, step).astype(np.int32, copy=False)
+        yield elems, block
+        still_open = ~(block == elems).any(axis=0)
+        calls, entries, m = calls + 1, entries + block.size, m + len(block)
+    log.debug(
+        "powers of order %d: %d law calls, %d law entries, %d elements open after the head",
+        n, calls, entries, head_open,
+    )
+
+
 def _power_sets(g: GroupSpec) -> np.ndarray:
     """n x n float32 0/1 array whose row a marks {a^k : 1 <= k <= n-1}.
 
-    Every element is raised at once, a block of exponents per law call, and
-    each block is marked as soon as it is made.  Row j of a block holds
-    a^(s+j) for every a, as int32 indices.  With w = isqrt(n), the first w
-    rows come by doubling, a^(m+1..m+j) = a^(1..j) a^m; every later block
-    is the one before it times a^w, a^(s+1..s+w) = a^(s+1-w..s) a^w.  That
-    is about log2(w) + n/w law calls, on at most w x n indices each, using
-    the law and associativity alone.  The marking stops before the first row
-    where every a^(k+1) equals a: every power cycle has then closed, and
-    later rows would only repeat earlier ones.
+    Each block of _power_blocks(g) is marked as soon as it is made, through
+    the flat indices a * n + a^k, so no n x n exponent table lives.
     """
     n = g.order
     powers = np.zeros((n, n), dtype=np.float32)
-    if n < 2:
-        return powers  # no exponent 1 <= k <= n-1
-    np.fill_diagonal(powers, 1)  # a^1 = a
-    flat, starts = powers.reshape(-1), np.arange(0, n * n, n)  # row a starts at a * n
-    width = math.isqrt(n)
-    head = np.empty((width, n), dtype=np.int32)  # rows a^1 .. a^w
-    head[0] = elems = np.arange(n, dtype=np.int32)
-    m, block = 1, head
-    while m < n - 1:
-        if m < width:
-            j = min(m, width - m)
-            head[m : m + j] = g.law(head[:j], head[m - 1])
-            new = head[m : m + j]
-        else:
-            new = block = g.law(block[: n - 1 - m], head[-1]).astype(np.int32, copy=False)
-        cycled = (new == elems).all(axis=1)
-        if cycled.any():
-            flat[new[: cycled.argmax()] + starts] = 1
-            break
-        flat[new + starts] = 1
-        m += len(new)
+    flat = powers.reshape(-1)
+    for elems, block in _power_blocks(g):
+        flat[block + elems.astype(np.int64) * n] = 1  # row a starts at a * n
     return powers
 
 
@@ -163,8 +200,9 @@ def strong_power_graph(g: GroupSpec) -> SimpleGraph:
     Distinct x, y are adjacent iff some positive powers below |G| coincide,
     i.e. the power sets {x^k : 1 <= k <= n-1} and {y^k : 1 <= k <= n-1}
     intersect.  Row a of `powers` marks the power set of a, made from the
-    group law in blocks of about sqrt(n) exponents (see _power_sets), and
-    the sets meet where powers @ powers.T is positive.
+    group law in blocks of exponents until the cycle of a closes (see
+    _power_sets), and the sets meet where powers @ powers.T is positive.
+    The build's law calls and law entries are logged at debug level.
     """
     powers = _power_sets(g)
     adj = _meets(powers, powers.T)

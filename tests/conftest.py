@@ -221,10 +221,9 @@ def strong_power_graph_structural(g: GroupSpec) -> SimpleGraph:
     return SimpleGraph(adj)
 
 
-def reference_strong_power_graph(g: GroupSpec) -> list[int]:
-    """The strong power graph as one adjacency bitmask per vertex, built pair
-    by pair from power-set bitmasks through g.op; the array builder in
-    spg.graphs is checked against it."""
+def reference_power_sets(g: GroupSpec) -> list[int]:
+    """The power set {a^k : 1 <= k <= n-1} of each element a as a bitmask,
+    one power at a time through g.op."""
     n = g.order
     power_masks = []
     for a in range(n):
@@ -235,6 +234,15 @@ def reference_strong_power_graph(g: GroupSpec) -> list[int]:
             if current == a:  # the remaining powers only repeat this cycle
                 break
         power_masks.append(mask)
+    return power_masks
+
+
+def reference_strong_power_graph(g: GroupSpec) -> list[int]:
+    """The strong power graph as one adjacency bitmask per vertex, built pair
+    by pair from power-set bitmasks through g.op; the array builder in
+    spg.graphs is checked against it."""
+    n = g.order
+    power_masks = reference_power_sets(g)
     adj = [0] * n
     for x in range(n):
         for y in range(x + 1, n):

@@ -1203,3 +1203,21 @@ def test_first_asymmetry_finds_one_entry_in_each_tile(monkeypatch, n, b):
         for u, v in [(n - 1, 3), (5, n - 2), (4, 9), (9, 6)]:
             y[u, v] += 1
         assert first_asymmetry(y) == (3, n - 1)
+
+
+def test_first_asymmetry_at_real_tile_sizes():
+    # n = 300 with the module's own tiles: 128 wide for int64 and float64,
+    # whose last tile is rows and columns 256..299, and 256 wide for int16
+    rng = np.random.default_rng(300)
+    base = rng.integers(-50, 50, size=(300, 300))
+    base = base + base.T
+    for x in (base, base.astype(np.float64), base.astype(np.int16)):
+        assert first_asymmetry(x) is None
+        for u, v in ((299, 260), (258, 297), (128, 299), (5, 280)):
+            y = x.copy()
+            y[u, v] += 1
+            assert first_asymmetry(y) == (min(u, v), max(u, v)), (x.dtype, u, v)
+        y = x.copy()
+        y[299, 260] += 1  # in the ragged last tile
+        y[270, 140] += 1  # lower, in the tile left of it
+        assert first_asymmetry(y) == (140, 270), x.dtype

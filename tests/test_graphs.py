@@ -1,5 +1,6 @@
 """Strong power graph construction, matrices, and graph quantities."""
 
+import logging
 import math
 import random
 import re
@@ -44,6 +45,7 @@ from conftest import (
     reference_bfs_distances,
     reference_components,
     reference_edges,
+    reference_power_sets,
     reference_strong_power_graph,
     reference_to_dot,
     reference_to_json,
@@ -154,45 +156,57 @@ def test_builder_matches_reference_on_relabelled_cayley_tables():
         assert expected.edge_count() == strong_power_graph(g).edge_count(), g
 
 
-def _cycle_row_position(g) -> str:
+def _cycle_row_position(g, a: int) -> str:
     """Where the builder's blocks of powers meet the first row k + 1 with
-    a^(k+1) = a for every a, i.e. k = the exponent of g.  The blocks are the
-    rows 1..w made by doubling, w = isqrt(n), then strides of w rows."""
+    a^(k+1) = a, i.e. k = the order of a.  The blocks are the head, rows
+    1..h made by doubling, then strides of h rows up to row n - 1."""
     n = g.order
-    w = math.isqrt(n)
-    row = math.lcm(*(g.element_order(a) for a in range(n))) + 1
+    h = min(max(math.isqrt(n), graphs._BLOCK_ENTRIES // n), n - 1)
+    row = g.element_order(a) + 1
     if row > n - 1:
-        return "never, n - 1 a multiple of w" if (n - 1) % w == 0 else "never"
-    if row <= w:
-        return "doubling"
-    return "first row of a stride" if (row - w - 1) % w == 0 else "inside a stride"
+        return "never, last stride full" if n - 1 > h and (n - 1 - h) % h == 0 else "never"
+    if row <= h:
+        return "head"
+    return "first row of a stride" if (row - h - 1) % h == 0 else "inside a stride"
 
 
 def test_builder_matches_reference_past_order_64():
     rng = random.Random(20261019)
     groups = [
-        DirectProductGroup([2] * 7),  # n = 128, w = 11, cycles at row 3
+        CyclicGroup(1),  # no exponent at all
+        CyclicGroup(2),  # a head of one row
+        CyclicGroup(3),
+        DirectProductGroup([2] * 7),  # n = 128, h = 127, every cycle closes at row 3
         DirectProductGroup([11, 11]),  # n = 121, row 12
-        DihedralGroup(98),  # n = 196, w = 14, row 99 = 15 + 6 * 14
+        DihedralGroup(98),  # n = 196, h = 83, rotations close at row 99, inside a stride
         DihedralGroup(64),  # n = 128, row 65
-        DirectProductGroup([2, 100]),  # n = 200, row 101
-        CyclicGroup(101),  # n - 1 = 100 = 10 * 10
+        DirectProductGroup([2, 100]),  # n = 200, h = 81, row 101
+        CyclicGroup(101),  # generators never close
         CyclicGroup(150),
-        CyclicGroup(250),
-        DihedralGroup(125),  # n = 250, exponent 250
+        CyclicGroup(181),  # h = 90: the one stride after the head is full
+        CyclicGroup(250),  # h = 65: orders 125 and 250 go on into the strides
+        DihedralGroup(125),  # n = 250, rotations of order 125 close at row 126
+        CyclicGroup(256),  # h = 64: orders 64 and 128 close on a stride's first row
     ]
-    for source in (DihedralGroup(64), CyclicGroup(121)):
+    for source in (DihedralGroup(64), CyclicGroup(121), DihedralGroup(128)):
         # the table's law returns int64 products from the builder's int32 blocks
         groups.append(load_cayley_table(_relabelled_document(source.cayley_table(), rng)))
-    positions = [_cycle_row_position(g) for g in groups]
-    assert set(positions) == {
-        "doubling",
+    positions = [{_cycle_row_position(g, a) for a in range(g.order)} for g in groups]
+    assert set().union(*positions) == {
+        "head",
         "first row of a stride",
         "inside a stride",
         "never",
-        "never, n - 1 a multiple of w",
+        "never, last stride full",
     }, positions
+    assert "first row of a stride" in positions[-1], positions[-1]  # through the table
     for g, position in zip(groups, positions):
+        powers = graphs._power_sets(g)
+        masks = reference_power_sets(g)
+        assert powers.tolist() == masks_to_rows(masks), (g, position)
+        for a in range(g.order):
+            if g.element_order(a) == g.order:  # a generator: a^1 .. a^(n-1), never e
+                assert powers[a].sum() == g.order - 1 and (a == 0 or powers[a, 0] == 0), (g, a)
         expected = SimpleGraph(masks_to_rows(reference_strong_power_graph(g)))
         assert strong_power_graph(g) == expected, (g, position)
 
@@ -200,28 +214,51 @@ def test_builder_matches_reference_past_order_64():
 @pytest.mark.parametrize(
     "kind, arg, blocks",
     [
-        # w = 15: doubling to a^15, then a^(s+1..s+15) = a^(s-14..s) a^15 up
-        # to a^249, each exponent raised once; one call per exponent made 249
-        (CyclicGroup, 250, [1, 2, 4, 7] + [15] * 15 + [9]),
-        # n = 128, w = 11: a^65 = a for every a, inside the block of rows
-        # 56..66, where the build stops
-        (DihedralGroup, 64, [1, 2, 4, 3] + [11] * 5),
+        # h = 65: the head doubles to a^65 over all 250 elements; the 50 of
+        # order at most 50 close in it, the 100 of order 125 in the first
+        # stride, and the 100 generators go on to a^249; one call per
+        # exponent made 249 calls on 250 elements each
+        (CyclicGroup, 250, [(1, 250), (2, 250), (4, 250), (8, 250), (16, 250), (32, 250),
+                            (1, 250), (65, 200), (65, 100), (54, 100)]),
+        # n = 128, h = 127: a^65 = a for every a, in the last doubling step's
+        # rows 65..127, so no stride is needed
+        (DihedralGroup, 64, [(1, 128), (2, 128), (4, 128), (8, 128), (16, 128), (32, 128),
+                             (63, 128)]),
+        # n = 250, h = 65: the reflections and the rotations of order 1, 5 and
+        # 25 close in the head, the 100 rotations of order 125 at row 126
+        (DihedralGroup, 125, [(1, 250), (2, 250), (4, 250), (8, 250), (16, 250), (32, 250),
+                              (1, 250), (65, 100)]),
+        # n = 128, h = 127: a^3 = a for every a, so the head stops after its
+        # second doubling step
+        (DirectProductGroup, [2] * 7, [(1, 128), (2, 128)]),
     ],
 )
 def test_builder_raises_int32_blocks_in_about_two_sqrt_n_law_calls(kind, arg, blocks):
     g = kind(arg)
     n = g.order
-    law, rows = g.law, []
+    law, calls = g.law, []
 
     def spy(a, b):
-        assert a.dtype == b.dtype == np.int32 and a.ndim == 2 and b.shape == (n,)
-        rows.append(len(a))
+        assert a.dtype == b.dtype == np.int32 and a.ndim == 2 and b.shape == (a.shape[1],)
+        calls.append(a.shape)
         return law(a, b)
 
     g.law = spy
     assert strong_power_graph(g) == strong_power_graph_structural(g)
-    assert rows == blocks
-    assert len(rows) <= 2 * math.ceil(math.sqrt(n)) + math.ceil(math.log2(n))
+    assert calls == blocks
+    assert len(calls) <= 2 * math.ceil(math.sqrt(n)) + math.ceil(math.log2(n))
+    entries = sum(rows * cols for rows, cols in calls)
+    assert entries < (n - 1) * n
+    if kind is DihedralGroup and arg == 125:
+        assert entries <= 0.4 * (n - 1) * n, entries
+
+
+def test_build_logs_its_law_calls_at_debug(caplog):
+    with caplog.at_level(logging.DEBUG, logger="spg"):
+        strong_power_graph(CyclicGroup(250))
+    assert [r.getMessage() for r in caplog.records] == [
+        "powers of order 250: 10 law calls, 40900 law entries, 200 elements open after the head"
+    ]
 
 
 def test_build_memory_is_the_power_sets_and_their_product():
