@@ -50,6 +50,7 @@ from .groups import (
     GroupSpec,
     load_cayley_table,
 )
+from .jsontext import dumps_indented
 from .spectra import (
     PrimeOrder,
     adjacency_spectrum_closed,
@@ -191,7 +192,7 @@ def cmd_charpoly(args: argparse.Namespace) -> tuple[int, str]:
         "closed_form": closed.to_coeff_strings() if closed is not None else None,
         "match": (computed == closed) if closed is not None else None,
     }
-    return EXIT_OK, json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return EXIT_OK, dumps_indented(document) + "\n"
 
 
 def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
@@ -213,7 +214,7 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
         "theta_in_range": comparison.theta_in_range,
         "within_tol": comparison.max_abs_deviation <= args.tol,
     }
-    return EXIT_OK, json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return EXIT_OK, dumps_indented(document) + "\n"
 
 
 def _parse_range(text: str) -> tuple[int, int]:

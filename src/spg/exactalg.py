@@ -503,10 +503,12 @@ def charpoly_factors(matrix: IntMatrix) -> list[tuple[IntPolynomial, int]]:
 
     Exact blocks.  Every block that lies wholly inside the reduced columns
     is upper Hessenberg over Z; when the stage reduces every column, so is
-    the last one.  The 1 x 1 blocks are counted by value in one np.unique
-    over the diagonal: a block [v] is the factor x - v.  Each distinct
-    larger block, the same order and the same entries, runs the Hessenberg
-    recurrence once in Python integers (see _exact_hessenberg_charpoly).
+    the last one.  One pass over the cuts, in Python, sorts the blocks: a
+    1 x 1 block [v] is the factor x - v, counted by v, and these unit
+    factors come first in the list, in ascending v.  Each distinct larger
+    block, the same order and the same entries, follows in the order it
+    first appears, and runs the Hessenberg recurrence once in Python
+    integers (see _exact_hessenberg_charpoly).
     The recurrence only multiplies and subtracts, so no division and no
     modulus arise.  A strong power graph's matrix of Z_n, in the element
     order the builders use, reduces completely, to one 3 x 3 block and
@@ -555,14 +557,16 @@ def charpoly_factors(matrix: IntMatrix) -> list[tuple[IntPolynomial, int]]:
         cuts = [0, *(np.flatnonzero(np.diagonal(h, offset=-1)[:done] == 0) + 1).tolist()]
         if done == n - 1:
             cuts.append(n)  # every column is reduced: the last block is Hessenberg too
-        starts = np.array(cuts[:-1], dtype=np.int64)
-        sizes = np.diff(cuts)
-        values, counts = np.unique(np.diagonal(h)[starts[sizes == 1]], return_counts=True)
-        factors += [(IntPolynomial([-v, 1]), m) for v, m in zip(values.tolist(), counts.tolist())]
+        diagonal = np.diagonal(h).tolist()
+        units: dict[int, int] = {}
         blocks: dict[tuple[int, bytes], list] = {}
-        for lo, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
-            block = h[lo : lo + size, lo : lo + size]
-            blocks.setdefault((size, block.tobytes()), [block, 0])[1] += 1
+        for lo, hi in zip(cuts, cuts[1:]):
+            if hi - lo == 1:
+                units[diagonal[lo]] = units.get(diagonal[lo], 0) + 1
+            else:
+                block = h[lo:hi, lo:hi]
+                blocks.setdefault((hi - lo, block.tobytes()), [block, 0])[1] += 1
+        factors += [(IntPolynomial([-v, 1]), m) for v, m in sorted(units.items())]
         for block, m in blocks.values():
             factors.append((IntPolynomial(_exact_hessenberg_charpoly(block.tolist())), m))
         rest = h[cuts[-1] :, cuts[-1] :]

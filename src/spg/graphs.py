@@ -225,14 +225,15 @@ def _distances(graph: SimpleGraph) -> np.ndarray:
     holds the vertices first reached from s at the current level, and one
     boolean product advances all rows by a level.  The search stops when
     the frontier is empty or no pair is left unreached, so a complete graph
-    takes no product at all.
+    takes no product at all.  The first frontier is the float32 adjacency
+    itself, so level 2 casts no boolean frontier to float32 again.
     """
     dist = np.full((graph.n, graph.n), -1, dtype=np.min_scalar_type(-graph.n))
     dist[graph.adj] = 1
     np.fill_diagonal(dist, 0)
     unreached = dist < 0
     step = graph.adj.astype(np.float32)
-    frontier, level = graph.adj, 1
+    frontier, level = step, 1
     while unreached.any() and frontier.any():
         level += 1
         frontier = _meets(frontier, step) & unreached

@@ -314,8 +314,9 @@ def _reflect(a: np.ndarray, k: int) -> None:
     w = p - (beta/2)(p^T v) v (Golub & Van Loan, sec. 8.3.1; LAPACK's
     dsytd2 and dsyr2).  The update runs a block of rows at a time, each
     block's product [v w] [w v]^T holding at most _UPDATE_ENTRIES
-    entries, so no m x m temporary is made.  Only a[k, k+1] and the
-    trailing block are written."""
+    entries, so no m x m temporary is made.  [w v]^T is filled into one
+    2 x m array and [v w] is its C-order copy, reversed and transposed.
+    Only a[k, k+1] and the trailing block are written."""
     x = a[k, k + 1 :]
     alpha = -math.copysign(math.sqrt(float(x @ x)), x[0])
     v = x.copy()
@@ -324,7 +325,11 @@ def _reflect(a: np.ndarray, k: int) -> None:
     block = a[k + 1 :, k + 1 :]
     p = beta * (block @ v)
     w = p - (0.5 * beta * float(p @ v)) * v
-    left, right = np.stack((v, w), 1), np.stack((w, v))
+    right = np.empty((2, len(v)))
+    right[0], right[1] = w, v
+    # C order: a strided view of right would take another BLAS path at
+    # some orders, and round the products differently
+    left = right[::-1].T.copy()
     rows = max(1, _UPDATE_ENTRIES // len(v))
     for top in range(0, len(v), rows):
         block[top : top + rows] -= left[top : top + rows] @ right
@@ -354,7 +359,13 @@ def symmetric_eigenvalues(
     and that part is dropped.  A skipped step writes nothing, so the test
     runs over a block of _SCAN_ROWS rows at once, and the reduction
     reflects at the first row of the block that fails it and resumes
-    after that row.  Each reflection is one rank-2 update (see _reflect).
+    after that row.  Each row's squared tail is summed by np.add.reduce
+    along the row, in numpy's pairwise order; a sum in another order
+    (np.einsum's, say) may differ in its last bits, which moves a skip
+    decision only for a tail within a rounding of the threshold.  ||A||_F
+    is the square root of one dot product of the working array with
+    itself, as np.linalg.norm forms it.  Each reflection is one rank-2
+    update (see _reflect).
     These matrices have minimal polynomials of degree at most 4, so after a
     few reflections the remaining columns sit at roundoff level and almost
     every step is skipped.  The result is therefore the exact spectrum of
@@ -372,17 +383,19 @@ def symmetric_eigenvalues(
         return a.diagonal().tolist()
     shift = max(0, math.frexp(top)[1])
     np.ldexp(a, -shift, out=a)
-    skip = tol * max(math.ldexp(1.0, -shift), float(np.linalg.norm(a))) / (10.0 * n)
+    flat = a.ravel(order="K")  # a view, in the order np.linalg.norm takes
+    skip = tol * max(math.ldexp(1.0, -shift), math.sqrt(float(flat.dot(flat)))) / (10.0 * n)
     k = 0
     while k < n - 2:
         slab = a[k : min(k + _SCAN_ROWS, n - 2), k + 2 :]
         rows = slab.shape[0]
         head = np.where(_SCAN_MASK[:rows, : slab.shape[1]], slab[:, :_SCAN_ROWS], 0.0)
         rest = slab[:, _SCAN_ROWS:]
-        tails = np.einsum("ij,ij->i", head, head) + np.einsum("ij,ij->i", rest, rest)
-        fails = np.flatnonzero(tails > skip * skip)
-        if fails.size:
-            k += int(fails[0])
+        tails = np.add.reduce(head * head, axis=1) + np.add.reduce(rest * rest, axis=1)
+        fails = tails > skip * skip
+        first = int(fails.argmax())
+        if fails[first]:
+            k += first
             _reflect(a, k)
             k += 1
         else:

@@ -10,12 +10,10 @@ machine-readable report.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,6 +32,7 @@ from .graphs import (
     strong_power_graph,
 )
 from .groups import CyclicGroup, is_composite, is_prime
+from .jsontext import dumps_indented
 from .spectra import (
     adjacency_spectrum_closed,
     compare_spectra,
@@ -117,7 +116,7 @@ class VerificationReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_document(), indent=2, sort_keys=True)
+        return dumps_indented(self.to_document())
 
 
 def _verify_single(task: tuple[int, float]) -> VerificationRecord:
@@ -182,7 +181,8 @@ def _verify_single(task: tuple[int, float]) -> VerificationRecord:
         theta_in_range=theta_in_range,
         elapsed_ms=elapsed_ms,
     )
-    log.debug("verified n=%d in %d ms (failed=%s)", n, elapsed_ms, record.failed(tol))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("verified n=%d in %d ms (failed=%s)", n, elapsed_ms, record.failed(tol))
     return record
 
 
@@ -210,6 +210,8 @@ def verify_range(
     if workers == 1:
         records = [_verify_single(task) for task in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_verify_single, tasks))
     records.sort(key=lambda r: r.n)

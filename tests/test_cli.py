@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and report round-tripping."""
 
 import argparse
+import concurrent.futures
 import dataclasses
 import io
 import json
@@ -497,7 +498,7 @@ def test_verify_workers_are_clamped(monkeypatch, cpus, expected):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     report = verify_range(2, 4, workers=8)
     assert sizes == [expected]

@@ -276,6 +276,22 @@ def test_build_memory_is_the_power_sets_and_their_product():
     assert peak <= 9_454_276, peak
 
 
+def test_bfs_memory_casts_the_adjacency_to_float32_once():
+    n = 2048
+    graph = strong_power_graph(CyclicGroup(n))
+    tracemalloc.start()
+    try:
+        dist = graphs._distances(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 12 bytes an entry: the int16 distances, the unreached mask, the float32
+    # adjacency, the level-2 float32 product and its boolean mask, 48 MiB;
+    # a second float32 cast of the first frontier made 16 bytes, 60 MiB
+    assert peak < 13 * n * n, peak
+    assert dist.max() == 2 and (dist >= 0).all()
+
+
 @st.composite
 def edge_lists(draw):
     """(n, edges) for n = 1..40: random edges, one path through all vertices

@@ -471,6 +471,37 @@ def test_oracle_block_scan_reflects_at_the_first_heavy_row(j, monkeypatch):
     assert scanned == _row_by_row_steps(IntMatrix(a))
 
 
+def _stacked_reflect(a, k):
+    """The reference for _reflect's operands: the same step with [v w] and
+    [w v]^T made by np.stack, two C-order arrays."""
+    x = a[k, k + 1 :]
+    alpha = -math.copysign(math.sqrt(float(x @ x)), x[0])
+    v = x.copy()
+    v[0] -= alpha
+    beta = 2.0 / float(v @ v)
+    block = a[k + 1 :, k + 1 :]
+    p = beta * (block @ v)
+    w = p - (0.5 * beta * float(p @ v)) * v
+    left, right = np.stack((v, w), 1), np.stack((w, v))
+    rows = max(1, spectra._UPDATE_ENTRIES // len(v))
+    for top in range(0, len(v), rows):
+        block[top : top + rows] -= left[top : top + rows] @ right
+    a[k, k + 1] = alpha
+
+
+def test_reflection_rounds_as_with_stacked_operands():
+    # the operands' memory layout picks numpy's BLAS path: a strided [v w]
+    # changed the last bits of the update at 7 of these orders
+    rng = np.random.default_rng(0)
+    for m in range(1, 301):
+        a = rng.standard_normal((m + 1, m + 1))
+        a += a.T
+        expected = a.copy()
+        _stacked_reflect(expected, 0)
+        spectra._reflect(a, 0)
+        assert np.array_equal(a, expected), m
+
+
 def test_strong_power_graph_matrices_need_at_most_three_reflections(monkeypatch):
     steps = _count_reflections(monkeypatch)
     groups = [CyclicGroup(n) for n in range(2, 251)] + list(_spectrum_workload_groups())

@@ -2,6 +2,10 @@
 basis, never expanded, and able to fail."""
 
 import json
+import logging
+import os
+import subprocess
+import sys
 
 from spg import exactalg, verify
 from spg.cli import main
@@ -77,3 +81,52 @@ def test_verify_computes_each_matrix_factors_once(monkeypatch):
         seen.clear()
         assert not verify._verify_single((n, 1e-8)).failed(1e-8)
         assert seen == calls, n
+
+
+def _count_failed_calls(monkeypatch):
+    calls = []
+    failed = verify.VerificationRecord.failed
+
+    def counting(self, tol):
+        calls.append(self.n)
+        return failed(self, tol)
+
+    monkeypatch.setattr(verify.VerificationRecord, "failed", counting)
+    return calls
+
+
+def test_the_per_order_debug_line_costs_nothing_when_debug_is_off(monkeypatch, caplog):
+    calls = _count_failed_calls(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="spg"):
+        verify_range(4, 6)
+    assert calls == [4, 5, 6]  # once each, for the report's failures
+    assert not any(r.getMessage().startswith("verified n=") for r in caplog.records)
+
+
+def test_the_per_order_debug_line_appears_under_spg_log_debug(monkeypatch, caplog, tmp_path):
+    monkeypatch.setenv("SPG_LOG", "debug")
+    calls = _count_failed_calls(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="spg"):
+        assert main(["verify", "--range", "4..6", "--out", str(tmp_path / "report.json")]) == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == "spg.verify"]
+    per_order = [line for line in lines if line.startswith("verified n=")]
+    assert [line.split()[1] for line in per_order] == ["n=4", "n=5", "n=6"]
+    assert all(line.endswith("(failed=False)") for line in per_order)
+    assert calls == [4, 5, 6, 4, 5, 6]
+
+
+def test_a_serial_run_imports_no_process_pool(tmp_path):
+    code = (
+        "import sys; from spg.cli import main; "
+        "main(['verify', '--range', '4..5', '--out', sys.argv[1]]); "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+    child = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "report.json")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert child.stdout.split() == ["False"]
