@@ -11,12 +11,13 @@ from .exactalg import (
     adjacency_charpoly_formula,
     adjacency_cubic,
     adjacency_formula_factors,
-    binom_power,
     charpoly,
     charpoly_factors,
+    complete_graph_factors,
     distance_charpoly_formula,
     distance_cubic,
     distance_formula_factors,
+    expand,
     poly_mul,
     prime_adjacency_charpoly,
     prime_adjacency_factors,

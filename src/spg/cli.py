@@ -2,7 +2,8 @@
 
 Subcommands:
   build     construct a strong power graph (DOT, JSON edge list, or CSV matrix)
-  charpoly  exact characteristic polynomial, compared expanded to its closed form
+  charpoly  exact characteristic polynomial and, for a cyclic group, its closed
+            form, both printed expanded; they are compared as factor lists
   spectrum  closed-form spectrum, numeric eigenvalues (Householder + QL), and
             their comparison
   verify    run every applicable check over a range of cyclic orders; the
@@ -26,12 +27,13 @@ import sys
 from typing import Optional, Sequence, TextIO
 
 from .exactalg import (
-    IntPolynomial,
     PrimeOrTrivialN,
     UnsupportedN,
-    adjacency_charpoly_formula,
-    charpoly,
-    distance_charpoly_formula,
+    adjacency_formula_factors,
+    charpoly_factors,
+    distance_formula_factors,
+    expand,
+    same_product,
 )
 from .graphs import (
     DisconnectedGraph,
@@ -165,32 +167,28 @@ def cmd_build(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, to_json(graph, args.group)
 
 
-def _closed_form_poly(matrix_kind: str, n: int) -> Optional[IntPolynomial]:
-    try:
-        if matrix_kind == "distance":
-            return distance_charpoly_formula(n)
-        return adjacency_charpoly_formula(n)
-    except (PrimeOrTrivialN, UnsupportedN):
-        return None
-
-
 def cmd_charpoly(args: argparse.Namespace) -> tuple[int, str]:
     """The exact charpoly and, for a cyclic group, its closed form, both
-    expanded: the document shows the polynomials it compares."""
+    printed expanded.  match compares their factor lists with
+    same_product, as verify does."""
     group = parse_group_spec(args.group, args.max_order)
     graph = strong_power_graph(group)
     matrix = distance_matrix(graph) if args.matrix == "distance" else adjacency_matrix(graph)
-    computed = charpoly(matrix)
-    closed: Optional[IntPolynomial] = None
+    computed = charpoly_factors(matrix)
+    closed = None
     if group.is_cyclic():
-        closed = _closed_form_poly(args.matrix, group.order)
+        formula = distance_formula_factors if args.matrix == "distance" else adjacency_formula_factors
+        try:
+            closed = formula(group.order)
+        except (PrimeOrTrivialN, UnsupportedN):
+            pass  # no closed form covers this order
     document = {
         "group": args.group,
         "n": graph.n,
         "matrix": args.matrix,
-        "charpoly": computed.to_coeff_strings(),
-        "closed_form": closed.to_coeff_strings() if closed is not None else None,
-        "match": (computed == closed) if closed is not None else None,
+        "charpoly": expand(computed).to_coeff_strings(),
+        "closed_form": expand(closed).to_coeff_strings() if closed is not None else None,
+        "match": same_product(computed, closed) if closed is not None else None,
     }
     return EXIT_OK, dumps_indented(document) + "\n"
 

@@ -27,7 +27,7 @@ __all__ = [
     "InexactDivision",
     "first_asymmetry",
     "poly_mul",
-    "binom_power",
+    "expand",
     "charpoly",
     "charpoly_factors",
     "same_product",
@@ -39,6 +39,7 @@ __all__ = [
     "distance_formula_factors",
     "adjacency_formula_factors",
     "prime_adjacency_factors",
+    "complete_graph_factors",
 ]
 
 class PrimeOrTrivialN(ValueError):
@@ -223,19 +224,6 @@ def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
             for j, cb in enumerate(b.coeffs):
                 out[i + j] += ca * cb
     return IntPolynomial(out)
-
-
-def binom_power(k: int) -> IntPolynomial:
-    """(x + 1)^k via the multiplicative Pascal row,
-    C(k, i + 1) = C(k, i) (k - i) / (i + 1), each division exact."""
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    row = [1]
-    for i in range(k):
-        coeff, remainder = divmod(row[-1] * (k - i), i + 1)
-        assert not remainder, "inexact division in the Pascal row"
-        row.append(coeff)
-    return IntPolynomial(row)
 
 
 # --- characteristic polynomial ------------------------------------------------
@@ -588,15 +576,32 @@ def charpoly_factors(matrix: IntMatrix) -> list[tuple[IntPolynomial, int]]:
     return factors
 
 
+def expand(factors: Sequence[tuple[IntPolynomial, int]]) -> IntPolynomial:
+    """The product f_1^m_1 f_2^m_2 ... of a factor list, multiplied out: the
+    powers of positive multiplicity by Miller's recurrence (see _poly_pow)
+    and poly_mul, then divided -m times by each factor of multiplicity
+    m < 0, which must be monic (ValueError otherwise).  A division that
+    leaves a remainder raises InexactDivision."""
+    poly = IntPolynomial([1])
+    for factor, m in factors:
+        if m > 0:  # _poly_pow needs a nonzero factor; a power of zero is zero
+            power = _poly_pow(list(factor.coeffs), m) if factor.coeffs else []
+            poly = poly_mul(poly, IntPolynomial(power))
+    for factor, m in factors:
+        if m < 0 and not factor.is_monic():
+            raise ValueError(f"factor {factor} of multiplicity {m} is not monic")
+        for _ in range(-m):
+            quotient, remainder = _divide_monic(poly.coeffs, factor.coeffs)
+            if any(remainder):
+                raise InexactDivision(f"({factor}) does not divide {poly}")
+            poly = IntPolynomial(quotient)
+    return poly
+
+
 def charpoly(matrix: IntMatrix) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - M), monic of degree n: the
-    product of charpoly_factors(M), each factor raised to its multiplicity
-    by J. C. P. Miller's recurrence (see _poly_pow), whose divisions are
-    asserted exact, and the powers multiplied with poly_mul."""
-    poly = IntPolynomial([1])
-    for factor, m in charpoly_factors(matrix):
-        poly = poly_mul(poly, IntPolynomial(_poly_pow(list(factor.coeffs), m)))
-    return poly
+    product of charpoly_factors(M), expanded."""
+    return expand(charpoly_factors(matrix))
 
 
 # --- comparison of factored polynomials ---------------------------------------
@@ -634,17 +639,24 @@ def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return r
 
 
-def _divide_exactly(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The quotient a / b for monic b, asserted to leave no remainder."""
+def _divide_monic(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The quotient and remainder of a by the monic b, coefficients
+    ascending; the remainder has b's degree, zeros included."""
     r = list(a)
     db = len(b) - 1
-    quotient = [0] * (len(a) - db)
+    quotient = [0] * max(len(a) - db, 0)
     for k in range(len(quotient) - 1, -1, -1):
         top = quotient[k] = r[k + db]
         if top:
             for i, c in enumerate(b):
                 r[k + i] -= top * c
-    assert not any(r[:db]), "inexact polynomial division"
+    return quotient, r[:db]
+
+
+def _divide_exactly(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The quotient a / b for monic b, asserted to leave no remainder."""
+    quotient, remainder = _divide_monic(a, b)
+    assert not any(remainder), "inexact polynomial division"
     return tuple(quotient)
 
 
@@ -709,9 +721,11 @@ def same_product(
 
 # --- closed-form polynomials ---------------------------------------------------
 #
-# The two cubics below are the only place the paper's closed forms are spelled
-# out: the factor lists pair them with (x+1)^(n-3), the charpoly formulas
-# expand that product, and the closed-form spectra in spg.spectra solve them.
+# Each of the paper's closed forms is written once, as a factor list: Z_n's
+# (x+1)^(n-3) times a cubic, the prime corollary x(x+1)^(p-2)(x+2-p), and
+# K_n's (x-n+1)(x+1)^(n-1), which every noncyclic group has.  verify compares
+# the lists with same_product, the charpoly formulas are their expand, and
+# the closed-form spectra in spg.spectra are their roots.
 
 
 def distance_cubic(n: int) -> IntPolynomial:
@@ -761,41 +775,29 @@ def prime_adjacency_factors(p: int) -> list[tuple[IntPolynomial, int]]:
     return [(IntPolynomial([0, 1]), 1), (IntPolynomial([1, 1]), p - 2), (IntPolynomial([2 - p, 1]), 1)]
 
 
+def complete_graph_factors(n: int) -> list[tuple[IntPolynomial, int]]:
+    """The characteristic polynomial of K_n, the strong power graph of every
+    noncyclic group of order n, as factors, [(x-n+1, 1), (x+1, n-1)]: its
+    adjacency and distance matrices are both J - I."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"order must be a positive integer, got {n!r}")
+    return [(IntPolynomial([1 - n, 1]), 1), (IntPolynomial([1, 1]), n - 1)]
+
+
 def distance_charpoly_formula(n: int) -> IntPolynomial:
-    """Closed form of the distance characteristic polynomial of the strong
-    power graph of Z_n, valid for composite n >= 4: (x+1)^(n-3) times
-    distance_cubic(n), expanded.
-    """
-    (_, k), (cubic, _) = distance_formula_factors(n)
-    return poly_mul(binom_power(k), cubic)
+    """distance_formula_factors(n), expanded: for composite n >= 4,
+    (x+1)^(n-3) times distance_cubic(n)."""
+    return expand(distance_formula_factors(n))
 
 
 def adjacency_charpoly_formula(n: int) -> IntPolynomial:
-    """Closed form of the adjacency characteristic polynomial of the strong
-    power graph of Z_n, for any order n >= 2: (x+1)^(n-3) times
-    adjacency_cubic(n), expanded.
-
-    At n = 2 the exponent is negative; the cubic is divided exactly by
-    (x+1), which yields x^2 and matches the edgeless two-vertex graph.
-    Order 1 is rejected: the formula does not reduce to the true
-    single-vertex characteristic polynomial x.
-    """
-    (_, k), (cubic, _) = adjacency_formula_factors(n)
-    if k >= 0:
-        return poly_mul(binom_power(k), cubic)
-    # synthetic division by (x + 1): the remainder is the cubic's value at -1
-    quotient = [0] * 3
-    carry = 0
-    for i in range(3, 0, -1):
-        carry = cubic.coeffs[i] - carry
-        quotient[i - 1] = carry
-    if cubic.coeffs[0] - carry != 0:
-        raise InexactDivision(f"(x+1) does not divide the n=2 cubic {cubic}")
-    return IntPolynomial(quotient)
+    """adjacency_formula_factors(n), expanded: for n >= 2, (x+1)^(n-3)
+    times adjacency_cubic(n).  At n = 2, (x+1) divides the cubic exactly,
+    leaving x^2, the edgeless two-vertex graph's charpoly.  Order 1, whose
+    charpoly x the formula does not give, is rejected."""
+    return expand(adjacency_formula_factors(n))
 
 
 def prime_adjacency_charpoly(p: int) -> IntPolynomial:
-    """Adjacency characteristic polynomial for prime order: x(x+1)^(p-2)(x+2-p),
-    expanded."""
-    (x, _), (_, k), (last, _) = prime_adjacency_factors(p)
-    return poly_mul(poly_mul(x, binom_power(k)), last)
+    """prime_adjacency_factors(p), expanded: x(x+1)^(p-2)(x+2-p)."""
+    return expand(prime_adjacency_factors(p))

@@ -541,9 +541,9 @@ def load_cayley_table(document: dict) -> CayleyGroup:
 
     labels = document.get("labels")
     if labels is not None:
-        if not isinstance(labels, (list, tuple)) or len(labels) != order:
+        if not isinstance(labels, (list, tuple)) or [type(x) for x in labels] != [str] * order:
             raise BadTableShape(f"labels must list {order} strings")
-        labels = tuple(str(x) for x in labels)
+        labels = tuple(labels)
 
     t = _table_array(table)
     e = validate_cayley_table(t)

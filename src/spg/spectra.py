@@ -15,10 +15,11 @@ import numpy as np
 from .exactalg import (
     IntMatrix,
     IntPolynomial,
-    UnsupportedN,
-    adjacency_cubic,
-    distance_cubic,
+    adjacency_formula_factors,
+    complete_graph_factors,
+    distance_formula_factors,
     first_asymmetry,
+    prime_adjacency_factors,
 )
 from .groups import GroupSpec, is_composite, is_prime
 
@@ -160,24 +161,24 @@ def solve_cubic_trig(a2: int, a1: int, a0: int) -> tuple[tuple[float, float, flo
     return (roots[0], roots[1], roots[2]), theta
 
 
-def _merge_entries(pairs: Sequence[tuple[float, int]]) -> tuple[tuple[float, int], ...]:
+def _spectrum(factors: Sequence[tuple[IntPolynomial, int]], source: str) -> ClosedFormSpectrum:
+    """The roots of a closed form's factor list, with multiplicities: a
+    linear factor x - r gives r, and a cubic its three roots by
+    solve_cubic_trig, whose theta the spectrum keeps.  Equal roots are
+    merged, and a root of multiplicity 0, as -1 in (x+1)^(p-2) at p = 2,
+    is dropped."""
     merged: dict[float, int] = {}
-    for value, mult in pairs:
-        if mult > 0:
-            merged[value] = merged.get(value, 0) + mult
-    return tuple(sorted(merged.items(), key=lambda item: -item[0]))
-
-
-def _complete_graph_entries(n: int) -> tuple[tuple[float, int], ...]:
-    return ((float(n - 1), 1), (-1.0, n - 1))
-
-
-def _cubic_spectrum(n: int, cubic: IntPolynomial, source: str) -> ClosedFormSpectrum:
-    """-1 with multiplicity n-3 plus the three simple roots of the cubic."""
-    a0, a1, a2, _ = cubic.coeffs
-    roots, theta = solve_cubic_trig(a2, a1, a0)
-    entries = _merge_entries([(r, 1) for r in roots] + [(-1.0, n - 3)])
-    return ClosedFormSpectrum(entries, theta, source)
+    theta = None
+    for factor, mult in factors:
+        if factor.degree == 1:
+            roots: Sequence[float] = (float(-factor.coeffs[0]),)
+        else:
+            a0, a1, a2, _ = factor.coeffs
+            roots, theta = solve_cubic_trig(a2, a1, a0)
+        for root in roots:
+            merged[root] = merged.get(root, 0) + mult
+    entries = sorted((item for item in merged.items() if item[1]), key=lambda item: -item[0])
+    return ClosedFormSpectrum(tuple(entries), theta, source)
 
 
 def distance_spectrum_closed(g: GroupSpec) -> ClosedFormSpectrum:
@@ -191,12 +192,12 @@ def distance_spectrum_closed(g: GroupSpec) -> ClosedFormSpectrum:
     """
     n = g.order
     if not g.is_cyclic():
-        return ClosedFormSpectrum(_complete_graph_entries(n), None, "distance-complete")
+        return _spectrum(complete_graph_factors(n), "distance-complete")
     if not is_composite(n):
         raise PrimeOrder(
             f"distance spectrum needs composite cyclic order, got {n}"
         )
-    return _cubic_spectrum(n, distance_cubic(n), "distance-cyclic-composite")
+    return _spectrum(distance_formula_factors(n), "distance-cyclic-composite")
 
 
 def adjacency_spectrum_closed(g: GroupSpec) -> ClosedFormSpectrum:
@@ -206,17 +207,14 @@ def adjacency_spectrum_closed(g: GroupSpec) -> ClosedFormSpectrum:
     order p gives {p-2 once, 0 once, -1 with multiplicity p-2}, which at
     p = 2 collapses to {0 twice}; cyclic composite order n gives -1 with
     multiplicity n-3 plus the three simple roots of
-    exactalg.adjacency_cubic(n).
+    exactalg.adjacency_cubic(n).  Cyclic order 1 raises UnsupportedN.
     """
     n = g.order
     if not g.is_cyclic():
-        return ClosedFormSpectrum(_complete_graph_entries(n), None, "adjacency-complete")
-    if n == 1:
-        raise UnsupportedN("the adjacency closed form does not cover order 1")
+        return _spectrum(complete_graph_factors(n), "adjacency-complete")
     if is_prime(n):
-        entries = _merge_entries([(float(n - 2), 1), (0.0, 1), (-1.0, n - 2)])
-        return ClosedFormSpectrum(entries, None, "adjacency-prime")
-    return _cubic_spectrum(n, adjacency_cubic(n), "adjacency-cyclic-composite")
+        return _spectrum(prime_adjacency_factors(n), "adjacency-prime")
+    return _spectrum(adjacency_formula_factors(n), "adjacency-cyclic-composite")
 
 
 def _working_copy(matrix: MatrixLike) -> tuple[np.ndarray, float]:

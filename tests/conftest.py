@@ -72,6 +72,20 @@ def group_power(g: GroupSpec, a: int, k: int) -> int:
     return result
 
 
+def binom_power(k: int) -> IntPolynomial:
+    """(x + 1)^k via the multiplicative Pascal row,
+    C(k, i + 1) = C(k, i) (k - i) / (i + 1), each division exact: the
+    independent reference for exactalg.expand."""
+    if k < 0:
+        raise ValueError("exponent must be nonnegative")
+    row = [1]
+    for i in range(k):
+        coeff, remainder = divmod(row[-1] * (k - i), i + 1)
+        assert not remainder, "inexact division in the Pascal row"
+        row.append(coeff)
+    return IntPolynomial(row)
+
+
 def poly_from_coeff_strings(items) -> IntPolynomial:
     """The inverse of IntPolynomial.to_coeff_strings."""
     return IntPolynomial([int(s) for s in items])

@@ -40,3 +40,24 @@ def test_readme_library_block_runs():
     block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     assert "charpoly_factors(" in block and "same_product(" in block
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_name_perfbench_traces_exists():
+    # perfbench's tracer looks each traced name up with no default, so a
+    # function removed from spg would fail every traced run; the file is
+    # only read and compiled, never imported or written
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    namespace = {"__name__": "tracing"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    missing = [
+        f"{module}.{name}"
+        for module, names in namespace["TRACED_FUNCTIONS"].values()
+        for name in names
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    missing += [
+        f"{module}.{cls}.{method}"
+        for module, cls, method in namespace["TRACED_METHODS"].values()
+        if not callable(getattr(getattr(importlib.import_module(module), cls, None), method, None))
+    ]
+    assert missing == []

@@ -252,8 +252,12 @@ def test_cayley_file_errors_are_usage_errors(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "document",
-    [{"order": True, "table": [[0]]}, {"order": 2, "table": [5, [1, 0]]}],
-    ids=["bool-order", "row-not-a-list"],
+    [
+        {"order": True, "table": [[0]]},
+        {"order": 2, "table": [5, [1, 0]]},
+        {"order": 2, "table": [[0, 1], [1, 0]], "labels": ["e", 5]},
+    ],
+    ids=["bool-order", "row-not-a-list", "label-not-a-string"],
 )
 def test_malformed_cayley_documents_are_usage_errors(capsys, tmp_path, document):
     path = tmp_path / "bad.json"

@@ -20,12 +20,13 @@ from spg.exactalg import (
     adjacency_charpoly_formula,
     adjacency_cubic,
     adjacency_formula_factors,
-    binom_power,
     charpoly,
     charpoly_factors,
+    complete_graph_factors,
     distance_charpoly_formula,
     distance_cubic,
     distance_formula_factors,
+    expand,
     first_asymmetry,
     poly_mul,
     prime_adjacency_charpoly,
@@ -36,7 +37,14 @@ from spg import exactalg
 from spg.exactalg import _hadamard_bound, _modular_charpoly, _prime_basis
 from spg.graphs import adjacency_matrix, distance_matrix, strong_power_graph
 
-from conftest import bareiss_det, identity_matrix, permuted, poly_eval, poly_from_coeff_strings
+from conftest import (
+    bareiss_det,
+    binom_power,
+    identity_matrix,
+    permuted,
+    poly_eval,
+    poly_from_coeff_strings,
+)
 from spg.groups import CyclicGroup, DihedralGroup, is_prime
 
 
@@ -1064,7 +1072,13 @@ def test_charpoly_factors_never_call_the_closed_forms(monkeypatch):
     def refuse(*args):
         raise AssertionError("the exact side called a closed form")
 
-    for name in ("distance_cubic", "adjacency_cubic", "binom_power", "totient", "is_composite"):
+    closed_forms = (
+        "distance_formula_factors",
+        "adjacency_formula_factors",
+        "prime_adjacency_factors",
+        "complete_graph_factors",
+    )
+    for name in ("distance_cubic", "adjacency_cubic", *closed_forms, "totient", "is_composite"):
         monkeypatch.setattr(exactalg, name, refuse)
     for n in (2, 4, 12, 97, 110):
         for matrix in _sweep_matrices(n):
@@ -1125,6 +1139,43 @@ def test_closed_form_factor_lists_expand_to_the_formulas():
         adjacency_formula_factors(1)
     with pytest.raises(NotPrime):
         prime_adjacency_factors(6)
+
+
+def _every_factor_list(n):
+    """Each closed form's factor list that applies at order n."""
+    lists = [complete_graph_factors(n)]
+    if n >= 2:
+        lists.append(adjacency_formula_factors(n))
+    if is_prime(n):
+        lists.append(prime_adjacency_factors(n))
+    elif n >= 4:
+        lists.append(distance_formula_factors(n))
+    return lists
+
+
+def test_expand_matches_the_references():
+    for k in [*range(201), 2045]:
+        assert expand([(X_PLUS_ONE, k)]) == binom_power(k), k
+    for n in range(1, 151):
+        for factors in _every_factor_list(n):
+            if all(m >= 0 for _, m in factors):
+                assert expand(factors) == _expand(factors), n
+            else:  # n = 2: (x + 1)^-1 times the cubic
+                quotient = expand(factors)
+                assert poly_mul(quotient, X_PLUS_ONE) == _expand(factors[1:]), n
+    assert expand([]) == IntPolynomial([1])
+    assert expand([(IntPolynomial([]), 2), (X_PLUS_ONE, 1), (X_PLUS_ONE, -1)]) == IntPolynomial([])
+
+
+def test_expand_raises_on_a_division_that_is_not_exact():
+    x = IntPolynomial([0, 1])
+    assert expand([(x, 3), (X_PLUS_ONE, 1), (x, -2)]) == IntPolynomial([0, 1, 1])
+    with pytest.raises(InexactDivision):
+        expand([(x, 1), (X_PLUS_ONE, -1)])
+    with pytest.raises(InexactDivision):
+        expand([(X_PLUS_ONE, 2), (X_PLUS_ONE, -3)])
+    with pytest.raises(ValueError, match="not monic"):
+        expand([(IntPolynomial([0, 2]), -1)])
 
 
 _MONIC = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(lambda c: IntPolynomial([*c, 1]))

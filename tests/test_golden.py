@@ -3,8 +3,8 @@
 A change made for speed must leave every byte of these documents as it was.
 The list covers both spectrum matrices of cyclic, dihedral and product groups
 of orders 2..250 (the adjacency one alone at prime cyclic orders, where the
-distance spectrum does not apply), charpolys of a few cyclic orders and one
-noncyclic group, the CSV adjacency matrix, and one verify report with its
+distance spectrum does not apply), charpolys of a few cyclic orders, of the
+small orders 1, 2 and 3 and of Z_2 met as D_1, and of one noncyclic group, the CSV adjacency matrix, and one verify report with its
 timing fields zeroed.  The numeric eigenvalues are computed with BLAS, so the
 spectrum digests hold for the numpy 2.4 and OpenBLAS 0.3 builds they were
 recorded with; another BLAS may round differently in the last bits.
@@ -65,6 +65,11 @@ DIGESTS = {
     "charpoly --group cyclic:30 --matrix adjacency": "ef83158ea3463012f7042eb25a6bac7e6f4db9218fc1c0ea000dae70400070b0",
     "charpoly --group cyclic:30 --matrix distance": "43a9e19e97ea4723e4472207856d83f5e5610cdd3f2680735fd89e1c26ed6d25",
     "charpoly --group cyclic:97 --matrix adjacency": "1a3df47045a1d830ac07bcf16009f9ef9b96027cba6ace48814d35dbc4b75899",
+    "charpoly --group cyclic:1 --matrix adjacency": "da4d9ddd914911f4717d951039edf71ad8afaa0d375841f92e3eed508ac1c9c8",
+    "charpoly --group cyclic:1 --matrix distance": "84732b6fdcc9d089054eb9e19e710d1b8f12572bb99a4d4c850a5fa4a4815f21",
+    "charpoly --group cyclic:2 --matrix adjacency": "a057a6f62896da9acf32cf651d1ffdc23d4f26c6f86d936eec4a03a50191805a",
+    "charpoly --group cyclic:3 --matrix adjacency": "1af12597fcaf3779c521e60e5b2816decdad082e5b114928699302ca7cab4bab",
+    "charpoly --group dihedral:1 --matrix adjacency": "351f3c014a6a29914e9d4efde1a24ca2635ddc50df4b0d0549bb9233d25f3d0f",
     "charpoly --group product:2,2 --matrix adjacency": "d925a4e5aeae5da44dac52a8836e1de32f47766603c89313c521c4240cc3bef9",
     "build --group cyclic:12 --format csv": "3c05211f867136510c6709d0f0403a4d87a6ca9b3d1725c76d3a8d87f7a0aef3",
     "build --group dihedral:6 --format csv": "fa8c18517f8c58eaa5145cfba1d1060b7a55d1b1b2258f4d460096d80b827989",

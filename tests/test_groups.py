@@ -269,6 +269,13 @@ def test_load_relocates_identity():
     assert g.labels == ("e", "a")
 
 
+
+@pytest.mark.parametrize("labels", [["e", 5], [None, "a"], ["e", ["a"]], ["e", True]])
+def test_load_refuses_labels_that_are_not_strings(labels):
+    # a number or null is refused, not turned into its text
+    with pytest.raises(BadTableShape, match="labels must list 2 strings"):
+        load_cayley_table({"order": 2, "table": [[0, 1], [1, 0]], "labels": labels})
+
 def test_load_validates_once(monkeypatch):
     # Z_6 with its elements shifted so that the identity sits at index 4
     shift = 4

@@ -18,7 +18,7 @@ EXPANDED = (
     "charpoly",
     "poly_mul",
     "_poly_pow",
-    "binom_power",
+    "expand",
     "distance_charpoly_formula",
     "adjacency_charpoly_formula",
     "prime_adjacency_charpoly",
@@ -56,11 +56,14 @@ def test_a_wrong_distance_cubic_fails_every_composite_order(monkeypatch):
     composites = [n for n in range(4, 21) if is_composite(n)]
     assert report.failures == composites
     for record in report.records:
-        # only the charpoly check sees the closed form's factors
+        # the charpoly check and the distance spectrum both read the cubic
+        # from distance_formula_factors; the adjacency side never sees it
         expected = False if record.composite else None
         assert record.charpoly_distance_match is expected, record.n
         assert record.charpoly_adjacency_match is True, record.n
         assert record.spectrum_adjacency_max_dev <= 1e-8, record.n
+        if record.composite:
+            assert record.spectrum_distance_max_dev > 1e-8, record.n
 
 
 def test_a_wrong_distance_cubic_makes_the_cli_exit_one(monkeypatch, capsys):
