@@ -13,6 +13,7 @@ from .exactalg import (
     adjacency_formula_factors,
     charpoly,
     charpoly_factors,
+    closed_form,
     complete_graph_factors,
     distance_charpoly_formula,
     distance_cubic,
@@ -60,12 +61,13 @@ from .spectra import (
     PrimeOrder,
     SpectrumComparison,
     adjacency_spectrum_closed,
+    closed_spectrum,
     compare_spectra,
     distance_spectrum_closed,
     solve_cubic_trig,
     spectrum_document,
     symmetric_eigenvalues,
 )
-from .verify import VerificationRecord, VerificationReport, verify_range
+from .verify import Check, VerificationRecord, VerificationReport, verify_range
 
 __version__ = "0.1.0"

@@ -2,12 +2,15 @@
 
 Subcommands:
   build     construct a strong power graph (DOT, JSON edge list, or CSV matrix)
-  charpoly  exact characteristic polynomial and, for a cyclic group, its closed
-            form, both printed expanded; they are compared as factor lists
+  charpoly  exact characteristic polynomial and its closed form
+            (exactalg.closed_form), both printed expanded; they are compared
+            as factor lists
   spectrum  closed-form spectrum, numeric eigenvalues (Householder + QL), and
             their comparison
-  verify    run every applicable check over a range of cyclic orders; the
-            charpolys are compared as factor lists, none expanded
+  verify    run every applicable check over a range of cyclic orders: per
+            order, one check per matrix a closed form covers, and the
+            graph's connectivity; the charpolys are compared as factor
+            lists, none expanded
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 (including a group order above --max-order), 3 inapplicable input
@@ -29,9 +32,8 @@ from typing import Optional, Sequence, TextIO
 from .exactalg import (
     PrimeOrTrivialN,
     UnsupportedN,
-    adjacency_formula_factors,
     charpoly_factors,
-    distance_formula_factors,
+    closed_form,
     expand,
     same_product,
 )
@@ -54,7 +56,6 @@ from .groups import (
 )
 from .jsontext import dumps_indented
 from .spectra import (
-    PrimeOrder,
     adjacency_spectrum_closed,
     compare_spectra,
     distance_spectrum_closed,
@@ -168,20 +169,18 @@ def cmd_build(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_charpoly(args: argparse.Namespace) -> tuple[int, str]:
-    """The exact charpoly and, for a cyclic group, its closed form, both
-    printed expanded.  match compares their factor lists with
-    same_product, as verify does."""
+    """The exact charpoly and its closed form (exactalg.closed_form), both
+    printed expanded.  match compares their factor lists with same_product,
+    as verify does.  Order 1, which no closed form covers, prints null for
+    both."""
     group = parse_group_spec(args.group, args.max_order)
     graph = strong_power_graph(group)
     matrix = distance_matrix(graph) if args.matrix == "distance" else adjacency_matrix(graph)
     computed = charpoly_factors(matrix)
-    closed = None
-    if group.is_cyclic():
-        formula = distance_formula_factors if args.matrix == "distance" else adjacency_formula_factors
-        try:
-            closed = formula(group.order)
-        except (PrimeOrTrivialN, UnsupportedN):
-            pass  # no closed form covers this order
+    try:
+        closed, _ = closed_form(group, args.matrix)
+    except (PrimeOrTrivialN, UnsupportedN):
+        closed = None
     document = {
         "group": args.group,
         "n": graph.n,
@@ -302,7 +301,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (GroupSpecParseError, CayleyTableError) as exc:
         print(f"spg: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DisconnectedGraph, PrimeOrder, PrimeOrTrivialN, UnsupportedN) as exc:
+    except (DisconnectedGraph, PrimeOrTrivialN, UnsupportedN) as exc:
         print(f"spg: inapplicable: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
     out_path = getattr(args, "out", None)

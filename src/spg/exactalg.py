@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .groups import is_composite, is_prime, totient
+from .groups import GroupSpec, is_composite, is_prime, totient
 
 __all__ = [
     "IntMatrix",
@@ -40,10 +40,13 @@ __all__ = [
     "adjacency_formula_factors",
     "prime_adjacency_factors",
     "complete_graph_factors",
+    "closed_form",
 ]
 
 class PrimeOrTrivialN(ValueError):
-    """The distance closed form needs a composite order of at least 4."""
+    """No distance closed form applies: the group is cyclic of an order that
+    is not composite, so its strong power graph is disconnected or a single
+    vertex."""
 
 
 class UnsupportedN(ValueError):
@@ -723,9 +726,10 @@ def same_product(
 #
 # Each of the paper's closed forms is written once, as a factor list: Z_n's
 # (x+1)^(n-3) times a cubic, the prime corollary x(x+1)^(p-2)(x+2-p), and
-# K_n's (x-n+1)(x+1)^(n-1), which every noncyclic group has.  verify compares
-# the lists with same_product, the charpoly formulas are their expand, and
-# the closed-form spectra in spg.spectra are their roots.
+# K_n's (x-n+1)(x+1)^(n-1), which every noncyclic group has.  closed_form
+# alone picks the list for a group and a matrix.  verify and spg charpoly
+# compare it with same_product, the charpoly formulas are the lists' expand,
+# and the closed-form spectra in spg.spectra are their roots.
 
 
 def distance_cubic(n: int) -> IntPolynomial:
@@ -751,7 +755,7 @@ def distance_formula_factors(n: int) -> list[tuple[IntPolynomial, int]]:
     strong power graph of Z_n as factors, [(x+1, n-3), (distance_cubic(n),
     1)], for composite n >= 4."""
     if not is_composite(n):
-        raise PrimeOrTrivialN(f"closed form needs a composite order >= 4, got {n}")
+        raise PrimeOrTrivialN(f"the distance closed form needs a composite order >= 4, got {n}")
     return [(IntPolynomial([1, 1]), n - 3), (distance_cubic(n), 1)]
 
 
@@ -782,6 +786,31 @@ def complete_graph_factors(n: int) -> list[tuple[IntPolynomial, int]]:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"order must be a positive integer, got {n!r}")
     return [(IntPolynomial([1 - n, 1]), 1), (IntPolynomial([1, 1]), n - 1)]
+
+
+def closed_form(
+    group: GroupSpec, matrix: str
+) -> tuple[list[tuple[IntPolynomial, int]], str]:
+    """The paper's closed form of the characteristic polynomial of group's
+    strong power graph, for its "adjacency" or "distance" matrix, as a
+    factor list, and the name of the form (the spectra's `source`).
+
+    A noncyclic group has K_n's, for both matrices; a cyclic prime order
+    has the adjacency corollary x(x+1)^(p-2)(x+2-p); any other cyclic order
+    has (x+1)^(n-3) times the matrix's cubic.  The distance form of a cyclic
+    order that is not composite raises PrimeOrTrivialN, and the adjacency
+    form of order 1 UnsupportedN.
+    """
+    if matrix not in ("adjacency", "distance"):
+        raise ValueError(f"matrix must be adjacency or distance, got {matrix!r}")
+    n = group.order
+    if not group.is_cyclic():
+        return complete_graph_factors(n), f"{matrix}-complete"
+    if matrix == "distance":
+        return distance_formula_factors(n), "distance-cyclic-composite"
+    if is_prime(n):
+        return prime_adjacency_factors(n), "adjacency-prime"
+    return adjacency_formula_factors(n), "adjacency-cyclic-composite"
 
 
 def distance_charpoly_formula(n: int) -> IntPolynomial:

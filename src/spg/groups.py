@@ -200,19 +200,23 @@ class CayleyGroup(GroupSpec):
         e = validate_cayley_table(t)
         if e != 0:
             raise MissingIdentity(f"identity must sit at index 0, found it at {e}")
-        labels = tuple(labels) if labels is not None else None
-        if labels is not None and len(labels) != len(t):
-            raise BadTableShape(f"got {len(labels)} labels for a table of order {len(t)}")
         self._set_table(t, labels)
 
     @classmethod
-    def _from_validated(cls, t: np.ndarray, labels: Optional[tuple[str, ...]]) -> "CayleyGroup":
+    def _from_validated(cls, t: np.ndarray, labels: Optional[Sequence[str]]) -> "CayleyGroup":
         """Wrap an int64 table that already passed validation with its identity at 0."""
         group = cls.__new__(cls)
         group._set_table(t, labels)
         return group
 
-    def _set_table(self, t: np.ndarray, labels: Optional[tuple[str, ...]]) -> None:
+    def _set_table(self, t: np.ndarray, labels: Optional[Sequence[str]]) -> None:
+        """Freeze and keep the table, and the labels as a tuple; both
+        constructors pass through here, so labels other than a list or
+        tuple of len(t) strings are refused for both."""
+        if labels is not None:
+            if not isinstance(labels, (list, tuple)) or [type(x) for x in labels] != [str] * len(t):
+                raise BadTableShape(f"labels must list {len(t)} strings")
+            labels = tuple(labels)
         t.flags.writeable = False
         self._t = t
         self.order = len(t)
@@ -516,11 +520,11 @@ def load_cayley_table(document: dict) -> CayleyGroup:
     """Build a CayleyGroup from a parsed JSON document.
 
     Expected shape: {"order": n, "table": [[int; n]; n], "labels": [str; n]?}.
-    The rows' types and lengths are checked, then the labels, then the
-    entries as they become one int64 array, which is validated once, in the
-    file's own indexing.  If the identity is not at index 0 the table is
-    then relabelled by swapping index 0 with the identity, which keeps it a
-    valid group table.
+    The rows' types and lengths are checked, then the entries as they
+    become one int64 array, which is validated once, in the file's own
+    indexing, and then the labels, as CayleyGroup checks them.  If the
+    identity is not at index 0 the table is then relabelled by swapping
+    index 0 with the identity, which keeps it a valid group table.
     """
     if not isinstance(document, dict):
         raise BadTableShape(f"expected a JSON object, got {type(document).__name__}")
@@ -539,12 +543,6 @@ def load_cayley_table(document: dict) -> CayleyGroup:
         if fault:
             raise BadTableShape(fault)
 
-    labels = document.get("labels")
-    if labels is not None:
-        if not isinstance(labels, (list, tuple)) or [type(x) for x in labels] != [str] * order:
-            raise BadTableShape(f"labels must list {order} strings")
-        labels = tuple(labels)
-
     t = _table_array(table)
     e = validate_cayley_table(t)
     if e != 0:
@@ -552,6 +550,7 @@ def load_cayley_table(document: dict) -> CayleyGroup:
         sigma = np.arange(order)
         sigma[[0, e]] = e, 0
         t = sigma[t[np.ix_(sigma, sigma)]]
-        if labels is not None:
-            labels = tuple(labels[k] for k in sigma)
-    return CayleyGroup._from_validated(t, labels)
+    group = CayleyGroup._from_validated(t, document.get("labels"))
+    if e != 0 and group.labels is not None:  # checked, in the file's order
+        group.labels = tuple(group.labels[k] for k in sigma)
+    return group

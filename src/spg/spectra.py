@@ -12,16 +12,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .exactalg import (
-    IntMatrix,
-    IntPolynomial,
-    adjacency_formula_factors,
-    complete_graph_factors,
-    distance_formula_factors,
-    first_asymmetry,
-    prime_adjacency_factors,
-)
-from .groups import GroupSpec, is_composite, is_prime
+from .exactalg import IntMatrix, IntPolynomial, PrimeOrTrivialN, closed_form, first_asymmetry
+from .groups import GroupSpec
 
 __all__ = [
     "ClosedFormSpectrum",
@@ -33,6 +25,7 @@ __all__ = [
     "NoConvergence",
     "CountMismatch",
     "solve_cubic_trig",
+    "closed_spectrum",
     "distance_spectrum_closed",
     "adjacency_spectrum_closed",
     "symmetric_eigenvalues",
@@ -60,9 +53,9 @@ class ComplexRoots(ArithmeticError):
     """The cubic does not have three real roots."""
 
 
-class PrimeOrder(ValueError):
-    """The distance spectrum closed form needs a connected graph, so a
-    noncyclic group or a cyclic group of composite order."""
+# the distance spectrum closed form needs a connected graph: exactalg's one
+# name for that fact, under the name spg.spectra has always exported
+PrimeOrder = PrimeOrTrivialN
 
 
 class NonSymmetric(ValueError):
@@ -161,7 +154,9 @@ def solve_cubic_trig(a2: int, a1: int, a0: int) -> tuple[tuple[float, float, flo
     return (roots[0], roots[1], roots[2]), theta
 
 
-def _spectrum(factors: Sequence[tuple[IntPolynomial, int]], source: str) -> ClosedFormSpectrum:
+def closed_spectrum(
+    factors: Sequence[tuple[IntPolynomial, int]], source: str
+) -> ClosedFormSpectrum:
     """The roots of a closed form's factor list, with multiplicities: a
     linear factor x - r gives r, and a cubic its three roots by
     solve_cubic_trig, whose theta the spectrum keeps.  Equal roots are
@@ -182,39 +177,22 @@ def _spectrum(factors: Sequence[tuple[IntPolynomial, int]], source: str) -> Clos
 
 
 def distance_spectrum_closed(g: GroupSpec) -> ClosedFormSpectrum:
-    """Closed-form distance spectrum of the strong power graph of g.
-
-    Noncyclic groups give {n-1 once, -1 with multiplicity n-1}.  A cyclic
-    group of composite order n gives -1 with multiplicity n-3 plus the three
-    simple roots of exactalg.distance_cubic(n).  Prime (and order < 4) cyclic
-    groups are rejected: their strong power graphs are disconnected or too
-    small.
-    """
-    n = g.order
-    if not g.is_cyclic():
-        return _spectrum(complete_graph_factors(n), "distance-complete")
-    if not is_composite(n):
-        raise PrimeOrder(
-            f"distance spectrum needs composite cyclic order, got {n}"
-        )
-    return _spectrum(distance_formula_factors(n), "distance-cyclic-composite")
+    """Closed-form distance spectrum of the strong power graph of g, the
+    roots of exactalg.closed_form(g, "distance"): {n-1 once, -1 n-1 times}
+    for a noncyclic group, and -1 n-3 times plus the roots of
+    exactalg.distance_cubic(n) at a composite cyclic order n.  Other cyclic
+    orders raise PrimeOrder: their graphs are disconnected or too small."""
+    return closed_spectrum(*closed_form(g, "distance"))
 
 
 def adjacency_spectrum_closed(g: GroupSpec) -> ClosedFormSpectrum:
-    """Closed-form adjacency spectrum of the strong power graph of g.
-
-    Noncyclic groups give {n-1 once, -1 with multiplicity n-1}; cyclic prime
-    order p gives {p-2 once, 0 once, -1 with multiplicity p-2}, which at
-    p = 2 collapses to {0 twice}; cyclic composite order n gives -1 with
-    multiplicity n-3 plus the three simple roots of
-    exactalg.adjacency_cubic(n).  Cyclic order 1 raises UnsupportedN.
-    """
-    n = g.order
-    if not g.is_cyclic():
-        return _spectrum(complete_graph_factors(n), "adjacency-complete")
-    if is_prime(n):
-        return _spectrum(prime_adjacency_factors(n), "adjacency-prime")
-    return _spectrum(adjacency_formula_factors(n), "adjacency-cyclic-composite")
+    """Closed-form adjacency spectrum of the strong power graph of g, the
+    roots of exactalg.closed_form(g, "adjacency"): as the distance one for
+    a noncyclic group or a composite cyclic order, with the roots of
+    exactalg.adjacency_cubic(n); {p-2 once, 0 once, -1 p-2 times} at a
+    prime p, which at p = 2 collapses to {0 twice}.  Cyclic order 1 raises
+    UnsupportedN."""
+    return closed_spectrum(*closed_form(g, "adjacency"))
 
 
 def _working_copy(matrix: MatrixLike) -> tuple[np.ndarray, float]:

@@ -1,11 +1,12 @@
 """Batch verification of the closed forms over a range of cyclic orders.
 
-For each n the strong power graph of Z_n is built from the definition, the
-exact characteristic polynomial of each matrix, as the integer stage's block
-factors, is compared against the paper's factored closed form on one coprime
-basis, with no polynomial expanded, and the closed-form spectra are compared
-against the Householder + implicit-QL eigenvalue oracle.  Results land in a
-machine-readable report.
+For each n the strong power graph of Z_n is built from the definition.  Each
+matrix a closed form covers (exactalg.closed_form) gives one Check: its exact
+characteristic polynomial, as the integer stage's block factors, against the
+closed form's factors on one coprime basis, with no polynomial expanded, and
+the closed-form spectrum against the Householder + implicit-QL eigenvalue
+oracle.  A record holds the checks and whether the graph is connected where
+the paper says; the records land in a machine-readable report.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .exactalg import (
+    PrimeOrTrivialN,
     adjacency_formula_factors,
     charpoly_factors,
-    distance_formula_factors,
-    prime_adjacency_factors,
+    closed_form,
     same_product,
 )
 from .graphs import (
@@ -31,54 +32,52 @@ from .graphs import (
     is_connected,
     strong_power_graph,
 )
-from .groups import CyclicGroup, is_composite, is_prime
+from .groups import CyclicGroup
 from .jsontext import dumps_indented
-from .spectra import (
-    adjacency_spectrum_closed,
-    compare_spectra,
-    distance_spectrum_closed,
-    symmetric_eigenvalues,
-)
+from .spectra import closed_spectrum, compare_spectra, symmetric_eigenvalues
 
-__all__ = ["VerificationRecord", "VerificationReport", "verify_range"]
+__all__ = ["Check", "VerificationRecord", "VerificationReport", "verify_range"]
 
 log = logging.getLogger("spg.verify")
 
 
 @dataclass
-class VerificationRecord:
-    """Outcome of all applicable checks for a single order n.
+class Check:
+    """One matrix against its closed form: the charpoly's factors compared
+    exactly, and the closed-form spectrum against the numeric eigenvalues.
+    theta is the angle of the closed form's cubic, None when it has none
+    (the prime corollary, K_n)."""
 
-    Fields are None where a check does not apply (distance-side checks for
-    prime n, thetas outside the cyclic composite case).
-    """
+    matrix: str
+    source: str
+    charpoly_match: bool
+    max_abs_deviation: float
+    multiplicity_match: bool
+    theta: Optional[float]
+    theta_in_range: bool
+
+    def failed(self, tol: float) -> bool:
+        """True when a boolean check is False or the deviation exceeds tol."""
+        flags = (self.charpoly_match, self.multiplicity_match, self.theta_in_range)
+        return not (all(flags) and self.max_abs_deviation <= tol)
+
+
+@dataclass
+class VerificationRecord:
+    """Outcome of all checks for one group: one Check per matrix the
+    paper's closed forms cover (both at composite n, the adjacency one
+    alone at prime n), and connectivity_match, whether the graph is
+    connected exactly when the paper gives a distance closed form."""
 
     n: int
-    composite: bool
-    charpoly_distance_match: Optional[bool]
-    charpoly_adjacency_match: bool
-    spectrum_distance_max_dev: Optional[float]
-    spectrum_adjacency_max_dev: float
-    spectrum_distance_mult_match: Optional[bool]
-    spectrum_adjacency_mult_match: bool
-    theta_distance: Optional[float]
-    theta_adjacency: Optional[float]
-    theta_in_range: bool
+    group: str
+    connectivity_match: bool
+    checks: list[Check]
     elapsed_ms: int
 
     def failed(self, tol: float) -> bool:
-        """True when any boolean check is False or any deviation exceeds tol."""
-        booleans = (
-            self.charpoly_distance_match,
-            self.charpoly_adjacency_match,
-            self.spectrum_distance_mult_match,
-            self.spectrum_adjacency_mult_match,
-            self.theta_in_range,
-        )
-        if any(b is False for b in booleans):
-            return True
-        deviations = (self.spectrum_distance_max_dev, self.spectrum_adjacency_max_dev)
-        return any(d is not None and not d <= tol for d in deviations)
+        """True when connectivity contradicts the paper or any check failed."""
+        return not self.connectivity_match or any(c.failed(tol) for c in self.checks)
 
 
 @dataclass
@@ -92,8 +91,11 @@ class VerificationReport:
 
     def to_document(self) -> dict:
         return {
-            # every field is a scalar, so a shallow copy is what asdict returns
-            "records": [dict(vars(r)) for r in self.records],
+            # every field is a scalar but checks, a list of checks of
+            # scalars: what asdict returns, without its deep copy of each
+            "records": [
+                {**vars(r), "checks": [dict(vars(c)) for c in r.checks]} for r in self.records
+            ],
             "summary": {
                 "range": [self.n_min, self.n_max],
                 "tol": self.tol,
@@ -104,8 +106,15 @@ class VerificationReport:
 
     @classmethod
     def from_document(cls, document: dict) -> "VerificationReport":
+        """The report of a to_document document.  A record without a
+        "checks" list, as the flat records of earlier spg versions, raises
+        ValueError."""
         summary = document["summary"]
-        records = [VerificationRecord(**r) for r in document["records"]]
+        records = []
+        for r in document["records"]:
+            if "checks" not in r:
+                raise ValueError(f"verification record of n={r.get('n')} has no 'checks' key")
+            records.append(VerificationRecord(**{**r, "checks": [Check(**c) for c in r["checks"]]}))
         return cls(
             n_min=summary["range"][0],
             n_max=summary["range"][1],
@@ -122,65 +131,47 @@ class VerificationReport:
 def _verify_single(task: tuple[int, float]) -> VerificationRecord:
     """All checks for one order n; pure, suitable for worker processes.
 
-    Each matrix's exact factors (charpoly_factors) are computed once and
-    compared with same_product against the closed form's factors, which
-    come from n alone; at prime n the adjacency factors are compared with
-    the prime corollary's too.
+    Each covered matrix's exact factors (charpoly_factors) are computed
+    once and compared with same_product against exactalg.closed_form's
+    factors; at prime n the adjacency factors are compared with the general
+    cubic's list too, of which the prime corollary is a case.  Where no
+    distance form applies the graph must be disconnected, and where one
+    does the distance matrix must exist.
     """
     n, tol = task
     started = time.perf_counter()
     group = CyclicGroup(n)
     graph = strong_power_graph(group)
-    composite = is_composite(n)
-
-    adjacency = adjacency_matrix(graph)
-    adjacency_factors = charpoly_factors(adjacency)
-    adjacency_match = same_product(adjacency_factors, adjacency_formula_factors(n))
-    if is_prime(n):
-        adjacency_match = adjacency_match and same_product(
-            adjacency_factors, prime_adjacency_factors(n)
-        )
-    closed_adjacency = adjacency_spectrum_closed(group)
-    numeric_adjacency = symmetric_eigenvalues(adjacency)
-    cmp_adjacency = compare_spectra(closed_adjacency, numeric_adjacency)
-
-    distance_match: Optional[bool] = None
-    distance_dev: Optional[float] = None
-    distance_mult: Optional[bool] = None
-    theta_distance: Optional[float] = None
-    theta_in_range = cmp_adjacency.theta_in_range
-    if composite:
+    connectivity_match = True
+    checks = []
+    for kind, build in (("adjacency", adjacency_matrix), ("distance", distance_matrix)):
         try:
-            distance = distance_matrix(graph)
+            factors, source = closed_form(group, kind)
+            matrix = build(graph)
+        except PrimeOrTrivialN:
+            connectivity_match = not is_connected(graph)
+            continue
         except DisconnectedGraph:
-            distance_match = False  # contradicts connectivity for composite n
-        else:
-            distance_match = same_product(charpoly_factors(distance), distance_formula_factors(n))
-            closed_distance = distance_spectrum_closed(group)
-            numeric_distance = symmetric_eigenvalues(distance)
-            cmp_distance = compare_spectra(closed_distance, numeric_distance)
-            distance_dev = cmp_distance.max_abs_deviation
-            distance_mult = cmp_distance.multiplicity_match
-            theta_distance = closed_distance.theta
-            theta_in_range = theta_in_range and cmp_distance.theta_in_range
-    elif is_connected(graph):
-        distance_match = False  # connected at prime order contradicts theory
+            connectivity_match = False
+            continue
+        computed = charpoly_factors(matrix)
+        match = same_product(computed, factors)
+        if source == "adjacency-prime":
+            match = match and same_product(computed, adjacency_formula_factors(n))
+        closed = closed_spectrum(factors, source)
+        comparison = compare_spectra(closed, symmetric_eigenvalues(matrix))
+        checks.append(Check(
+            matrix=kind,
+            source=source,
+            charpoly_match=match,
+            max_abs_deviation=comparison.max_abs_deviation,
+            multiplicity_match=comparison.multiplicity_match,
+            theta=closed.theta,
+            theta_in_range=comparison.theta_in_range,
+        ))
 
     elapsed_ms = int((time.perf_counter() - started) * 1000)
-    record = VerificationRecord(
-        n=n,
-        composite=composite,
-        charpoly_distance_match=distance_match,
-        charpoly_adjacency_match=adjacency_match,
-        spectrum_distance_max_dev=distance_dev,
-        spectrum_adjacency_max_dev=cmp_adjacency.max_abs_deviation,
-        spectrum_distance_mult_match=distance_mult,
-        spectrum_adjacency_mult_match=cmp_adjacency.multiplicity_match,
-        theta_distance=theta_distance,
-        theta_adjacency=closed_adjacency.theta,
-        theta_in_range=theta_in_range,
-        elapsed_ms=elapsed_ms,
-    )
+    record = VerificationRecord(n, f"cyclic:{n}", connectivity_match, checks, elapsed_ms)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("verified n=%d in %d ms (failed=%s)", n, elapsed_ms, record.failed(tol))
     return record

@@ -34,7 +34,7 @@ from spg.spectra import (
     distance_spectrum_closed,
     symmetric_eigenvalues,
 )
-from spg.verify import VerificationRecord
+from spg.verify import Check, VerificationRecord
 
 from conftest import spectrum_max_value, strong_power_graph_structural
 
@@ -195,12 +195,12 @@ def test_criterion_7_theta_range(sweep):
                 theta = sweep[n][f"{kind}_closed"].theta
                 assert theta is not None and 0.0 < theta < half_pi, (n, kind, theta)
         # a theta violation must flag the verification record, not vanish
+        check = Check(
+            matrix="distance", source="distance-cyclic-composite", charpoly_match=True,
+            max_abs_deviation=0.0, multiplicity_match=True, theta=2.0, theta_in_range=False,
+        )
         record = VerificationRecord(
-            n=4, composite=True, charpoly_distance_match=True,
-            charpoly_adjacency_match=True, spectrum_distance_max_dev=0.0,
-            spectrum_adjacency_max_dev=0.0, spectrum_distance_mult_match=True,
-            spectrum_adjacency_mult_match=True, theta_distance=2.0,
-            theta_adjacency=0.5, theta_in_range=False, elapsed_ms=0,
+            n=4, group="cyclic:4", connectivity_match=True, checks=[check], elapsed_ms=0
         )
         assert record.failed(1e-8)
 

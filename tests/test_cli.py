@@ -17,10 +17,10 @@ import pytest
 from spg import cli, verify
 from spg.cli import main, parse_group_spec, GroupSpecParseError
 from spg.graphs import strong_power_graph
-from spg.groups import CyclicGroup, DihedralGroup, DirectProductGroup, load_cayley_table
-from spg.verify import VerificationRecord, VerificationReport, verify_range
+from spg.groups import CyclicGroup, DihedralGroup, DirectProductGroup, is_composite, load_cayley_table
+from spg.verify import Check, VerificationRecord, VerificationReport, verify_range
 
-from conftest import reference_to_dot, reference_to_json, s3_table
+from conftest import quaternion_table, reference_to_dot, reference_to_json, s3_table
 
 
 def run_cli(capsys, argv):
@@ -190,13 +190,19 @@ def test_charpoly_distance_prime_is_inapplicable(capsys):
     assert "inapplicable" in err
 
 
-def test_charpoly_noncyclic_has_no_closed_form(capsys):
-    code, out, _ = run_cli(
-        capsys, ["charpoly", "--group", "dihedral:3", "--matrix", "adjacency"]
-    )
-    doc = json.loads(out)
-    assert code == 0
-    assert doc["closed_form"] is None and doc["match"] is None
+def test_charpoly_noncyclic_matches_the_complete_graph(capsys, tmp_path):
+    # K_n's (x-n+1)(x+1)^(n-1), the closed form of every noncyclic group,
+    # for both matrices: they are the same J - I
+    path = tmp_path / "q8.json"
+    path.write_text(json.dumps({"order": 8, "table": quaternion_table()}))
+    for spec, n in (("dihedral:3", 6), ("product:2,2", 4), (f"cayley:{path}", 8)):
+        for matrix in ("adjacency", "distance"):
+            code, out, _ = run_cli(capsys, ["charpoly", "--group", spec, "--matrix", matrix])
+            doc = json.loads(out)
+            assert code == 0
+            assert doc["match"] is True, (spec, matrix)
+            assert doc["closed_form"] == doc["charpoly"], (spec, matrix)
+            assert doc["charpoly"][0] == str(1 - n), (spec, matrix)  # the product at x = 0
 
 
 def test_spectrum_distance_z4(capsys):
@@ -392,14 +398,16 @@ def test_verify_small_range(capsys):
     assert doc["summary"]["failures"] == []
     assert [r["n"] for r in doc["records"]] == list(range(4, 13))
     for record in doc["records"]:
-        if record["composite"]:
-            assert record["charpoly_distance_match"] is True
-            assert record["theta_distance"] is not None
-        else:
-            assert record["charpoly_distance_match"] is None
-            assert record["theta_distance"] is None
-        assert record["charpoly_adjacency_match"] is True
-        assert record["theta_in_range"] is True
+        n = record["n"]
+        assert record["group"] == f"cyclic:{n}"
+        assert record["connectivity_match"] is True
+        kinds = ["adjacency", "distance"] if is_composite(n) else ["adjacency"]
+        assert [check["matrix"] for check in record["checks"]] == kinds
+        for check in record["checks"]:
+            assert check["charpoly_match"] is True
+            assert check["multiplicity_match"] is True
+            assert check["theta_in_range"] is True
+            assert (check["theta"] is None) == (check["source"] == "adjacency-prime")
 
 
 def test_verify_prime_edge_range(capsys):
@@ -444,14 +452,29 @@ def test_out_onto_a_directory_is_a_usage_error(capsys, tmp_path):
 
 
 def test_report_round_trip():
-    report = verify_range(4, 8)
+    # prime orders hold one check, composite orders two
+    report = verify_range(2, 8)
     document = json.loads(report.to_json())
     assert VerificationReport.from_document(document) == report
 
 
+def test_report_reader_refuses_flat_records():
+    # a record of the twelve flat fields, as spg wrote them before checks
+    document = json.loads(verify_range(4, 4).to_json())
+    document["records"] = [{
+        "n": 4, "composite": True, "charpoly_distance_match": True,
+        "charpoly_adjacency_match": True, "spectrum_distance_max_dev": 0.0,
+        "spectrum_adjacency_max_dev": 0.0, "spectrum_distance_mult_match": True,
+        "spectrum_adjacency_mult_match": True, "theta_distance": 0.75,
+        "theta_adjacency": 1.54, "theta_in_range": True, "elapsed_ms": 0,
+    }]
+    with pytest.raises(ValueError, match="n=4 has no 'checks' key"):
+        VerificationReport.from_document(document)
+
+
 def test_report_json_is_the_asdict_text():
-    # to_document copies each record shallowly; the text must be what
-    # dataclasses.asdict's deep copy gives
+    # to_document copies each record and each check shallowly; the text
+    # must be what dataclasses.asdict's deep, nested copy gives
     report = verify_range(2, 60)
     document = report.to_document()
     document["records"] = [dataclasses.asdict(r) for r in report.records]
@@ -510,25 +533,30 @@ def test_verify_workers_are_clamped(monkeypatch, cpus, expected):
 
 
 def test_record_failure_predicate():
-    record = VerificationRecord(
-        n=6,
-        composite=True,
-        charpoly_distance_match=True,
-        charpoly_adjacency_match=True,
-        spectrum_distance_max_dev=1e-12,
-        spectrum_adjacency_max_dev=1e-12,
-        spectrum_distance_mult_match=True,
-        spectrum_adjacency_mult_match=True,
-        theta_distance=0.5,
-        theta_adjacency=0.9,
+    adjacency = Check(
+        matrix="adjacency",
+        source="adjacency-cyclic-composite",
+        charpoly_match=True,
+        max_abs_deviation=1e-12,
+        multiplicity_match=True,
+        theta=0.9,
         theta_in_range=True,
-        elapsed_ms=1,
+    )
+    distance = Check(**{**vars(adjacency), "matrix": "distance", "theta": 0.5})
+    record = VerificationRecord(
+        n=6, group="cyclic:6", connectivity_match=True, checks=[adjacency, distance], elapsed_ms=1
     )
     assert not record.failed(1e-8)
-    flagged = VerificationRecord(**{**record.__dict__, "theta_in_range": False})
-    assert flagged.failed(1e-8)
-    drifted = VerificationRecord(**{**record.__dict__, "spectrum_distance_max_dev": 1e-3})
-    assert drifted.failed(1e-8)
+    for field, value in (
+        ("theta_in_range", False),
+        ("max_abs_deviation", 1e-3),
+        ("max_abs_deviation", math.nan),
+        ("charpoly_match", False),
+        ("multiplicity_match", False),
+    ):
+        bad = Check(**{**vars(distance), field: value})
+        assert VerificationRecord(**{**vars(record), "checks": [adjacency, bad]}).failed(1e-8), field
+    assert VerificationRecord(**{**vars(record), "connectivity_match": False}).failed(1e-8)
 
 
 

@@ -270,11 +270,21 @@ def test_load_relocates_identity():
 
 
 
-@pytest.mark.parametrize("labels", [["e", 5], [None, "a"], ["e", ["a"]], ["e", True]])
+@pytest.mark.parametrize("labels", [["e", 5], [None, "a"], ["e", ["a"]], ["e", True], "ea"])
 def test_load_refuses_labels_that_are_not_strings(labels):
-    # a number or null is refused, not turned into its text
+    # a number or null is refused, not turned into its text, also where the
+    # identity is moved to index 0
+    for table in ([[0, 1], [1, 0]], [[1, 0], [0, 1]]):
+        with pytest.raises(BadTableShape, match="labels must list 2 strings"):
+            load_cayley_table({"order": 2, "table": table, "labels": labels})
+
+
+@pytest.mark.parametrize("labels", [[5, None], ["e"], ["e", "a", "b"], "ea", ["e", True]])
+def test_constructor_refuses_labels_that_are_not_strings(labels):
+    # the same check as the loader's, so to_dot never meets a label it cannot write
     with pytest.raises(BadTableShape, match="labels must list 2 strings"):
-        load_cayley_table({"order": 2, "table": [[0, 1], [1, 0]], "labels": labels})
+        CayleyGroup([[0, 1], [1, 0]], labels=labels)
+    assert CayleyGroup([[0, 1], [1, 0]], labels=("e", "a")).labels == ("e", "a")
 
 def test_load_validates_once(monkeypatch):
     # Z_6 with its elements shifted so that the identity sits at index 4

@@ -1,5 +1,6 @@
-"""The verify sweep's charpoly check: factor lists compared on a coprime
-basis, never expanded, and able to fail."""
+"""The verify sweep's checks: factor lists compared on a coprime basis,
+never expanded, and able to fail, and the graph's connectivity against the
+paper's."""
 
 import json
 import logging
@@ -10,6 +11,7 @@ import sys
 from spg import exactalg, verify
 from spg.cli import main
 from spg.exactalg import IntPolynomial
+from spg.graphs import DisconnectedGraph
 from spg.groups import is_composite
 from spg.verify import verify_range
 
@@ -36,8 +38,9 @@ def test_verify_expands_no_polynomial(monkeypatch):
     for n in range(2, 151):
         record = verify._verify_single((n, 1e-8))
         assert not record.failed(1e-8), n
-        assert record.charpoly_adjacency_match is True, n
-        assert record.charpoly_distance_match is (True if is_composite(n) else None), n
+        kinds = ["adjacency", "distance"] if is_composite(n) else ["adjacency"]
+        assert [c.matrix for c in record.checks] == kinds, n
+        assert all(c.charpoly_match is True for c in record.checks), n
 
 
 def _off_by_one(monkeypatch):
@@ -58,12 +61,14 @@ def test_a_wrong_distance_cubic_fails_every_composite_order(monkeypatch):
     for record in report.records:
         # the charpoly check and the distance spectrum both read the cubic
         # from distance_formula_factors; the adjacency side never sees it
-        expected = False if record.composite else None
-        assert record.charpoly_distance_match is expected, record.n
-        assert record.charpoly_adjacency_match is True, record.n
-        assert record.spectrum_adjacency_max_dev <= 1e-8, record.n
-        if record.composite:
-            assert record.spectrum_distance_max_dev > 1e-8, record.n
+        adjacency, *distance = record.checks
+        assert adjacency.charpoly_match is True, record.n
+        assert adjacency.max_abs_deviation <= 1e-8, record.n
+        assert len(distance) == is_composite(record.n), record.n
+        for check in distance:
+            assert check.charpoly_match is False, record.n
+            assert check.max_abs_deviation > 1e-8, record.n
+        assert record.connectivity_match is True, record.n
 
 
 def test_a_wrong_distance_cubic_makes_the_cli_exit_one(monkeypatch, capsys):
@@ -73,6 +78,29 @@ def test_a_wrong_distance_cubic_makes_the_cli_exit_one(monkeypatch, capsys):
     assert main(["verify", "--range", "4..20"]) == 1
     failures = json.loads(capsys.readouterr().out)["summary"]["failures"]
     assert failures == [n for n in range(4, 21) if is_composite(n)]
+
+
+def test_a_connected_prime_order_fails_its_record(monkeypatch, capsys):
+    # at prime n no distance form applies: the graph must be disconnected
+    monkeypatch.setattr(verify, "is_connected", lambda graph: True)
+    record = verify._verify_single((7, 1e-8))
+    assert record.connectivity_match is False and record.failed(1e-8)
+    assert [c.failed(1e-8) for c in record.checks] == [False]
+    assert main(["verify", "--range", "7..8"]) == 1
+    assert json.loads(capsys.readouterr().out)["summary"]["failures"] == [7]
+
+
+def test_a_disconnected_composite_order_fails_its_record(monkeypatch, capsys):
+    # at composite n the distance form applies: its matrix must exist
+    def disconnected(graph):
+        raise DisconnectedGraph("no path")
+
+    monkeypatch.setattr(verify, "distance_matrix", disconnected)
+    record = verify._verify_single((8, 1e-8))
+    assert record.connectivity_match is False and record.failed(1e-8)
+    assert [c.matrix for c in record.checks] == ["adjacency"]
+    assert main(["verify", "--range", "7..8"]) == 1
+    assert json.loads(capsys.readouterr().out)["summary"]["failures"] == [8]
 
 
 def test_verify_computes_each_matrix_factors_once(monkeypatch):
