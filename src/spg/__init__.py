@@ -5,9 +5,7 @@ from .exactalg import (
     InexactDivision,
     IntMatrix,
     IntPolynomial,
-    NotPrime,
-    PrimeOrTrivialN,
-    UnsupportedN,
+    NoClosedForm,
     adjacency_charpoly_formula,
     adjacency_cubic,
     adjacency_formula_factors,
@@ -58,7 +56,6 @@ from .spectra import (
     NoConvergence,
     NonFinite,
     NonSymmetric,
-    PrimeOrder,
     SpectrumComparison,
     adjacency_spectrum_closed,
     closed_spectrum,

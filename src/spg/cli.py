@@ -13,9 +13,9 @@ Subcommands:
             lists, none expanded
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
-(including a group order above --max-order), 3 inapplicable input
-(disconnected graph).  The SPG_LOG environment variable sets log verbosity
-(debug, info, warning, error).
+(including a group order above --max-order), 3 inapplicable input (a
+disconnected graph, or no closed form in the paper).  The SPG_LOG
+environment variable sets log verbosity (debug, info, warning, error).
 """
 
 from __future__ import annotations
@@ -29,14 +29,7 @@ import os
 import sys
 from typing import Optional, Sequence, TextIO
 
-from .exactalg import (
-    PrimeOrTrivialN,
-    UnsupportedN,
-    charpoly_factors,
-    closed_form,
-    expand,
-    same_product,
-)
+from .exactalg import NoClosedForm, charpoly_factors, closed_form, expand, same_product
 from .graphs import (
     DisconnectedGraph,
     adjacency_matrix,
@@ -179,7 +172,7 @@ def cmd_charpoly(args: argparse.Namespace) -> tuple[int, str]:
     computed = charpoly_factors(matrix)
     try:
         closed, _ = closed_form(group, args.matrix)
-    except (PrimeOrTrivialN, UnsupportedN):
+    except NoClosedForm:
         closed = None
     document = {
         "group": args.group,
@@ -206,9 +199,7 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
     document = spectrum_document(closed, graph.n, args.matrix)
     document["numeric_eigenvalues"] = numeric
     document["comparison"] = {
-        "max_abs_deviation": comparison.max_abs_deviation,
-        "multiplicity_match": comparison.multiplicity_match,
-        "theta_in_range": comparison.theta_in_range,
+        **vars(comparison),
         "within_tol": comparison.max_abs_deviation <= args.tol,
     }
     return EXIT_OK, dumps_indented(document) + "\n"
@@ -301,7 +292,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (GroupSpecParseError, CayleyTableError) as exc:
         print(f"spg: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DisconnectedGraph, PrimeOrTrivialN, UnsupportedN) as exc:
+    except (DisconnectedGraph, NoClosedForm) as exc:
         print(f"spg: inapplicable: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
     out_path = getattr(args, "out", None)

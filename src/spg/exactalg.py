@@ -21,9 +21,7 @@ from .groups import GroupSpec, is_composite, is_prime, totient
 __all__ = [
     "IntMatrix",
     "IntPolynomial",
-    "PrimeOrTrivialN",
-    "UnsupportedN",
-    "NotPrime",
+    "NoClosedForm",
     "InexactDivision",
     "first_asymmetry",
     "poly_mul",
@@ -43,18 +41,11 @@ __all__ = [
     "closed_form",
 ]
 
-class PrimeOrTrivialN(ValueError):
-    """No distance closed form applies: the group is cyclic of an order that
-    is not composite, so its strong power graph is disconnected or a single
-    vertex."""
-
-
-class UnsupportedN(ValueError):
-    """The adjacency closed form does not cover order 1."""
-
-
-class NotPrime(ValueError):
-    """The prime-order closed form needs a prime argument."""
+class NoClosedForm(ValueError):
+    """The paper gives no closed form here: the distance form of a cyclic
+    order that is not composite (the graph is disconnected or a single
+    vertex), the adjacency form of order 1, or the prime corollary of an
+    order that is not prime."""
 
 
 class InexactDivision(ArithmeticError):
@@ -755,7 +746,7 @@ def distance_formula_factors(n: int) -> list[tuple[IntPolynomial, int]]:
     strong power graph of Z_n as factors, [(x+1, n-3), (distance_cubic(n),
     1)], for composite n >= 4."""
     if not is_composite(n):
-        raise PrimeOrTrivialN(f"the distance closed form needs a composite order >= 4, got {n}")
+        raise NoClosedForm(f"the distance closed form needs a composite order >= 4, got {n}")
     return [(IntPolynomial([1, 1]), n - 3), (distance_cubic(n), 1)]
 
 
@@ -767,7 +758,7 @@ def adjacency_formula_factors(n: int) -> list[tuple[IntPolynomial, int]]:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"order must be a positive integer, got {n!r}")
     if n == 1:
-        raise UnsupportedN("the adjacency closed form does not cover order 1")
+        raise NoClosedForm("the adjacency closed form does not cover order 1")
     return [(IntPolynomial([1, 1]), n - 3), (adjacency_cubic(n), 1)]
 
 
@@ -775,7 +766,7 @@ def prime_adjacency_factors(p: int) -> list[tuple[IntPolynomial, int]]:
     """The adjacency characteristic polynomial for prime order p as
     factors, [(x, 1), (x+1, p-2), (x+2-p, 1)]."""
     if not is_prime(p):
-        raise NotPrime(f"expected a prime order, got {p}")
+        raise NoClosedForm(f"expected a prime order, got {p}")
     return [(IntPolynomial([0, 1]), 1), (IntPolynomial([1, 1]), p - 2), (IntPolynomial([2 - p, 1]), 1)]
 
 
@@ -798,8 +789,8 @@ def closed_form(
     A noncyclic group has K_n's, for both matrices; a cyclic prime order
     has the adjacency corollary x(x+1)^(p-2)(x+2-p); any other cyclic order
     has (x+1)^(n-3) times the matrix's cubic.  The distance form of a cyclic
-    order that is not composite raises PrimeOrTrivialN, and the adjacency
-    form of order 1 UnsupportedN.
+    order that is not composite, and the adjacency form of order 1, raise
+    NoClosedForm.
     """
     if matrix not in ("adjacency", "distance"):
         raise ValueError(f"matrix must be adjacency or distance, got {matrix!r}")

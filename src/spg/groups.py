@@ -185,41 +185,40 @@ class DihedralGroup(GroupSpec):
 
 
 class CayleyGroup(GroupSpec):
-    """A group given by an explicit validated multiplication table.
+    """A group given by an explicit multiplication table, validated here.
 
-    The law looks products up in a read-only int64 array of the table, and
-    `table` gives its rows as tuples.
+    table is a list of n rows of n ints, or a 2-D numpy array; labels, if
+    given, is a list or tuple of n strings.  The table is converted and
+    range-checked once, then its axioms are checked once on that int64
+    array (see validate_cayley_table), every error in the caller's own
+    indexing; the labels are checked after the table.  If the identity sits
+    at e != 0, indices 0 and e are swapped, in the table and in the labels,
+    which keeps it a group table with the identity at 0.  The law looks
+    products up in a read-only int64 copy of the table.
     """
 
     kind = "cayley"
 
     def __init__(self, table: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None):
         t = _table_array(table)
-        if t is table:  # the caller's own array: freeze a copy, not theirs
-            t = t.copy()
-        e = validate_cayley_table(t)
-        if e != 0:
-            raise MissingIdentity(f"identity must sit at index 0, found it at {e}")
-        self._set_table(t, labels)
-
-    @classmethod
-    def _from_validated(cls, t: np.ndarray, labels: Optional[Sequence[str]]) -> "CayleyGroup":
-        """Wrap an int64 table that already passed validation with its identity at 0."""
-        group = cls.__new__(cls)
-        group._set_table(t, labels)
-        return group
-
-    def _set_table(self, t: np.ndarray, labels: Optional[Sequence[str]]) -> None:
-        """Freeze and keep the table, and the labels as a tuple; both
-        constructors pass through here, so labels other than a list or
-        tuple of len(t) strings are refused for both."""
+        e = _check_axioms(t)
+        n = len(t)
         if labels is not None:
-            if not isinstance(labels, (list, tuple)) or [type(x) for x in labels] != [str] * len(t):
-                raise BadTableShape(f"labels must list {len(t)} strings")
+            if not isinstance(labels, (list, tuple)) or [type(x) for x in labels] != [str] * n:
+                raise BadTableShape(f"labels must list {n} strings")
             labels = tuple(labels)
+        if e != 0:
+            # sigma swaps 0 and e; the relabelled table is sigma(t[sigma(i), sigma(j)])
+            sigma = np.arange(n)
+            sigma[[0, e]] = e, 0
+            t = sigma[t[np.ix_(sigma, sigma)]]
+            if labels is not None:
+                labels = tuple(labels[k] for k in sigma)
+        elif t is table:  # the caller's own array: freeze a copy, not theirs
+            t = t.copy()
         t.flags.writeable = False
         self._t = t
-        self.order = len(t)
+        self.order = n
         self.labels = labels
 
     def law(self, a, b):
@@ -349,15 +348,6 @@ def is_composite(n: int) -> bool:
     return n >= 4 and not is_prime(n)
 
 
-def _row_fault(i: int, row, n: int) -> Optional[str]:
-    """Why row i cannot be a row of an order-n table, or None if it can."""
-    if not isinstance(row, (list, tuple)):
-        return f"row {i} is {type(row).__name__}, expected a list of {n} entries"
-    if len(row) != n:
-        return f"row {i} has length {len(row)}, expected {n}"
-    return None
-
-
 def _raise_bad_entry(flat: Sequence, n: int) -> None:
     """Raise BadTableShape at the first entry of the row-major flat that is
     not an int in 0..n-1 (bools excluded); return if there is none."""
@@ -395,7 +385,10 @@ def _table_array(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
         raise BadTableShape("table is empty")
     bad_row, fault = n, None
     for i, row in enumerate(table):
-        fault = _row_fault(i, row, n)
+        if not isinstance(row, (list, tuple)):
+            fault = f"row {i} is {type(row).__name__}, expected a list of {n} entries"
+        elif len(row) != n:
+            fault = f"row {i} has length {len(row)}, expected {n}"
         if fault:
             bad_row = i
             break
@@ -475,8 +468,15 @@ def validate_cayley_table(table: Sequence[Sequence[int]] | np.ndarray) -> int:
     Inverses need no check.  Row a of a Latin square holds the identity e,
     say a*b = e, and column a holds it too, say c*a = e; then associativity
     gives c = c*(a*b) = (c*a)*b = b, a two-sided inverse.
+
+    CayleyGroup runs the same two passes, conversion and axioms, once each.
     """
-    t = _table_array(table)
+    return _check_axioms(_table_array(table))
+
+
+def _check_axioms(t: np.ndarray) -> int:
+    """The identity of the n x n int64 table t of entries in 0..n-1, after
+    the Latin, identity and associativity checks of validate_cayley_table."""
     n = len(t)
     idx = np.arange(n)
     bad_rows = (np.sort(t, axis=1) != idx).any(axis=1)
@@ -520,11 +520,10 @@ def load_cayley_table(document: dict) -> CayleyGroup:
     """Build a CayleyGroup from a parsed JSON document.
 
     Expected shape: {"order": n, "table": [[int; n]; n], "labels": [str; n]?}.
-    The rows' types and lengths are checked, then the entries as they
-    become one int64 array, which is validated once, in the file's own
-    indexing, and then the labels, as CayleyGroup checks them.  If the
-    identity is not at index 0 the table is then relabelled by swapping
-    index 0 with the identity, which keeps it a valid group table.
+    Only the document is checked here: an object with both keys, a positive
+    integer order, and that many rows.  CayleyGroup then checks the rows,
+    their entries, the axioms and the labels, in the file's own indexing,
+    and moves the identity to index 0.
     """
     if not isinstance(document, dict):
         raise BadTableShape(f"expected a JSON object, got {type(document).__name__}")
@@ -538,19 +537,4 @@ def load_cayley_table(document: dict) -> CayleyGroup:
     if not isinstance(table, (list, tuple)) or len(table) != order:
         got = len(table) if isinstance(table, (list, tuple)) else type(table).__name__
         raise BadTableShape(f"table must have {order} rows, got {got}")
-    for i, row in enumerate(table):
-        fault = _row_fault(i, row, order)
-        if fault:
-            raise BadTableShape(fault)
-
-    t = _table_array(table)
-    e = validate_cayley_table(t)
-    if e != 0:
-        # sigma swaps 0 and e; the relabelled table is sigma(t[sigma(i), sigma(j)])
-        sigma = np.arange(order)
-        sigma[[0, e]] = e, 0
-        t = sigma[t[np.ix_(sigma, sigma)]]
-    group = CayleyGroup._from_validated(t, document.get("labels"))
-    if e != 0 and group.labels is not None:  # checked, in the file's order
-        group.labels = tuple(group.labels[k] for k in sigma)
-    return group
+    return CayleyGroup(table, document.get("labels"))

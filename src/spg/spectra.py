@@ -12,14 +12,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .exactalg import IntMatrix, IntPolynomial, PrimeOrTrivialN, closed_form, first_asymmetry
+from .exactalg import IntMatrix, IntPolynomial, closed_form, first_asymmetry
 from .groups import GroupSpec
 
 __all__ = [
     "ClosedFormSpectrum",
     "SpectrumComparison",
     "ComplexRoots",
-    "PrimeOrder",
     "NonSymmetric",
     "NonFinite",
     "NoConvergence",
@@ -48,14 +47,13 @@ _UPDATE_ENTRIES = 1 << 13
 _SCAN_ROWS = 32
 _SCAN_MASK = np.triu(np.ones((_SCAN_ROWS, _SCAN_ROWS), dtype=bool))
 
+# relative gap within which compare_spectra counts two sorted numeric
+# eigenvalues as one cluster, to read off multiplicities
+_CLUSTER_TOL = 1e-6
+
 
 class ComplexRoots(ArithmeticError):
     """The cubic does not have three real roots."""
-
-
-# the distance spectrum closed form needs a connected graph: exactalg's one
-# name for that fact, under the name spg.spectra has always exported
-PrimeOrder = PrimeOrTrivialN
 
 
 class NonSymmetric(ValueError):
@@ -181,7 +179,8 @@ def distance_spectrum_closed(g: GroupSpec) -> ClosedFormSpectrum:
     roots of exactalg.closed_form(g, "distance"): {n-1 once, -1 n-1 times}
     for a noncyclic group, and -1 n-3 times plus the roots of
     exactalg.distance_cubic(n) at a composite cyclic order n.  Other cyclic
-    orders raise PrimeOrder: their graphs are disconnected or too small."""
+    orders raise exactalg.NoClosedForm: their graphs are disconnected or
+    too small."""
     return closed_spectrum(*closed_form(g, "distance"))
 
 
@@ -191,7 +190,7 @@ def adjacency_spectrum_closed(g: GroupSpec) -> ClosedFormSpectrum:
     a noncyclic group or a composite cyclic order, with the roots of
     exactalg.adjacency_cubic(n); {p-2 once, 0 once, -1 p-2 times} at a
     prime p, which at p = 2 collapses to {0 twice}.  Cyclic order 1 raises
-    UnsupportedN."""
+    exactalg.NoClosedForm."""
     return closed_spectrum(*closed_form(g, "adjacency"))
 
 
@@ -385,26 +384,24 @@ def symmetric_eigenvalues(
         raise NonFinite("an eigenvalue lies beyond the float64 range") from None
 
 
-def _cluster_sizes(values: Sequence[float], rel_tol: float) -> list[int]:
+def _cluster_sizes(values: Sequence[float]) -> list[int]:
     if not values:
         return []
     sizes = [1]
     for previous, value in zip(values, values[1:]):
-        if abs(previous - value) <= rel_tol * max(1.0, abs(previous)):
+        if abs(previous - value) <= _CLUSTER_TOL * max(1.0, abs(previous)):
             sizes[-1] += 1
         else:
             sizes.append(1)
     return sizes
 
 
-def compare_spectra(
-    closed: ClosedFormSpectrum, numeric: Sequence[float], cluster_tol: float = 1e-6
-) -> SpectrumComparison:
+def compare_spectra(closed: ClosedFormSpectrum, numeric: Sequence[float]) -> SpectrumComparison:
     """Compare a closed-form spectrum against numeric eigenvalues.
 
     Both sides are paired greedily in descending order for the deviation;
     multiplicities match when clustering the numeric values at relative
-    tolerance cluster_tol reproduces the closed-form multiplicities.  The
+    tolerance _CLUSTER_TOL reproduces the closed-form multiplicities.  The
     theta flag checks 0 < theta < pi/2 and is True when theta is absent.
     """
     expanded = closed.values()
@@ -416,7 +413,7 @@ def compare_spectra(
     deviation = max(
         (abs(c - v) for c, v in zip(expanded, numeric_sorted)), default=0.0
     )
-    mult_match = _cluster_sizes(numeric_sorted, cluster_tol) == [m for _, m in closed.entries]
+    mult_match = _cluster_sizes(numeric_sorted) == [m for _, m in closed.entries]
     theta_ok = closed.theta is None or 0.0 < closed.theta < math.pi / 2.0
     return SpectrumComparison(deviation, mult_match, theta_ok)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .exactalg import (
-    PrimeOrTrivialN,
+    NoClosedForm,
     adjacency_formula_factors,
     charpoly_factors,
     closed_form,
@@ -128,7 +128,7 @@ class VerificationReport:
         return dumps_indented(self.to_document())
 
 
-def _verify_single(task: tuple[int, float]) -> VerificationRecord:
+def _verify_single(n: int) -> VerificationRecord:
     """All checks for one order n; pure, suitable for worker processes.
 
     Each covered matrix's exact factors (charpoly_factors) are computed
@@ -138,7 +138,6 @@ def _verify_single(task: tuple[int, float]) -> VerificationRecord:
     distance form applies the graph must be disconnected, and where one
     does the distance matrix must exist.
     """
-    n, tol = task
     started = time.perf_counter()
     group = CyclicGroup(n)
     graph = strong_power_graph(group)
@@ -148,7 +147,7 @@ def _verify_single(task: tuple[int, float]) -> VerificationRecord:
         try:
             factors, source = closed_form(group, kind)
             matrix = build(graph)
-        except PrimeOrTrivialN:
+        except NoClosedForm:
             connectivity_match = not is_connected(graph)
             continue
         except DisconnectedGraph:
@@ -161,20 +160,11 @@ def _verify_single(task: tuple[int, float]) -> VerificationRecord:
         closed = closed_spectrum(factors, source)
         comparison = compare_spectra(closed, symmetric_eigenvalues(matrix))
         checks.append(Check(
-            matrix=kind,
-            source=source,
-            charpoly_match=match,
-            max_abs_deviation=comparison.max_abs_deviation,
-            multiplicity_match=comparison.multiplicity_match,
-            theta=closed.theta,
-            theta_in_range=comparison.theta_in_range,
+            matrix=kind, source=source, charpoly_match=match, theta=closed.theta, **vars(comparison)
         ))
 
     elapsed_ms = int((time.perf_counter() - started) * 1000)
-    record = VerificationRecord(n, f"cyclic:{n}", connectivity_match, checks, elapsed_ms)
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("verified n=%d in %d ms (failed=%s)", n, elapsed_ms, record.failed(tol))
-    return record
+    return VerificationRecord(n, f"cyclic:{n}", connectivity_match, checks, elapsed_ms)
 
 
 def verify_range(
@@ -196,17 +186,22 @@ def verify_range(
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be a finite nonnegative number, got {tol!r}")
     started = time.perf_counter()
-    tasks = [(n, tol) for n in range(n_min, n_max + 1)]
-    workers = min(workers, os.cpu_count() or 1, len(tasks))
+    orders = range(n_min, n_max + 1)
+    workers = min(workers, os.cpu_count() or 1, len(orders))
     if workers == 1:
-        records = [_verify_single(task) for task in tasks]
+        records = [_verify_single(n) for n in orders]
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_verify_single, tasks))
+            records = list(pool.map(_verify_single, orders))
     records.sort(key=lambda r: r.n)
-    failures = [r.n for r in records if r.failed(tol)]
+    failures = []
+    for r in records:
+        failed = r.failed(tol)
+        log.debug("verified n=%d in %d ms (failed=%s)", r.n, r.elapsed_ms, failed)
+        if failed:
+            failures.append(r.n)
     wall_time_ms = int((time.perf_counter() - started) * 1000)
     log.info(
         "verified range [%d, %d]: %d orders, %d failures, %d ms",

@@ -34,6 +34,19 @@ def test_package_imports_only_exported_names():
             assert getattr(spg, alias.name) is getattr(module, alias.name)
 
 
+def test_each_exported_exception_has_one_name():
+    # an alias, such as an old name kept for a class renamed, would give one
+    # refusal two names to catch
+    names = {}
+    for module in [spg] + [importlib.import_module(name) for name in MODULES]:
+        for name in getattr(module, "__all__", dir(module)):
+            value = getattr(module, name)
+            if isinstance(value, type) and issubclass(value, BaseException):
+                names.setdefault(value, set()).add(name)
+    assert names
+    assert {cls: found for cls, found in names.items() if len(found) > 1} == {}
+
+
 def test_readme_library_block_runs():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     library = readme.read_text(encoding="utf-8").split("## Library", 1)[1]

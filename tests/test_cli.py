@@ -274,6 +274,19 @@ def test_malformed_cayley_documents_are_usage_errors(capsys, tmp_path, document)
     assert err.startswith("spg: error:") and "Traceback" not in err
 
 
+def test_a_bad_entry_is_reported_before_a_later_short_row(capsys, tmp_path):
+    # the file is read in order: row 0's entry 9 comes before row 3's length
+    path = tmp_path / "bad.json"
+    table = [[0, 9, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0]]
+    path.write_text(json.dumps({"order": 4, "table": table}))
+    code, out, err = run_cli(capsys, ["build", "--group", f"cayley:{path}"])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"spg: error: bad group spec 'cayley:{path}': "
+        "entry at row 0, col 1 is 9, expected 0..3\n"
+    )
+
+
 def test_deeply_nested_cayley_json_is_a_usage_error(capsys, tmp_path):
     # json.load gives up on this depth with RecursionError, not JSONDecodeError
     path = tmp_path / "deep.json"

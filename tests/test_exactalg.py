@@ -14,9 +14,7 @@ from spg.exactalg import (
     InexactDivision,
     IntMatrix,
     IntPolynomial,
-    NotPrime,
-    PrimeOrTrivialN,
-    UnsupportedN,
+    NoClosedForm,
     adjacency_charpoly_formula,
     adjacency_cubic,
     adjacency_formula_factors,
@@ -921,7 +919,9 @@ def test_distance_formula_n6_cubic_constant():
 
 def test_distance_formula_rejects_primes_and_small_orders():
     for n in (1, 2, 3, 5, 7, 149):
-        with pytest.raises(PrimeOrTrivialN):
+        with pytest.raises(
+            NoClosedForm, match="the distance closed form needs a composite order >= 4"
+        ):
             distance_charpoly_formula(n)
 
 
@@ -931,7 +931,7 @@ def test_adjacency_formula_small_orders():
     assert adjacency_charpoly_formula(4) == poly_mul(
         IntPolynomial([1, 1]), IntPolynomial([1, -3, -1, 1])
     )
-    with pytest.raises(UnsupportedN):
+    with pytest.raises(NoClosedForm, match="the adjacency closed form does not cover order 1"):
         adjacency_charpoly_formula(1)
 
 
@@ -953,7 +953,7 @@ def test_prime_adjacency_charpoly():
     )
     assert prime_adjacency_charpoly(5) == expected
     assert prime_adjacency_charpoly(3) == adjacency_charpoly_formula(3)
-    with pytest.raises(NotPrime):
+    with pytest.raises(NoClosedForm, match="expected a prime order, got 6"):
         prime_adjacency_charpoly(6)
 
 
@@ -1131,13 +1131,15 @@ def test_closed_form_factor_lists_expand_to_the_formulas():
             assert _expand(distance_formula_factors(n)) == distance_charpoly_formula(n), n
             assert distance_formula_factors(n)[1] == (distance_cubic(n), 1)
         else:
-            with pytest.raises(PrimeOrTrivialN):
+            with pytest.raises(
+                NoClosedForm, match="the distance closed form needs a composite order >= 4"
+            ):
                 distance_formula_factors(n)
         if is_prime(n):
             assert _expand(prime_adjacency_factors(n)) == prime_adjacency_charpoly(n), n
-    with pytest.raises(UnsupportedN):
+    with pytest.raises(NoClosedForm, match="the adjacency closed form does not cover order 1"):
         adjacency_formula_factors(1)
-    with pytest.raises(NotPrime):
+    with pytest.raises(NoClosedForm, match="expected a prime order, got 6"):
         prime_adjacency_factors(6)
 
 

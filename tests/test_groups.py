@@ -287,21 +287,28 @@ def test_constructor_refuses_labels_that_are_not_strings(labels):
     assert CayleyGroup([[0, 1], [1, 0]], labels=("e", "a")).labels == ("e", "a")
 
 def test_load_validates_once(monkeypatch):
-    # Z_6 with its elements shifted so that the identity sits at index 4
+    # Z_6 with its elements shifted so that the identity sits at index 4;
+    # each path into a group converts the table once and checks its axioms once
     shift = 4
     table = [[(a + b - shift) % 6 for b in range(6)] for a in range(6)]
     calls = []
-    original = groups.validate_cayley_table
+    for name in ("_table_array", "_check_axioms"):
+        original = getattr(groups, name)
 
-    def counting(rows):
-        calls.append(len(rows))
-        return original(rows)
+        def counting(t, name=name, original=original):
+            calls.append(name)
+            return original(t)
 
-    monkeypatch.setattr(groups, "validate_cayley_table", counting)
-    g = load_cayley_table({"order": 6, "table": table})
-    assert calls == [6]
-    assert g.cayley_table()[0] == list(range(6))  # the identity row, now at index 0
-    assert g.is_cyclic()
+        monkeypatch.setattr(groups, name, counting)
+    for build in (lambda t: load_cayley_table({"order": 6, "table": t}), CayleyGroup):
+        calls.clear()
+        g = build(table)
+        assert calls == ["_table_array", "_check_axioms"]
+        assert g.cayley_table()[0] == list(range(6))  # the identity row, now at index 0
+        assert g.is_cyclic()
+    calls.clear()
+    assert validate_cayley_table(table) == shift
+    assert calls == ["_table_array", "_check_axioms"]
 
 
 def test_associativity_check_memory_is_quadratic():
@@ -367,9 +374,21 @@ def test_mutated_tables_are_rejected():
             validate_cayley_table(table)
 
 
-def test_cayley_group_requires_identity_at_zero():
-    with pytest.raises(MissingIdentity):
-        CayleyGroup([[1, 0], [0, 1]])
+def test_cayley_group_relocates_identity():
+    # as test_load_relocates_identity: the constructor moves the identity to 0
+    g = CayleyGroup([[1, 0], [0, 1]], labels=["a", "e"])
+    assert g.op(0, 1) == 1
+    assert g.labels == ("e", "a")
+
+
+def test_a_bad_entry_is_reported_before_a_later_short_row():
+    # row 0 holds 9 and row 3 is short: the table is read in file order
+    table = [[0, 9, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0]]
+    expected = "entry at row 0, col 1 is 9, expected 0..3"
+    with pytest.raises(BadTableShape, match=expected):
+        load_cayley_table({"order": 4, "table": table})
+    with pytest.raises(BadTableShape, match=expected):
+        CayleyGroup(table)
 
 
 def test_malformed_documents_raise_bad_table_shape():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from spg import exactalg, spectra
 from spg.exactalg import (
     IntMatrix,
-    UnsupportedN,
+    NoClosedForm,
     adjacency_charpoly_formula,
     adjacency_cubic,
     distance_charpoly_formula,
@@ -28,7 +28,6 @@ from spg.spectra import (
     NoConvergence,
     NonFinite,
     NonSymmetric,
-    PrimeOrder,
     adjacency_spectrum_closed,
     compare_spectra,
     distance_spectrum_closed,
@@ -177,7 +176,9 @@ def test_distance_spectrum_cyclic_composite():
 
 def test_distance_spectrum_rejects_prime_and_trivial_orders():
     for n in (1, 2, 3, 5, 13):
-        with pytest.raises(PrimeOrder):
+        with pytest.raises(
+            NoClosedForm, match="the distance closed form needs a composite order >= 4"
+        ):
             distance_spectrum_closed(CyclicGroup(n))
 
 
@@ -196,7 +197,7 @@ def test_adjacency_spectrum_prime():
 
 
 def test_adjacency_spectrum_rejects_order_one():
-    with pytest.raises(UnsupportedN):
+    with pytest.raises(NoClosedForm, match="the adjacency closed form does not cover order 1"):
         adjacency_spectrum_closed(CyclicGroup(1))
 
 

@@ -36,7 +36,7 @@ def test_verify_expands_no_polynomial(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     for n in range(2, 151):
-        record = verify._verify_single((n, 1e-8))
+        record = verify._verify_single(n)
         assert not record.failed(1e-8), n
         kinds = ["adjacency", "distance"] if is_composite(n) else ["adjacency"]
         assert [c.matrix for c in record.checks] == kinds, n
@@ -83,7 +83,7 @@ def test_a_wrong_distance_cubic_makes_the_cli_exit_one(monkeypatch, capsys):
 def test_a_connected_prime_order_fails_its_record(monkeypatch, capsys):
     # at prime n no distance form applies: the graph must be disconnected
     monkeypatch.setattr(verify, "is_connected", lambda graph: True)
-    record = verify._verify_single((7, 1e-8))
+    record = verify._verify_single(7)
     assert record.connectivity_match is False and record.failed(1e-8)
     assert [c.failed(1e-8) for c in record.checks] == [False]
     assert main(["verify", "--range", "7..8"]) == 1
@@ -96,7 +96,7 @@ def test_a_disconnected_composite_order_fails_its_record(monkeypatch, capsys):
         raise DisconnectedGraph("no path")
 
     monkeypatch.setattr(verify, "distance_matrix", disconnected)
-    record = verify._verify_single((8, 1e-8))
+    record = verify._verify_single(8)
     assert record.connectivity_match is False and record.failed(1e-8)
     assert [c.matrix for c in record.checks] == ["adjacency"]
     assert main(["verify", "--range", "7..8"]) == 1
@@ -110,7 +110,7 @@ def test_verify_computes_each_matrix_factors_once(monkeypatch):
     monkeypatch.setattr(verify, "charpoly_factors", lambda m: seen.append(m.n) or factors(m))
     for n, calls in ((7, [7]), (12, [12, 12])):
         seen.clear()
-        assert not verify._verify_single((n, 1e-8)).failed(1e-8)
+        assert not verify._verify_single(n).failed(1e-8)
         assert seen == calls, n
 
 
@@ -143,7 +143,7 @@ def test_the_per_order_debug_line_appears_under_spg_log_debug(monkeypatch, caplo
     per_order = [line for line in lines if line.startswith("verified n=")]
     assert [line.split()[1] for line in per_order] == ["n=4", "n=5", "n=6"]
     assert all(line.endswith("(failed=False)") for line in per_order)
-    assert calls == [4, 5, 6, 4, 5, 6]
+    assert calls == [4, 5, 6]  # once each: the debug line reuses the verdict
 
 
 def test_a_serial_run_imports_no_process_pool(tmp_path):
