@@ -64,8 +64,12 @@ EXIT_INAPPLICABLE = 3
 
 # The builders, the charpoly and the oracle allocate a few n x n arrays.  At
 # this order the widest are the charpoly's int64 working copy and the
-# oracle's float64 working array, 32 MiB each; the graph builders' float32,
-# bool, int8 and int16 arrays take at most 16 MiB each.
+# oracle's float64 working array, 32 MiB each.  The graph side's widest is
+# the builder's float32 power sets, 16 MiB; the boolean adjacency and the
+# int16 distances take 4 and 8 MiB.  The build meets only the few rows
+# without the element in the most power sets, and the distances take no
+# BFS arrays when one vertex is adjacent to every other, as at every
+# composite order.
 DEFAULT_MAX_ORDER = 2048
 
 # main writes the document this many characters at a time, so a text-mode

@@ -3,12 +3,16 @@
 A graph is a read-only n x n boolean adjacency array.  The builder raises
 the elements together through the group's broadcastable law, a block of
 max(sqrt(n), 2^14 / n) exponents per call (_power_blocks), and each
-element leaves the blocks once its power cycle closes.  Adjacency,
-distances and components come from boolean matrix products: the power sets
-meet where (powers @ powers.T) > 0, and the BFS advances every source by
-one level per product.  The DOT and JSON edge lists are written row by row
-from the adjacency array, the neighbours v > u of each vertex u at a time,
-never from a list of every edge.
+element leaves the blocks once its power cycle closes.  Two power sets
+that hold the element c lying in the most of them meet at c; only the
+rows without c meet the rest through a boolean matrix product, which has
+no rows for a noncyclic group, where every set holds e.  A vertex
+adjacent to every other one puts every non-adjacent pair at distance 2,
+and a vertex adjacent to none makes a graph of n >= 2 vertices
+disconnected; any other graph gets a BFS that advances every source by
+one level per boolean product.  The DOT and JSON edge lists are written
+row by row from the adjacency array, the neighbours v > u of each vertex
+u at a time, never from a list of every edge.
 """
 
 from __future__ import annotations
@@ -201,11 +205,24 @@ def strong_power_graph(g: GroupSpec) -> SimpleGraph:
     i.e. the power sets {x^k : 1 <= k <= n-1} and {y^k : 1 <= k <= n-1}
     intersect.  Row a of `powers` marks the power set of a, made from the
     group law in blocks of exponents until the cycle of a closes (see
-    _power_sets), and the sets meet where powers @ powers.T is positive.
-    The build's law calls and law entries are logged at debug level.
+    _power_sets).
+
+    Let c be the element in the most power sets, the first on a tie: two
+    sets that both hold c meet at c.  Only the k rows without c are met
+    with every row, by one k x n x n boolean product written into those
+    rows and columns of an all-True array, whose diagonal is then cleared.
+    k is 0 for a noncyclic group, whose sets all hold e, so its product is
+    empty, and 1 for Z_p and Z_(2^m).  The build's law calls and law
+    entries are logged at debug level.
     """
     powers = _power_sets(g)
-    adj = _meets(powers, powers.T)
+    shared = powers.sum(axis=0)  # counts of at most n, exact in float32
+    rest = np.flatnonzero(powers[:, shared.argmax()] == 0)
+    meets = _meets(powers[rest], powers.T)
+    del powers  # freed before the n x n adjacency and its copy are made
+    adj = np.ones((g.order, g.order), dtype=bool)
+    adj[rest] = meets
+    adj[:, rest] = meets.T
     np.fill_diagonal(adj, False)
     return SimpleGraph(adj)
 
@@ -216,22 +233,30 @@ def adjacency_matrix(graph: SimpleGraph) -> IntMatrix:
 
 
 def _distances(graph: SimpleGraph) -> np.ndarray:
-    """All-pairs BFS distances, -1 where unreachable, in the narrowest
-    signed dtype that holds -1..n-1: int8 up to n = 128, int16 above.  A
-    strong power graph's distances are at most 2, but a path on n vertices
+    """All-pairs distances, -1 where unreachable, in the narrowest signed
+    dtype that holds -1..n-1: int8 up to n = 128, int16 above.  A strong
+    power graph's distances are at most 2, but a path on n vertices
     reaches n - 1.
 
-    Level-synchronous BFS from every source at once: row s of `frontier`
-    holds the vertices first reached from s at the current level, and one
-    boolean product advances all rows by a level.  The search stops when
-    the frontier is empty or no pair is left unreached, so a complete graph
-    takes no product at all.  The first frontier is the float32 adjacency
-    itself, so level 2 casts no boolean frontier to float32 again.
+    A vertex adjacent to every other one joins any two vertices, so every
+    pair that is not adjacent is at distance exactly 2: the array is
+    2 - adj with a zero diagonal, and no product is made.  Such a vertex
+    is a row of that array with no 2 in it; the strong power graph of
+    every noncyclic group, and of Z_n at composite n, has one.
+
+    Any other graph gets a level-synchronous BFS from every source at once:
+    row s of `frontier` holds the vertices first reached from s at the
+    current level, and one boolean product advances all rows by a level.
+    The search stops when the frontier is empty or no pair is left
+    unreached.  The first frontier is the float32 adjacency itself, so
+    level 2 casts no boolean frontier to float32 again.
     """
-    dist = np.full((graph.n, graph.n), -1, dtype=np.min_scalar_type(-graph.n))
-    dist[graph.adj] = 1
+    dist = np.subtract(2, graph.adj, dtype=np.min_scalar_type(-graph.n))
     np.fill_diagonal(dist, 0)
-    unreached = dist < 0
+    if (dist.max(axis=1) < 2).any():  # a vertex adjacent to every other one
+        return dist
+    unreached = dist == 2
+    dist[unreached] = -1
     step = graph.adj.astype(np.float32)
     frontier, level = step, 1
     while unreached.any() and frontier.any():
@@ -256,7 +281,11 @@ def components(graph: SimpleGraph) -> list[list[int]]:
 
 
 def is_connected(graph: SimpleGraph) -> bool:
-    return bool((_distances(graph) >= 0).all())
+    """True iff every vertex reaches every other.  A vertex of degree 0 in
+    a graph of n >= 2 vertices answers False without a search."""
+    if graph.n >= 2 and not graph.adj.any(axis=1).all():
+        return False
+    return bool(_distances(graph).min() >= 0)
 
 
 def is_complete(graph: SimpleGraph) -> bool:
@@ -265,7 +294,7 @@ def is_complete(graph: SimpleGraph) -> bool:
 
 def _connected_distances(graph: SimpleGraph) -> np.ndarray:
     dist = _distances(graph)
-    if (dist < 0).any():
+    if dist.min() < 0:
         raise DisconnectedGraph(_components(dist))
     return dist
 

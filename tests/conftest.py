@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spg import graphs
 from spg.exactalg import IntMatrix, IntPolynomial
 from spg.graphs import SimpleGraph
 from spg.groups import (
@@ -264,6 +265,39 @@ def reference_strong_power_graph(g: GroupSpec) -> list[int]:
                 adj[x] |= 1 << y
                 adj[y] |= 1 << x
     return adj
+
+
+def whole_matrix_strong_power_graph(g: GroupSpec) -> SimpleGraph:
+    """The strong power graph with every pair decided by the one float32
+    product powers @ powers.T of the builder's own power sets, with no
+    shared element taken out; spg.graphs.strong_power_graph must return
+    the same graph."""
+    powers = graphs._power_sets(g)
+    adj = graphs._meets(powers, powers.T)
+    np.fill_diagonal(adj, False)
+    return SimpleGraph(adj)
+
+
+def level_synchronous_distances(graph: SimpleGraph) -> np.ndarray:
+    """All-pairs distances, -1 where unreachable, by a level-synchronous BFS
+    on every graph: one boolean product advances every source by a level
+    until no pair is left unreached or the frontier is empty.  The array
+    is in the narrowest signed dtype that holds -1..n-1, int8 up to
+    n = 128 and int16 above; spg.graphs._distances must return it equal,
+    dtype included."""
+    n = graph.n
+    dist = np.full((n, n), -1, dtype=np.min_scalar_type(-n))
+    dist[graph.adj] = 1
+    np.fill_diagonal(dist, 0)
+    unreached = dist < 0
+    step = graph.adj.astype(np.float32)
+    frontier, level = step, 1
+    while unreached.any() and frontier.any():
+        level += 1
+        frontier = graphs._meets(frontier, step) & unreached
+        dist[frontier] = level
+        unreached[frontier] = False
+    return dist
 
 
 def masks_to_rows(masks: list[int]) -> list[list[int]]:

@@ -40,6 +40,7 @@ from conftest import (
     complete_graph,
     graph_from_edges,
     has_edge,
+    level_synchronous_distances,
     masks_to_rows,
     permuted,
     reference_bfs_distances,
@@ -50,6 +51,7 @@ from conftest import (
     reference_to_dot,
     reference_to_json,
     strong_power_graph_structural,
+    whole_matrix_strong_power_graph,
 )
 
 
@@ -154,6 +156,60 @@ def test_builder_matches_reference_on_relabelled_cayley_tables():
         assert strong_power_graph(loaded) == expected, g
         # relabelling is an isomorphism, so the edge count is kept
         assert expected.edge_count() == strong_power_graph(g).edge_count(), g
+
+
+def test_builder_and_distances_match_the_whole_matrix_references(q8):
+    """Z_1..Z_300, D_1..D_150, Z_a x Z_b for 2 <= a, b <= 15, three
+    three-factor products, ten relabelled Cayley tables and Q8: the
+    adjacency equals the one product powers @ powers.T, and the distances,
+    dtype included, equal the level-synchronous BFS.  Every graph has a
+    vertex adjacent to every other one or a vertex adjacent to none, so
+    both skips are covered."""
+    rng = random.Random(20261020)
+    groups = [CyclicGroup(n) for n in range(1, 301)]
+    groups += [DihedralGroup(m) for m in range(1, 151)]
+    groups += [DirectProductGroup([a, b]) for a in range(2, 16) for b in range(2, 16)]
+    groups += [DirectProductGroup(orders) for orders in ((2, 3, 5), (2, 2, 9), (3, 4, 6))]
+    for source in (CyclicGroup(12), CyclicGroup(49), CyclicGroup(64), CyclicGroup(97),
+                   DirectProductGroup((2, 8)), DirectProductGroup((3, 3, 3)),
+                   DirectProductGroup((5, 25)), DihedralGroup(10), DihedralGroup(32),
+                   DihedralGroup(60)):
+        groups.append(load_cayley_table(_relabelled_document(source.cayley_table(), rng)))
+    groups.append(q8)
+    assert len(groups) == 660
+    universal = isolated = 0
+    for g in groups:
+        graph = strong_power_graph(g)
+        assert graph == whole_matrix_strong_power_graph(g), g
+        dist = graphs._distances(graph)
+        expected = level_synchronous_distances(graph)
+        assert dist.dtype == expected.dtype and np.array_equal(dist, expected), g
+        degrees = graph.adj.sum(axis=1)
+        universal += bool((degrees == g.order - 1).any())
+        isolated += bool(g.order >= 2 and (degrees == 0).any())
+    # the isolated ones are Z_p, D_1 = Z_2 and the relabelled Z_97
+    assert (universal, isolated) == (660 - 64, 64)
+
+
+def test_build_meets_only_the_rows_without_the_shared_element(monkeypatch):
+    # k rows lack the element in the most power sets: none for a noncyclic
+    # group (e), one for Z_p and Z_(2^m) (e's set is {e}); n / 2^4 = 125
+    # rows of Z_2000 lack its involution, but only n / 5^3 = 16 lack an
+    # element of order 5
+    shapes = []
+    meets = graphs._meets
+
+    def spy(x, y):
+        shapes.append(x.shape)
+        return meets(x, y)
+
+    monkeypatch.setattr(graphs, "_meets", spy)
+    for g, k in ((DihedralGroup(125), 0), (DirectProductGroup((4, 8)), 0),
+                 (CyclicGroup(97), 1), (CyclicGroup(256), 1), (CyclicGroup(2000), 16),
+                 (CyclicGroup(12), 3)):
+        shapes.clear()
+        strong_power_graph(g)
+        assert shapes == [(k, g.order)], (g, shapes)
 
 
 def _cycle_row_position(g, a: int) -> str:
@@ -269,16 +325,20 @@ def test_build_memory_is_the_power_sets_and_their_product():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the n x n float32 power sets, their float32 product and its boolean
-    # mask make 9 MiB; the former loop of one law call per exponent peaked at
-    # 9,454,276 bytes with numpy 2.4, and the blocks of about sqrt(n)
-    # exponents may not raise that
+    # the n x n float32 power sets, the whole product powers @ powers.T and
+    # its boolean mask made 9 MiB; the former loop of one law call per
+    # exponent peaked at 9,454,276 bytes with numpy 2.4, and the blocks of
+    # about sqrt(n) exponents may not raise that
     assert peak <= 9_454_276, peak
 
 
 def test_bfs_memory_casts_the_adjacency_to_float32_once():
+    # K_n minus a perfect matching has no vertex adjacent to every other
+    # one, so its distances take the BFS, one level-2 product
     n = 2048
-    graph = strong_power_graph(CyclicGroup(n))
+    adj = ~np.eye(n, dtype=bool)
+    adj[np.arange(n), np.arange(n) ^ 1] = False
+    graph = SimpleGraph(adj)
     tracemalloc.start()
     try:
         dist = graphs._distances(graph)
@@ -290,20 +350,55 @@ def test_bfs_memory_casts_the_adjacency_to_float32_once():
     # a second float32 cast of the first frontier made 16 bytes, 60 MiB
     assert peak < 13 * n * n, peak
     assert dist.max() == 2 and (dist >= 0).all()
+    assert np.array_equal(dist, np.where(adj, 1, 2) - 2 * np.eye(n, dtype=int))
+
+
+def test_shortcut_memory_is_the_power_sets_and_the_distances():
+    n = 2000
+    g = CyclicGroup(n)
+    tracemalloc.start()
+    try:
+        graph = strong_power_graph(g)
+        held, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        distance_matrix(graph)
+        _, distance_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the build holds the float32 power sets, 4n^2 bytes, meets only k = 16
+    # rows and frees the sets before the boolean adjacency and its copy,
+    # 2n^2, are made: 16.9 MiB; the whole product powers @ powers.T peaked
+    # at 34.3 MiB, about 9n^2
+    assert build_peak < 5 * n * n, build_peak
+    # over the graph it keeps: the int16 distances, 2n^2 bytes, and
+    # IntMatrix's copy of them, 15.3 MiB; the BFS peaked at 45.8 MiB
+    assert distance_peak - held < 4.5 * n * n, distance_peak - held
 
 
 @st.composite
 def edge_lists(draw):
-    """(n, edges) for n = 1..40: random edges, one path through all vertices
-    (diameter n - 1), two disjoint paths, or no edges at all."""
+    """(n, edges) for n = 1..40: random edges, random edges plus a vertex
+    joined to every other one, random edges with every edge at one vertex
+    taken out, one path through all vertices (diameter n - 1), two
+    disjoint paths, or no edges at all."""
     n = draw(st.integers(1, 40))
-    kind = draw(st.sampled_from(("random", "path", "two paths", "edgeless")))
+    kind = draw(st.sampled_from(
+        ("random", "random plus a universal vertex", "random plus an isolated vertex",
+         "path", "two paths", "edgeless")
+    ))
     if kind == "edgeless":
         return n, []
-    if kind == "random":
+    if kind.startswith("random"):
         vertex = st.integers(0, n - 1)
         pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
-        return n, [(u, v) for u, v in pairs if u != v]
+        edges = [(u, v) for u, v in pairs if u != v]
+        if kind == "random":
+            return n, edges
+        hub = draw(vertex)
+        edges = [(u, v) for u, v in edges if hub not in (u, v)]
+        if kind == "random plus a universal vertex":
+            edges += [(hub, v) for v in range(n) if v != hub]
+        return n, edges
     order = draw(st.permutations(range(n)))
     cut = draw(st.integers(1, n)) if kind == "two paths" else n
     return n, [(order[i], order[i + 1]) for i in range(n - 1) if i + 1 != cut]
@@ -322,6 +417,9 @@ def test_distances_and_components_match_the_bfs_reference(case):
     assert graph.edges() == sorted({(min(e), max(e)) for e in edges})
     expected_components = reference_components(masks)
     assert components(graph) == expected_components
+    dist = graphs._distances(graph)
+    expected = level_synchronous_distances(graph)
+    assert dist.dtype == expected.dtype and np.array_equal(dist, expected)
     if len(expected_components) == 1:
         rows = [reference_bfs_distances(masks, s) for s in range(n)]
         assert distance_matrix(graph).entries.tolist() == rows
@@ -335,16 +433,18 @@ def test_distances_and_components_match_the_bfs_reference(case):
 
 
 def test_bfs_stops_once_every_pair_is_reached(monkeypatch):
-    # a connected graph of diameter d takes d - 1 boolean products, so a
-    # complete graph (every noncyclic group) takes none; a disconnected one
-    # runs until the frontier is empty, one product past its last level
+    # a graph with a vertex adjacent to every other one (every noncyclic
+    # group, Z_12) takes no boolean product, nor does a graph of n >= 2 with
+    # a vertex of degree 0 (Z_5); any other connected graph of diameter d
+    # takes d - 1, and a disconnected one runs until the frontier is empty,
+    # one product past its last level
     cases = [
         (strong_power_graph(DirectProductGroup((10, 25))), 0),
         (strong_power_graph(DihedralGroup(125)), 0),
         (complete_graph(1), 0),
-        (strong_power_graph(CyclicGroup(12)), 1),
+        (strong_power_graph(CyclicGroup(12)), 0),
         (graph_from_edges(6, [(i, i + 1) for i in range(5)]), 4),
-        (strong_power_graph(CyclicGroup(5)), 1),
+        (strong_power_graph(CyclicGroup(5)), 0),
         (graph_from_edges(5, [(0, 1), (1, 2), (3, 4)]), 2),
     ]
     products = []
