@@ -17,7 +17,6 @@ from .exactalg import (
     distance_cubic,
     distance_formula_factors,
     expand,
-    poly_mul,
     prime_adjacency_charpoly,
     prime_adjacency_factors,
     same_product,
@@ -27,7 +26,6 @@ from .graphs import (
     SimpleGraph,
     adjacency_matrix,
     components,
-    diameter,
     distance_matrix,
     is_complete,
     is_connected,

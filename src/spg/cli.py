@@ -55,7 +55,7 @@ from .spectra import (
     spectrum_document,
     symmetric_eigenvalues,
 )
-from .verify import verify_range
+from .verify import check_range, verify_range
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -223,9 +223,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     n_min, n_max = _parse_range(args.range)
     _check_order(n_max, args.max_order)
     try:
-        report = verify_range(n_min, n_max, tol=args.tol, workers=args.workers)
+        check_range(n_min, n_max, args.tol, args.workers)
     except ValueError as exc:
         raise GroupSpecParseError(str(exc)) from exc
+    report = verify_range(n_min, n_max, tol=args.tol, workers=args.workers)
     code = EXIT_OK if not report.failures else EXIT_VERIFY_FAILED
     return code, report.to_json() + "\n"
 

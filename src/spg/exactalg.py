@@ -24,7 +24,6 @@ __all__ = [
     "NoClosedForm",
     "InexactDivision",
     "first_asymmetry",
-    "poly_mul",
     "expand",
     "charpoly",
     "charpoly_factors",

@@ -33,7 +33,6 @@ __all__ = [
     "strong_power_graph",
     "adjacency_matrix",
     "distance_matrix",
-    "diameter",
     "is_connected",
     "is_complete",
     "components",
@@ -50,13 +49,22 @@ _FLOAT32_EXACT = 2**24
 
 
 class DisconnectedGraph(ValueError):
-    """Raised when an operation needs a connected graph; carries the components."""
+    """Raised when an operation needs a connected graph; carries every
+    component in `components`.  The message names the component count and,
+    for at most the first few components, the size and first few vertices,
+    so its length does not grow with the graph."""
 
     def __init__(self, comps: Sequence[Sequence[int]]):
         self.components = tuple(tuple(sorted(c)) for c in comps)
+        shown = 4  # components listed, and vertices listed of each
+        listed = []
+        for c in self.components[:shown]:
+            more = ", ..." if len(c) > shown else ""
+            listed.append(f"size {len(c)} [{', '.join(map(str, c[:shown]))}{more}]")
+        if len(self.components) > shown:
+            listed.append("...")
         super().__init__(
-            f"graph is disconnected: {len(self.components)} components "
-            + ", ".join(str(list(c)) for c in self.components)
+            f"graph is disconnected: {len(self.components)} components: " + "; ".join(listed)
         )
 
 
@@ -292,21 +300,12 @@ def is_complete(graph: SimpleGraph) -> bool:
     return bool(np.array_equal(graph.adj, ~np.eye(graph.n, dtype=bool)))
 
 
-def _connected_distances(graph: SimpleGraph) -> np.ndarray:
+def distance_matrix(graph: SimpleGraph) -> IntMatrix:
+    """All-pairs shortest path lengths; requires a connected graph."""
     dist = _distances(graph)
     if dist.min() < 0:
         raise DisconnectedGraph(_components(dist))
-    return dist
-
-
-def distance_matrix(graph: SimpleGraph) -> IntMatrix:
-    """All-pairs shortest path lengths; requires a connected graph."""
-    return IntMatrix(_connected_distances(graph))
-
-
-def diameter(graph: SimpleGraph) -> int:
-    """Largest vertex-to-vertex distance; requires a connected graph."""
-    return int(_connected_distances(graph).max())
+    return IntMatrix(dist)
 
 
 def _vertex_names(n: int) -> np.ndarray:

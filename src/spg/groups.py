@@ -225,25 +225,36 @@ class CayleyGroup(GroupSpec):
         return self._t[a, b]
 
 
-# Miller-Rabin with the first 13 prime bases is deterministic below this bound,
-# the smallest strong pseudoprime to all of them (Sorenson and Webster,
-# Math. Comp. 2017); at and above it is_prime and totient fall back to trial
-# division, so every answer stays exact.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
+# spg needs primality and the totient of group orders, which the n^2 bytes of
+# a graph bound, and primality of the exact charpoly's basis primes, which lie
+# below 2^27.  Both functions accept 1 <= n < _LIMIT and refuse the rest.
+# _LIMIT is 3215031751 = 151 * 751 * 28351, the smallest strong pseudoprime
+# to the bases 2, 3, 5 and 7 (Jaeschke, Math. Comp. 61, 1993), so the test to
+# those four bases is exact below it; trial division there takes at most
+# isqrt(_LIMIT) / 2 ~ 28350 steps.
+_BASES = (2, 3, 5, 7)
+_LIMIT = 3215031751
 
 
-def _check_positive(n: int, name: str) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"{name} requires a positive integer, got {n!r}")
+def _check_domain(n: int, name: str) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n < _LIMIT:
+        raise ValueError(f"{name} requires an integer 1 <= n < {_LIMIT}, got {n!r}")
 
 
-def _miller_rabin(n: int) -> bool:
-    """Strong probable-prime test of the odd n > 41 to every base in _MR_BASES."""
+def is_prime(n: int) -> bool:
+    """Primality of 1 <= n < 3215031751: division by 2, 3, 5 and 7, then
+    the strong probable-prime test to those four bases, exact below that
+    bound.  Other input raises ValueError."""
+    _check_domain(n, "is_prime")
+    for p in _BASES:
+        if n % p == 0:
+            return n == p
+    if n < 121:  # no prime factor up to 7 left
+        return n > 1
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in _MR_BASES:
+    for a in _BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -256,91 +267,20 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-def is_prime(n: int) -> bool:
-    """Primality: deterministic Miller-Rabin below _MR_LIMIT, trial division
-    at and above it."""
-    _check_positive(n, "is_prime")
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    if n < 43 * 43:  # no prime factor up to 41 left
-        return n > 1
-    if n >= _MR_LIMIT:
-        return all(n % p for p in range(43, math.isqrt(n) + 1, 2))
-    return _miller_rabin(n)
-
-
-def _pollard_rho(n: int) -> int:
-    """A proper divisor of the odd composite n, by Brent's variant of
-    Pollard's rho with x -> x^2 + c, trying c = 1, 2, ... in turn."""
-    for c in range(1, n):
-        y, r, q, g = 2, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:  # the batch overshot: redo it one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"Pollard rho found no divisor of {n}")
-
-
-def _prime_factors(n: int) -> set[int]:
-    """The distinct prime factors of n >= 1.
-
-    Primes up to 41 are divided out first, then odd trial divisors for as
-    long as the cofactor is at least _MR_LIMIT.  Below that bound Pollard's
-    rho splits the cofactor, each divisor checked by division, until every
-    part passes Miller-Rabin.
-    """
-    factors = set()
-    for p in _MR_BASES:
-        if n % p == 0:
-            factors.add(p)
-            while n % p == 0:
-                n //= p
-    p = 43
-    while n >= _MR_LIMIT and p * p <= n:
-        if n % p == 0:
-            factors.add(p)
-            while n % p == 0:
-                n //= p
-        p += 2
-    if n >= _MR_LIMIT:  # no divisor up to its square root
-        return factors | {n}
-    pending = [n] if n > 1 else []
-    while pending:
-        m = pending.pop()
-        if is_prime(m):
-            factors.add(m)
-            continue
-        d = _pollard_rho(m)
-        if not 1 < d < m or m % d:
-            raise ArithmeticError(f"{d} is not a proper divisor of {m}")
-        pending += [d, m // d]
-    return factors
-
-
 def totient(n: int) -> int:
-    """Euler's totient, n times the product of (1 - 1/p) over the primes p | n."""
-    _check_positive(n, "totient")
-    result = n
-    for p in _prime_factors(n):
-        result -= result // p
+    """Euler's totient of 1 <= n < 3215031751, n times the product of
+    (1 - 1/p) over the primes p | n, found by trial division by 2 and the
+    odd p with p^2 <= the cofactor.  Other input raises ValueError."""
+    _check_domain(n, "totient")
+    result, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            result -= result // p
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        result -= result // n
     return result
 
 

@@ -92,6 +92,10 @@ class ClosedFormSpectrum:
         )
         assert all(m >= 1 for _, m in self.entries), "multiplicities must be positive"
 
+    def theta_in_range(self) -> bool:
+        """0 < theta < pi/2, or True when there is no theta."""
+        return self.theta is None or 0.0 < self.theta < math.pi / 2.0
+
     def values(self) -> list[float]:
         """All eigenvalues expanded by multiplicity, descending."""
         out: list[float] = []
@@ -414,8 +418,7 @@ def compare_spectra(closed: ClosedFormSpectrum, numeric: Sequence[float]) -> Spe
         (abs(c - v) for c, v in zip(expanded, numeric_sorted)), default=0.0
     )
     mult_match = _cluster_sizes(numeric_sorted) == [m for _, m in closed.entries]
-    theta_ok = closed.theta is None or 0.0 < closed.theta < math.pi / 2.0
-    return SpectrumComparison(deviation, mult_match, theta_ok)
+    return SpectrumComparison(deviation, mult_match, closed.theta_in_range())
 
 
 def spectrum_document(spectrum: ClosedFormSpectrum, n: int, matrix_kind: str) -> dict:

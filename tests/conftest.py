@@ -206,6 +206,12 @@ def reference_to_json(graph: SimpleGraph, group: str) -> str:
     return json.dumps(document, separators=(",", ":"), sort_keys=True) + "\n"
 
 
+def diameter(graph: SimpleGraph) -> int:
+    """Largest vertex-to-vertex distance; raises DisconnectedGraph, as
+    distance_matrix does, for a disconnected graph."""
+    return int(graphs.distance_matrix(graph).entries.max())
+
+
 def complete_graph(n: int) -> SimpleGraph:
     return SimpleGraph(~np.eye(n, dtype=bool))
 

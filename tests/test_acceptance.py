@@ -16,7 +16,6 @@ from spg.exactalg import (
 from spg.graphs import (
     adjacency_matrix,
     components,
-    diameter,
     distance_matrix,
     is_complete,
     strong_power_graph,
@@ -36,7 +35,7 @@ from spg.spectra import (
 )
 from spg.verify import Check, VerificationRecord
 
-from conftest import spectrum_max_value, strong_power_graph_structural
+from conftest import diameter, spectrum_max_value, strong_power_graph_structural
 
 N_MAX = 150
 COMPOSITES = [n for n in range(4, N_MAX + 1) if is_composite(n)]

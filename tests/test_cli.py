@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from spg import cli, verify
+from spg import cli, exactalg, verify
 from spg.cli import main, parse_group_spec, GroupSpecParseError
 from spg.graphs import strong_power_graph
 from spg.groups import CyclicGroup, DihedralGroup, DirectProductGroup, is_composite, load_cayley_table
@@ -188,6 +188,18 @@ def test_charpoly_distance_prime_is_inapplicable(capsys):
     )
     assert code == 3
     assert "inapplicable" in err
+
+
+def test_disconnected_graph_message_stays_short(capsys):
+    # Z_1009's graph is an isolated identity and 1008 other vertices; the
+    # message names the two sizes and a few vertices, not all 1009
+    code, out, err = run_cli(
+        capsys, ["charpoly", "--group", "cyclic:1009", "--matrix", "distance"]
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("spg: inapplicable: graph is disconnected: 2 components: ")
+    assert "size 1 [0]; size 1008 [1, 2, 3, 4, ...]" in err
+    assert len(err.encode()) < 1024
 
 
 def test_charpoly_noncyclic_matches_the_complete_graph(capsys, tmp_path):
@@ -438,6 +450,29 @@ def test_verify_rejects_order_one(capsys):
 def test_verify_rejects_malformed_range(capsys):
     code, _, _ = run_cli(capsys, ["verify", "--range", "4-12"])
     assert code == 2
+
+
+def test_a_closed_form_of_the_wrong_degree_fails_its_record(monkeypatch, capsys):
+    # a distance form of degree n + 1: the spectra differ in length, which
+    # is a failed check (exit 1), not a usage error (exit 2)
+    right = exactalg.distance_formula_factors
+
+    def one_degree_too_many(n):
+        (x_plus_one, k), cubic = right(n)
+        return [(x_plus_one, k + 1), cubic]
+
+    monkeypatch.setattr(exactalg, "distance_formula_factors", one_degree_too_many)
+    code, out, err = run_cli(capsys, ["verify", "--range", "4..6"])
+    assert code == 1 and err == ""
+    report = VerificationReport.from_document(json.loads(out))
+    assert report.failures == [4, 6]
+    for record in report.records:
+        for check in record.checks:
+            wrong = check.matrix == "distance"
+            assert (check.max_abs_deviation == math.inf) is wrong
+            assert check.multiplicity_match is not wrong
+            assert check.failed(1e-8) is wrong
+            assert check.charpoly_match is not wrong
 
 
 def test_verify_out_file(capsys, tmp_path):

@@ -18,7 +18,6 @@ from spg.graphs import (
     SimpleGraph,
     adjacency_matrix,
     components,
-    diameter,
     distance_matrix,
     is_complete,
     is_connected,
@@ -38,6 +37,7 @@ from spg.groups import (
 
 from conftest import (
     complete_graph,
+    diameter,
     graph_from_edges,
     has_edge,
     level_synchronous_distances,
@@ -520,6 +520,20 @@ def test_z5_splits_into_isolated_zero_and_clique():
     with pytest.raises(DisconnectedGraph) as info:
         distance_matrix(graph)
     assert info.value.components == ((0,), (1, 2, 3, 4))
+
+
+def test_disconnected_message_is_bounded_and_the_components_whole():
+    # 300 isolated vertices, then a path of 200: the message lists four
+    # components by size and first vertices, the exception holds all 301
+    graph = graph_from_edges(500, [(v, v + 1) for v in range(300, 499)])
+    with pytest.raises(DisconnectedGraph) as info:
+        distance_matrix(graph)
+    assert len(info.value.components) == 301
+    assert info.value.components[-1] == tuple(range(300, 500))
+    assert str(info.value) == (
+        "graph is disconnected: 301 components: "
+        "size 1 [0]; size 1 [1]; size 1 [2]; size 1 [3]; ..."
+    )
 
 
 def test_prime_components_up_to_60():

@@ -120,11 +120,12 @@ CARMICHAEL = (
     561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657,
     52633, 62745, 63973, 75361, 101101, 115921, 126217, 162401, 172081, 188461,
     252601, 278545, 294409, 314821, 334153, 340561, 399001, 410041, 449065,
-    488881, 512461, 9746347772161,
+    488881, 512461,
 )
 
 # the smallest strong pseudoprimes to the first k prime bases, with their
-# factorisations
+# factorisations; is_prime and totient refuse 3215031751, the k = 4 entry,
+# and every later one
 STRONG_PSEUDOPRIMES = {
     2047: (23, 89),
     1373653: (829, 1657),
@@ -136,6 +137,26 @@ STRONG_PSEUDOPRIMES = {
     3825123056546413051: (149491, 747451, 34233211),
     318665857834031151167461: (399165290221, 798330580441),
 }
+
+# the end of the domain of is_prime and totient
+BOUND = 3215031751
+
+
+def _segmented_sieve(lo, hi):
+    """{n: n is prime} for lo <= n < hi, by crossing out, in a numpy array
+    of the window, the multiples of every prime up to isqrt(hi - 1)."""
+    root = math.isqrt(hi - 1)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if small[p]:
+            small[p * p :: p] = False
+    window = np.ones(hi - lo, dtype=bool)
+    for p in np.flatnonzero(small).tolist():
+        start = max(p * p, -(-lo // p) * p)
+        window[start - lo :: p] = False
+    window[: max(0, 2 - lo)] = False
+    return dict(zip(range(lo, hi), window.tolist()))
 
 
 def test_cyclic_op():
@@ -602,45 +623,75 @@ def test_carmichael_numbers_are_composite():
     for n in CARMICHAEL:
         assert not is_prime(n), n
         assert totient(n) == _trial_totient(n), n
+    for f in (is_prime, totient):  # the largest Carmichael number here, above the bound
+        with pytest.raises(ValueError):
+            f(9746347772161)
 
 
 def test_strong_pseudoprimes_to_small_bases_are_composite():
     for n, factors in STRONG_PSEUDOPRIMES.items():
         assert math.prod(factors) == n
         assert all(_trial_is_prime(p) for p in factors)
+        if n >= BOUND:
+            for f in (is_prime, totient):
+                with pytest.raises(ValueError):
+                    f(n)
+            continue
         assert not is_prime(n), n
         assert all(is_prime(p) for p in factors), n
         assert totient(n) == math.prod(p - 1 for p in factors), n
 
 
+def _assert_refused_at_once(f, *args):
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"requires an integer 1 <= n < {BOUND}"):
+        f(*args)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 0.1, (f.__name__, args, elapsed)
+
+
 def test_large_primes_and_their_products():
-    # Pollard's rho splits in about sqrt(smallest factor) steps, so the
-    # composites here keep one factor small; all stay below the bound
+    # far above the bound, where trial division would not end, both refuse
     p, q = 10**18 + 3, 10**18 + 9
-    assert is_prime(p) and is_prime(q)
-    assert is_prime(1000003) and not is_prime(p * 1000003)
-    assert totient(p * 1000003) == (p - 1) * 1000002
-    assert totient(2 * 3**5 * q) == 2 * 3**4 * (q - 1)
-    assert totient(1000003**2 * 999983) == 1000003 * 1000002 * 999982
-    assert totient(2**61 - 1) == 2**61 - 2  # a Mersenne prime
+    for n in (p, q, p * 1000003, 2 * 3**5 * q, 1000003**2 * 999983, 2**61 - 1, 2**89 - 1):
+        for f in (is_prime, totient):
+            _assert_refused_at_once(f, n)
 
 
-def test_trial_division_fallback_at_and_above_the_miller_rabin_bound(monkeypatch):
-    # above the real bound: a composite with a small factor ends quickly
-    assert not is_prime(43**16)
-    assert totient(43**16) == 42 * 43**15
-    assert totient(47 * 43**15) == 46 * 42 * 43**14  # trial division, then rho
-    # with the bound lowered, every path below it is trial division too
-    monkeypatch.setattr(groups, "_MR_LIMIT", 2000)
-    for n in list(range(1, 6000)) + [2047 * 2003, 1999 * 2003, 2003**2, 43 * 1999 * 2011]:
-        assert is_prime(n) == _trial_is_prime(n), n
+def test_is_prime_and_totient_accept_exactly_the_domain():
+    assert is_prime(BOUND - 1) == _trial_is_prime(BOUND - 1)
+    assert totient(BOUND - 1) == _trial_totient(BOUND - 1)
+    for n in (BOUND, 2**89 - 1, 0, -7):
+        _assert_refused_at_once(is_prime, n)
+        _assert_refused_at_once(totient, n)
+    for n in (True, 5.0, "5", None):
+        for f in (is_prime, totient):
+            with pytest.raises(ValueError, match=f.__name__):
+                f(n)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        # the top of the exact charpoly's prime basis candidates, just below
+        # isqrt(2^53), and the last 2*10^5 integers of the domain
+        (math.isqrt(1 << 53) - 10**5, math.isqrt(1 << 53)),
+        (BOUND - 2 * 10**5, BOUND),
+    ],
+)
+def test_is_prime_matches_a_segmented_sieve(lo, hi):
+    assert _segmented_sieve(1, 3000) == {n: _trial_is_prime(n) for n in range(1, 3000)}
+    sieve = _segmented_sieve(lo, hi)
+    assert {n: is_prime(n) for n in range(lo, hi)} == sieve
+
+
+def test_totient_matches_trial_division_below_the_bound():
+    sieve = _segmented_sieve(BOUND - 2 * 10**5, BOUND)
+    sample = random.Random(7).sample(sorted(sieve), 150)
+    sample += [n for n, prime in sieve.items() if prime][-20:]  # the worst case of both loops
+    for n in sample:
         assert totient(n) == _trial_totient(n), n
 
 
-def test_closed_distance_spectrum_of_z2p_near_1e18_is_fast():
-    p = 10**18 + 3
-    started = time.perf_counter()
-    spectrum = distance_spectrum_closed(CyclicGroup(2 * p))
-    elapsed = time.perf_counter() - started
-    assert elapsed < 1.0, elapsed
-    assert spectrum.theta is not None
+def test_closed_distance_spectrum_of_z2p_near_1e18_is_refused_at_once():
+    _assert_refused_at_once(distance_spectrum_closed, CyclicGroup(2 * (10**18 + 3)))

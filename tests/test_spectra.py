@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from spg import exactalg, spectra
 from spg.exactalg import (
     IntMatrix,
+    IntPolynomial,
     NoClosedForm,
     adjacency_charpoly_formula,
     adjacency_cubic,
@@ -29,6 +30,7 @@ from spg.spectra import (
     NonFinite,
     NonSymmetric,
     adjacency_spectrum_closed,
+    closed_spectrum,
     compare_spectra,
     distance_spectrum_closed,
     solve_cubic_trig,
@@ -228,16 +230,47 @@ def _delta_and_numerator(cubic):
     return a2 * a2 - 3 * a1, -2 * a2**3 + 9 * a2 * a1 - 27 * a0
 
 
+def _paper_cubics(n, phi):
+    """The paper's distance and adjacency cubics of Z_n, from n and phi(n)."""
+    return (
+        IntPolynomial([-(phi * phi) - phi * (4 - n) - n + 1, 3 - 2 * n - 3 * phi, 3 - n, 1]),
+        IntPolynomial([(n - phi - 1) * (phi - 1), 3 - 2 * n + phi, 3 - n, 1]),
+    )
+
+
+def _spectra_at_large_order(n):
+    """(closed spectrum, cubic) for Z_n's distance and adjacency forms.
+    Within totient's domain they come from spg's closed forms.  Above it
+    the orders here are products of 2, 3 and 5: phi(n) comes from that
+    factorisation, and the paper's cubics go to closed_spectrum as spg's
+    closed forms would give them."""
+    if n < 3215031751:
+        group = CyclicGroup(n)
+        assert (distance_cubic(n), adjacency_cubic(n)) == _paper_cubics(n, totient(n))
+        return (
+            (distance_spectrum_closed(group), distance_cubic(n)),
+            (adjacency_spectrum_closed(group), adjacency_cubic(n)),
+        )
+    phi, rest = n, n
+    for p in (2, 3, 5):
+        if rest % p == 0:
+            phi -= phi // p
+            while rest % p == 0:
+                rest //= p
+    assert rest == 1, n
+    cubics = _paper_cubics(n, phi)
+    return tuple(
+        (closed_spectrum([(IntPolynomial([1, 1]), n - 3), (cubic, 1)], kind), cubic)
+        for cubic, kind in zip(cubics, ("distance-cyclic-composite", "adjacency-cyclic-composite"))
+    )
+
+
 @pytest.mark.parametrize("n", [10**6, 10**9 + 2, 10**12, 10**15, 2**53, 3**33])
 def test_closed_roots_bracket_the_integer_cubic_at_large_orders(n):
     # each simple root r must sit between sign changes of the exact cubic at
     # r * (1 -+ 1e-12); an arccos of a float near 1 misses this from n = 10^6
-    group = CyclicGroup(n)
     slack = Fraction(1, 10**12)
-    for closed, cubic in (
-        (distance_spectrum_closed(group), distance_cubic(n)),
-        (adjacency_spectrum_closed(group), adjacency_cubic(n)),
-    ):
+    for closed, cubic in _spectra_at_large_order(n):
         roots = [v for v, m in closed.entries if m == 1]
         assert len(roots) == 3, (n, closed.source)
         for r in roots:
