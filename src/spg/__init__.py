@@ -50,7 +50,6 @@ from .groups import (
 from .spectra import (
     ClosedFormSpectrum,
     ComplexRoots,
-    CountMismatch,
     NoConvergence,
     NonFinite,
     NonSymmetric,
@@ -60,7 +59,6 @@ from .spectra import (
     compare_spectra,
     distance_spectrum_closed,
     solve_cubic_trig,
-    spectrum_document,
     symmetric_eigenvalues,
 )
 from .verify import Check, VerificationRecord, VerificationReport, verify_range

@@ -12,10 +12,11 @@ Subcommands:
             graph's connectivity; the charpolys are compared as factor
             lists, none expanded
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error
-(including a group order above --max-order), 3 inapplicable input (a
-disconnected graph, or no closed form in the paper).  The SPG_LOG
-environment variable sets log verbosity (debug, info, warning, error).
+Exit codes: 0 success, 1 verification failure (for spectrum, a closed-form
+cubic without three real roots), 2 usage or parse error (including a group
+order above --max-order), 3 inapplicable input (a disconnected graph, or no
+closed form in the paper).  The SPG_LOG environment variable sets log
+verbosity (debug, info, warning, error).
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ from .groups import (
 )
 from .jsontext import dumps_indented
 from .spectra import (
+    ComplexRoots,
     adjacency_spectrum_closed,
     compare_spectra,
     distance_spectrum_closed,
-    spectrum_document,
     symmetric_eigenvalues,
 )
 from .verify import check_range, verify_range
@@ -69,7 +70,7 @@ EXIT_INAPPLICABLE = 3
 # int16 distances take 4 and 8 MiB.  The build meets only the few rows
 # without the element in the most power sets, and the distances take no
 # BFS arrays when one vertex is adjacent to every other, as at every
-# composite order.
+# composite order, or to every vertex that is not isolated, as at a prime.
 DEFAULT_MAX_ORDER = 2048
 
 # main writes the document this many characters at a time, so a text-mode
@@ -200,11 +201,14 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
         closed = adjacency_spectrum_closed(group)
     numeric = symmetric_eigenvalues(matrix)
     comparison = compare_spectra(closed, numeric)
-    document = spectrum_document(closed, graph.n, args.matrix)
-    document["numeric_eigenvalues"] = numeric
-    document["comparison"] = {
-        **vars(comparison),
-        "within_tol": comparison.max_abs_deviation <= args.tol,
+    document = {
+        "n": graph.n,
+        "matrix": args.matrix,
+        "theta_radians": closed.theta,
+        "eigenvalues": [{"value": value, "multiplicity": mult} for value, mult in closed.entries],
+        "source": closed.source,
+        "numeric_eigenvalues": numeric,
+        "comparison": {**vars(comparison), "within_tol": comparison.max_abs_deviation <= args.tol},
     }
     return EXIT_OK, dumps_indented(document) + "\n"
 
@@ -300,6 +304,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DisconnectedGraph, NoClosedForm) as exc:
         print(f"spg: inapplicable: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
+    except ComplexRoots as exc:  # a closed form with no real spectrum to print
+        print(f"spg: verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     out_path = getattr(args, "out", None)
     if out_path:
         try:

@@ -9,10 +9,11 @@ rows without c meet the rest through a boolean matrix product, which has
 no rows for a noncyclic group, where every set holds e.  A vertex
 adjacent to every other one puts every non-adjacent pair at distance 2,
 and a vertex adjacent to none makes a graph of n >= 2 vertices
-disconnected; any other graph gets a BFS that advances every source by
-one level per boolean product.  The DOT and JSON edge lists are written
-row by row from the adjacency array, the neighbours v > u of each vertex
-u at a time, never from a list of every edge.
+disconnected; the same test then runs on the vertices that are not
+isolated, which settles Z_p.  Any other graph gets a BFS that advances
+every source by one level per boolean product.  The DOT and JSON edge
+lists are written row by row from the adjacency array, the neighbours
+v > u of each vertex u at a time, never from a list of every edge.
 """
 
 from __future__ import annotations
@@ -92,11 +93,6 @@ class SimpleGraph:
         adj.flags.writeable = False
         self.n = adj.shape[0]
         self.adj = adj
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Edges (u, v) with u < v, in lexicographic order."""
-        ids = np.arange(self.n, dtype=object)  # Python ints
-        return [(u, v) for u, vs in _upper_rows(self, ids) for v in vs]
 
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.adj)) // 2
@@ -250,7 +246,12 @@ def _distances(graph: SimpleGraph) -> np.ndarray:
     pair that is not adjacent is at distance exactly 2: the array is
     2 - adj with a zero diagonal, and no product is made.  Such a vertex
     is a row of that array with no 2 in it; the strong power graph of
-    every noncyclic group, and of Z_n at composite n, has one.
+    every noncyclic group, and of Z_n at composite n, has one.  When
+    there is none, the rows and columns of the isolated vertices become
+    -1 (their diagonal stays 0), and the same test runs on the remaining
+    rows: a vertex adjacent to all of them joins the rest as above.  The
+    strong power graph of Z_p, whose identity is isolated and whose other
+    elements are pairwise adjacent, needs no product either.
 
     Any other graph gets a level-synchronous BFS from every source at once:
     row s of `frontier` holds the vertices first reached from s at the
@@ -263,6 +264,12 @@ def _distances(graph: SimpleGraph) -> np.ndarray:
     np.fill_diagonal(dist, 0)
     if (dist.max(axis=1) < 2).any():  # a vertex adjacent to every other one
         return dist
+    isolated = ~graph.adj.any(axis=1)
+    if isolated.any():
+        dist[isolated] = dist[:, isolated] = -1
+        np.fill_diagonal(dist, 0)
+        if ((dist.max(axis=1) < 2) & ~isolated).any():  # one adjacent to the rest
+            return dist
     unreached = dist == 2
     dist[unreached] = -1
     step = graph.adj.astype(np.float32)
@@ -327,7 +334,8 @@ def to_dot(graph: SimpleGraph, labels: Optional[Sequence[str]] = None) -> str:
 
 def to_json(graph: SimpleGraph, group: str) -> str:
     """Compact JSON {"edges": [[u, v], ...], "group": group, "n": n} with
-    sorted keys and a trailing newline; the edges are those of edges().
+    sorted keys and a trailing newline; the edges (u, v) have u < v, in
+    lexicographic order.
     Compact because, indented, the ~32k edges of a 256-vertex graph would
     take a line per number."""
     names = _vertex_names(graph.n)

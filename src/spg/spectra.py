@@ -22,14 +22,12 @@ __all__ = [
     "NonSymmetric",
     "NonFinite",
     "NoConvergence",
-    "CountMismatch",
     "solve_cubic_trig",
     "closed_spectrum",
     "distance_spectrum_closed",
     "adjacency_spectrum_closed",
     "symmetric_eigenvalues",
     "compare_spectra",
-    "spectrum_document",
 ]
 
 MatrixLike = Union[IntMatrix, np.ndarray, Sequence[Sequence[float]]]
@@ -46,6 +44,11 @@ _UPDATE_ENTRIES = 1 << 13
 # column i, which the fixed upper-triangular mask selects
 _SCAN_ROWS = 32
 _SCAN_MASK = np.triu(np.ones((_SCAN_ROWS, _SCAN_ROWS), dtype=bool))
+
+# the oracle's skip tolerance (see symmetric_eigenvalues), and the QL
+# iterations allowed per eigenvalue, as in tql1
+_SKIP_TOL = 1e-12
+_QL_ITERATIONS = 30
 
 # relative gap within which compare_spectra counts two sorted numeric
 # eigenvalues as one cluster, to read off multiplicities
@@ -66,10 +69,6 @@ class NonFinite(ValueError):
 
 class NoConvergence(RuntimeError):
     """QL iterations on one eigenvalue exhausted before its subdiagonal deflated."""
-
-
-class CountMismatch(ValueError):
-    """Closed-form and numeric spectra hold different numbers of eigenvalues."""
 
 
 @dataclass(frozen=True)
@@ -229,7 +228,7 @@ def _working_copy(matrix: MatrixLike) -> tuple[np.ndarray, float]:
     return a, top
 
 
-def _tridiagonal_eigenvalues(d: list[float], e: list[float], max_iterations: int) -> list[float]:
+def _tridiagonal_eigenvalues(d: list[float], e: list[float]) -> list[float]:
     """Eigenvalues of the symmetric tridiagonal matrix with diagonal d and
     subdiagonal e[:-1] (e[-1] is 0), by implicit-shift QL: the tql1 of
     Bowdler, Martin, Reinsch and Wilkinson (Numer. Math. 1968).  d and e are
@@ -250,9 +249,9 @@ def _tridiagonal_eigenvalues(d: list[float], e: list[float], max_iterations: int
                 m += 1
             if m == l:
                 break
-            if iterations == max_iterations:
+            if iterations == _QL_ITERATIONS:
                 raise NoConvergence(
-                    f"eigenvalue {l} not isolated after {max_iterations} QL iterations"
+                    f"eigenvalue {l} not isolated after {_QL_ITERATIONS} QL iterations"
                 )
             iterations += 1
             # Wilkinson-style shift from the leading 2 x 2 block, then one
@@ -315,9 +314,7 @@ def _reflect(a: np.ndarray, k: int) -> None:
     a[k, k + 1] = alpha
 
 
-def symmetric_eigenvalues(
-    matrix: MatrixLike, tol: float = 1e-12, max_iterations: int = 30
-) -> list[float]:
+def symmetric_eigenvalues(matrix: MatrixLike) -> list[float]:
     """All eigenvalues of a symmetric matrix, sorted descending, by
     Householder reduction to tridiagonal form and implicit-shift QL
     (Golub & Van Loan, *Matrix Computations*, sec. 8.3).
@@ -334,11 +331,11 @@ def symmetric_eigenvalues(
 
     Step k of the reduction reflects the column below the diagonal onto its
     first entry.  When the part of that column below the subdiagonal has
-    norm at most skip = tol * max(1, ||A||_F) / (10 n), the step is skipped
-    and that part is dropped.  A skipped step writes nothing, so the test
-    runs over a block of _SCAN_ROWS rows at once, and the reduction
-    reflects at the first row of the block that fails it and resumes
-    after that row.  Each row's squared tail is summed by np.add.reduce
+    norm at most skip = tol * max(1, ||A||_F) / (10 n), where tol is
+    _SKIP_TOL = 1e-12, the step is skipped and that part is dropped.  A
+    skipped step writes nothing, so the test runs over a block of
+    _SCAN_ROWS rows at once, and the reduction reflects at the first row
+    of the block that fails it and resumes after that row.  Each row's squared tail is summed by np.add.reduce
     along the row, in numpy's pairwise order; a sum in another order
     (np.einsum's, say) may differ in its last bits, which moves a skip
     decision only for a tail within a rounding of the threshold.  ||A||_F
@@ -353,7 +350,7 @@ def symmetric_eigenvalues(
     eigenvalue is within that distance of A's.  QL's deflation drops each
     subdiagonal entry |e| <= eps * norm <= 2 eps ||A||_F (see
     _tridiagonal_eigenvalues), at most n - 1 of them, which lies inside the
-    O(n eps ||A||_F) term.  QL raises NoConvergence after max_iterations
+    O(n eps ||A||_F) term.  QL raises NoConvergence after _QL_ITERATIONS
     iterations on one eigenvalue (30, as in tql1).
     """
     a, top = _working_copy(matrix)
@@ -363,7 +360,7 @@ def symmetric_eigenvalues(
     shift = max(0, math.frexp(top)[1])
     np.ldexp(a, -shift, out=a)
     flat = a.ravel(order="K")  # a view, in the order np.linalg.norm takes
-    skip = tol * max(math.ldexp(1.0, -shift), math.sqrt(float(flat.dot(flat)))) / (10.0 * n)
+    skip = _SKIP_TOL * max(math.ldexp(1.0, -shift), math.sqrt(float(flat.dot(flat)))) / (10.0 * n)
     k = 0
     while k < n - 2:
         slab = a[k : min(k + _SCAN_ROWS, n - 2), k + 2 :]
@@ -381,7 +378,7 @@ def symmetric_eigenvalues(
             k += rows
     d = a.diagonal().tolist()
     e = a.diagonal(1).tolist() + [0.0]
-    values = _tridiagonal_eigenvalues(d, e, max_iterations)
+    values = _tridiagonal_eigenvalues(d, e)
     try:
         return sorted((math.ldexp(v, shift) for v in values), reverse=True)
     except OverflowError:
@@ -407,28 +404,15 @@ def compare_spectra(closed: ClosedFormSpectrum, numeric: Sequence[float]) -> Spe
     multiplicities match when clustering the numeric values at relative
     tolerance _CLUSTER_TOL reproduces the closed-form multiplicities.  The
     theta flag checks 0 < theta < pi/2 and is True when theta is absent.
+    Sides of different lengths cannot be paired: the comparison then fails,
+    with deviation inf and multiplicity_match False.
     """
     expanded = closed.values()
     if len(expanded) != len(numeric):
-        raise CountMismatch(
-            f"closed form has {len(expanded)} eigenvalues, numeric side has {len(numeric)}"
-        )
+        return SpectrumComparison(math.inf, False, closed.theta_in_range())
     numeric_sorted = sorted((float(v) for v in numeric), reverse=True)
     deviation = max(
         (abs(c - v) for c, v in zip(expanded, numeric_sorted)), default=0.0
     )
     mult_match = _cluster_sizes(numeric_sorted) == [m for _, m in closed.entries]
     return SpectrumComparison(deviation, mult_match, closed.theta_in_range())
-
-
-def spectrum_document(spectrum: ClosedFormSpectrum, n: int, matrix_kind: str) -> dict:
-    """JSON-ready document for a closed-form spectrum."""
-    return {
-        "n": n,
-        "matrix": matrix_kind,
-        "theta_radians": spectrum.theta,
-        "eigenvalues": [
-            {"value": value, "multiplicity": mult} for value, mult in spectrum.entries
-        ],
-        "source": spectrum.source,
-    }

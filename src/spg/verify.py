@@ -34,13 +34,7 @@ from .graphs import (
 )
 from .groups import CyclicGroup
 from .jsontext import dumps_indented
-from .spectra import (
-    CountMismatch,
-    SpectrumComparison,
-    closed_spectrum,
-    compare_spectra,
-    symmetric_eigenvalues,
-)
+from .spectra import ComplexRoots, closed_spectrum, compare_spectra, symmetric_eigenvalues
 
 __all__ = ["Check", "VerificationRecord", "VerificationReport", "check_range", "verify_range"]
 
@@ -163,12 +157,13 @@ def _verify_single(n: int) -> VerificationRecord:
         match = same_product(computed, factors)
         if source == "adjacency-prime":
             match = match and same_product(computed, adjacency_formula_factors(n))
-        closed = closed_spectrum(factors, source)
         try:
-            comparison = compare_spectra(closed, symmetric_eigenvalues(matrix))
-        except CountMismatch as exc:  # a closed form of the wrong degree fails its check
+            closed = closed_spectrum(factors, source)
+        except ComplexRoots as exc:  # a cubic without three real roots fails its check
             log.debug("n=%d %s: %s", n, kind, exc)
-            comparison = SpectrumComparison(math.inf, False, closed.theta_in_range())
+            checks.append(Check(kind, source, match, math.inf, False, theta=None, theta_in_range=False))
+            continue
+        comparison = compare_spectra(closed, symmetric_eigenvalues(matrix))
         checks.append(Check(
             matrix=kind, source=source, charpoly_match=match, theta=closed.theta, **vars(comparison)
         ))
@@ -200,7 +195,9 @@ def verify_range(
     min(workers, cpu count, number of orders) processes; the report content
     is identical either way because tasks are pure and the merge is ordered
     by n.  The arguments are checked first (check_range).  A closed form
-    whose degree differs from n fails its check with deviation inf.
+    whose degree differs from n, or whose cubic has non-real roots, fails
+    its check with deviation inf; the latter has no theta and both flags
+    False.
     """
     check_range(n_min, n_max, tol, workers)
     started = time.perf_counter()

@@ -178,9 +178,16 @@ def graph_from_edges(n: int, edges) -> SimpleGraph:
     return SimpleGraph(adj)
 
 
+def edges(graph: SimpleGraph) -> list[tuple[int, int]]:
+    """Edges (u, v) with u < v, in lexicographic order, from spg's own edge
+    walk (graphs._upper_rows, which to_dot and to_json write from)."""
+    ids = np.arange(graph.n, dtype=object)  # Python ints
+    return [(u, v) for u, vs in graphs._upper_rows(graph, ids) for v in vs]
+
+
 def reference_edges(graph: SimpleGraph) -> list[tuple[int, int]]:
     """Edges (u, v) with u < v, in lexicographic order, from one np.nonzero
-    of the upper triangle; SimpleGraph.edges must return the same list."""
+    of the upper triangle; edges(graph) must return the same list."""
     u, v = np.nonzero(np.triu(graph.adj, 1))
     return list(zip(u.tolist(), v.tolist()))
 

@@ -452,16 +452,22 @@ def test_verify_rejects_malformed_range(capsys):
     assert code == 2
 
 
+_RIGHT_DISTANCE_FORM = exactalg.distance_formula_factors
+
+
+def _one_degree_too_many(n):
+    (x_plus_one, k), cubic = _RIGHT_DISTANCE_FORM(n)
+    return [(x_plus_one, k + 1), cubic]
+
+
+def _a_non_real_cubic(n):
+    return [(exactalg.IntPolynomial([1, 1]), n - 3), (exactalg.IntPolynomial([1, 0, 0, 1]), 1)]
+
+
 def test_a_closed_form_of_the_wrong_degree_fails_its_record(monkeypatch, capsys):
     # a distance form of degree n + 1: the spectra differ in length, which
     # is a failed check (exit 1), not a usage error (exit 2)
-    right = exactalg.distance_formula_factors
-
-    def one_degree_too_many(n):
-        (x_plus_one, k), cubic = right(n)
-        return [(x_plus_one, k + 1), cubic]
-
-    monkeypatch.setattr(exactalg, "distance_formula_factors", one_degree_too_many)
+    monkeypatch.setattr(exactalg, "distance_formula_factors", _one_degree_too_many)
     code, out, err = run_cli(capsys, ["verify", "--range", "4..6"])
     assert code == 1 and err == ""
     report = VerificationReport.from_document(json.loads(out))
@@ -473,6 +479,50 @@ def test_a_closed_form_of_the_wrong_degree_fails_its_record(monkeypatch, capsys)
             assert check.multiplicity_match is not wrong
             assert check.failed(1e-8) is wrong
             assert check.charpoly_match is not wrong
+
+
+@pytest.mark.parametrize(
+    "planted, command, expected",
+    [
+        (_one_degree_too_many, ["verify", "--range", "6..6"], 1),
+        (_one_degree_too_many, ["spectrum", "--group", "cyclic:6", "--matrix", "distance"], 0),
+        (_one_degree_too_many, ["charpoly", "--group", "cyclic:6", "--matrix", "distance"], 0),
+        (_a_non_real_cubic, ["verify", "--range", "6..6"], 1),
+        (_a_non_real_cubic, ["spectrum", "--group", "cyclic:6", "--matrix", "distance"], 1),
+        (_a_non_real_cubic, ["charpoly", "--group", "cyclic:6", "--matrix", "distance"], 0),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else v[0] if isinstance(v, list) else f"exit{v}",
+)
+def test_no_closed_form_failure_escapes_main(monkeypatch, capsys, planted, command, expected):
+    # a wrong closed form is a failed comparison (a document saying so, or
+    # exit 1), never a traceback
+    monkeypatch.setattr(exactalg, "distance_formula_factors", planted)
+    code, out, err = run_cli(capsys, command)
+    assert code == expected and "Traceback" not in err
+    if not out:  # spectrum has no closed eigenvalues to print
+        assert code == 1 and err.startswith("spg: ") and err.count("\n") == 1
+        return
+    document = json.loads(out)
+    assert err == ""
+    if command[0] == "spectrum":
+        assert document["comparison"]["within_tol"] is False
+        assert document["comparison"]["max_abs_deviation"] == math.inf
+    if command[0] == "charpoly":
+        assert document["match"] is False
+
+
+def test_a_non_real_closed_form_cubic_fails_its_check(monkeypatch):
+    # (x+1)^(n-3) (x^3+1) has the right degree, but x^3 + 1 has two
+    # non-real roots, so there is no closed spectrum to compare
+    monkeypatch.setattr(exactalg, "distance_formula_factors", _a_non_real_cubic)
+    adjacency, distance = verify._verify_single(6).checks
+    assert not adjacency.failed(1e-8)
+    assert (distance.matrix, distance.charpoly_match, distance.max_abs_deviation) == (
+        "distance", False, math.inf
+    )
+    assert (distance.multiplicity_match, distance.theta, distance.theta_in_range) == (
+        False, None, False
+    )
 
 
 def test_verify_out_file(capsys, tmp_path):

@@ -38,6 +38,7 @@ from spg.groups import (
 from conftest import (
     complete_graph,
     diameter,
+    edges,
     graph_from_edges,
     has_edge,
     level_synchronous_distances,
@@ -99,7 +100,7 @@ def test_simple_graph_checks_symmetry_tile_by_tile(monkeypatch):
 
 def test_z4_edges_from_definition():
     graph = strong_power_graph(CyclicGroup(4))
-    assert sorted(graph.edges()) == [(0, 2), (1, 2), (1, 3), (2, 3)]
+    assert sorted(edges(graph)) == [(0, 2), (1, 2), (1, 3), (2, 3)]
 
 
 def test_z2_has_no_edges():
@@ -379,11 +380,13 @@ def test_shortcut_memory_is_the_power_sets_and_the_distances():
 def edge_lists(draw):
     """(n, edges) for n = 1..40: random edges, random edges plus a vertex
     joined to every other one, random edges with every edge at one vertex
-    taken out, one path through all vertices (diameter n - 1), two
-    disjoint paths, or no edges at all."""
+    taken out, random edges with some vertices isolated and a vertex
+    joined to every other one left (as in Z_p), one path through all
+    vertices (diameter n - 1), two disjoint paths, or no edges at all."""
     n = draw(st.integers(1, 40))
     kind = draw(st.sampled_from(
         ("random", "random plus a universal vertex", "random plus an isolated vertex",
+         "random plus isolated vertices and a vertex joined to the rest",
          "path", "two paths", "edgeless")
     ))
     if kind == "edgeless":
@@ -398,6 +401,10 @@ def edge_lists(draw):
         edges = [(u, v) for u, v in edges if hub not in (u, v)]
         if kind == "random plus a universal vertex":
             edges += [(hub, v) for v in range(n) if v != hub]
+        if kind == "random plus isolated vertices and a vertex joined to the rest":
+            isolated = set(draw(st.lists(vertex, min_size=1, max_size=n))) - {hub}
+            edges = [(u, v) for u, v in edges if not {u, v} & isolated]
+            edges += [(hub, v) for v in range(n) if v != hub and v not in isolated]
         return n, edges
     order = draw(st.permutations(range(n)))
     cut = draw(st.integers(1, n)) if kind == "two paths" else n
@@ -407,14 +414,14 @@ def edge_lists(draw):
 @settings(max_examples=300, deadline=None)
 @given(edge_lists())
 def test_distances_and_components_match_the_bfs_reference(case):
-    n, edges = case
-    graph = graph_from_edges(n, edges)
+    n, edge_list = case
+    graph = graph_from_edges(n, edge_list)
     masks = [0] * n
-    for u, v in edges:
+    for u, v in edge_list:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     assert graph == SimpleGraph(masks_to_rows(masks))
-    assert graph.edges() == sorted({(min(e), max(e)) for e in edges})
+    assert edges(graph) == sorted({(min(e), max(e)) for e in edge_list})
     expected_components = reference_components(masks)
     assert components(graph) == expected_components
     dist = graphs._distances(graph)
@@ -459,6 +466,26 @@ def test_bfs_stops_once_every_pair_is_reached(monkeypatch):
         products.clear()
         is_connected(graph)
         assert len(products) == expected, (graph, products)
+
+
+def test_prime_order_distances_take_no_product(monkeypatch):
+    # Z_p's identity is isolated and its other elements are pairwise
+    # adjacent: once e's row and column are -1, every other vertex is
+    # adjacent to the rest, so no BFS runs
+    built = [(p, strong_power_graph(CyclicGroup(p))) for p in (2, 3, 5, 97, 2039)]
+
+    def refuse(x, y):
+        raise AssertionError("a boolean product was made")
+
+    monkeypatch.setattr(graphs, "_meets", refuse)
+    for p, graph in built:
+        expected = np.ones((p, p), dtype=int)
+        expected[0] = expected[:, 0] = -1
+        np.fill_diagonal(expected, 0)
+        assert np.array_equal(graphs._distances(graph), expected), p
+        assert components(graph) == [[0], list(range(1, p))], p
+        with pytest.raises(DisconnectedGraph):
+            distance_matrix(graph)
 
 
 def test_graph_adjacency_is_read_only_and_copied():
@@ -621,7 +648,7 @@ def test_dot_escapes_labels():
 
 
 def _assert_serializers_match_the_references(graph, labels, group):
-    assert graph.edges() == reference_edges(graph), group
+    assert edges(graph) == reference_edges(graph), group
     assert to_dot(graph) == reference_to_dot(graph), group
     assert to_dot(graph, labels) == reference_to_dot(graph, labels), group
     assert to_json(graph, group) == reference_to_json(graph, group), group

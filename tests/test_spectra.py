@@ -1,6 +1,7 @@
 """Closed-form spectra, the trig cubic solver, and the Householder + QL
 eigenvalue oracle (numpy.linalg.eigvalsh is a cross-oracle here only)."""
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spg import exactalg, spectra
+from spg.cli import main
 from spg.exactalg import (
     IntMatrix,
     IntPolynomial,
@@ -25,16 +27,15 @@ from spg.groups import CyclicGroup, DihedralGroup, DirectProductGroup, is_compos
 from spg.spectra import (
     ClosedFormSpectrum,
     ComplexRoots,
-    CountMismatch,
     NoConvergence,
     NonFinite,
     NonSymmetric,
+    SpectrumComparison,
     adjacency_spectrum_closed,
     closed_spectrum,
     compare_spectra,
     distance_spectrum_closed,
     solve_cubic_trig,
-    spectrum_document,
     symmetric_eigenvalues,
 )
 
@@ -355,9 +356,10 @@ def test_oracle_checks_symmetry_tile_by_tile(monkeypatch):
     assert len(symmetric_eigenvalues(IntMatrix(d))) == 10
 
 
-def test_jacobi_no_convergence_with_zero_sweeps():
+def test_jacobi_no_convergence_with_zero_sweeps(monkeypatch):
+    monkeypatch.setattr(spectra, "_QL_ITERATIONS", 0)
     with pytest.raises(NoConvergence):
-        symmetric_eigenvalues(IntMatrix([[0, 1], [1, 0]]), max_iterations=0)
+        symmetric_eigenvalues(IntMatrix([[0, 1], [1, 0]]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -593,7 +595,7 @@ def test_oracle_matches_eigvalsh_on_symmetric_matrices(a):
 
 @pytest.mark.parametrize("n", [3, 30, 110])
 @pytest.mark.parametrize("tol", [1e-12, 1e-6])
-def test_oracle_bound_holds_with_noise_just_below_skip(n, tol):
+def test_oracle_bound_holds_with_noise_just_below_skip(n, tol, monkeypatch):
     # A has eigenvalues 3 and -1, each repeated, so a perturbation moves them
     # at first order.  E has, in every column below the subdiagonal, norm
     # 0.9 skip: the reduction skips every step and drops E, and the result
@@ -607,7 +609,8 @@ def test_oracle_bound_holds_with_noise_just_below_skip(n, tol):
         e[k + 2 :, k] = 0.9 * skip * tail / np.linalg.norm(tail)
     e = e + e.T
     noisy = a + e
-    got = np.array(symmetric_eigenvalues(noisy, tol=tol))
+    monkeypatch.setattr(spectra, "_SKIP_TOL", tol)
+    got = np.array(symmetric_eigenvalues(noisy))
     deviation = np.abs(got - _eigvalsh_descending(noisy)).max()
     rounding = 16 * n * np.finfo(float).eps * max(1.0, float(np.linalg.norm(noisy)))
     assert deviation <= math.sqrt(2 * n) * skip + rounding
@@ -643,8 +646,10 @@ def test_compare_spectra_detects_split_multiplicity():
 
 def test_compare_spectra_count_mismatch():
     spectrum = ClosedFormSpectrum(((1.0, 1),), None, "adjacency-prime")
-    with pytest.raises(CountMismatch):
-        compare_spectra(spectrum, [1.0, 0.0])
+    result = compare_spectra(spectrum, [1.0, 0.0])
+    assert result == SpectrumComparison(math.inf, False, True)
+    angled = ClosedFormSpectrum(((1.0, 1),), 2.0, "distance-cyclic-composite")
+    assert compare_spectra(angled, []) == SpectrumComparison(math.inf, False, False)
 
 
 def test_closed_vs_jacobi_sample_sweep():
@@ -692,8 +697,9 @@ def test_cubic_roots_distinct_and_avoid_minus_one():
             assert all(abs(v + 1.0) > 1e-9 for v in roots), (n, closed.source)
 
 
-def test_spectrum_document_shape():
-    doc = spectrum_document(adjacency_spectrum_closed(CyclicGroup(5)), 5, "adjacency")
+def test_spectrum_document_shape(capsys):
+    assert main(["spectrum", "--group", "cyclic:5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert doc["n"] == 5
     assert doc["matrix"] == "adjacency"
     assert doc["theta_radians"] is None
