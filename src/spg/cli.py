@@ -12,10 +12,11 @@ Subcommands:
             graph's connectivity; the charpolys are compared as factor
             lists, none expanded
 
-Exit codes: 0 success, 1 verification failure (for spectrum, a closed-form
-cubic without three real roots), 2 usage or parse error (including a group
-order above --max-order), 3 inapplicable input (a disconnected graph, or no
-closed form in the paper).  The SPG_LOG environment variable sets log
+Exit codes: 0 success, 1 verification failure (a failed order for verify,
+a failed comparison or a closed-form cubic without three real roots for
+spectrum, a false match for charpoly), 2 usage or parse error (including a
+group order above --max-order), 3 inapplicable input (a disconnected graph,
+or no closed form in the paper).  The SPG_LOG environment variable sets log
 verbosity (debug, info, warning, error).
 """
 
@@ -53,6 +54,7 @@ from .spectra import (
     ComplexRoots,
     adjacency_spectrum_closed,
     compare_spectra,
+    comparison_holds,
     distance_spectrum_closed,
     symmetric_eigenvalues,
 )
@@ -169,8 +171,8 @@ def cmd_build(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_charpoly(args: argparse.Namespace) -> tuple[int, str]:
     """The exact charpoly and its closed form (exactalg.closed_form), both
     printed expanded.  match compares their factor lists with same_product,
-    as verify does.  Order 1, which no closed form covers, prints null for
-    both."""
+    as verify does, and a false match exits 1.  Order 1, which no closed
+    form covers, prints null for both and exits 0."""
     group = parse_group_spec(args.group, args.max_order)
     graph = strong_power_graph(group)
     matrix = distance_matrix(graph) if args.matrix == "distance" else adjacency_matrix(graph)
@@ -187,10 +189,13 @@ def cmd_charpoly(args: argparse.Namespace) -> tuple[int, str]:
         "closed_form": expand(closed).to_coeff_strings() if closed is not None else None,
         "match": same_product(computed, closed) if closed is not None else None,
     }
-    return EXIT_OK, dumps_indented(document) + "\n"
+    code = EXIT_VERIFY_FAILED if document["match"] is False else EXIT_OK
+    return code, dumps_indented(document) + "\n"
 
 
 def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
+    """The closed-form spectrum against the numeric eigenvalues; a
+    comparison that fails at --tol (spectra.comparison_holds) exits 1."""
     group = parse_group_spec(args.group, args.max_order)
     graph = strong_power_graph(group)
     if args.matrix == "distance":
@@ -210,7 +215,8 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
         "numeric_eigenvalues": numeric,
         "comparison": {**vars(comparison), "within_tol": comparison.max_abs_deviation <= args.tol},
     }
-    return EXIT_OK, dumps_indented(document) + "\n"
+    code = EXIT_OK if comparison_holds(comparison, args.tol) else EXIT_VERIFY_FAILED
+    return code, dumps_indented(document) + "\n"
 
 
 def _parse_range(text: str) -> tuple[int, int]:

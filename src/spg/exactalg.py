@@ -3,8 +3,8 @@ polynomials as factor lists, their comparison on a coprime basis, and the
 closed-form polynomials they are checked against.  The tiled symmetry check
 that the graph constructor and the eigenvalue oracle share lives here too.
 
-Everything here is exact: matrices hold signed integer arrays, widened to
-int64 before any arithmetic, or Python integers; polynomials hold Python
+Everything here is exact: matrices hold signed integer arrays of at most
+64 bits, widened to int64 before any arithmetic; polynomials hold Python
 integers; and every division performed by an algorithm is asserted to leave
 no remainder.
 """
@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .groups import GroupSpec, is_composite, is_prime, totient
+from .groups import GroupSpec, _is_positive_int, is_composite, is_prime, totient
 
 __all__ = [
     "IntMatrix",
@@ -52,16 +52,16 @@ class InexactDivision(ArithmeticError):
 
 
 class IntMatrix:
-    """Immutable square integer matrix, held as one read-only n x n array
-    `entries`: a signed integer array, or an object array of Python
-    integers when some entry lies beyond int64.
+    """Immutable square integer matrix, held as one read-only n x n signed
+    integer array `entries` of at most 64 bits.
 
     A square 2-D ndarray of a signed integer dtype (int8 to int64) is copied
     as it is, dtype and all: its dtype already proves every entry an
-    integer.  Any other input is checked entry by entry and becomes int64
-    when every entry fits.  Equality and the hash follow the values, not
-    the dtype.  Arithmetic widens first: an int8 or int16 array cannot hold
-    the squares, sums or residues the algorithms make.
+    integer.  Any other input is checked entry by entry and becomes int64;
+    an entry beyond int64 raises ValueError naming its (i, j).  Equality and
+    the hash follow the values, not the dtype.  Arithmetic widens first: an
+    int8 or int16 array cannot hold the squares, sums or residues the
+    algorithms make.
     """
 
     __slots__ = ("entries", "n")
@@ -85,8 +85,14 @@ class IntMatrix:
                         raise ValueError(f"entry ({i}, {j}) is {v!r}, expected an integer")
             try:
                 entries = np.array(rows, dtype=np.int64)
-            except OverflowError:
-                entries = np.array(rows, dtype=object)
+            except OverflowError:  # scan only to name the offender
+                i, j = next(
+                    (i, j)
+                    for i, row in enumerate(rows)
+                    for j, v in enumerate(row)
+                    if not -(1 << 63) <= v < 1 << 63
+                )
+                raise ValueError(f"entry ({i}, {j}) is {rows[i][j]}, beyond int64") from None
         if not entries.size:
             raise ValueError("matrix must have at least one row")
         entries.flags.writeable = False
@@ -97,12 +103,8 @@ class IntMatrix:
         return isinstance(other, IntMatrix) and bool(np.array_equal(self.entries, other.entries))
 
     def __hash__(self) -> int:
-        # an object array holds an entry beyond int64, so it never equals an
-        # integer one, and its bytes are pointers: hash its decimal text.
-        # Any other dtype is hashed over int64 values, so equal matrices of
-        # different dtypes hash equal
-        if self.entries.dtype == object:
-            return hash(str(self.entries.tolist()))
+        # hashed over int64 values, so equal matrices of different dtypes
+        # hash equal
         return hash(self.entries.astype(np.int64, copy=False).tobytes())
 
     def __repr__(self) -> str:
@@ -417,19 +419,12 @@ def _poly_pow(a: Sequence[int], k: int) -> list[int]:
     return [0] * (v * k) + g
 
 
-def _wide(entries: np.ndarray) -> np.ndarray:
-    """entries as an int64 or object array.  A narrower integer array would
-    wrap the squares and residues made from it: int8 holds no 100^2, and
-    under NumPy 2 an int8 array % 251 raises OverflowError."""
-    return entries if entries.dtype == object else entries.astype(np.int64, copy=False)
-
-
 def _hadamard_bound(entries: np.ndarray) -> int:
     """2 * prod_i (1 + ceil(r_i)) for the Euclidean norms r_i of the rows of
-    the integer or object array entries (see charpoly), summed in int64 or
-    Python integers."""
-    wide = _wide(entries)
-    if wide.dtype == np.int64 and len(wide) * int(np.abs(wide).max()) ** 2 >= 1 << 63:
+    the integer array entries (see charpoly), summed in int64 or Python
+    integers.  A narrower array is widened first: int8 holds no 100^2."""
+    wide = entries.astype(np.int64, copy=False)
+    if len(wide) * max(int(wide.max()), -int(wide.min())) ** 2 >= 1 << 63:
         wide = wide.astype(object)
     bound = 2
     for s in (wide * wide).sum(axis=1).tolist():
@@ -438,10 +433,10 @@ def _hadamard_bound(entries: np.ndarray) -> int:
 
 
 def _modular_charpoly(entries: np.ndarray, bound: int) -> list[int]:
-    """Coefficients of det(xI - M), ascending, for the integer or object
-    array M = entries, taken as int64 or Python integers (see _wide), by
-    the Hessenberg method modulo each prime of a basis whose product
-    exceeds bound, then Garner's CRT into the symmetric range.  bound must
+    """Coefficients of det(xI - M), ascending, for the integer array
+    M = entries, taken as int64 (under NumPy 2 an int8 array % 251 raises
+    OverflowError), by the Hessenberg method modulo each prime of a basis
+    whose product exceeds bound, then Garner's CRT into the symmetric range.  bound must
     be at least twice every |coefficient|, as _hadamard_bound of M, or of
     any matrix with M's charpoly, is.
 
@@ -450,11 +445,11 @@ def _modular_charpoly(entries: np.ndarray, bound: int) -> list[int]:
     next prime, so memory is O(n^2 + P * n) whatever the basis size P.
     """
     n = len(entries)
-    entries = _wide(entries)
+    entries = entries.astype(np.int64, copy=False)
     primes, modulus = _prime_basis(n, bound)
     residues = np.empty((len(primes), n + 1), dtype=np.int64)
     for k, p in enumerate(primes):
-        h = (entries % p).astype(np.int64, copy=False)
+        h = entries % p
         _hessenberg(h, p)
         residues[k] = _hessenberg_charpoly(h, p)
     return _crt_signed(residues, primes, modulus)
@@ -500,13 +495,12 @@ def charpoly_factors(matrix: IntMatrix) -> list[tuple[IntPolynomial, int]]:
     Modular stage.  Only the trailing block, from the last cut onward,
     when the integer stage stopped before the end, goes to the primes
     (see _modular_charpoly), as one factor of multiplicity 1; so does all
-    of M when it is a matrix of Python integers or has entries of 2^62/n
-    or more.  One prime at a time, that block B is reduced modulo p to
-    Hessenberg form and the recurrence runs on it whole (see
-    _hessenberg_charpoly), in O(b^2 + P * b) memory for B's order b and P
-    basis primes, found by is_prime.  Every basis prime has
-    b * (p-1)^2 < 2^53, so each int64 product of two residues, and each
-    dot product of at most b of them, is exact.
+    of M when it has entries of 2^62/n or more.  One prime at a time, that
+    block B is reduced modulo p to Hessenberg form and the recurrence runs
+    on it whole (see _hessenberg_charpoly), in O(b^2 + P * b) memory for
+    B's order b and P basis primes, found by is_prime.  Every basis prime
+    has b * (p-1)^2 < 2^53, so each int64 product of two residues, and
+    each dot product of at most b of them, is exact.
 
     The basis is sized by B's own entries.  B is an integer matrix and
     the CRT recovers B's own charpoly, so Hadamard's bound on B holds,
@@ -532,7 +526,7 @@ def charpoly_factors(matrix: IntMatrix) -> list[tuple[IntPolynomial, int]]:
     entries = matrix.entries
     small = (1 << 62) // n  # the integer stage's int64 limit (see _integer_hessenberg)
     factors: list[tuple[IntPolynomial, int]] = []
-    if entries.dtype != object and -small < int(entries.min()) <= int(entries.max()) < small:
+    if -small < int(entries.min()) <= int(entries.max()) < small:
         h = entries.astype(np.int64)  # the one int64 working copy, whatever M's dtype
         done = _integer_hessenberg(h)
         cuts = [0, *(np.flatnonzero(np.diagonal(h, offset=-1)[:done] == 0) + 1).tolist()]
@@ -556,8 +550,7 @@ def charpoly_factors(matrix: IntMatrix) -> list[tuple[IntPolynomial, int]]:
             if cuts[-1] == 0:  # rest is all of h, which has M's charpoly
                 bound = min(bound, _hadamard_bound(entries))
     else:
-        rest = entries.astype(object, copy=False)  # exact Python integers
-        bound = _hadamard_bound(rest)
+        rest, bound = entries, _hadamard_bound(entries)
     if len(rest):
         factors.append((IntPolynomial(_modular_charpoly(rest, bound)), 1))
     trace = sum(np.diagonal(entries).tolist())  # Python integers: no int64 wraparound
@@ -754,7 +747,7 @@ def adjacency_formula_factors(n: int) -> list[tuple[IntPolynomial, int]]:
     strong power graph of Z_n as factors, [(x+1, n-3), (adjacency_cubic(n),
     1)], for any order n >= 2.  At n = 2 the exponent is -1 (see
     adjacency_charpoly_formula)."""
-    if not isinstance(n, int) or n < 1:
+    if not _is_positive_int(n):
         raise ValueError(f"order must be a positive integer, got {n!r}")
     if n == 1:
         raise NoClosedForm("the adjacency closed form does not cover order 1")
@@ -773,7 +766,7 @@ def complete_graph_factors(n: int) -> list[tuple[IntPolynomial, int]]:
     """The characteristic polynomial of K_n, the strong power graph of every
     noncyclic group of order n, as factors, [(x-n+1, 1), (x+1, n-1)]: its
     adjacency and distance matrices are both J - I."""
-    if not isinstance(n, int) or n < 1:
+    if not _is_positive_int(n):
         raise ValueError(f"order must be a positive integer, got {n!r}")
     return [(IntPolynomial([1 - n, 1]), 1), (IntPolynomial([1, 1]), n - 1)]
 

@@ -47,6 +47,11 @@ class NotAssociative(CayleyTableError):
     """The table violates associativity (a witness triple is reported)."""
 
 
+def _is_positive_int(v) -> bool:
+    """v is an int of at least 1, and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 class GroupSpec:
     """Base class for finite groups on indices 0..order-1.
 
@@ -119,7 +124,7 @@ class CyclicGroup(GroupSpec):
     kind = "cyclic"
 
     def __init__(self, n: int):
-        if not isinstance(n, int) or n < 1:
+        if not _is_positive_int(n):
             raise ValueError(f"cyclic group order must be a positive integer, got {n!r}")
         self.order = n
 
@@ -140,8 +145,8 @@ class DirectProductGroup(GroupSpec):
     kind = "product"
 
     def __init__(self, orders: Sequence[int]):
-        orders = tuple(int(m) for m in orders)
-        if not orders or any(m < 1 for m in orders):
+        orders = tuple(orders)
+        if not orders or not all(map(_is_positive_int, orders)):
             raise ValueError(f"component orders must be positive integers, got {orders!r}")
         self.orders = orders
         self.order = math.prod(orders)
@@ -166,7 +171,7 @@ class DihedralGroup(GroupSpec):
     kind = "dihedral"
 
     def __init__(self, m: int):
-        if not isinstance(m, int) or m < 1:
+        if not _is_positive_int(m):
             raise ValueError(f"dihedral parameter must be a positive integer, got {m!r}")
         self.m = m
         self.order = 2 * m
@@ -214,8 +219,6 @@ class CayleyGroup(GroupSpec):
             t = sigma[t[np.ix_(sigma, sigma)]]
             if labels is not None:
                 labels = tuple(labels[k] for k in sigma)
-        elif t is table:  # the caller's own array: freeze a copy, not theirs
-            t = t.copy()
         t.flags.writeable = False
         self._t = t
         self.order = n
@@ -237,7 +240,7 @@ _LIMIT = 3215031751
 
 
 def _check_domain(n: int, name: str) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n < _LIMIT:
+    if not _is_positive_int(n) or n >= _LIMIT:
         raise ValueError(f"{name} requires an integer 1 <= n < {_LIMIT}, got {n!r}")
 
 
@@ -298,24 +301,15 @@ def _raise_bad_entry(flat: Sequence, n: int) -> None:
 
 
 def _table_array(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
-    """The table as an n x n int64 array, with shape and integrality checked.
+    """The table as a new n x n int64 array, with shape and integrality
+    checked.
 
-    A 2-D int64 numpy array is used as it is, without a copy; any other
-    array is read as nested lists.  Rows given as lists are checked in file
+    A numpy array is read as nested lists.  Rows are checked in file
     order, each row's type and length before its entries, so the error
     names the first offending row or the lowest offending `row i, col j`.
     The entries are converted to int64 in one call; only when that or the
     range check fails are they scanned one by one to find the offender.
     """
-    if isinstance(table, np.ndarray) and table.ndim == 2 and table.dtype == np.int64:
-        n = len(table)
-        if n == 0:
-            raise BadTableShape("table is empty")
-        if table.shape[1] != n:
-            raise BadTableShape(f"row 0 has length {table.shape[1]}, expected {n}")
-        if not ((0 <= table) & (table < n)).all():
-            _raise_bad_entry(table.ravel().tolist(), n)
-        return table
     if isinstance(table, np.ndarray):
         table = table.tolist()
     if not isinstance(table, (list, tuple)):
@@ -375,8 +369,8 @@ def _raise_associativity_witness(t: np.ndarray) -> None:
 def validate_cayley_table(table: Sequence[Sequence[int]] | np.ndarray) -> int:
     """Check the group axioms on a multiplication table.
 
-    table is a list of n rows of n ints, or a 2-D numpy array; an int64 one
-    is read without a copy.  Returns the index of the identity element.
+    table is a list of n rows of n ints, or a 2-D numpy array, read as
+    nested lists.  Returns the index of the identity element.
     Raises a CayleyTableError subclass naming the failed axiom, with
     row/column coordinates where applicable, in this order:
 
@@ -472,7 +466,7 @@ def load_cayley_table(document: dict) -> CayleyGroup:
         table = document["table"]
     except KeyError as missing:
         raise BadTableShape(f"missing required key {missing}") from None
-    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
+    if not _is_positive_int(order):
         raise BadTableShape(f"order must be a positive integer, got {order!r}")
     if not isinstance(table, (list, tuple)) or len(table) != order:
         got = len(table) if isinstance(table, (list, tuple)) else type(table).__name__

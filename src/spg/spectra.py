@@ -110,6 +110,13 @@ class SpectrumComparison:
     theta_in_range: bool
 
 
+def comparison_holds(c, tol: float) -> bool:
+    """True when the deviation of c is at most tol and both of its flags
+    are true: the rule for a SpectrumComparison, and for a verify.Check,
+    which carries the same three fields."""
+    return c.max_abs_deviation <= tol and c.multiplicity_match and c.theta_in_range
+
+
 def solve_cubic_trig(a2: int, a1: int, a0: int) -> tuple[tuple[float, float, float], float]:
     """The three real roots of the integer cubic x^3 + a2 x^2 + a1 x + a0,
     descending, and the angle theta of their trigonometric form.
@@ -201,21 +208,19 @@ def _working_copy(matrix: MatrixLike) -> tuple[np.ndarray, float]:
     """One float64 copy of a finite, exactly symmetric square matrix, and
     the largest magnitude among its entries (0.0 when it has none).
 
-    An IntMatrix of a signed integer dtype (int8 to int64) is checked on
+    An IntMatrix, of any signed integer dtype (int8 to int64), is checked on
     its integers, in its own dtype: they are finite, and symmetry is
     decided before the conversion can round two unequal entries to one
     float, and only then is its one float64 copy made.  Any other input is
     converted first and checked as floats.
     """
-    if isinstance(matrix, IntMatrix) and matrix.entries.dtype != object:
+    if isinstance(matrix, IntMatrix):
         ints = matrix.entries
         if first_asymmetry(ints) is not None:
             raise NonSymmetric("matrix is not exactly symmetric")
-        top = max(int(ints.max()), -int(ints.min())) if ints.size else 0
-        return ints.astype(np.float64), float(top)
-    source = matrix.entries if isinstance(matrix, IntMatrix) else matrix
+        return ints.astype(np.float64), float(max(int(ints.max()), -int(ints.min())))
     try:
-        a = np.array(source, dtype=np.float64)
+        a = np.array(matrix, dtype=np.float64)
     except OverflowError:
         raise NonFinite("matrix has an integer entry beyond the float64 range") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -34,7 +34,13 @@ from .graphs import (
 )
 from .groups import CyclicGroup
 from .jsontext import dumps_indented
-from .spectra import ComplexRoots, closed_spectrum, compare_spectra, symmetric_eigenvalues
+from .spectra import (
+    ComplexRoots,
+    closed_spectrum,
+    compare_spectra,
+    comparison_holds,
+    symmetric_eigenvalues,
+)
 
 __all__ = ["Check", "VerificationRecord", "VerificationReport", "check_range", "verify_range"]
 
@@ -57,9 +63,9 @@ class Check:
     theta_in_range: bool
 
     def failed(self, tol: float) -> bool:
-        """True when a boolean check is False or the deviation exceeds tol."""
-        flags = (self.charpoly_match, self.multiplicity_match, self.theta_in_range)
-        return not (all(flags) and self.max_abs_deviation <= tol)
+        """True when the charpolys differ or the spectrum comparison fails
+        (spectra.comparison_holds)."""
+        return not (self.charpoly_match and comparison_holds(self, tol))
 
 
 @dataclass
@@ -103,26 +109,6 @@ class VerificationReport:
                 "wall_time_ms": self.wall_time_ms,
             },
         }
-
-    @classmethod
-    def from_document(cls, document: dict) -> "VerificationReport":
-        """The report of a to_document document.  A record without a
-        "checks" list, as the flat records of earlier spg versions, raises
-        ValueError."""
-        summary = document["summary"]
-        records = []
-        for r in document["records"]:
-            if "checks" not in r:
-                raise ValueError(f"verification record of n={r.get('n')} has no 'checks' key")
-            records.append(VerificationRecord(**{**r, "checks": [Check(**c) for c in r["checks"]]}))
-        return cls(
-            n_min=summary["range"][0],
-            n_max=summary["range"][1],
-            tol=summary["tol"],
-            records=records,
-            failures=list(summary["failures"]),
-            wall_time_ms=summary["wall_time_ms"],
-        )
 
     def to_json(self) -> str:
         return dumps_indented(self.to_document())

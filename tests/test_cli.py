@@ -18,7 +18,7 @@ from spg import cli, exactalg, verify
 from spg.cli import main, parse_group_spec, GroupSpecParseError
 from spg.graphs import strong_power_graph
 from spg.groups import CyclicGroup, DihedralGroup, DirectProductGroup, is_composite, load_cayley_table
-from spg.verify import Check, VerificationRecord, VerificationReport, verify_range
+from spg.verify import Check, VerificationRecord, verify_range
 
 from conftest import quaternion_table, reference_to_dot, reference_to_json, s3_table
 
@@ -470,32 +470,32 @@ def test_a_closed_form_of_the_wrong_degree_fails_its_record(monkeypatch, capsys)
     monkeypatch.setattr(exactalg, "distance_formula_factors", _one_degree_too_many)
     code, out, err = run_cli(capsys, ["verify", "--range", "4..6"])
     assert code == 1 and err == ""
-    report = VerificationReport.from_document(json.loads(out))
-    assert report.failures == [4, 6]
-    for record in report.records:
-        for check in record.checks:
-            wrong = check.matrix == "distance"
-            assert (check.max_abs_deviation == math.inf) is wrong
-            assert check.multiplicity_match is not wrong
-            assert check.failed(1e-8) is wrong
-            assert check.charpoly_match is not wrong
+    document = json.loads(out)
+    assert document["summary"]["failures"] == [4, 6]
+    for record in document["records"]:
+        for check in record["checks"]:
+            wrong = check["matrix"] == "distance"
+            assert (check["max_abs_deviation"] == math.inf) is wrong
+            assert check["multiplicity_match"] is not wrong
+            assert Check(**check).failed(1e-8) is wrong
+            assert check["charpoly_match"] is not wrong
 
 
 @pytest.mark.parametrize(
     "planted, command, expected",
     [
         (_one_degree_too_many, ["verify", "--range", "6..6"], 1),
-        (_one_degree_too_many, ["spectrum", "--group", "cyclic:6", "--matrix", "distance"], 0),
-        (_one_degree_too_many, ["charpoly", "--group", "cyclic:6", "--matrix", "distance"], 0),
+        (_one_degree_too_many, ["spectrum", "--group", "cyclic:6", "--matrix", "distance"], 1),
+        (_one_degree_too_many, ["charpoly", "--group", "cyclic:6", "--matrix", "distance"], 1),
         (_a_non_real_cubic, ["verify", "--range", "6..6"], 1),
         (_a_non_real_cubic, ["spectrum", "--group", "cyclic:6", "--matrix", "distance"], 1),
-        (_a_non_real_cubic, ["charpoly", "--group", "cyclic:6", "--matrix", "distance"], 0),
+        (_a_non_real_cubic, ["charpoly", "--group", "cyclic:6", "--matrix", "distance"], 1),
     ],
     ids=lambda v: v.__name__ if callable(v) else v[0] if isinstance(v, list) else f"exit{v}",
 )
 def test_no_closed_form_failure_escapes_main(monkeypatch, capsys, planted, command, expected):
-    # a wrong closed form is a failed comparison (a document saying so, or
-    # exit 1), never a traceback
+    # a wrong closed form is a failed comparison: exit 1, with a document
+    # saying so wherever one is written, never a traceback
     monkeypatch.setattr(exactalg, "distance_formula_factors", planted)
     code, out, err = run_cli(capsys, command)
     assert code == expected and "Traceback" not in err
@@ -547,27 +547,6 @@ def test_out_onto_a_directory_is_a_usage_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["build", "--group", "cyclic:4", "--out", str(tmp_path)])
     assert code == 2
     assert err.startswith(f"spg: error: cannot write {tmp_path}: ")
-
-
-def test_report_round_trip():
-    # prime orders hold one check, composite orders two
-    report = verify_range(2, 8)
-    document = json.loads(report.to_json())
-    assert VerificationReport.from_document(document) == report
-
-
-def test_report_reader_refuses_flat_records():
-    # a record of the twelve flat fields, as spg wrote them before checks
-    document = json.loads(verify_range(4, 4).to_json())
-    document["records"] = [{
-        "n": 4, "composite": True, "charpoly_distance_match": True,
-        "charpoly_adjacency_match": True, "spectrum_distance_max_dev": 0.0,
-        "spectrum_adjacency_max_dev": 0.0, "spectrum_distance_mult_match": True,
-        "spectrum_adjacency_mult_match": True, "theta_distance": 0.75,
-        "theta_adjacency": 1.54, "theta_in_range": True, "elapsed_ms": 0,
-    }]
-    with pytest.raises(ValueError, match="n=4 has no 'checks' key"):
-        VerificationReport.from_document(document)
 
 
 def test_report_json_is_the_asdict_text():

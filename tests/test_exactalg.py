@@ -1,5 +1,6 @@
 """Exact matrices, polynomials, characteristic polynomials, closed forms."""
 
+import contextlib
 import math
 import random
 import tracemalloc
@@ -56,17 +57,12 @@ def test_int_matrix_takes_square_int64_arrays():
         m.entries[0, 0] = 1
     arr[0, 0] = 9  # the matrix keeps its own copy
     assert m.entries[0, 0] == 0
-    # nested lists are int64 when every entry fits, Python integers beyond
+    # nested lists become int64
     assert IntMatrix([[2**63 - 1, 0], [0, -(2**63)]]).entries.dtype == np.int64
-    big = IntMatrix([[2**63, 0], [0, 1]])
-    assert big.entries.dtype == object and not big.entries.flags.writeable
-    assert type(big.entries[0, 0]) is int and big.entries[0, 0] == 2**63
     # equality and hash follow the values, whatever the input was
     assert m == IntMatrix([[0, -3], [2**62, 5]])
     assert hash(m) == hash(IntMatrix([[0, -3], [2**62, 5]]))
-    assert big == IntMatrix(np.array([[2**63, 0], [0, 1]], dtype=object))
-    assert hash(big) == hash(IntMatrix([[2**63, 0], [0, 1]]))
-    assert m != IntMatrix([[0, -3], [2**62, 6]]) and m != big
+    assert m != IntMatrix([[0, -3], [2**62, 6]])
     # any signed integer array is taken as it is; any other array goes
     # through the per-entry check
     narrow = IntMatrix(np.array([[1, 0], [0, 1]], dtype=np.int32))
@@ -96,6 +92,37 @@ def test_int_matrix_keeps_a_signed_dtype_and_hashes_by_value():
     for dtype in (np.uint8, np.uint64, bool, np.float32, np.float64):
         with pytest.raises(ValueError, match="expected an integer"):
             IntMatrix(np.eye(2, dtype=dtype))
+
+
+def test_int_matrix_refuses_entries_beyond_int64():
+    with pytest.raises(ValueError, match=r"entry \(1, 0\) is 9223372036854775808, beyond int64"):
+        IntMatrix([[0, 1], [2**63, 0]])
+    beyond = np.array([[0, -(2**63) - 1], [1, 0]], dtype=object)
+    with pytest.raises(ValueError, match=r"entry \(0, 1\) is -9223372036854775809, beyond int64"):
+        IntMatrix(beyond)
+    # an unsigned array is refused at its first entry, a numpy scalar
+    unsigned = np.array([[2**63, 0], [0, 1]], dtype=np.uint64)
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) is .*9223372036854775808"):
+        IntMatrix(unsigned)
+    fits = IntMatrix(np.array([[2**63 - 1, 0], [0, -(2**63)]], dtype=object))
+    assert fits.entries.dtype == np.int64
+    assert fits.entries.tolist() == [[2**63 - 1, 0], [0, -(2**63)]]
+
+
+@contextlib.contextmanager
+def _modular_calls():
+    """A list that grows by the shape of the matrix given to each call of
+    exactalg._modular_charpoly while the block runs."""
+    calls = []
+    modular = exactalg._modular_charpoly
+
+    def counting(entries, bound):
+        calls.append(entries.shape)
+        return modular(entries, bound)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactalg, "_modular_charpoly", counting)
+        yield calls
 
 
 def test_charpoly_swap_matrix():
@@ -146,10 +173,12 @@ def test_charpoly_invariant_under_permutation():
 
 
 def test_charpoly_large_entries():
-    big = 10**30
+    big = 2**63 - 1  # at least 2^62/n: the modular stage takes the whole matrix
     m = IntMatrix([[big, 1], [1, -big]])
     # det = -big^2 - 1, trace = 0
-    assert charpoly(m) == IntPolynomial([-(big * big) - 1, 0, 1])
+    with _modular_calls() as calls:
+        assert charpoly(m) == IntPolynomial([-(big * big) - 1, 0, 1])
+    assert calls == [(2, 2)]
 
 
 @pytest.mark.parametrize("k", [1, 3, 2**40])
@@ -411,7 +440,7 @@ def _dense_symmetric(rng, n, top):
     return np.triu(x) + np.triu(x, 1).T
 
 
-def test_charpoly_of_narrow_matrices_equals_the_int64_copy(monkeypatch):
+def test_charpoly_of_narrow_matrices_equals_the_int64_copy():
     # the exact side widens before any arithmetic: squares of +-100 wrap in
     # int8, and under NumPy 2 an int8 array % p raises for p > 127
     rng = np.random.default_rng(18)
@@ -423,27 +452,20 @@ def test_charpoly_of_narrow_matrices_equals_the_int64_copy(monkeypatch):
         random.Random(n).shuffle(order)
         shuffled = permuted(distance_matrix(strong_power_graph(CyclicGroup(n))), order)
         cases.append((shuffled.entries, (np.int8, np.int16, np.int32)))
-    sent = []  # the shape of each matrix given to the modular stage
-    modular = exactalg._modular_charpoly
-
-    def spy(entries, bound):
-        sent.append(entries.shape)
-        return modular(entries, bound)
-
-    monkeypatch.setattr(exactalg, "_modular_charpoly", spy)
     paths = []  # per case, the shapes the modular stage was given
-    for entries, dtypes in cases:
-        wide = IntMatrix(entries.astype(np.int64))
-        sent.clear()
-        factors, poly = charpoly_factors(wide), charpoly(wide)
-        paths.append(list(sent))
-        for dtype in dtypes:
-            narrow = IntMatrix(entries.astype(dtype))
-            assert narrow.entries.dtype == dtype
+    with _modular_calls() as sent:
+        for entries, dtypes in cases:
+            wide = IntMatrix(entries.astype(np.int64))
             sent.clear()
-            assert charpoly_factors(narrow) == factors, dtype
-            assert charpoly(narrow) == poly, dtype
-            assert sent == paths[-1], dtype
+            factors, poly = charpoly_factors(wide), charpoly(wide)
+            paths.append(list(sent))
+            for dtype in dtypes:
+                narrow = IntMatrix(entries.astype(dtype))
+                assert narrow.entries.dtype == dtype
+                sent.clear()
+                assert charpoly_factors(narrow) == factors, dtype
+                assert charpoly(narrow) == poly, dtype
+                assert sent == paths[-1], dtype
     # the dense +-100 matrix reduces two columns over Z with no zero
     # subdiagonal entry, so the whole reduced matrix goes to the primes
     # (cuts[-1] == 0) and its basis takes the input's own bound; the
@@ -811,26 +833,34 @@ def test_charpoly_of_matrices_whose_entries_are_not_residues(monkeypatch):
     assert any(hi >= p for lo, hi, p in seen)  # reduced: entries past the smallest prime
 
 
-_ENTRY = st.integers(-(2**66), 2**66)
+_ENTRY = st.integers(-(2**63), 2**63 - 1)
+# |a| >= 2^62, at least 2^62/n for n = 1 and 2
+_LARGE = st.one_of(st.integers(2**62, 2**63 - 1), st.integers(-(2**63), -(2**62)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(_ENTRY, _ENTRY, _ENTRY, _ENTRY)
-@example(2**63 + 1, -1, 3, 2**63 + 7)  # np.array would infer float64 here
+@given(_LARGE, _ENTRY, _ENTRY, _ENTRY)
+@example(2**63 - 1, -(2**63), -(2**63), 2**63 - 1)  # every product wraps in int64
 @example(-(2**63), 5, 1, 2**62)
 @example(2**62, 0, 0, 2**62)  # the trace, 2^63, would wrap in int64
 @example(2**63 - 1, 0, 0, 1)
 def test_charpoly_orders_one_and_two(a, b, c, d):
-    assert charpoly(IntMatrix([[a]])) == IntPolynomial([-a, 1])
     expected = IntPolynomial([a * d - b * c, -(a + d), 1])
-    assert charpoly(IntMatrix([[a, b], [c, d]])) == expected
+    with _modular_calls() as calls:
+        assert charpoly(IntMatrix([[a]])) == IntPolynomial([-a, 1])
+        assert charpoly(IntMatrix([[a, b], [c, d]])) == expected
+    assert calls == [(1, 1), (2, 2)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: _square(n, st.integers(-(2**70), 2**70))))
+@given(st.integers(1, 4).flatmap(lambda n: _square(n, st.integers(-(2**62), 2**62))))
 def test_charpoly_entries_beyond_int64(rows):
-    rows[0][0] = 2**62 + 1  # at least one entry takes the Python-integer path
-    _assert_charpoly_by_determinants(rows)
+    # entries beyond the integer stage's int64 limit: one at 2^62/n sends
+    # the whole matrix to the modular stage
+    rows[0][0] = (1 << 62) // len(rows)
+    with _modular_calls() as calls:
+        _assert_charpoly_by_determinants(rows)
+    assert calls == [(len(rows), len(rows))]
 
 
 @settings(max_examples=150, deadline=None)
@@ -1044,27 +1074,20 @@ def _charpoly_product_cases():
         rows[i][0] = rng.choice([-1, 1])
     yield "dense -9..9, n = 24", IntMatrix(rows), True
     d120 = distance_matrix(strong_power_graph(CyclicGroup(120))).entries.tolist()
-    yield "Z_120 distance x 2^62", IntMatrix([[v << 62 for v in row] for row in d120]), True
+    yield "Z_120 distance x 2^61", IntMatrix([[v << 61 for v in row] for row in d120]), True
     # reduces over Z into 2 x 2 blocks, two of them with multiplicity 3
     yield "Hadamard x 2^40", _hadamard_16(2**40), False
     yield "Z_119 distance beside a large entry", _distance_z119_beside_a_large_entry()[0], True
 
 
-def test_charpoly_is_the_product_of_its_factors(monkeypatch):
-    modular = exactalg._modular_charpoly
-    sent = []
-
-    def spy(entries, bound):
-        sent.append(entries.shape)
-        return modular(entries, bound)
-
-    monkeypatch.setattr(exactalg, "_modular_charpoly", spy)
-    for name, matrix, primes in _charpoly_product_cases():
-        sent.clear()
-        factors = charpoly_factors(matrix)
-        assert bool(sent) == primes, name
-        assert all(m >= 1 and f.is_monic() for f, m in factors), name
-        assert charpoly(matrix) == _expand(factors), name
+def test_charpoly_is_the_product_of_its_factors():
+    with _modular_calls() as sent:
+        for name, matrix, primes in _charpoly_product_cases():
+            sent.clear()
+            factors = charpoly_factors(matrix)
+            assert bool(sent) == primes, name
+            assert all(m >= 1 and f.is_monic() for f, m in factors), name
+            assert charpoly(matrix) == _expand(factors), name
     assert [m for _, m in charpoly_factors(_hadamard_16(2**40))].count(3) == 2
 
 
@@ -1141,6 +1164,18 @@ def test_closed_form_factor_lists_expand_to_the_formulas():
         adjacency_formula_factors(1)
     with pytest.raises(NoClosedForm, match="expected a prime order, got 6"):
         prime_adjacency_factors(6)
+
+
+def test_adjacency_formula_factors_refuse_bools_and_non_integers():
+    for n in (True, False, 2.0, "3", None, 0):
+        with pytest.raises(ValueError, match="order must be a positive integer"):
+            adjacency_formula_factors(n)
+
+
+def test_complete_graph_factors_refuse_bools_and_non_integers():
+    for n in (True, False, 2.0, "3", None, 0):
+        with pytest.raises(ValueError, match="order must be a positive integer"):
+            complete_graph_factors(n)
 
 
 def _every_factor_list(n):

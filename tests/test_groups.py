@@ -235,6 +235,32 @@ def test_dihedral_is_cyclic_matches_the_element_order_definition():
     assert DihedralGroup(1).is_cyclic()  # D_1 is Z_2
 
 
+# an order is an int of at least 1, never a bool, a float or a string
+_NOT_AN_ORDER = (True, False, 2.0, 2.5, "3", None, 0, -2)
+
+
+def test_cyclic_group_refuses_bools_and_non_integers():
+    for n in _NOT_AN_ORDER:
+        with pytest.raises(ValueError, match="cyclic group order must be a positive integer"):
+            CyclicGroup(n)
+
+
+def test_dihedral_group_refuses_bools_and_non_integers():
+    for m in _NOT_AN_ORDER:
+        with pytest.raises(ValueError, match="dihedral parameter must be a positive integer"):
+            DihedralGroup(m)
+
+
+def test_direct_product_refuses_bools_and_non_integers():
+    for n in _NOT_AN_ORDER:
+        for orders in ([n, 3], [3, n]):
+            with pytest.raises(ValueError, match="component orders must be positive integers"):
+                DirectProductGroup(orders)
+    with pytest.raises(ValueError, match="component orders must be positive integers"):
+        DirectProductGroup([])
+    assert DirectProductGroup((2, 3)).orders == (2, 3)
+
+
 def test_lagrange_over_catalog(catalog60):
     for name, g in catalog60:
         for a in range(g.order):

@@ -373,7 +373,7 @@ def test_oracle_rejects_non_finite_entries(bad):
 
 def test_oracle_rejects_values_beyond_float64():
     with pytest.raises(NonFinite, match="integer entry beyond the float64 range"):
-        symmetric_eigenvalues(IntMatrix([[10**400, 0], [0, 1]]))
+        symmetric_eigenvalues([[10**400, 0], [0, 1]])
     # every entry is finite, but the largest eigenvalue is 2e308
     with pytest.raises(NonFinite, match="eigenvalue lies beyond the float64 range"):
         symmetric_eigenvalues(np.full((2, 2), 1e308))
