@@ -51,7 +51,6 @@ from .spectra import (
     ClosedFormSpectrum,
     ComplexRoots,
     NoConvergence,
-    NonFinite,
     NonSymmetric,
     SpectrumComparison,
     adjacency_spectrum_closed,

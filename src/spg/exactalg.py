@@ -58,7 +58,10 @@ class IntMatrix:
     A square 2-D ndarray of a signed integer dtype (int8 to int64) is copied
     as it is, dtype and all: its dtype already proves every entry an
     integer.  Any other input is checked entry by entry and becomes int64;
-    an entry beyond int64 raises ValueError naming its (i, j).  Equality and
+    any other ndarray (unsigned, bool, float or object) is read with
+    tolist(), so each entry is checked as the Python value it holds.  An
+    entry that is not an int (a float, NaN or bool), or an int beyond
+    int64, raises ValueError naming its (i, j).  Equality and
     the hash follow the values, not the dtype.  Arithmetic widens first: an
     int8 or int16 array cannot hold the squares, sums or residues the
     algorithms make.
@@ -75,6 +78,8 @@ class IntMatrix:
         ):
             entries = rows.copy()
         else:
+            if isinstance(rows, np.ndarray):
+                rows = rows.tolist()
             rows = [list(row) for row in rows]
             n = len(rows)
             for i, row in enumerate(rows):

@@ -5,10 +5,11 @@ to compare against.
 
 from __future__ import annotations
 
+import logging
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +21,6 @@ __all__ = [
     "SpectrumComparison",
     "ComplexRoots",
     "NonSymmetric",
-    "NonFinite",
     "NoConvergence",
     "solve_cubic_trig",
     "closed_spectrum",
@@ -30,7 +30,7 @@ __all__ = [
     "compare_spectra",
 ]
 
-MatrixLike = Union[IntMatrix, np.ndarray, Sequence[Sequence[float]]]
+log = logging.getLogger("spg.spectra")
 
 # Newton steps per cubic root; a simple root stops moving after a few
 _NEWTON_STEPS = 64
@@ -61,10 +61,6 @@ class ComplexRoots(ArithmeticError):
 
 class NonSymmetric(ValueError):
     """The eigenvalue oracle only accepts exactly symmetric square input."""
-
-
-class NonFinite(ValueError):
-    """The eigenvalue oracle met a NaN, an infinity, or a value beyond float64."""
 
 
 class NoConvergence(RuntimeError):
@@ -204,33 +200,19 @@ def adjacency_spectrum_closed(g: GroupSpec) -> ClosedFormSpectrum:
     return closed_spectrum(*closed_form(g, "adjacency"))
 
 
-def _working_copy(matrix: MatrixLike) -> tuple[np.ndarray, float]:
-    """One float64 copy of a finite, exactly symmetric square matrix, and
-    the largest magnitude among its entries (0.0 when it has none).
+def _working_copy(matrix: IntMatrix) -> np.ndarray:
+    """One float64 copy of an exactly symmetric integer matrix.
 
-    An IntMatrix, of any signed integer dtype (int8 to int64), is checked on
-    its integers, in its own dtype: they are finite, and symmetry is
-    decided before the conversion can round two unequal entries to one
-    float, and only then is its one float64 copy made.  Any other input is
-    converted first and checked as floats.
+    Any argument but an IntMatrix goes through IntMatrix first, whose
+    ValueError names a non-integer entry or one beyond int64.  Symmetry is
+    decided on the integers, in their own dtype, before the conversion can
+    round two unequal entries to one float; only then is the copy made.
     """
-    if isinstance(matrix, IntMatrix):
-        ints = matrix.entries
-        if first_asymmetry(ints) is not None:
-            raise NonSymmetric("matrix is not exactly symmetric")
-        return ints.astype(np.float64), float(max(int(ints.max()), -int(ints.min())))
-    try:
-        a = np.array(matrix, dtype=np.float64)
-    except OverflowError:
-        raise NonFinite("matrix has an integer entry beyond the float64 range") from None
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSymmetric(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NonFinite("matrix has NaN or infinite entries")
-    if first_asymmetry(a) is not None:
+    if not isinstance(matrix, IntMatrix):
+        matrix = IntMatrix(matrix)
+    if first_asymmetry(matrix.entries) is not None:
         raise NonSymmetric("matrix is not exactly symmetric")
-    top = max(float(a.max()), -float(a.min())) if a.size else 0.0
-    return a, top
+    return matrix.entries.astype(np.float64)
 
 
 def _tridiagonal_eigenvalues(d: list[float], e: list[float]) -> list[float]:
@@ -290,7 +272,7 @@ def _tridiagonal_eigenvalues(d: list[float], e: list[float]) -> list[float]:
 
 
 def _reflect(a: np.ndarray, k: int) -> None:
-    """Householder step k on the scaled symmetric working array a: reflect
+    """Householder step k on the symmetric working array a: reflect
     row k right of the diagonal (which equals column k below it) onto its
     first entry, and apply the reflection to the trailing block as one
     rank-2 update B -= v w^T + w v^T, with p = beta B v and
@@ -319,38 +301,47 @@ def _reflect(a: np.ndarray, k: int) -> None:
     a[k, k + 1] = alpha
 
 
-def symmetric_eigenvalues(matrix: MatrixLike) -> list[float]:
-    """All eigenvalues of a symmetric matrix, sorted descending, by
+def symmetric_eigenvalues(matrix: IntMatrix) -> list[float]:
+    """All eigenvalues of a symmetric integer matrix, sorted descending, by
     Householder reduction to tridiagonal form and implicit-shift QL
     (Golub & Van Loan, *Matrix Computations*, sec. 8.3).
 
-    Input must be finite and exactly symmetric (these matrices come from
-    integers); NonFinite and NonSymmetric name the fault otherwise.  An
-    IntMatrix of any signed integer dtype is checked on its integers, so two
-    entries that differ but round to one float64 are still caught; other
-    input is checked on its float64 copy.  That one copy is the working
-    array, and the only n x n float64 array the oracle holds.  When an entry
-    has magnitude 1 or more, the copy is scaled in place by a power of two,
-    exactly, so that its largest entry lies in [1/2, 1); no intermediate
-    can then overflow.
+    The matrix is an IntMatrix; any other argument goes through IntMatrix
+    first, whose ValueError names a float, NaN or bool entry, or an int
+    beyond int64, by its (i, j).  Symmetry must be exact and is checked on
+    the integers, so two entries that differ but round to one float64 are
+    still caught (NonSymmetric).  The float64 copy of the integers is the
+    working array, and the only n x n float64 array the oracle holds; it is
+    not rescaled.  Entries |a_ij| < 2^63 keep every intermediate within
+    float64.  The reduction is orthogonal, so no entry it writes exceeds
+    ||A||_F < n 2^63 by more than rounding, and its largest sum of squares,
+    about ||A||_F^2 < n^2 2^126, is far below the float64 maximum near
+    2^1024 at any order that fits in memory.  A nonzero integer matrix has
+    ||A||_F >= 1, so a column is reflected only when its squared tail
+    exceeds skip^2 >= (1e-13 / n)^2, far above the smallest normal float,
+    and the 2 / (v^T v) made from it cannot overflow.  QL's shift ratios
+    stay below 1 / eps, since every entry e it has not deflated exceeds
+    eps times its norm.
 
     Step k of the reduction reflects the column below the diagonal onto its
     first entry.  When the part of that column below the subdiagonal has
-    norm at most skip = tol * max(1, ||A||_F) / (10 n), where tol is
-    _SKIP_TOL = 1e-12, the step is skipped and that part is dropped.  A
-    skipped step writes nothing, so the test runs over a block of
-    _SCAN_ROWS rows at once, and the reduction reflects at the first row
-    of the block that fails it and resumes after that row.  Each row's squared tail is summed by np.add.reduce
+    norm at most skip = tol * ||A||_F / (10 n), where tol is
+    _SKIP_TOL = 1e-12, the step is skipped and that part is dropped; the
+    zero matrix skips every step.  A skipped step writes nothing, so the
+    test runs over a block of _SCAN_ROWS rows at once, and the reduction
+    reflects at the first row of the block that fails it and resumes after
+    that row.  Each row's squared tail is summed by np.add.reduce
     along the row, in numpy's pairwise order; a sum in another order
     (np.einsum's, say) may differ in its last bits, which moves a skip
     decision only for a tail within a rounding of the threshold.  ||A||_F
     is the square root of one dot product of the working array with
     itself, as np.linalg.norm forms it.  Each reflection is one rank-2
-    update (see _reflect).
+    update (see _reflect).  Under SPG_LOG=debug each call logs n, skip and
+    the number of reflections it applied.
     These matrices have minimal polynomials of degree at most 4, so after a
     few reflections the remaining columns sit at roundoff level and almost
     every step is skipped.  The result is therefore the exact spectrum of
-    A + E with ||E||_F <= sqrt(2n) * skip < tol * max(1, ||A||_F), plus
+    A + E with ||E||_F <= sqrt(2n) * skip < tol * ||A||_F, plus
     O(n eps ||A||_F) rounding; by the Hoffman-Wielandt inequality each
     eigenvalue is within that distance of A's.  QL's deflation drops each
     subdiagonal entry |e| <= eps * norm <= 2 eps ||A||_F (see
@@ -358,14 +349,11 @@ def symmetric_eigenvalues(matrix: MatrixLike) -> list[float]:
     O(n eps ||A||_F) term.  QL raises NoConvergence after _QL_ITERATIONS
     iterations on one eigenvalue (30, as in tql1).
     """
-    a, top = _working_copy(matrix)
+    a = _working_copy(matrix)
     n = a.shape[0]
-    if n <= 1:
-        return a.diagonal().tolist()
-    shift = max(0, math.frexp(top)[1])
-    np.ldexp(a, -shift, out=a)
     flat = a.ravel(order="K")  # a view, in the order np.linalg.norm takes
-    skip = _SKIP_TOL * max(math.ldexp(1.0, -shift), math.sqrt(float(flat.dot(flat)))) / (10.0 * n)
+    skip = _SKIP_TOL * math.sqrt(float(flat.dot(flat))) / (10.0 * n)
+    reflections = 0
     k = 0
     while k < n - 2:
         slab = a[k : min(k + _SCAN_ROWS, n - 2), k + 2 :]
@@ -378,16 +366,14 @@ def symmetric_eigenvalues(matrix: MatrixLike) -> list[float]:
         if fails[first]:
             k += first
             _reflect(a, k)
+            reflections += 1
             k += 1
         else:
             k += rows
+    log.debug("oracle n=%d skip=%.3g reflections=%d", n, skip, reflections)
     d = a.diagonal().tolist()
     e = a.diagonal(1).tolist() + [0.0]
-    values = _tridiagonal_eigenvalues(d, e)
-    try:
-        return sorted((math.ldexp(v, shift) for v in values), reverse=True)
-    except OverflowError:
-        raise NonFinite("an eigenvalue lies beyond the float64 range") from None
+    return sorted(_tridiagonal_eigenvalues(d, e), reverse=True)
 
 
 def _cluster_sizes(values: Sequence[float]) -> list[int]:

@@ -88,9 +88,13 @@ def test_int_matrix_keeps_a_signed_dtype_and_hashes_by_value():
         # equal values compare and hash equal, whatever the dtype
         assert m == wide and hash(m) == hash(wide) == hash(IntMatrix(values))
     assert IntMatrix(np.array(values, dtype=np.int8)) != IntMatrix([[0, -3, 7], [-3, 5, -128], [7, -128, 126]])
-    # unsigned, boolean and float arrays go through the per-entry check
-    for dtype in (np.uint8, np.uint64, bool, np.float32, np.float64):
-        with pytest.raises(ValueError, match="expected an integer"):
+    # unsigned, boolean and float arrays go through the per-entry check:
+    # unsigned values that fit become int64, bools and floats are refused
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        m = IntMatrix(np.array([[0, 3], [3, 255]], dtype=dtype))
+        assert m.entries.dtype == np.int64 and m == IntMatrix([[0, 3], [3, 255]])
+    for dtype in (bool, np.float32, np.float64):
+        with pytest.raises(ValueError, match=r"entry \(0, 0\) is .*expected an integer"):
             IntMatrix(np.eye(2, dtype=dtype))
 
 
@@ -100,10 +104,12 @@ def test_int_matrix_refuses_entries_beyond_int64():
     beyond = np.array([[0, -(2**63) - 1], [1, 0]], dtype=object)
     with pytest.raises(ValueError, match=r"entry \(0, 1\) is -9223372036854775809, beyond int64"):
         IntMatrix(beyond)
-    # an unsigned array is refused at its first entry, a numpy scalar
-    unsigned = np.array([[2**63, 0], [0, 1]], dtype=np.uint64)
-    with pytest.raises(ValueError, match=r"entry \(0, 0\) is .*9223372036854775808"):
-        IntMatrix(unsigned)
+    # an unsigned array is refused at its offending entry, and only there
+    for i, j in ((0, 0), (1, 0)):
+        unsigned = np.zeros((2, 2), dtype=np.uint64)
+        unsigned[i, j] = 2**63
+        with pytest.raises(ValueError, match=rf"entry \({i}, {j}\) is 9223372036854775808, beyond int64"):
+            IntMatrix(unsigned)
     fits = IntMatrix(np.array([[2**63 - 1, 0], [0, -(2**63)]], dtype=object))
     assert fits.entries.dtype == np.int64
     assert fits.entries.tolist() == [[2**63 - 1, 0], [0, -(2**63)]]
