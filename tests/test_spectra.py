@@ -362,14 +362,34 @@ def test_jacobi_no_convergence_with_zero_sweeps(monkeypatch):
         symmetric_eigenvalues(IntMatrix([[0, 1], [1, 0]]))
 
 
-def test_oracle_rejects_non_integer_or_wide_entries():
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_oracle_rejects_non_finite_entries(bad):
     # IntMatrix is the oracle's only door: its ValueError names the entry
+    off_diagonal = [[1, bad], [bad, 1]]
+    on_diagonal = [[1, 0, 0], [0, bad, 0], [0, 0, 2]]
+    for matrix, where in (
+        (off_diagonal, (0, 1)),
+        (on_diagonal, (1, 1)),
+        (np.array(on_diagonal, dtype=float), (0, 0)),
+    ):
+        with pytest.raises(ValueError, match=r"entry \(%d, %d\)" % where):
+            symmetric_eigenvalues(matrix)
+
+
+def test_oracle_rejects_values_beyond_float64():
+    # an integer beyond float64 is beyond int64 too, and refused at its entry
+    for matrix, where in (
+        ([[10**400, 0], [0, 1]], (0, 0)),
+        ([[0, -(10**400)], [-(10**400), 0]], (0, 1)),
+    ):
+        with pytest.raises(ValueError, match=r"entry \(%d, %d\) .* beyond int64" % where):
+            symmetric_eigenvalues(matrix)
+
+
+def test_oracle_rejects_non_integer_or_wide_entries():
     for matrix, where in (
         (np.array([[1.0, 0.0], [0.0, 1.0]]), (0, 0)),
-        ([[math.nan, 0], [0, 1]], (0, 0)),
-        ([[0, 1], [1, math.inf]], (1, 1)),
-        ([[0, -math.inf], [-math.inf, 0]], (0, 1)),
-        ([[10**400, 0], [0, 1]], (0, 0)),
+        ([[0, 1], [1, 0.5]], (1, 1)),
         ([[0, -(2**63) - 1], [-(2**63) - 1, 0]], (0, 1)),
     ):
         with pytest.raises(ValueError, match=r"entry \(%d, %d\)" % where):
