@@ -57,9 +57,12 @@ class IntMatrix:
 
     A square 2-D ndarray of a signed integer dtype (int8 to int64) is copied
     as it is, dtype and all: its dtype already proves every entry an
-    integer.  Any other input is checked entry by entry and becomes int64;
-    any other ndarray (unsigned, bool, float or object) is read with
+    integer.  Any other input must be a list or tuple of n rows, each a list
+    or tuple of n entries, and is checked entry by entry and becomes int64;
+    any other 2-D ndarray (unsigned, bool, float or object) is read with
     tolist(), so each entry is checked as the Python value it holds.  An
+    array of another shape, a row that is not a list or tuple, or a row of
+    another length raises ValueError naming the shape or the row.  An
     entry that is not an int (a float, NaN or bool), or an int beyond
     int64, raises ValueError naming its (i, j).  Equality and
     the hash follow the values, not the dtype.  Arithmetic widens first: an
@@ -79,10 +82,15 @@ class IntMatrix:
             entries = rows.copy()
         else:
             if isinstance(rows, np.ndarray):
+                if rows.ndim != 2:
+                    raise ValueError(f"array has shape {rows.shape}, expected (n, n)")
                 rows = rows.tolist()
-            rows = [list(row) for row in rows]
+            if not isinstance(rows, (list, tuple)):
+                raise ValueError(f"matrix is {type(rows).__name__}, expected a list of rows")
             n = len(rows)
             for i, row in enumerate(rows):
+                if not isinstance(row, (list, tuple)):
+                    raise ValueError(f"row {i} is {row!r}, expected a list of {n} entries")
                 if len(row) != n:
                     raise ValueError(f"row {i} has length {len(row)}, expected {n}")
                 for j, v in enumerate(row):

@@ -77,32 +77,20 @@ class GroupSpec:
         """
         raise NotImplementedError
 
-    def op(self, a: int, b: int) -> int:
-        """The product a*b of two checked element indices."""
-        self._check(a)
-        self._check(b)
-        return int(self.law(a, b))
-
-    def _check(self, a: int) -> None:
-        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.order:
-            raise IndexError(
-                f"element index {a!r} out of range for group of order {self.order}"
-            )
-
-    def element_order(self, a: int) -> int:
-        """Smallest k >= 1 with a^k = identity, found by plain iteration."""
-        self._check(a)
-        current, k = a, 1
-        while current != 0:
-            current = self.op(current, a)
-            k += 1
-            if k > self.order:
-                raise RuntimeError(f"element {a} never reached the identity")
-        return k
-
     def is_cyclic(self) -> bool:
-        """True iff some element has order |G|."""
-        return any(self.element_order(a) == self.order for a in range(self.order))
+        """True iff some element has order |G|, by the generator test of
+        _generators: O(log n) law calls on index arrays of length n, using
+        the law alone.  A law that breaks Lagrange's a^n = e is refused
+        with a ValueError naming a.
+
+        CyclicGroup, DirectProductGroup and DihedralGroup override this with
+        an O(1) answer from their structure.  The overrides stay for two
+        measured reasons: with every group routed through the law test, the
+        benchmark's spectrum workload read its normalised wall time 10.8 %
+        and its median item time 12 % higher (2-vCPU machine), and the
+        closed forms of Z_n at n near 10^9 would need arrays of length n.
+        """
+        return bool(_generators(self).any())
 
     def cayley_table(self) -> list[list[int]]:
         """Materialise the full multiplication table."""
@@ -132,6 +120,7 @@ class CyclicGroup(GroupSpec):
         return (a + b) % self.order
 
     def is_cyclic(self) -> bool:
+        """True by definition: the residue 1 generates Z_n."""
         return True
 
 
@@ -160,7 +149,9 @@ class DirectProductGroup(GroupSpec):
         return out
 
     def is_cyclic(self) -> bool:
-        """True iff the factor orders are pairwise coprime (Chinese remainder theorem)."""
+        """True iff lcm(m_0, ..., m_{r-1}) = |G|.  The largest element order
+        of a product of cyclic groups is the lcm of the factor orders, which
+        is |G| iff they are pairwise coprime (Chinese remainder theorem)."""
         return math.lcm(*self.orders) == self.order
 
 
@@ -228,9 +219,10 @@ class CayleyGroup(GroupSpec):
         return self._t[a, b]
 
 
-# spg needs primality and the totient of group orders, which the n^2 bytes of
-# a graph bound, and primality of the exact charpoly's basis primes, which lie
-# below 2^27.  Both functions accept 1 <= n < _LIMIT and refuse the rest.
+# spg needs primality, the totient and the prime divisors of group orders,
+# which the n^2 bytes of a graph bound, and primality of the exact charpoly's
+# basis primes, which lie below 2^27.  All three accept 1 <= n < _LIMIT and
+# refuse the rest.
 # _LIMIT is 3215031751 = 151 * 751 * 28351, the smallest strong pseudoprime
 # to the bases 2, 3, 5 and 7 (Jaeschke, Math. Comp. 61, 1993), so the test to
 # those four bases is exact below it; trial division there takes at most
@@ -270,21 +262,66 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def totient(n: int) -> int:
-    """Euler's totient of 1 <= n < 3215031751, n times the product of
-    (1 - 1/p) over the primes p | n, found by trial division by 2 and the
-    odd p with p^2 <= the cofactor.  Other input raises ValueError."""
-    _check_domain(n, "totient")
-    result, p = n, 2
+def _prime_divisors(n: int, name: str) -> list[int]:
+    """The primes dividing 1 <= n < 3215031751, ascending, by trial division
+    by 2 and the odd p with p^2 <= the cofactor.  Other input raises the
+    ValueError of the function called name."""
+    _check_domain(n, name)
+    primes, p = [], 2
     while p * p <= n:
         if n % p == 0:
-            result -= result // p
+            primes.append(p)
             while n % p == 0:
                 n //= p
         p += 1 if p == 2 else 2
     if n > 1:
-        result -= result // n
+        primes.append(n)
+    return primes
+
+
+def totient(n: int) -> int:
+    """Euler's totient of 1 <= n < 3215031751, n times the product of
+    (1 - 1/p) over the primes p | n (see _prime_divisors).  Other input
+    raises ValueError."""
+    result = n
+    for p in _prime_divisors(n, "totient"):
+        result -= result // p
     return result
+
+
+def _generators(g: GroupSpec) -> np.ndarray:
+    """The boolean mask of the elements of order n = |G|, from g.law alone.
+
+    Every element is raised at once to n and to n / p for each prime p | n:
+    the squarings a^(2^i) are made once, and each exponent multiplies in
+    those of its binary digits, so the law is called fewer than
+    (omega(n) + 2) * n.bit_length() times, on index arrays of length n.
+    The order of a divides n (Lagrange), so a^n = e for a group law, and an
+    element with a^n != e is refused with a ValueError naming it.  Then a
+    has order n iff a^(n/p) != e for every prime p | n.
+    """
+    n = g.order
+    primes = _prime_divisors(n, "is_cyclic")
+    exponents = [n] + [n // p for p in primes]
+    powers: list = [None] * len(exponents)
+    square = np.arange(n)
+    for i in range(n.bit_length()):
+        if i:
+            square = g.law(square, square)
+        for j, k in enumerate(exponents):
+            if k >> i & 1:
+                powers[j] = square if powers[j] is None else g.law(powers[j], square)
+    full, *proper = powers
+    if full.any():
+        a = int(np.flatnonzero(full)[0])
+        raise ValueError(
+            f"element {a} has {a}^{n} = {full[a]}, not the identity 0: "
+            f"the law is not that of a group of order {n}"
+        )
+    generators = np.ones(n, dtype=bool)
+    for power in proper:
+        generators &= power != 0
+    return generators
 
 
 def is_composite(n: int) -> bool:

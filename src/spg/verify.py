@@ -179,11 +179,11 @@ def verify_range(
 
     Workers > 1 fans the per-n tasks out to a process pool of at most
     min(workers, cpu count, number of orders) processes; the report content
-    is identical either way because tasks are pure and the merge is ordered
-    by n.  The arguments are checked first (check_range).  A closed form
-    whose degree differs from n, or whose cubic has non-real roots, fails
-    its check with deviation inf; the latter has no theta and both flags
-    False.
+    is identical either way because tasks are pure and pool.map, like the
+    serial loop, returns the records in the order of n.  The arguments are
+    checked first (check_range).  A closed form whose degree differs from
+    n, or whose cubic has non-real roots, fails its check with deviation
+    inf; the latter has no theta and both flags False.
     """
     check_range(n_min, n_max, tol, workers)
     started = time.perf_counter()
@@ -196,7 +196,6 @@ def verify_range(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_verify_single, orders))
-    records.sort(key=lambda r: r.n)
     failures = []
     for r in records:
         failed = r.failed(tol)

@@ -59,16 +59,35 @@ def permuted(matrix: IntMatrix, order: list[int]) -> IntMatrix:
     return IntMatrix(matrix.entries[np.ix_(order, order)])
 
 
+def op(g: GroupSpec, a: int, b: int) -> int:
+    """The product a*b of two element indices, one scalar law call: the
+    tests' element-by-element references all multiply through here."""
+    return int(g.law(a, b))
+
+
+def element_order(g: GroupSpec, a: int) -> int:
+    """Smallest k >= 1 with a^k = identity, by plain iteration through op:
+    the definition spg.groups' vectorised generator test is checked
+    against."""
+    current, k = a, 1
+    while current != 0:
+        current = op(g, current, a)
+        k += 1
+        if k > g.order:
+            raise AssertionError(f"element {a} never reached the identity")
+    return k
+
+
 def group_power(g: GroupSpec, a: int, k: int) -> int:
-    """a composed with itself k times through g.op, by squaring; k = 0
+    """a composed with itself k times through op, by squaring; k = 0
     yields the identity."""
     if k < 0:
         raise ValueError("exponent must be nonnegative")
     result, base = 0, a
     while k:
         if k & 1:
-            result = g.op(result, base)
-        base = g.op(base, base)
+            result = op(g, result, base)
+        base = op(g, base, base)
         k >>= 1
     return result
 
@@ -242,7 +261,7 @@ def strong_power_graph_structural(g: GroupSpec) -> SimpleGraph:
     if isinstance(g, CyclicGroup):
         non_generator = np.gcd(np.arange(n), n) != 1
     else:
-        non_generator = np.array([g.element_order(a) != n for a in range(n)])
+        non_generator = np.array([element_order(g, a) != n for a in range(n)])
     non_generator[0] = False
     adj = ~np.eye(n, dtype=bool)  # clique on 1..n-1, row and column 0 set below
     adj[0] = adj[:, 0] = non_generator
@@ -251,14 +270,14 @@ def strong_power_graph_structural(g: GroupSpec) -> SimpleGraph:
 
 def reference_power_sets(g: GroupSpec) -> list[int]:
     """The power set {a^k : 1 <= k <= n-1} of each element a as a bitmask,
-    one power at a time through g.op."""
+    one power at a time through op."""
     n = g.order
     power_masks = []
     for a in range(n):
         mask, current = 0, a
         for _ in range(n - 1):
             mask |= 1 << current
-            current = g.op(current, a)
+            current = op(g, current, a)
             if current == a:  # the remaining powers only repeat this cycle
                 break
         power_masks.append(mask)
@@ -267,7 +286,7 @@ def reference_power_sets(g: GroupSpec) -> list[int]:
 
 def reference_strong_power_graph(g: GroupSpec) -> list[int]:
     """The strong power graph as one adjacency bitmask per vertex, built pair
-    by pair from power-set bitmasks through g.op; the array builder in
+    by pair from power-set bitmasks through op; the array builder in
     spg.graphs is checked against it."""
     n = g.order
     power_masks = reference_power_sets(g)

@@ -35,6 +35,7 @@ from spg.exactalg import (
 from spg import exactalg
 from spg.exactalg import _hadamard_bound, _modular_charpoly, _prime_basis
 from spg.graphs import adjacency_matrix, distance_matrix, strong_power_graph
+from spg.spectra import symmetric_eigenvalues
 
 from conftest import (
     bareiss_det,
@@ -73,6 +74,21 @@ def test_int_matrix_takes_square_int64_arrays():
         IntMatrix(np.zeros((2, 3), dtype=np.int64))
     with pytest.raises(ValueError, match="at least one row"):
         IntMatrix(np.zeros((0, 0), dtype=np.int64))
+    # input that is not two-dimensional names its shape or its first row
+    with pytest.raises(ValueError, match=r"row 0 is 1, expected a list of 2 entries"):
+        IntMatrix([1, 2])
+    with pytest.raises(ValueError, match=r"row 1 is 3, expected a list of 2 entries"):
+        IntMatrix([[1, 2], 3])
+    with pytest.raises(ValueError, match=r"shape \(2,\), expected \(n, n\)"):
+        IntMatrix(np.array([1, 2]))
+    with pytest.raises(ValueError, match=r"shape \(\), expected \(n, n\)"):
+        IntMatrix(np.array(5))
+    with pytest.raises(ValueError, match=r"shape \(2, 2, 2\), expected \(n, n\)"):
+        IntMatrix(np.zeros((2, 2, 2), dtype=np.int8))
+    with pytest.raises(ValueError, match="matrix is int, expected a list of rows"):
+        IntMatrix(5)
+    with pytest.raises(ValueError, match=r"row 0 is 1, expected a list of 2 entries"):
+        symmetric_eigenvalues([1, 2])
 
 
 def test_int_matrix_keeps_a_signed_dtype_and_hashes_by_value():

@@ -33,7 +33,13 @@ from spg.groups import (
 
 from spg.spectra import distance_spectrum_closed
 
-from conftest import group_power, quaternion_table, reference_validate_cayley_table
+from conftest import (
+    element_order,
+    group_power,
+    op,
+    quaternion_table,
+    reference_validate_cayley_table,
+)
 
 
 # --- independent scalar group laws: the element-by-element definitions ------
@@ -161,18 +167,10 @@ def _segmented_sieve(lo, hi):
 
 def test_cyclic_op():
     g = CyclicGroup(6)
-    assert g.op(4, 5) == 3
+    assert op(g, 4, 5) == 3
     for x in range(6):
-        assert g.op(0, x) == x
-        assert g.op(x, 0) == x
-
-
-def test_op_rejects_out_of_range():
-    g = CyclicGroup(4)
-    with pytest.raises(IndexError):
-        g.op(0, 4)
-    with pytest.raises(IndexError):
-        g.op(-1, 0)
+        assert op(g, 0, x) == x
+        assert op(g, x, 0) == x
 
 
 def test_power():
@@ -190,13 +188,13 @@ def test_power_matches_iteration():
         current = 0
         for k in range(0, 13):
             assert group_power(g, a, k) == current
-            current = g.op(current, a)
+            current = op(g, current, a)
 
 
 def test_dihedral_is_noncommutative():
     g = DihedralGroup(3)
     assert any(
-        g.op(a, b) != g.op(b, a) for a in range(6) for b in range(6)
+        op(g, a, b) != op(g, b, a) for a in range(6) for b in range(6)
     )
 
 
@@ -205,11 +203,42 @@ def test_dihedral_table_is_a_group():
         assert validate_cayley_table(DihedralGroup(m).cayley_table()) == 0
 
 
-def test_is_cyclic():
+def _assert_is_cyclic_matches_the_law_test(g, expected):
+    """expected, the O(1) structural answer, equals the base class's law
+    test; up to order 64 both equal the element-order definition, element
+    by element; a cyclic group has totient(n) generators."""
+    n = g.order
+    assert GroupSpec.is_cyclic(g) == expected, g
+    generators = groups._generators(g)
+    if n <= 64:
+        assert generators.tolist() == [element_order(g, a) == n for a in range(n)], g
+    if expected:
+        assert generators.sum() == totient(n), g
+    else:
+        assert not generators.any(), g
+
+
+def test_is_cyclic(q8):
     assert CyclicGroup(8).is_cyclic()
     assert not DirectProductGroup([2, 2]).is_cyclic()
     assert DirectProductGroup([2, 3]).is_cyclic()
-    assert DirectProductGroup([2, 3]).element_order(4) == 6  # (1, 1)
+    assert element_order(DirectProductGroup([2, 3]), 4) == 6  # (1, 1)
+    # Z_1..Z_300, then the relabelled Cayley tables of the 660-group set of
+    # test_graphs (the same sources, seed and permutations), which have no
+    # override and are compared with their source's, and Q8
+    for n in range(1, 301):
+        g = CyclicGroup(n)
+        _assert_is_cyclic_matches_the_law_test(g, g.is_cyclic())
+    rng = random.Random(20261020)
+    for source in (CyclicGroup(12), CyclicGroup(49), CyclicGroup(64), CyclicGroup(97),
+                   DirectProductGroup((2, 8)), DirectProductGroup((3, 3, 3)),
+                   DirectProductGroup((5, 25)), DihedralGroup(10), DihedralGroup(32),
+                   DihedralGroup(60)):
+        perm = list(range(source.order))
+        rng.shuffle(perm)
+        table = CayleyGroup(_relabelled(source.cayley_table(), perm))
+        _assert_is_cyclic_matches_the_law_test(table, source.is_cyclic())
+    _assert_is_cyclic_matches_the_law_test(q8, False)
 
 
 def test_direct_product_cyclic_iff_coprime_orders():
@@ -221,18 +250,66 @@ def test_direct_product_cyclic_iff_coprime_orders():
 
 def test_product_is_cyclic_matches_the_element_order_definition():
     # factor order does not change the group up to isomorphism, so every
-    # multiset of two or three factor orders up to 8 is covered
-    for size in (2, 3):
-        for orders in itertools.combinations_with_replacement(range(1, 9), size):
-            g = DirectProductGroup(orders)
-            assert g.is_cyclic() == GroupSpec.is_cyclic(g), orders
+    # multiset of two or three factor orders up to 8 is covered, then the
+    # products of the 660-group set of test_graphs: Z_a x Z_b for
+    # 2 <= a, b <= 15 and three three-factor products
+    products = [
+        orders
+        for size in (2, 3)
+        for orders in itertools.combinations_with_replacement(range(1, 9), size)
+    ]
+    products += [(a, b) for a in range(2, 16) for b in range(2, 16)]
+    products += [(2, 3, 5), (2, 2, 9), (3, 4, 6)]
+    for orders in products:
+        g = DirectProductGroup(orders)
+        _assert_is_cyclic_matches_the_law_test(g, g.is_cyclic())
 
 
 def test_dihedral_is_cyclic_matches_the_element_order_definition():
-    for m in range(1, 31):
+    for m in range(1, 151):
         g = DihedralGroup(m)
-        assert g.is_cyclic() == GroupSpec.is_cyclic(g), m
+        _assert_is_cyclic_matches_the_law_test(g, g.is_cyclic())
     assert DihedralGroup(1).is_cyclic()  # D_1 is Z_2
+
+
+class _BrokenZ6(GroupSpec):
+    """Z_6 with the one product 3*3 set to 1, so 3^6 = 3, not the identity."""
+
+    kind = "broken"
+    order = 6
+
+    def law(self, a, b):
+        return np.where((a == 3) & (b == 3), 1, (a + b) % 6)
+
+
+def test_law_test_refuses_a_law_that_breaks_lagrange():
+    with pytest.raises(ValueError, match=r"element 3 has 3\^6 = 3, not the identity 0"):
+        _BrokenZ6().is_cyclic()
+
+
+@pytest.mark.parametrize(
+    "source, cyclic",
+    [(DirectProductGroup([2, 1000]), False), (DihedralGroup(1000), False), (CyclicGroup(2048), True)],
+    ids=["Z2xZ1000", "D1000", "Z2048"],
+)
+def test_law_test_makes_logarithmically_many_law_calls(monkeypatch, source, cyclic):
+    # the squarings a^(2^i) are shared by a^n and each a^(n/p); the bound is
+    # (omega(n) + 2) * n.bit_length() calls, on arrays of length n: 44, 44
+    # and 36 here, where 22, 22 and 11 are made
+    g = CayleyGroup(source.cayley_table())
+    n = g.order
+    shapes = []
+    law = g.law
+
+    def counting(a, b):
+        shapes.append((np.shape(a), np.shape(b)))
+        return law(a, b)
+
+    monkeypatch.setattr(g, "law", counting)
+    assert GroupSpec.is_cyclic(g) == cyclic
+    omega = sum(1 for p in range(2, n + 1) if n % p == 0 and _trial_is_prime(p))
+    assert len(shapes) <= (omega + 2) * n.bit_length(), len(shapes)
+    assert set(shapes) == {((n,), (n,))}
 
 
 # an order is an int of at least 1, never a bool, a float or a string
@@ -264,7 +341,7 @@ def test_direct_product_refuses_bools_and_non_integers():
 def test_lagrange_over_catalog(catalog60):
     for name, g in catalog60:
         for a in range(g.order):
-            k = g.element_order(a)
+            k = element_order(g, a)
             assert g.order % k == 0, (name, a, k)
             assert group_power(g, a, k) == 0, (name, a, k)
 
@@ -301,7 +378,7 @@ def test_is_prime():
 def test_load_quaternion_table(q8):
     assert q8.order == 8
     assert not q8.is_cyclic()
-    assert all(q8.element_order(a) in (1, 2, 4) for a in range(8))
+    assert all(element_order(q8, a) in (1, 2, 4) for a in range(8))
 
 
 def test_load_tiny_table():
@@ -312,7 +389,7 @@ def test_load_tiny_table():
 def test_load_relocates_identity():
     # identity of this table sits at index 1; loading must move it to 0
     g = load_cayley_table({"order": 2, "table": [[1, 0], [0, 1]], "labels": ["a", "e"]})
-    assert g.op(0, 1) == 1
+    assert op(g, 0, 1) == 1
     assert g.labels == ("e", "a")
 
 
@@ -424,7 +501,7 @@ def test_mutated_tables_are_rejected():
 def test_cayley_group_relocates_identity():
     # as test_load_relocates_identity: the constructor moves the identity to 0
     g = CayleyGroup([[1, 0], [0, 1]], labels=["a", "e"])
-    assert g.op(0, 1) == 1
+    assert op(g, 0, 1) == 1
     assert g.labels == ("e", "a")
 
 
@@ -456,7 +533,7 @@ def test_cayley_group_freezes_a_copy_of_a_caller_array():
     g = CayleyGroup(t)
     assert t.flags.writeable
     t[0, 0] = 3
-    assert g.op(0, 0) == 0
+    assert op(g, 0, 0) == 0
     assert g.cayley_table() == CyclicGroup(4).cayley_table()
 
 
@@ -608,12 +685,7 @@ def test_law_matches_the_scalar_definitions_over_catalog(catalog60):
         i = np.arange(g.order)
         assert g.law(i[:, None], i[None, :]).tolist() == expected, name
         assert g.cayley_table() == expected, name
-        assert [[g.op(a, b) for b in range(g.order)] for a in range(g.order)] == expected, name
-
-
-def test_op_returns_python_ints(q8):
-    for g in (CyclicGroup(5), DirectProductGroup([2, 3]), DihedralGroup(4), q8):
-        assert all(type(g.op(a, b)) is int for a in range(g.order) for b in range(g.order))
+        assert [[op(g, a, b) for b in range(g.order)] for a in range(g.order)] == expected, name
 
 
 def test_load_relabelling_matches_the_swap_definition():
