@@ -25,7 +25,6 @@ from .graphs import (
     DisconnectedGraph,
     SimpleGraph,
     adjacency_matrix,
-    components,
     distance_matrix,
     is_complete,
     is_connected,

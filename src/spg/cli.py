@@ -17,7 +17,8 @@ a failed comparison or a closed-form cubic without three real roots for
 spectrum, a false match for charpoly), 2 usage or parse error (including a
 group order above --max-order), 3 inapplicable input (a disconnected graph,
 or no closed form in the paper).  The SPG_LOG environment variable sets log
-verbosity (debug, info, warning, error).
+verbosity (debug, info, warning, error, critical); any other value is
+reported on stderr and read as warning.
 """
 
 from __future__ import annotations
@@ -161,8 +162,7 @@ def cmd_build(args: argparse.Namespace) -> tuple[int, str]:
     group = parse_group_spec(args.group, args.max_order)
     graph = strong_power_graph(group)
     if args.format == "dot":
-        labels = [group.label(v) for v in range(graph.n)]
-        return EXIT_OK, to_dot(graph, labels)
+        return EXIT_OK, to_dot(graph, group.labels)
     if args.format == "csv":
         return EXIT_OK, matrix_to_csv(adjacency_matrix(graph))
     return EXIT_OK, to_json(graph, args.group)
@@ -242,8 +242,17 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get("SPG_LOG", "warning").upper()
-    level = getattr(logging, level_name, logging.WARNING)
+    """Log at the level SPG_LOG names, warning by default.  Any other value
+    is reported in one stderr line and read as warning."""
+    name = os.environ.get("SPG_LOG", "warning")
+    level = logging.getLevelName(name.upper())  # an int only for a level name
+    if not isinstance(level, int):
+        print(
+            f"spg: warning: SPG_LOG={name!r} is not a log level; "
+            "expected one of debug, info, warning, error, critical; using warning",
+            file=sys.stderr,
+        )
+        level = logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 

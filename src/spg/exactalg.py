@@ -473,7 +473,9 @@ def charpoly_factors(matrix: IntMatrix) -> list[tuple[IntPolynomial, int]]:
     multiplicities, [(f_1, m_1), ...], whose product f_1^m_1 f_2^m_2 ...
     is it: the charpolys of the distinct diagonal blocks the integer stage
     splits M into, and of the trailing block left to the primes.  The
-    factors are neither coprime nor squarefree (see same_product).
+    factors are neither coprime nor squarefree (see same_product).  Any
+    argument but an IntMatrix goes through IntMatrix first, whose
+    ValueError names a non-integer entry or one beyond int64.
 
     Hessenberg method (Cohen, *A Course in Computational Algebraic Number
     Theory*, Alg. 2.2.9), first over the integers, then, for whatever the
@@ -535,6 +537,8 @@ def charpoly_factors(matrix: IntMatrix) -> list[tuple[IntPolynomial, int]]:
     monic, sum m * deg f = n, and sum m * [x^(deg f - 1)] f = -tr(M), the
     x^(n-1) coefficient of the product.
     """
+    if not isinstance(matrix, IntMatrix):
+        matrix = IntMatrix(matrix)
     n = matrix.n
     entries = matrix.entries
     small = (1 << 62) // n  # the integer stage's int64 limit (see _integer_hessenberg)

@@ -36,7 +36,6 @@ __all__ = [
     "distance_matrix",
     "is_connected",
     "is_complete",
-    "components",
     "to_dot",
     "to_json",
     "matrix_to_csv",
@@ -283,16 +282,13 @@ def _distances(graph: SimpleGraph) -> np.ndarray:
 
 
 def _components(dist: np.ndarray) -> list[list[int]]:
+    """Connected components from _distances, each sorted, ordered by
+    smallest vertex."""
     reached = dist >= 0
     # row v of `reached` is v's component; v is its smallest vertex iff the
     # first True of row v is v itself
     firsts = np.flatnonzero(reached.argmax(axis=1) == np.arange(len(dist)))
     return [np.flatnonzero(reached[v]).tolist() for v in firsts]
-
-
-def components(graph: SimpleGraph) -> list[list[int]]:
-    """Connected components, each sorted, ordered by smallest vertex."""
-    return _components(_distances(graph))
 
 
 def is_connected(graph: SimpleGraph) -> bool:

@@ -60,7 +60,6 @@ class GroupSpec:
     the identity element.
     """
 
-    kind: str
     order: int
     labels: Optional[tuple[str, ...]] = None
 
@@ -97,19 +96,12 @@ class GroupSpec:
         i = np.arange(self.order)
         return self.law(i[:, None], i[None, :]).tolist()
 
-    def label(self, a: int) -> str:
-        if self.labels is not None:
-            return self.labels[a]
-        return str(a)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(order={self.order})"
 
 
 class CyclicGroup(GroupSpec):
     """Z_n with addition modulo n; element k is the residue k."""
-
-    kind = "cyclic"
 
     def __init__(self, n: int):
         if not _is_positive_int(n):
@@ -130,8 +122,6 @@ class DirectProductGroup(GroupSpec):
     For orders (m_0, ..., m_{r-1}) the tuple (d_0, ..., d_{r-1}) maps to the
     index d_0 * m_1 * ... * m_{r-1} + ... + d_{r-1}.
     """
-
-    kind = "product"
 
     def __init__(self, orders: Sequence[int]):
         orders = tuple(orders)
@@ -159,8 +149,6 @@ class DihedralGroup(GroupSpec):
     """Dihedral group of order 2m: indices 0..m-1 are rotations r^i,
     indices m..2m-1 are reflections s*r^i."""
 
-    kind = "dihedral"
-
     def __init__(self, m: int):
         if not _is_positive_int(m):
             raise ValueError(f"dihedral parameter must be a positive integer, got {m!r}")
@@ -183,17 +171,15 @@ class DihedralGroup(GroupSpec):
 class CayleyGroup(GroupSpec):
     """A group given by an explicit multiplication table, validated here.
 
-    table is a list of n rows of n ints, or a 2-D numpy array; labels, if
-    given, is a list or tuple of n strings.  The table is converted and
-    range-checked once, then its axioms are checked once on that int64
-    array (see validate_cayley_table), every error in the caller's own
-    indexing; the labels are checked after the table.  If the identity sits
-    at e != 0, indices 0 and e are swapped, in the table and in the labels,
-    which keeps it a group table with the identity at 0.  The law looks
-    products up in a read-only int64 copy of the table.
+    table is a list or tuple of n rows of n ints, as JSON and cayley_table()
+    give it; labels, if given, is a list or tuple of n strings.  The table
+    is converted and range-checked once, then its axioms are checked once on
+    that int64 array (see validate_cayley_table), every error in the
+    caller's own indexing; the labels are checked after the table.  If the
+    identity sits at e != 0, indices 0 and e are swapped, in the table and
+    in the labels, which keeps it a group table with the identity at 0.  The
+    law looks products up in a read-only int64 copy of the table.
     """
-
-    kind = "cayley"
 
     def __init__(self, table: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None):
         t = _table_array(table)
@@ -337,18 +323,16 @@ def _raise_bad_entry(flat: Sequence, n: int) -> None:
             raise BadTableShape(f"entry at row {i}, col {j} is {v!r}, expected 0..{n - 1}")
 
 
-def _table_array(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
-    """The table as a new n x n int64 array, with shape and integrality
-    checked.
+def _table_array(table: Sequence[Sequence[int]]) -> np.ndarray:
+    """The list or tuple of rows table as a new n x n int64 array, with
+    shape and integrality checked.
 
-    A numpy array is read as nested lists.  Rows are checked in file
-    order, each row's type and length before its entries, so the error
-    names the first offending row or the lowest offending `row i, col j`.
+    Rows are checked in file order, each row's type and length before its
+    entries, so the error names the first offending row or the lowest
+    offending `row i, col j`.
     The entries are converted to int64 in one call; only when that or the
     range check fails are they scanned one by one to find the offender.
     """
-    if isinstance(table, np.ndarray):
-        table = table.tolist()
     if not isinstance(table, (list, tuple)):
         raise BadTableShape(f"table is {type(table).__name__}, expected a list of rows")
     n = len(table)
@@ -403,17 +387,18 @@ def _raise_associativity_witness(t: np.ndarray) -> None:
     raise AssertionError("Light's test failed but no triple violates associativity")
 
 
-def validate_cayley_table(table: Sequence[Sequence[int]] | np.ndarray) -> int:
+def validate_cayley_table(table: Sequence[Sequence[int]]) -> int:
     """Check the group axioms on a multiplication table.
 
-    table is a list of n rows of n ints, or a 2-D numpy array, read as
-    nested lists.  Returns the index of the identity element.
+    table is a list or tuple of n rows of n ints, as for CayleyGroup.
+    Returns the index of the identity element.
     Raises a CayleyTableError subclass naming the failed axiom, with
     row/column coordinates where applicable, in this order:
 
-    - BadTableShape: the first row that is not a list of length n, or the
-      lowest entry before it that is not an int in 0..n-1.  Closure is then
-      structural (entries are indices).
+    - BadTableShape: a table that is not a list or tuple (a numpy array
+      included), the first row that is not a list or tuple of length n, or
+      the lowest entry before it that is not an int in 0..n-1.  Closure is
+      then structural (entries are indices).
     - NotLatinSquare: the first row, else the first column, whose sorted
       entries differ from 0..n-1, at the first entry repeated in it.
     - MissingIdentity: no e has row e and column e both equal to 0..n-1.

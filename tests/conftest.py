@@ -78,6 +78,12 @@ def element_order(g: GroupSpec, a: int) -> int:
     return k
 
 
+def label(g: GroupSpec, v: int) -> str:
+    """The name of element v: its label when g has labels, else the index
+    in decimal, as to_dot writes it."""
+    return g.labels[v] if g.labels is not None else str(v)
+
+
 def group_power(g: GroupSpec, a: int, k: int) -> int:
     """a composed with itself k times through op, by squaring; k = 0
     yields the identity."""
@@ -230,6 +236,12 @@ def reference_to_json(graph: SimpleGraph, group: str) -> str:
     list of reference_edges; spg.graphs.to_json must return the same text."""
     document = {"group": group, "n": graph.n, "edges": reference_edges(graph)}
     return json.dumps(document, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+def components(graph: SimpleGraph) -> list[list[int]]:
+    """Connected components, each sorted, ordered by smallest vertex, read
+    from spg's own distance array."""
+    return graphs._components(graphs._distances(graph))
 
 
 def diameter(graph: SimpleGraph) -> int:

@@ -15,7 +15,6 @@ from spg.exactalg import (
 )
 from spg.graphs import (
     adjacency_matrix,
-    components,
     distance_matrix,
     is_complete,
     strong_power_graph,
@@ -35,7 +34,7 @@ from spg.spectra import (
 )
 from spg.verify import Check, VerificationRecord
 
-from conftest import diameter, spectrum_max_value, strong_power_graph_structural
+from conftest import components, diameter, spectrum_max_value, strong_power_graph_structural
 
 N_MAX = 150
 COMPOSITES = [n for n in range(4, N_MAX + 1) if is_composite(n)]

@@ -20,7 +20,7 @@ from spg.graphs import strong_power_graph
 from spg.groups import CyclicGroup, DihedralGroup, DirectProductGroup, is_composite, load_cayley_table
 from spg.verify import Check, VerificationRecord, verify_range
 
-from conftest import quaternion_table, reference_to_dot, reference_to_json, s3_table
+from conftest import label, quaternion_table, reference_to_dot, reference_to_json, s3_table
 
 
 def run_cli(capsys, argv):
@@ -71,7 +71,7 @@ def test_build_csv(capsys):
 def _reference_build(spec, group, fmt):
     graph = strong_power_graph(group)
     if fmt == "dot":
-        return reference_to_dot(graph, [group.label(v) for v in range(graph.n)])
+        return reference_to_dot(graph, [label(group, v) for v in range(graph.n)])
     if fmt == "json":
         return reference_to_json(graph, spec)
     return "".join(",".join(map(str, row)) + "\n" for row in graph.adj.astype(int).tolist())
@@ -576,6 +576,22 @@ def test_verify_is_deterministic():
     first = _strip_elapsed(verify_range(4, 10).to_document())
     second = _strip_elapsed(verify_range(4, 10).to_document())
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", ["basic_format", "bogus"])
+def test_spg_log_values_that_are_not_level_names_run_at_warning(capsys, monkeypatch, value):
+    # BASIC_FORMAT is an attribute of logging but not a level name
+    monkeypatch.delenv("SPG_LOG", raising=False)
+    code, expected, err = run_cli(capsys, ["verify", "--range", "2..3"])
+    assert (code, err) == (0, "")
+    monkeypatch.setenv("SPG_LOG", value)
+    code, out, err = run_cli(capsys, ["verify", "--range", "2..3"])
+    assert code == 0
+    assert err == (
+        f"spg: warning: SPG_LOG='{value}' is not a log level; "
+        "expected one of debug, info, warning, error, critical; using warning\n"
+    )
+    assert _strip_elapsed(json.loads(out)) == _strip_elapsed(json.loads(expected))
 
 
 def test_verify_workers_do_not_change_content():

@@ -151,6 +151,15 @@ def test_charpoly_swap_matrix():
     assert charpoly(IntMatrix([[0, 1], [1, 0]])) == IntPolynomial([-1, 0, 1])
 
 
+def test_charpoly_takes_what_int_matrix_takes():
+    # as symmetric_eigenvalues: any argument goes through IntMatrix first
+    rows = [[0, 1, 2], [1, 5, -3], [2, -3, 0]]
+    assert charpoly_factors(rows) == charpoly_factors(IntMatrix(rows))
+    assert charpoly([[0, 1], [1, 0]]) == IntPolynomial([-1, 0, 1])
+    with pytest.raises(ValueError, match=r"entry \(1, 0\) is 1.5, expected an integer"):
+        charpoly_factors([[0, 1], [1.5, 0]])
+
+
 def test_charpoly_identity():
     assert charpoly(identity_matrix(3)) == IntPolynomial([-1, 3, -3, 1])
 

@@ -17,7 +17,6 @@ from spg.graphs import (
     DisconnectedGraph,
     SimpleGraph,
     adjacency_matrix,
-    components,
     distance_matrix,
     is_complete,
     is_connected,
@@ -37,11 +36,13 @@ from spg.groups import (
 
 from conftest import (
     complete_graph,
+    components,
     diameter,
     edges,
     element_order,
     graph_from_edges,
     has_edge,
+    label,
     level_synchronous_distances,
     masks_to_rows,
     permuted,
@@ -658,7 +659,7 @@ def _assert_serializers_match_the_references(graph, labels, group):
 def test_serializers_match_the_per_edge_references_over_catalog(catalog60):
     # the catalog holds Z_1 (one vertex, no edges) and Z_2 (an edgeless row)
     for name, g in catalog60:
-        labels = [g.label(v) for v in range(g.order)]
+        labels = [label(g, v) for v in range(g.order)]
         _assert_serializers_match_the_references(strong_power_graph(g), labels, name)
     graph = strong_power_graph(CyclicGroup(256))
     _assert_serializers_match_the_references(graph, [f"z{v}" for v in range(256)], "cyclic:256")
@@ -671,7 +672,7 @@ def test_serializers_match_the_per_edge_references_on_relabelled_tables():
         for labels in (None, [f'"{v}\\' if v % 3 else f"e\\{v}\"x" for v in range(g.order)]):
             loaded = load_cayley_table(dict(document, labels=labels) if labels else document)
             group = f'cayley:/tables/"{g.order}"\\é.json'
-            names = [loaded.label(v) for v in range(loaded.order)]
+            names = [label(loaded, v) for v in range(loaded.order)]
             _assert_serializers_match_the_references(strong_power_graph(loaded), names, group)
 
 

@@ -526,13 +526,20 @@ def test_malformed_documents_raise_bad_table_shape():
         validate_cayley_table([[0, 1], "10"])
     with pytest.raises(BadTableShape, match="table is int"):
         validate_cayley_table(5)
+    array = np.array(CyclicGroup(2).cayley_table())
+    with pytest.raises(BadTableShape, match="table is ndarray, expected a list of rows"):
+        validate_cayley_table(array)
+    with pytest.raises(BadTableShape, match="table is ndarray, expected a list of rows"):
+        CayleyGroup(array)
+    with pytest.raises(BadTableShape, match="table must have 2 rows, got ndarray"):
+        load_cayley_table({"order": 2, "table": array})
 
 
-def test_cayley_group_freezes_a_copy_of_a_caller_array():
-    t = np.array(CyclicGroup(4).cayley_table())
+def test_cayley_group_freezes_a_copy_of_the_caller_rows():
+    t = CyclicGroup(4).cayley_table()
     g = CayleyGroup(t)
-    assert t.flags.writeable
-    t[0, 0] = 3
+    t[0][0] = 3
+    t[1] = [0, 0, 0, 0]
     assert op(g, 0, 0) == 0
     assert g.cayley_table() == CyclicGroup(4).cayley_table()
 
@@ -647,10 +654,7 @@ def _outcome(validate, table):
 def test_validation_matches_the_reference(table):
     expected = _outcome(reference_validate_cayley_table, copy.deepcopy(table))
     assert _outcome(validate_cayley_table, table) == expected
-    n = len(table)
-    if all(len(row) == n and all(type(v) is int and abs(v) < 2**62 for v in row) for row in table):
-        assert _outcome(validate_cayley_table, np.array(table, dtype=np.int64)) == expected
-        assert _outcome(validate_cayley_table, np.array(table, dtype=np.int32)) == expected
+    assert _outcome(validate_cayley_table, tuple(map(tuple, table))) == expected
 
 
 def test_random_loops_match_the_reference_and_most_are_not_groups():
