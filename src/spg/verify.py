@@ -188,7 +188,8 @@ def verify_range(
     check_range(n_min, n_max, tol, workers)
     started = time.perf_counter()
     orders = range(n_min, n_max + 1)
-    workers = min(workers, os.cpu_count() or 1, len(orders))
+    if workers > 1:  # a serial run never asks for the CPU count
+        workers = min(workers, os.cpu_count() or 1, len(orders))
     if workers == 1:
         records = [_verify_single(n) for n in orders]
     else:

@@ -446,6 +446,92 @@ def test_associativity_check_memory_is_quadratic():
     assert peak < 16 * 2**20, peak
 
 
+def _peak_above_start(fn):
+    """The tracemalloc peak of fn() above the traced memory at its start, in
+    bytes, and what fn returned or raised."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        try:
+            outcome = fn()
+        except CayleyTableError as exc:
+            outcome = exc
+        return tracemalloc.get_traced_memory()[1] - start, outcome
+    finally:
+        tracemalloc.stop()
+
+
+def test_validation_memory_stays_within_a_few_blocks_at_order_1000():
+    # the int64 table of order 1000 takes 7.6 MiB; the checks hold one n x n
+    # boolean array (0.95 MiB) and a few row blocks of 0.5 MiB beside it
+    perm = random.Random(1000).sample(range(1000), 1000)
+    rows = _relabelled(DirectProductGroup([2, 500]).cayley_table(), perm)
+    t = groups._table_array(rows)
+    assert t.nbytes == 8 * 10**6
+    peak, e = _peak_above_start(lambda: groups._check_axioms(t))
+    assert e == validate_cayley_table(rows) != 0
+    assert peak < 4 * 2**20, peak
+    del t
+    peak, g = _peak_above_start(lambda: CayleyGroup(rows))
+    assert g.order == 1000 and g.law(0, 17) == 17
+    assert peak < 12 * 2**20, peak  # the table itself and the same checks
+
+
+def test_a_failed_associativity_check_stays_within_the_same_bound():
+    # swapping the cells of an intercalate, the 2 x 2 subsquare at rows a and
+    # a + 500 and columns b and b + 500, keeps Z_1000's table a Latin square
+    # with identity 0 but breaks associativity
+    t = np.array(CyclicGroup(1000).cayley_table())
+    i = np.array([3, 3, 503, 503])
+    j = np.array([7, 507, 7, 507])
+    t[i, j] = t[i, j[[1, 0, 3, 2]]]
+    peak, raised = _peak_above_start(lambda: groups._check_axioms(t))
+    assert isinstance(raised, NotAssociative), raised
+    assert peak < 4 * 2**20, peak
+
+
+def _law_operands(n, rng):
+    """(a, b) pairs in the forms the code passes to a law: a block of int32
+    powers against one int32 row (graphs._power_blocks), pairs of int64
+    index arrays (_generators), the (n, 1) by (1, n) broadcast
+    (cayley_table), and Python and numpy integer scalars."""
+    i = np.arange(n)
+    block = rng.integers(0, n, (min(n, 9), n)).astype(np.int32)
+    yield block, block[-1]
+    yield i, i
+    yield i, rng.permutation(n)
+    yield i[:, None], i[None, :]
+    yield 3 % n, n - 1
+    yield np.int64(n - 1), np.int32(5 % n)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [CyclicGroup(12).cayley_table(), DihedralGroup(5).cayley_table(), quaternion_table(),
+     DirectProductGroup([2, 128]).cayley_table()],
+    ids=["Z12", "D5", "Q8", "Z2xZ128"],
+)
+def test_cayley_law_is_the_lookup_in_the_relabelled_table(base):
+    n = len(base)
+    rng = np.random.default_rng(n)
+    perm = [int(k) for k in rng.permutation(n)]
+    table = _relabelled(base, perm)
+    e = perm[0]
+    assert e != 0
+    swap = {0: e, e: 0}
+    sigma = lambda x: swap.get(x, x)
+    lookup = [[sigma(table[sigma(i)][sigma(j)]) for j in range(n)] for i in range(n)]
+    reference = np.array(lookup)
+    g = CayleyGroup(table)
+    for a, b in _law_operands(n, rng):
+        product = g.law(a, b)
+        expected = reference[a, b]
+        assert np.shape(product) == np.shape(expected)
+        assert np.array_equal(product, expected)
+        if np.ndim(product) == 0:
+            assert int(product) == lookup[int(a)][int(b)]
+
+
 def test_not_latin_square():
     with pytest.raises(NotLatinSquare, match="not a Latin square"):
         load_cayley_table({"order": 2, "table": [[0, 0], [1, 0]]})

@@ -161,3 +161,13 @@ def test_a_serial_run_imports_no_process_pool(tmp_path):
         check=True,
     )
     assert child.stdout.split() == ["False"]
+
+
+def test_a_serial_run_never_asks_for_the_cpu_count(monkeypatch):
+    def refuse():
+        raise AssertionError("a serial run read the CPU count")
+
+    monkeypatch.setattr(os, "cpu_count", refuse)
+    report = verify_range(2, 5)
+    assert [r.n for r in report.records] == [2, 3, 4, 5]
+    assert report.failures == []
