@@ -15,8 +15,9 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure (a failed order for verify,
 a failed comparison or a closed-form cubic without three real roots for
 spectrum, a false match for charpoly), 2 usage or parse error (including a
-group order above --max-order), 3 inapplicable input (a disconnected graph,
-or no closed form in the paper).  The SPG_LOG environment variable sets log
+group order above --max-order) or an output that cannot be written,
+standard output included, 3 inapplicable input (a disconnected graph, or
+no closed form in the paper).  The SPG_LOG environment variable sets log
 verbosity (debug, info, warning, error, critical); any other value is
 reported on stderr and read as warning.
 """
@@ -30,7 +31,8 @@ import logging
 import math
 import os
 import sys
-from typing import Optional, Sequence, TextIO
+from contextlib import nullcontext, suppress
+from typing import Optional, Sequence
 
 from .exactalg import NoClosedForm, charpoly_factors, closed_form, expand, same_product
 from .graphs import (
@@ -322,22 +324,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ComplexRoots as exc:  # a closed form with no real spectrum to print
         print(f"spg: verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    out_path = getattr(args, "out", None)
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                _write(handle, document)
-        except OSError as exc:
-            print(f"spg: error: cannot write {out_path}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        _write(sys.stdout, document)
+    try:
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+            for start in range(0, len(document), WRITE_SLICE):
+                out.write(document[start : start + WRITE_SLICE])
+            out.flush()
+    except OSError as exc:
+        print(f"spg: error: cannot write {args.out or 'standard output'}: {exc}", file=sys.stderr)
+        if not args.out:  # stdout's last flush at exit goes to os.devnull, not to a traceback
+            with suppress(OSError, ValueError), open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())  # no-op with no descriptor
+        return EXIT_USAGE
     return code
-
-
-def _write(handle: TextIO, document: str) -> None:
-    for start in range(0, len(document), WRITE_SLICE):
-        handle.write(document[start : start + WRITE_SLICE])
 
 
 if __name__ == "__main__":

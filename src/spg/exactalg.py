@@ -754,6 +754,8 @@ def distance_formula_factors(n: int) -> list[tuple[IntPolynomial, int]]:
     """The closed form of the distance characteristic polynomial of the
     strong power graph of Z_n as factors, [(x+1, n-3), (distance_cubic(n),
     1)], for composite n >= 4."""
+    if not _is_positive_int(n):
+        raise ValueError(f"order must be a positive integer, got {n!r}")
     if not is_composite(n):
         raise NoClosedForm(f"the distance closed form needs a composite order >= 4, got {n}")
     return [(IntPolynomial([1, 1]), n - 3), (distance_cubic(n), 1)]

@@ -2,8 +2,9 @@
 
 A graph is a read-only n x n boolean adjacency array.  The builder raises
 the elements together through the group's broadcastable law, a block of
-max(sqrt(n), 2^14 / n) exponents per call (_power_blocks), and each
-element leaves the blocks once its power cycle closes.  Two power sets
+max(sqrt(n), 2^14 / n) exponents per call, marks each block in the
+power sets as soon as it is made, and drops each element, with its row
+offset, once its power cycle closes (_power_sets).  Two power sets
 that hold the element c lying in the most of them meet at c; only the
 rows without c meet the rest through a boolean matrix product, which has
 no rows for a noncyclic group, where every set holds e.  A vertex
@@ -134,15 +135,15 @@ def _meets(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 _BLOCK_ENTRIES = 2**14
 
 
-def _power_blocks(g: GroupSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The powers a^1 .. a^(n-1) of the elements a of g, raised together in
-    blocks of exponents, each element only while its power cycle is open.
+def _power_sets(g: GroupSpec) -> np.ndarray:
+    """n x n float32 0/1 array whose row a marks {a^k : 1 <= k <= n-1}.
 
-    Yields (elems, block): elems holds the int32 indices of the elements the
-    block carries, and row j of the int32 block holds a^(s+j) for each of
-    them.  After each block, an element with some a^(k+1) = a in it leaves:
-    its later powers only repeat ones already made.  The arrays are
-    read-only to the caller.
+    The powers a^1 .. a^(n-1) of the elements a are raised together in
+    int32 blocks of exponents, and each block is marked as soon as it is
+    made, through the flat indices a * n + a^k, so no n x n exponent table
+    lives.  After each block, an element with some a^(k+1) = a in it
+    leaves, with its row offset a * n: its power cycle has closed, and its
+    later powers only repeat ones already marked.
 
     The first block is the head a^1 .. a^h, h = max(isqrt(n),
     _BLOCK_ENTRIES // n) and at most n - 1, made by doubling over every
@@ -155,8 +156,10 @@ def _power_blocks(g: GroupSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     at debug level.
     """
     n = g.order
+    powers = np.zeros((n, n), dtype=np.float32)
     if n < 2:
-        return  # no exponent 1 <= k <= n-1
+        return powers  # no exponent 1 <= k <= n-1
+    flat = powers.reshape(-1)
     height = min(max(math.isqrt(n), _BLOCK_ENTRIES // n), n - 1)
     block = np.empty((height, n), dtype=np.int32)  # rows a^1 .. a^h
     block[0] = elems = np.arange(n, dtype=np.int32)
@@ -168,7 +171,8 @@ def _power_blocks(g: GroupSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         new[...] = g.law(block[:j], block[m - 1])
         closed |= (new == elems).any(axis=0)
         calls, m = calls + 1, m + j
-    yield elems, block[:m]
+    starts = np.arange(n, dtype=np.int64) * n  # row a starts at a * n
+    flat[block[:m] + starts] = 1
     still_open = ~closed
     head_open, entries = int(np.count_nonzero(still_open)), (m - 1) * n
     step = block[-1]  # a^h, read only when the head was made whole
@@ -176,28 +180,15 @@ def _power_blocks(g: GroupSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         block = block[: n - 1 - m]
         if not still_open.all():  # the closed elements leave
             live = np.flatnonzero(still_open)
-            block, step, elems = block[:, live], step[live], elems[live]
+            block, step, elems, starts = block[:, live], step[live], elems[live], starts[live]
         block = g.law(block, step).astype(np.int32, copy=False)
-        yield elems, block
+        flat[block + starts] = 1
         still_open = ~(block == elems).any(axis=0)
         calls, entries, m = calls + 1, entries + block.size, m + len(block)
     log.debug(
         "powers of order %d: %d law calls, %d law entries, %d elements open after the head",
         n, calls, entries, head_open,
     )
-
-
-def _power_sets(g: GroupSpec) -> np.ndarray:
-    """n x n float32 0/1 array whose row a marks {a^k : 1 <= k <= n-1}.
-
-    Each block of _power_blocks(g) is marked as soon as it is made, through
-    the flat indices a * n + a^k, so no n x n exponent table lives.
-    """
-    n = g.order
-    powers = np.zeros((n, n), dtype=np.float32)
-    flat = powers.reshape(-1)
-    for elems, block in _power_blocks(g):
-        flat[block + elems.astype(np.int64) * n] = 1  # row a starts at a * n
     return powers
 
 

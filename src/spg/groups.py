@@ -329,6 +329,9 @@ def _generators(g: GroupSpec) -> np.ndarray:
 
 
 def is_composite(n: int) -> bool:
+    """Whether 1 <= n < 3215031751 is composite: at least 4 and not prime
+    (is_prime).  Other input raises ValueError."""
+    _check_domain(n, "is_composite")
     return n >= 4 and not is_prime(n)
 
 

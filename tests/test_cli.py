@@ -549,6 +549,57 @@ def test_out_onto_a_directory_is_a_usage_error(capsys, tmp_path):
     assert err.startswith(f"spg: error: cannot write {tmp_path}: ")
 
 
+def _build_into(stdout):
+    """(exit code, stderr) of `spg build --group cyclic:30` run as a child
+    process whose standard output is the given file or descriptor."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "spg.cli", "build", "--group", "cyclic:30"],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+        text=True,
+        timeout=60,
+    )
+    return done.returncode, done.stderr
+
+
+def _assert_one_write_error(code, err):
+    assert code == 2, err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("spg: error: cannot write standard output: "), err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_standard_output_is_a_usage_error_without_a_traceback():
+    with open("/dev/full", "w") as full:
+        _assert_one_write_error(*_build_into(full))
+
+
+def test_a_standard_output_pipe_with_no_reader_is_a_usage_error_without_a_traceback():
+    # the read end is closed before the child starts, so its first write
+    # fails whatever the size of the document
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        code, err = _build_into(write)
+    finally:
+        os.close(write)
+    _assert_one_write_error(code, err)
+    assert "Broken pipe" in err, err
+
+
+def test_a_substituted_standard_output_that_fails_is_a_usage_error(monkeypatch, capsys):
+    class Failing(io.StringIO):
+        def write(self, chunk):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Failing())
+    assert main(["build", "--group", "cyclic:4"]) == 2
+    assert capsys.readouterr().err == "spg: error: cannot write standard output: [Errno 32] Broken pipe\n"
+
+
 def test_report_json_is_the_asdict_text():
     # to_document copies each record and each check shallowly; the text
     # must be what dataclasses.asdict's deep, nested copy gives

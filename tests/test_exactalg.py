@@ -1209,6 +1209,12 @@ def test_complete_graph_factors_refuse_bools_and_non_integers():
             complete_graph_factors(n)
 
 
+def test_distance_formula_factors_refuse_bools_and_non_integers():
+    for n in (True, False, 2.0, "3", None, 0):
+        with pytest.raises(ValueError, match="order must be a positive integer"):
+            distance_formula_factors(n)
+
+
 def _every_factor_list(n):
     """Each closed form's factor list that applies at order n."""
     lists = [complete_graph_factors(n)]

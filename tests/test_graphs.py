@@ -143,6 +143,15 @@ def _relabelled_document(base: list[list[int]], rng: random.Random) -> dict:
     return {"order": n, "table": table}
 
 
+def _relabelled_cayley(g):
+    """g's Cayley table relabelled by a fixed permutation and loaded.  It
+    answers is_cyclic with g's structural answer, which an isomorphism
+    keeps, so only the build calls its law."""
+    loaded = load_cayley_table(_relabelled_document(g.cayley_table(), random.Random(g.order)))
+    loaded.is_cyclic = g.is_cyclic
+    return loaded
+
+
 def test_builder_matches_reference_on_relabelled_cayley_tables():
     rng = random.Random(20261018)
     sources = []
@@ -290,6 +299,10 @@ def test_builder_matches_reference_past_order_64():
         # n = 128, h = 127: a^3 = a for every a, so the head stops after its
         # second doubling step
         (DirectProductGroup, [2] * 7, [(1, 128), (2, 128)]),
+        # D_125 relabelled through a Cayley table, whose law is the flat
+        # take: the same isomorphism class closes in the same blocks
+        (_relabelled_cayley, DihedralGroup(125), [(1, 250), (2, 250), (4, 250), (8, 250),
+                                                  (16, 250), (32, 250), (1, 250), (65, 100)]),
     ],
 )
 def test_builder_raises_int32_blocks_in_about_two_sqrt_n_law_calls(kind, arg, blocks):

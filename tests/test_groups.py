@@ -492,7 +492,7 @@ def test_a_failed_associativity_check_stays_within_the_same_bound():
 
 def _law_operands(n, rng):
     """(a, b) pairs in the forms the code passes to a law: a block of int32
-    powers against one int32 row (graphs._power_blocks), pairs of int64
+    powers against one int32 row (graphs._power_sets), pairs of int64
     index arrays (_generators), the (n, 1) by (1, n) broadcast
     (cayley_table), and Python and numpy integer scalars."""
     i = np.arange(n)
@@ -852,8 +852,9 @@ def test_is_prime_and_totient_accept_exactly_the_domain():
     for n in (BOUND, 2**89 - 1, 0, -7):
         _assert_refused_at_once(is_prime, n)
         _assert_refused_at_once(totient, n)
+        _assert_refused_at_once(is_composite, n)
     for n in (True, 5.0, "5", None):
-        for f in (is_prime, totient):
+        for f in (is_prime, totient, is_composite):
             with pytest.raises(ValueError, match=f.__name__):
                 f(n)
 
