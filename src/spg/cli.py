@@ -13,7 +13,7 @@ Subcommands:
             lists, none expanded
 
 Exit codes: 0 success, 1 verification failure (a failed order for verify,
-a failed comparison or a closed-form cubic without three real roots for
+a failed comparison or a closed form with no real spectrum to read for
 spectrum, a false match for charpoly), 2 usage or parse error (including a
 group order above --max-order) or an output that cannot be written,
 standard output included, 3 inapplicable input (a disconnected graph, or
@@ -101,18 +101,12 @@ def parse_group_spec(text: str, max_order: Optional[int] = None) -> GroupSpec:
         raise GroupSpecParseError(f"malformed group spec {text!r}")
     try:
         if head == "cyclic":
-            n = _positive_int(tail)
-            _check_order(n, max_order)
-            return CyclicGroup(n)
-        if head == "product":
-            orders = [_positive_int(part) for part in tail.split(",")]
-            _check_order(math.prod(orders), max_order)
-            return DirectProductGroup(orders)
-        if head == "dihedral":
-            m = _positive_int(tail)
-            _check_order(2 * m, max_order)
-            return DihedralGroup(m)
-        if head == "cayley":
+            group: GroupSpec = CyclicGroup(_positive_int(tail))
+        elif head == "product":
+            group = DirectProductGroup([_positive_int(part) for part in tail.split(",")])
+        elif head == "dihedral":
+            group = DihedralGroup(_positive_int(tail))
+        elif head == "cayley":
             try:
                 with open(tail, "r", encoding="utf-8") as handle:
                     document = json.load(handle)
@@ -124,11 +118,14 @@ def parse_group_spec(text: str, max_order: Optional[int] = None) -> GroupSpec:
             if isinstance(order, int):
                 _check_order(order, max_order)
             return load_cayley_table(document)
+        else:
+            raise GroupSpecParseError(f"unknown group kind {head!r} in {text!r}")
     except (ValueError, TypeError) as exc:
         if isinstance(exc, GroupSpecParseError):
             raise
         raise GroupSpecParseError(f"bad group spec {text!r}: {exc}") from exc
-    raise GroupSpecParseError(f"unknown group kind {head!r} in {text!r}")
+    _check_order(group.order, max_order)  # the constructors build nothing of the group's size
+    return group
 
 
 def _check_order(order: int, max_order: Optional[int]) -> None:

@@ -51,12 +51,13 @@ _SKIP_TOL = 1e-12
 _QL_ITERATIONS = 30
 
 # relative gap within which compare_spectra counts two sorted numeric
-# eigenvalues as one cluster, to read off multiplicities
+# eigenvalues as near, to check the closed multiplicities
 _CLUSTER_TOL = 1e-6
 
 
 class ComplexRoots(ArithmeticError):
-    """The cubic does not have three real roots."""
+    """No real spectrum from a closed form: a cubic without three real roots,
+    a factor of degree other than 1 or 3, or a negative net multiplicity."""
 
 
 class NonSymmetric(ValueError):
@@ -90,13 +91,6 @@ class ClosedFormSpectrum:
     def theta_in_range(self) -> bool:
         """0 < theta < pi/2, or True when there is no theta."""
         return self.theta is None or 0.0 < self.theta < math.pi / 2.0
-
-    def values(self) -> list[float]:
-        """All eigenvalues expanded by multiplicity, descending."""
-        out: list[float] = []
-        for v, m in self.entries:
-            out.extend([v] * m)
-        return out
 
 
 @dataclass(frozen=True)
@@ -164,18 +158,23 @@ def closed_spectrum(
     """The roots of a closed form's factor list, with multiplicities: a
     linear factor x - r gives r, and a cubic its three roots by
     solve_cubic_trig, whose theta the spectrum keeps.  Equal roots are
-    merged, and a root of multiplicity 0, as -1 in (x+1)^(p-2) at p = 2,
-    is dropped."""
+    merged, and a root of multiplicity 0, as -1 in (x+1)^(p-2) at p = 2, is
+    dropped; other degrees and negative multiplicities raise ComplexRoots."""
     merged: dict[float, int] = {}
     theta = None
     for factor, mult in factors:
         if factor.degree == 1:
             roots: Sequence[float] = (float(-factor.coeffs[0]),)
-        else:
+        elif factor.degree == 3:
             a0, a1, a2, _ = factor.coeffs
             roots, theta = solve_cubic_trig(a2, a1, a0)
+        else:
+            raise ComplexRoots(f"factor {factor} has degree {factor.degree}, not 1 or 3")
         for root in roots:
             merged[root] = merged.get(root, 0) + mult
+    for root, mult in merged.items():
+        if mult < 0:
+            raise ComplexRoots(f"root {root!r} has negative multiplicity {mult}")
     entries = sorted((item for item in merged.items() if item[1]), key=lambda item: -item[0])
     return ClosedFormSpectrum(tuple(entries), theta, source)
 
@@ -376,34 +375,21 @@ def symmetric_eigenvalues(matrix: IntMatrix) -> list[float]:
     return sorted(_tridiagonal_eigenvalues(d, e), reverse=True)
 
 
-def _cluster_sizes(values: Sequence[float]) -> list[int]:
-    if not values:
-        return []
-    sizes = [1]
-    for previous, value in zip(values, values[1:]):
-        if abs(previous - value) <= _CLUSTER_TOL * max(1.0, abs(previous)):
-            sizes[-1] += 1
-        else:
-            sizes.append(1)
-    return sizes
-
-
 def compare_spectra(closed: ClosedFormSpectrum, numeric: Sequence[float]) -> SpectrumComparison:
     """Compare a closed-form spectrum against numeric eigenvalues.
 
-    Both sides are paired greedily in descending order for the deviation;
-    multiplicities match when clustering the numeric values at relative
-    tolerance _CLUSTER_TOL reproduces the closed-form multiplicities.  The
-    theta flag checks 0 < theta < pi/2 and is True when theta is absent.
-    Sides of different lengths cannot be paired: the comparison then fails,
-    with deviation inf and multiplicity_match False.
+    The numeric values x, sorted descending, pair with the closed values
+    repeated by multiplicity for the deviation.  Multiplicities match when
+    |x_i - x_(i+1)| <= _CLUSTER_TOL * max(1, |x_i|) exactly where both pair
+    with equal closed values (the closed values descend strictly).  The
+    theta flag is True when theta is absent or in (0, pi/2).  Sides of
+    different lengths fail, with deviation inf and no multiplicity match.
     """
-    expanded = closed.values()
-    if len(expanded) != len(numeric):
+    paired = [v for v, m in closed.entries for _ in range(m)]
+    if len(paired) != len(numeric):
         return SpectrumComparison(math.inf, False, closed.theta_in_range())
-    numeric_sorted = sorted((float(v) for v in numeric), reverse=True)
-    deviation = max(
-        (abs(c - v) for c, v in zip(expanded, numeric_sorted)), default=0.0
-    )
-    mult_match = _cluster_sizes(numeric_sorted) == [m for _, m in closed.entries]
-    return SpectrumComparison(deviation, mult_match, closed.theta_in_range())
+    x = sorted((float(v) for v in numeric), reverse=True)
+    deviation = max((abs(c - v) for c, v in zip(paired, x)), default=0.0)
+    match = all((c == d) == (abs(a - b) <= _CLUSTER_TOL * max(1.0, abs(a)))
+                for c, d, a, b in zip(paired, paired[1:], x, x[1:]))
+    return SpectrumComparison(deviation, match, closed.theta_in_range())

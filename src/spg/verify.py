@@ -145,7 +145,7 @@ def _verify_single(n: int) -> VerificationRecord:
             match = match and same_product(computed, adjacency_formula_factors(n))
         try:
             closed = closed_spectrum(factors, source)
-        except ComplexRoots as exc:  # a cubic without three real roots fails its check
+        except ComplexRoots as exc:  # a closed form with no real spectrum fails its check
             log.debug("n=%d %s: %s", n, kind, exc)
             checks.append(Check(kind, source, match, math.inf, False, theta=None, theta_in_range=False))
             continue
@@ -159,9 +159,15 @@ def _verify_single(n: int) -> VerificationRecord:
 
 
 def check_range(n_min: int, n_max: int, tol: float, workers: int) -> None:
-    """Raise ValueError unless 2 <= n_min <= n_max, workers >= 1 and tol is
-    finite and nonnegative: verify_range's arguments, checked before any
-    order runs."""
+    """Raise ValueError unless n_min, n_max and workers are ints with
+    2 <= n_min <= n_max and workers >= 1, and tol is a finite nonnegative
+    int or float, none of them a bool: verify_range's arguments, checked
+    before any order runs, and written into the report as they are."""
+    for name, value in (("n_min", n_min), ("n_max", n_max), ("workers", workers)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    if not isinstance(tol, (int, float)) or isinstance(tol, bool):
+        raise ValueError(f"tol must be a finite nonnegative number, got {tol!r}")
     if not (2 <= n_min <= n_max):
         raise ValueError(f"need 2 <= n_min <= n_max, got [{n_min}, {n_max}]")
     if workers < 1:
@@ -182,8 +188,8 @@ def verify_range(
     is identical either way because tasks are pure and pool.map, like the
     serial loop, returns the records in the order of n.  The arguments are
     checked first (check_range).  A closed form whose degree differs from
-    n, or whose cubic has non-real roots, fails its check with deviation
-    inf; the latter has no theta and both flags False.
+    n, or with no real spectrum (spectra.ComplexRoots), fails its check
+    with deviation inf; the latter has no theta and both flags False.
     """
     check_range(n_min, n_max, tol, workers)
     started = time.perf_counter()

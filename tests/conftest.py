@@ -26,7 +26,7 @@ from spg.groups import (
     NotLatinSquare,
     load_cayley_table,
 )
-from spg.spectra import _NEWTON_STEPS, ComplexRoots
+from spg.spectra import _CLUSTER_TOL, _NEWTON_STEPS, ComplexRoots, SpectrumComparison
 
 # quaternion units as (sign, axis) with axes 1, i, j, k; index layout
 # [1, -1, i, -i, j, -j, k, -k] before relabelling
@@ -165,6 +165,35 @@ def reference_solve_cubic_trig(a2: int, a1: int, a0: int):
         roots.append(r)
     roots.sort(reverse=True)
     return (roots[0], roots[1], roots[2]), theta
+
+
+def _cluster_sizes(values) -> list[int]:
+    """Sizes of the runs of sorted values whose neighbours differ by at
+    most _CLUSTER_TOL * max(1, |previous|)."""
+    if not values:
+        return []
+    sizes = [1]
+    for previous, value in zip(values, values[1:]):
+        if abs(previous - value) <= _CLUSTER_TOL * max(1.0, abs(previous)):
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+    return sizes
+
+
+def reference_compare_spectra(closed, numeric) -> SpectrumComparison:
+    """The closed values expanded by multiplicity and paired in Python
+    floats with the numeric ones sorted descending; multiplicities match
+    when clustering the numeric values gives the closed multiplicities.
+    spg.spectra.compare_spectra, which checks the gaps against the closed
+    groups instead, must return the same comparison on finite input."""
+    expanded = [v for v, m in closed.entries for _ in range(m)]
+    if len(expanded) != len(numeric):
+        return SpectrumComparison(math.inf, False, closed.theta_in_range())
+    numeric_sorted = sorted((float(v) for v in numeric), reverse=True)
+    deviation = max((abs(c - v) for c, v in zip(expanded, numeric_sorted)), default=0.0)
+    mult_match = _cluster_sizes(numeric_sorted) == [m for _, m in closed.entries]
+    return SpectrumComparison(deviation, mult_match, closed.theta_in_range())
 
 
 def bareiss_det(matrix: IntMatrix) -> int:

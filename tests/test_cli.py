@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from spg import cli, exactalg, verify
@@ -464,6 +465,35 @@ def _a_non_real_cubic(n):
     return [(exactalg.IntPolynomial([1, 1]), n - 3), (exactalg.IntPolynomial([1, 0, 0, 1]), 1)]
 
 
+def _a_quadratic(n):
+    # (x+1)^(n-2) times x^2 - 3: the degree holds, but no quadratic has a place
+    (x_plus_one, k), _ = _RIGHT_DISTANCE_FORM(n)
+    return [(x_plus_one, k + 1), (exactalg.IntPolynomial([-3, 0, 1]), 1)]
+
+
+def _a_quartic(n):
+    # the right product, with one x + 1 multiplied into the cubic
+    (x_plus_one, k), (cubic, _) = _RIGHT_DISTANCE_FORM(n)
+    return [(x_plus_one, k - 1), (exactalg.poly_mul(x_plus_one, cubic), 1)]
+
+
+def _a_negative_root(n):
+    # (x+1)^(n-2) (x+5)^-1 times the cubic: degree n, the root -5 counted -1 times
+    (x_plus_one, k), cubic = _RIGHT_DISTANCE_FORM(n)
+    return [(x_plus_one, k + 1), (exactalg.IntPolynomial([5, 1]), -1), cubic]
+
+
+@pytest.mark.parametrize("planted", [_a_quadratic, _a_quartic, _a_negative_root], ids=lambda f: f.__name__)
+def test_a_closed_form_without_a_real_spectrum_fails_its_check(monkeypatch, capsys, planted):
+    # spg reads roots from linear and cubic factors only, and a negative
+    # net multiplicity is no spectrum: the check fails, with no traceback
+    monkeypatch.setattr(exactalg, "distance_formula_factors", planted)
+    assert verify_range(4, 12).failures == [n for n in range(4, 13) if is_composite(n)]
+    code, out, err = run_cli(capsys, ["spectrum", "--group", "cyclic:6", "--matrix", "distance"])
+    assert (code, out) == (1, "") and "Traceback" not in err
+    assert err.startswith("spg: verification failed: ") and err.count("\n") == 1
+
+
 def test_a_closed_form_of_the_wrong_degree_fails_its_record(monkeypatch, capsys):
     # a distance form of degree n + 1: the spectra differ in length, which
     # is a failed check (exit 1), not a usage error (exit 2)
@@ -614,6 +644,25 @@ def test_verify_range_refuses_a_bad_tol(tol):
     # NaN would fail every order and write "tol": NaN, which is not JSON
     with pytest.raises(ValueError, match="finite nonnegative number"):
         verify_range(4, 5, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, name",
+    [
+        ((2, 3.0), {}, "n_max"),
+        ((2.0, 3), {}, "n_min"),
+        (("2", "3"), {}, "n_min"),
+        ((2, 3), {"workers": 1.5}, "workers"),
+        ((2, 3), {"workers": True}, "workers"),
+        ((2, 3), {"tol": True}, "tol"),
+        ((2, 3), {"tol": "1e-8"}, "tol"),
+        ((np.int64(2), 3), {}, "n_min"),  # the report's JSON has no numpy ints
+    ],
+)
+def test_verify_range_refuses_arguments_of_the_wrong_type(args, kwargs, name):
+    # a bool is an int to Python, and would write "tol": true in the report
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        verify_range(*args, **kwargs)
 
 
 def _strip_elapsed(document):

@@ -43,6 +43,7 @@ from conftest import (
     complete_graph,
     identity_matrix,
     poly_eval,
+    reference_compare_spectra,
     reference_solve_cubic_trig,
     spectrum_max_value,
     spectrum_total,
@@ -165,7 +166,7 @@ def test_distance_spectrum_cyclic_composite():
     spectrum = distance_spectrum_closed(CyclicGroup(4))
     assert spectrum.theta == pytest.approx(THETA_DISTANCE_N4, abs=1e-9)
     assert spectrum_total(spectrum) == 4
-    values = spectrum.values()
+    values = [v for v, m in spectrum.entries for _ in range(m)]
     assert values[0] == pytest.approx(DISTANCE_ROOTS_N4[0], abs=1e-9)
     assert values[1] == pytest.approx(DISTANCE_ROOTS_N4[1], abs=1e-9)
     assert values[2] == -1.0
@@ -720,6 +721,45 @@ def test_compare_spectra_count_mismatch():
     assert compare_spectra(angled, []) == SpectrumComparison(math.inf, False, False)
 
 
+# relative offsets on both sides of _CLUSTER_TOL = 1e-6, so that gaps fall
+# just inside, on and just outside the near test
+_OFFSETS = (0.0, 1e-12, 1e-9, 5e-7, 1e-6, 2e-6, 1e-3)
+
+
+@st.composite
+def _spectra_pairs(draw):
+    """A closed spectrum of 0-5 distinct values with multiplicities 1-4, and
+    numeric values made from it: each moved by a relative and an absolute
+    offset, a value sometimes dropped or added, the order shuffled."""
+    values = draw(st.lists(
+        st.one_of(st.integers(-5, 5).map(float), st.floats(-300, 300)), max_size=5, unique=True
+    ))
+    entries = tuple((v, draw(st.integers(1, 4))) for v in sorted(values, reverse=True))
+    theta = draw(st.sampled_from([None, 0.5, 2.0]))
+    offsets, signs = st.sampled_from(_OFFSETS), st.sampled_from([-1, 0, 1])
+    numeric = [
+        v * (1 + draw(offsets) * draw(signs)) + draw(offsets) * draw(signs)
+        for v, m in entries for _ in range(m)
+    ]
+    change = draw(st.sampled_from(["keep"] * 8 + ["drop", "add"]))
+    if change == "drop" and numeric:
+        numeric.pop(draw(st.integers(0, len(numeric) - 1)))
+    elif change == "add":
+        numeric.append(draw(st.floats(-10, 10)))
+    return ClosedFormSpectrum(entries, theta, "drawn"), draw(st.permutations(numeric))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_spectra_pairs())
+def test_compare_spectra_matches_the_clustering_reference(pair):
+    # the gap test against the closed groups gives what clustering the
+    # numeric values and comparing the cluster sizes gave, types included
+    closed, numeric = pair
+    got, expected = compare_spectra(closed, numeric), reference_compare_spectra(closed, numeric)
+    assert got == expected
+    assert type(got.max_abs_deviation) is float and type(got.multiplicity_match) is bool
+
+
 def test_closed_vs_jacobi_sample_sweep():
     for n in range(4, 31):
         if not is_composite(n):
@@ -743,7 +783,7 @@ def test_closed_spectrum_sums_and_products():
             (distance_spectrum_closed(group), distance_charpoly_formula(n)),
             (adjacency_spectrum_closed(group), adjacency_charpoly_formula(n)),
         ):
-            values = closed.values()
+            values = [v for v, m in closed.entries for _ in range(m)]
             assert sum(values) == pytest.approx(0.0, abs=1e-7)
             product = math.prod(values)
             expected = (-1) ** n * formula.coefficient(0)

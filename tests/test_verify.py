@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from spg import exactalg, verify
 from spg.cli import main
 from spg.exactalg import IntPolynomial
@@ -69,6 +71,26 @@ def test_a_wrong_distance_cubic_fails_every_composite_order(monkeypatch):
             assert check.charpoly_match is False, record.n
             assert check.max_abs_deviation > 1e-8, record.n
         assert record.connectivity_match is True, record.n
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+@pytest.mark.parametrize("coefficient", [0, 1, 2])
+@pytest.mark.parametrize("cubic", ["distance_cubic", "adjacency_cubic"])
+def test_each_cubic_coefficient_moved_by_one_fails(monkeypatch, cubic, coefficient, shift):
+    # a distance mutant fails every composite order, the only ones with a
+    # distance form; an adjacency mutant fails every order, since at a
+    # prime the corollary is checked against the general cubic's list too
+    right = getattr(exactalg, cubic)
+
+    def mutant(n):
+        coeffs = list(right(n).coeffs)
+        coeffs[coefficient] += shift
+        return IntPolynomial(coeffs)
+
+    monkeypatch.setattr(exactalg, cubic, mutant)
+    orders = range(2, 41)
+    expected = [n for n in orders if cubic == "adjacency_cubic" or is_composite(n)]
+    assert verify_range(2, 40).failures == expected
 
 
 def test_a_wrong_distance_cubic_makes_the_cli_exit_one(monkeypatch, capsys):
