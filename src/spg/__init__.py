@@ -3,6 +3,7 @@ polynomials, closed-form spectra, and verification tooling."""
 
 from .exactalg import (
     InexactDivision,
+    IntegerGrowth,
     IntMatrix,
     IntPolynomial,
     NoClosedForm,

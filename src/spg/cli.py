@@ -14,12 +14,13 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure (a failed order for verify,
 a failed comparison or a closed form with no real spectrum to read for
-spectrum, a false match for charpoly), 2 usage or parse error (including a
-group order above --max-order) or an output that cannot be written,
-standard output included, 3 inapplicable input (a disconnected graph, or
-no closed form in the paper).  The SPG_LOG environment variable sets log
-verbosity (debug, info, warning, error, critical); any other value is
-reported on stderr and read as warning.
+spectrum, a false match for charpoly, a closed form that does not expand
+exactly, or a charpoly the integer stage refuses), 2 usage or parse error
+(including a group order above --max-order) or an output that cannot be
+written, standard output included, 3 inapplicable input (a disconnected
+graph, or no closed form in the paper).  The SPG_LOG environment variable
+sets log verbosity (debug, info, warning, error, critical); any other value
+is reported on stderr and read as warning.
 """
 
 from __future__ import annotations
@@ -34,7 +35,15 @@ import sys
 from contextlib import nullcontext, suppress
 from typing import Optional, Sequence
 
-from .exactalg import NoClosedForm, charpoly_factors, closed_form, expand, same_product
+from .exactalg import (
+    InexactDivision,
+    IntegerGrowth,
+    NoClosedForm,
+    charpoly_factors,
+    closed_form,
+    expand,
+    same_product,
+)
 from .graphs import (
     DisconnectedGraph,
     adjacency_matrix,
@@ -318,7 +327,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DisconnectedGraph, NoClosedForm) as exc:
         print(f"spg: inapplicable: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except ComplexRoots as exc:  # a closed form with no real spectrum to print
+    except (ComplexRoots, InexactDivision, IntegerGrowth) as exc:
         print(f"spg: verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     try:

@@ -23,6 +23,7 @@ __all__ = [
     "IntPolynomial",
     "NoClosedForm",
     "InexactDivision",
+    "IntegerGrowth",
     "first_asymmetry",
     "expand",
     "charpoly",
@@ -51,6 +52,12 @@ class InexactDivision(ArithmeticError):
     """A polynomial division expected to be exact was not."""
 
 
+class IntegerGrowth(ArithmeticError):
+    """The integer stage of charpoly_factors stopped before its last column:
+    its next pass could take an entry to 2^62/n or more.  The message names
+    the column, n and that bound."""
+
+
 class IntMatrix:
     """Immutable square integer matrix, held as one read-only n x n signed
     integer array `entries` of at most 64 bits.
@@ -66,8 +73,8 @@ class IntMatrix:
     entry that is not an int (a float, NaN or bool), or an int beyond
     int64, raises ValueError naming its (i, j).  Equality and
     the hash follow the values, not the dtype.  Arithmetic widens first: an
-    int8 or int16 array cannot hold the squares, sums or residues the
-    algorithms make.
+    int8 or int16 array cannot hold the products and sums the integer stage
+    makes.
     """
 
     __slots__ = ("entries", "n")
@@ -236,88 +243,7 @@ def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 # --- characteristic polynomial ------------------------------------------------
 
-_DOT_LIMIT = 1 << 53  # every basis prime has n * (p-1)^2 below this
 _ROW_UPDATE_LIMIT = 1 << 16  # int64 entries per block of an integer Hessenberg row update
-
-
-def _prime_basis(n: int, bound: int) -> tuple[list[int], int]:
-    """Descending primes p with n*(p-1)^2 < 2^53 whose product exceeds bound,
-    each candidate from the largest down tested by is_prime."""
-    p = math.isqrt((_DOT_LIMIT - 1) // max(n, 1)) + 1  # candidates lie below this
-    primes: list[int] = []
-    product = 1
-    while product <= bound:
-        p -= 1
-        if p < 2:
-            raise AssertionError("prime basis exhausted; matrix too large")
-        if is_prime(p):
-            primes.append(p)
-            product *= p
-    return primes, product
-
-
-def _crt_signed(residues: np.ndarray, primes: Sequence[int], modulus: int) -> list[int]:
-    """Garner reconstruction of each column of the (P, K) residue array into
-    the symmetric range (-modulus/2, modulus/2].
-
-    The Garner constants depend only on the basis, so each is computed once
-    and applied to all K columns together.
-    """
-    x = np.zeros(residues.shape[1], dtype=object)
-    m = 1
-    for r, p in zip(residues.astype(object), primes):
-        x += ((r - x) * pow(m, -1, p) % p) * m
-        m *= p
-    return [v - modulus if 2 * v > modulus else v for v in x.tolist()]
-
-
-def _hessenberg(h: np.ndarray, p: int) -> None:
-    """Reduce the int64 matrix h of residues mod p in place to an upper
-    Hessenberg matrix similar to it modulo p (Cohen, Alg. 2.2.9)."""
-    n = len(h)
-    for m in range(n - 2):
-        if not h[m + 2 :, m].any():
-            continue  # column m is already in Hessenberg form
-        if not h[m + 1, m]:
-            # pivot: the first nonzero entry below the subdiagonal of column m
-            k = m + 2 + int(np.argmax(h[m + 2 :, m] != 0))
-            h[[m + 1, k]] = h[[k, m + 1]]
-            h[:, [m + 1, k]] = h[:, [k, m + 1]]
-        pivot = int(h[m + 1, m])
-        inv = pow(pivot, -1, p)
-        assert pivot * inv % p == 1, "bad pivot inverse"
-        # rows m+2.. -= u * row m+1, then column m+1 += (columns m+2..) @ u
-        u = h[m + 2 :, m] * inv % p
-        h[m + 2 :, m:] = (h[m + 2 :, m:] - u[:, None] * h[m + 1, m:]) % p
-        h[:, m + 1] = (h[:, m + 1] + h[:, m + 2 :] @ u) % p
-
-
-def _hessenberg_charpoly(h: np.ndarray, p: int) -> np.ndarray:
-    """Coefficients of det(xI - h) mod p for the upper Hessenberg int64
-    matrix h of residues mod p, as n + 1 residues in ascending degree.
-
-    The charpoly q_m of the leading m x m block obeys
-    q_m = (x - h[m-1,m-1]) q_{m-1} - sum_{i<m-1} h[i,m-1] t_i q_i, where
-    t_i = h[i+1,i] h[i+2,i+1] ... h[m-1,m-2] is carried as a running vector.
-    Each coefficient sums at most n products of two residues, so it stays
-    below 2^53 for every basis prime.
-    """
-    n = len(h)
-    q = np.zeros((n + 1, n + 1), dtype=np.int64)  # q[i, d]: x^d in q_i
-    q[0, 0] = 1
-    t = np.zeros(n, dtype=np.int64)
-    for m in range(1, n + 1):
-        prev = q[m - 1, :m]
-        q[m, 1 : m + 1] = prev
-        q[m, :m] -= h[m - 1, m - 1] * prev
-        if m >= 2:
-            sub = h[m - 1, m - 2]
-            t[: m - 2] = t[: m - 2] * sub % p
-            t[m - 2] = sub
-            w = h[: m - 1, m - 1] * t[: m - 1] % p
-            q[m, : m - 1] -= w @ q[: m - 1, : m - 1]
-        q[m, : m + 1] %= p
-    return q[n]
 
 
 def _integer_hessenberg(h: np.ndarray) -> int:
@@ -359,7 +285,7 @@ def _integer_hessenberg(h: np.ndarray) -> int:
                 break
             m += int(pending.min())
         col = h[m + 1 :, m]
-        mag = np.abs(col)
+        mag = np.abs(col).view(np.uint64)  # |x| of every int64, -2^63 included
         k = int(np.argmin(np.where(col != 0, mag, small)))
         pivot = int(col[k])
         q = (2 * int(mag.max()) + abs(pivot)) // (2 * abs(pivot))
@@ -383,8 +309,12 @@ def _integer_hessenberg(h: np.ndarray) -> int:
 
 def _exact_hessenberg_charpoly(h: list[list[int]]) -> list[int]:
     """Coefficients of det(xI - h), ascending, for an upper Hessenberg h of
-    Python integers: the recurrence of _hessenberg_charpoly with no
-    modulus.  It multiplies and subtracts only, so it is exact over Z."""
+    Python integers.
+
+    The charpoly q_m of the leading m x m block obeys
+    q_m = (x - h[m-1,m-1]) q_{m-1} - sum_{i<m-1} h[i,m-1] t_i q_i, where
+    t_i = h[i+1,i] h[i+2,i+1] ... h[m-1,m-2] is carried as a running list.
+    It multiplies and subtracts only, so it is exact over Z."""
     n = len(h)
     q = [[1]]  # q[m]: the charpoly of the leading m x m block
     t: list[int] = []
@@ -432,145 +362,69 @@ def _poly_pow(a: Sequence[int], k: int) -> list[int]:
     return [0] * (v * k) + g
 
 
-def _hadamard_bound(entries: np.ndarray) -> int:
-    """2 * prod_i (1 + ceil(r_i)) for the Euclidean norms r_i of the rows of
-    the integer array entries (see charpoly), summed in int64 or Python
-    integers.  A narrower array is widened first: int8 holds no 100^2."""
-    wide = entries.astype(np.int64, copy=False)
-    if len(wide) * max(int(wide.max()), -int(wide.min())) ** 2 >= 1 << 63:
-        wide = wide.astype(object)
-    bound = 2
-    for s in (wide * wide).sum(axis=1).tolist():
-        bound *= 1 + (math.isqrt(s - 1) + 1 if s else 0)
-    return bound
-
-
-def _modular_charpoly(entries: np.ndarray, bound: int) -> list[int]:
-    """Coefficients of det(xI - M), ascending, for the integer array
-    M = entries, taken as int64 (under NumPy 2 an int8 array % 251 raises
-    OverflowError), by the Hessenberg method modulo each prime of a basis
-    whose product exceeds bound, then Garner's CRT into the symmetric range.  bound must
-    be at least twice every |coefficient|, as _hadamard_bound of M, or of
-    any matrix with M's charpoly, is.
-
-    One prime at a time: M mod p is reduced and its n + 1 coefficients
-    are written to one row of the (P, n + 1) residue array before the
-    next prime, so memory is O(n^2 + P * n) whatever the basis size P.
-    """
-    n = len(entries)
-    entries = entries.astype(np.int64, copy=False)
-    primes, modulus = _prime_basis(n, bound)
-    residues = np.empty((len(primes), n + 1), dtype=np.int64)
-    for k, p in enumerate(primes):
-        h = entries % p
-        _hessenberg(h, p)
-        residues[k] = _hessenberg_charpoly(h, p)
-    return _crt_signed(residues, primes, modulus)
-
-
 def charpoly_factors(matrix: IntMatrix) -> list[tuple[IntPolynomial, int]]:
     """The characteristic polynomial det(xI - M) as monic factors with
     multiplicities, [(f_1, m_1), ...], whose product f_1^m_1 f_2^m_2 ...
     is it: the charpolys of the distinct diagonal blocks the integer stage
-    splits M into, and of the trailing block left to the primes.  The
-    factors are neither coprime nor squarefree (see same_product).  Any
-    argument but an IntMatrix goes through IntMatrix first, whose
-    ValueError names a non-integer entry or one beyond int64.
+    splits M into.  The factors are neither coprime nor squarefree (see
+    same_product).  Any argument but an IntMatrix goes through IntMatrix
+    first, whose ValueError names a non-integer entry or one beyond int64.
 
-    Hessenberg method (Cohen, *A Course in Computational Algebraic Number
-    Theory*, Alg. 2.2.9), first over the integers, then, for whatever the
-    integers could not reduce, modulo each prime of a basis.
+    Hessenberg method over the integers (Cohen, *A Course in Computational
+    Algebraic Number Theory*, Alg. 2.2.9).  An int64 copy of M, whatever
+    M's integer dtype, is reduced column by column to upper Hessenberg form
+    over Z, each column cleared by Euclid's algorithm in passes of one
+    integer step each (see _integer_hessenberg).  Each pass is an integer
+    similarity with an integer inverse, so the reduced matrix H has the
+    charpoly of M, exactly.  Before each pass the stage checks that the
+    pass keeps every entry below 2^62/n; where it cannot, the stage stops,
+    and IntegerGrowth names the column.  A matrix that needs no pass (n <= 2,
+    or M already upper Hessenberg) finishes whatever its entries.  Strong
+    power graphs' matrices, K_n's or Z_n's in some element order, finish in
+    every case tested, relabelled Z_2048 included.  Random dense matrices
+    do stop it: with entries in -9..9, about a third of them at order 6,
+    and all from order 7 on.
 
-    Integer stage.  When every |M[i, j]| < 2^62/n, an int64 copy of M,
-    whatever M's integer dtype, is reduced column by column to upper
-    Hessenberg form over Z, each column cleared by Euclid's algorithm in
-    passes of one integer step each.  It
-    stops only before a pass that could take an entry to 2^62/n or more
-    (see _integer_hessenberg).  Each pass is an integer similarity with an
-    integer inverse, so the reduced matrix H has the charpoly of M,
-    exactly.  Wherever a subdiagonal entry among the reduced columns is
-    zero, H is block upper triangular, and its charpoly is the product of
-    those of its diagonal blocks.
+    Wherever a subdiagonal entry of H is zero, H is block upper
+    triangular, and its charpoly is the product of those of its diagonal
+    blocks, each upper Hessenberg over Z.  One pass over the cuts, in
+    Python, sorts the blocks: a 1 x 1 block [v] is the factor x - v,
+    counted by v, and these unit factors come first in the list, in
+    ascending v.  Each distinct larger block, the same order and the same
+    entries, follows in the order it first appears, and runs the
+    Hessenberg recurrence once in Python integers (see
+    _exact_hessenberg_charpoly), which only multiplies and subtracts.  Z_n's
+    matrices in the builders' element order reduce to one 3 x 3 block and
+    n - 3 equal 1 x 1 blocks.
 
-    Exact blocks.  Every block that lies wholly inside the reduced columns
-    is upper Hessenberg over Z; when the stage reduces every column, so is
-    the last one.  One pass over the cuts, in Python, sorts the blocks: a
-    1 x 1 block [v] is the factor x - v, counted by v, and these unit
-    factors come first in the list, in ascending v.  Each distinct larger
-    block, the same order and the same entries, follows in the order it
-    first appears, and runs the Hessenberg recurrence once in Python
-    integers (see _exact_hessenberg_charpoly).
-    The recurrence only multiplies and subtracts, so no division and no
-    modulus arise.  A strong power graph's matrix of Z_n, in the element
-    order the builders use, reduces completely, to one 3 x 3 block and
-    n - 3 equal 1 x 1 blocks: its minimal polynomial has degree at most 4,
-    and each of its two working columns clears in one pass.  So its
-    charpoly never reaches the primes.
-
-    Modular stage.  Only the trailing block, from the last cut onward,
-    when the integer stage stopped before the end, goes to the primes
-    (see _modular_charpoly), as one factor of multiplicity 1; so does all
-    of M when it has entries of 2^62/n or more.  One prime at a time, that
-    block B is reduced modulo p to Hessenberg form and the recurrence runs
-    on it whole (see _hessenberg_charpoly), in O(b^2 + P * b) memory for
-    B's order b and P basis primes, found by is_prime.  Every basis prime
-    has b * (p-1)^2 < 2^53, so each int64 product of two residues, and
-    each dot product of at most b of them, is exact.
-
-    The basis is sized by B's own entries.  B is an integer matrix and
-    the CRT recovers B's own charpoly, so Hadamard's bound on B holds,
-    however large B's entries grew in the integer stage.  When B is the
-    whole reduced matrix, which has M's charpoly, the bound on M holds as
-    well, and the smaller of the two is taken: the integer steps can grow
-    the rows far beyond M's.  The coefficient c_k of x^(b-k) is (-1)^k
-    times the sum of the C(b, k) principal k x k minors.  By Hadamard's
-    inequality the minor on rows S is at most the product of the Euclidean
-    norms r_i of rows i in S, so |c_k| <= e_k(r_1, ..., r_b) <=
-    prod_i (1 + r_i).  With each r_i rounded up to an integer, computed
-    exactly as isqrt(s_i - 1) + 1 from the integer s_i = sum_j B[i, j]^2,
-    a basis whose product exceeds 2 * prod_i (1 + ceil(r_i)) recovers every
-    coefficient exactly by CRT in the symmetric range (see
-    _hadamard_bound).  The s_i are summed in int64 when
-    b * max|B[i, j]|^2 < 2^63, and in Python integers otherwise.
-
-    Each pivot inverse is asserted, and so are these: every factor is
-    monic, sum m * deg f = n, and sum m * [x^(deg f - 1)] f = -tr(M), the
-    x^(n-1) coefficient of the product.
+    Every factor is asserted monic, and so are these: sum m * deg f = n,
+    and sum m * [x^(deg f - 1)] f = -tr(M), the x^(n-1) coefficient of the
+    product.
     """
     if not isinstance(matrix, IntMatrix):
         matrix = IntMatrix(matrix)
     n = matrix.n
-    entries = matrix.entries
-    small = (1 << 62) // n  # the integer stage's int64 limit (see _integer_hessenberg)
-    factors: list[tuple[IntPolynomial, int]] = []
-    if -small < int(entries.min()) <= int(entries.max()) < small:
-        h = entries.astype(np.int64)  # the one int64 working copy, whatever M's dtype
-        done = _integer_hessenberg(h)
-        cuts = [0, *(np.flatnonzero(np.diagonal(h, offset=-1)[:done] == 0) + 1).tolist()]
-        if done == n - 1:
-            cuts.append(n)  # every column is reduced: the last block is Hessenberg too
-        diagonal = np.diagonal(h).tolist()
-        units: dict[int, int] = {}
-        blocks: dict[tuple[int, bytes], list] = {}
-        for lo, hi in zip(cuts, cuts[1:]):
-            if hi - lo == 1:
-                units[diagonal[lo]] = units.get(diagonal[lo], 0) + 1
-            else:
-                block = h[lo:hi, lo:hi]
-                blocks.setdefault((hi - lo, block.tobytes()), [block, 0])[1] += 1
-        factors += [(IntPolynomial([-v, 1]), m) for v, m in sorted(units.items())]
-        for block, m in blocks.values():
-            factors.append((IntPolynomial(_exact_hessenberg_charpoly(block.tolist())), m))
-        rest = h[cuts[-1] :, cuts[-1] :]
-        if len(rest):
-            bound = _hadamard_bound(rest)
-            if cuts[-1] == 0:  # rest is all of h, which has M's charpoly
-                bound = min(bound, _hadamard_bound(entries))
-    else:
-        rest, bound = entries, _hadamard_bound(entries)
-    if len(rest):
-        factors.append((IntPolynomial(_modular_charpoly(rest, bound)), 1))
-    trace = sum(np.diagonal(entries).tolist())  # Python integers: no int64 wraparound
+    h = matrix.entries.astype(np.int64)  # the one int64 working copy, whatever M's dtype
+    done = _integer_hessenberg(h)
+    if done < n - 1:
+        raise IntegerGrowth(
+            f"the integer stage stopped at column {done} of n = {n}: its next pass "
+            f"could take an entry to 2^62/n = {(1 << 62) // n} or more"
+        )
+    cuts = [0, *(np.flatnonzero(np.diagonal(h, offset=-1) == 0) + 1).tolist(), n]
+    diagonal = np.diagonal(h).tolist()
+    units: dict[int, int] = {}
+    blocks: dict[tuple[int, bytes], list] = {}
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi - lo == 1:
+            units[diagonal[lo]] = units.get(diagonal[lo], 0) + 1
+        else:
+            block = h[lo:hi, lo:hi]
+            blocks.setdefault((hi - lo, block.tobytes()), [block, 0])[1] += 1
+    factors = [(IntPolynomial([-v, 1]), m) for v, m in sorted(units.items())]
+    for block, m in blocks.values():
+        factors.append((IntPolynomial(_exact_hessenberg_charpoly(block.tolist())), m))
+    trace = sum(np.diagonal(matrix.entries).tolist())  # Python integers: no int64 wraparound
     assert all(f.is_monic() for f, _ in factors), "a block charpoly is not monic"
     assert sum(m * f.degree for f, m in factors) == n, "block orders do not sum to n"
     assert sum(m * f.coefficient(f.degree - 1) for f, m in factors) == -trace, (

@@ -224,8 +224,7 @@ class CayleyGroup(GroupSpec):
 
 
 # spg needs primality, the totient and the prime divisors of group orders,
-# which the n^2 bytes of a graph bound, and primality of the exact charpoly's
-# basis primes, which lie below 2^27.  All three accept 1 <= n < _LIMIT and
+# which the n^2 bytes of a graph bound.  All three accept 1 <= n < _LIMIT and
 # refuse the rest.
 # _LIMIT is 3215031751 = 151 * 751 * 28351, the smallest strong pseudoprime
 # to the bases 2, 3, 5 and 7 (Jaeschke, Math. Comp. 61, 1993), so the test to

@@ -494,6 +494,24 @@ def test_a_closed_form_without_a_real_spectrum_fails_its_check(monkeypatch, caps
     assert err.startswith("spg: verification failed: ") and err.count("\n") == 1
 
 
+def test_a_closed_form_that_does_not_divide_exactly_fails_charpoly(monkeypatch, capsys):
+    # spg charpoly prints the closed form expanded, and (x+5) does not divide
+    # the rest of the planted product: nothing to print, and no traceback
+    monkeypatch.setattr(exactalg, "distance_formula_factors", _a_negative_root)
+    code, out, err = run_cli(capsys, ["charpoly", "--group", "cyclic:6", "--matrix", "distance"])
+    assert (code, out) == (1, "") and "Traceback" not in err
+    assert err.startswith("spg: verification failed: (x + 5) does not divide ")
+    assert err.count("\n") == 1
+
+
+def test_a_charpoly_the_integer_stage_refuses_fails_charpoly(monkeypatch, capsys):
+    monkeypatch.setattr(exactalg, "_integer_hessenberg", lambda h: 0)
+    code, out, err = run_cli(capsys, ["charpoly", "--group", "cyclic:6"])
+    assert (code, out) == (1, "") and "Traceback" not in err
+    assert err.startswith("spg: verification failed: the integer stage stopped at column 0 of n = 6: ")
+    assert err.count("\n") == 1
+
+
 def test_a_closed_form_of_the_wrong_degree_fails_its_record(monkeypatch, capsys):
     # a distance form of degree n + 1: the spectra differ in length, which
     # is a failed check (exit 1), not a usage error (exit 2)

@@ -1,6 +1,5 @@
 """Exact matrices, polynomials, characteristic polynomials, closed forms."""
 
-import contextlib
 import math
 import random
 import tracemalloc
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 
 from spg.exactalg import (
     InexactDivision,
+    IntegerGrowth,
     IntMatrix,
     IntPolynomial,
     NoClosedForm,
@@ -21,6 +21,7 @@ from spg.exactalg import (
     adjacency_formula_factors,
     charpoly,
     charpoly_factors,
+    closed_form,
     complete_graph_factors,
     distance_charpoly_formula,
     distance_cubic,
@@ -33,7 +34,7 @@ from spg.exactalg import (
     same_product,
 )
 from spg import exactalg
-from spg.exactalg import _hadamard_bound, _modular_charpoly, _prime_basis
+from spg.cli import parse_group_spec
 from spg.graphs import adjacency_matrix, distance_matrix, strong_power_graph
 from spg.spectra import symmetric_eigenvalues
 
@@ -131,22 +132,6 @@ def test_int_matrix_refuses_entries_beyond_int64():
     assert fits.entries.tolist() == [[2**63 - 1, 0], [0, -(2**63)]]
 
 
-@contextlib.contextmanager
-def _modular_calls():
-    """A list that grows by the shape of the matrix given to each call of
-    exactalg._modular_charpoly while the block runs."""
-    calls = []
-    modular = exactalg._modular_charpoly
-
-    def counting(entries, bound):
-        calls.append(entries.shape)
-        return modular(entries, bound)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exactalg, "_modular_charpoly", counting)
-        yield calls
-
-
 def test_charpoly_swap_matrix():
     assert charpoly(IntMatrix([[0, 1], [1, 0]])) == IntPolynomial([-1, 0, 1])
 
@@ -186,11 +171,12 @@ def test_charpoly_trace_and_edge_coefficients():
 
 
 def test_charpoly_is_monic():
+    # exact (monic of degree n, among the determinant checks) or refused;
+    # orders 1 and 2 take no pass, so they are exact
     rng = random.Random(7)
     for n in (1, 2, 5, 11):
-        m = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
-        poly = charpoly(m)
-        assert poly.degree == n and poly.is_monic()
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        assert _exact_or_refused(rows) or n > 2, n
 
 
 def test_charpoly_invariant_under_permutation():
@@ -204,12 +190,10 @@ def test_charpoly_invariant_under_permutation():
 
 
 def test_charpoly_large_entries():
-    big = 2**63 - 1  # at least 2^62/n: the modular stage takes the whole matrix
+    big = 2**63 - 1  # far beyond 2^62/n, but order 2 needs no integer pass
     m = IntMatrix([[big, 1], [1, -big]])
     # det = -big^2 - 1, trace = 0
-    with _modular_calls() as calls:
-        assert charpoly(m) == IntPolynomial([-(big * big) - 1, 0, 1])
-    assert calls == [(2, 2)]
+    assert charpoly(m) == IntPolynomial([-(big * big) - 1, 0, 1])
 
 
 @pytest.mark.parametrize("k", [1, 3, 2**40])
@@ -221,17 +205,15 @@ def test_charpoly_meets_the_hadamard_bound_with_equality(k):
         h = [row + row for row in h] + [row + [-v for v in row] for row in h]
     m = IntMatrix([[k * v for v in row] for row in h])
     rows = m.entries.tolist()
-    # the integer stage reduces it; the modular stage is run on it directly,
-    # where the bound must hold with equality
-    modular = _modular_charpoly(m.entries, _hadamard_bound(m.entries))
-    for poly in (charpoly(m), IntPolynomial(modular)):
-        assert abs(poly.coefficient(0)) == (4 * k) ** 16
-        assert poly.coefficient(0) == bareiss_det(m)  # n = 16 is even
-        for x in (-2, 1, 5):
-            shifted = IntMatrix(
-                [[x * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(rows)]
-            )
-            assert poly_eval(poly, x) == bareiss_det(shifted), x
+    # the integer stage reduces it completely, k * 2^4 and all
+    poly = charpoly(m)
+    assert abs(poly.coefficient(0)) == (4 * k) ** 16
+    assert poly.coefficient(0) == bareiss_det(m)  # n = 16 is even
+    for x in (-2, 1, 5):
+        shifted = IntMatrix(
+            [[x * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+        )
+        assert poly_eval(poly, x) == bareiss_det(shifted), x
 
 
 def test_bareiss_det_examples():
@@ -250,32 +232,38 @@ def test_bareiss_matches_charpoly_constant():
             assert bareiss_det(matrix) == (-1) ** n * constant, n
 
 
-def _trial_division_basis(n, bound):
-    """The prime basis as it was found before the sieve: trial division of
-    each candidate below the limit, largest first."""
-    candidate = math.isqrt(((1 << 53) - 1) // n) + 1
-    primes, product = [], 1
-    while product <= bound:
-        candidate -= 1
-        if n * (candidate - 1) ** 2 < 1 << 53 and is_prime(candidate):
-            primes.append(candidate)
-            product *= candidate
-    return primes, product
-
-
 @pytest.mark.parametrize("n", [1, 2, 7, 60, 110, 150, 300])
-def test_prime_basis_matches_trial_division(n):
-    # 2^4000 needs primes from more than one sieve window at every n here
-    for bound in (2, 2 * (1 + 2 * n) ** n, 2**4000):
-        assert _prime_basis(n, bound) == _trial_division_basis(n, bound), (n, bound)
+def test_the_int64_limit_is_2_62_over_the_order(n):
+    small = (1 << 62) // n
+    if n <= 2:
+        # no pass is needed below order 3: entries at both ends of int64 finish
+        a, b = 2**63 - 1, -(2**63)
+        if n == 1:
+            assert charpoly(IntMatrix([[b]])) == IntPolynomial([-b, 1])
+        else:
+            expected = IntPolynomial([a * a - b * b, -2 * a, 1])
+            assert charpoly(IntMatrix([[a, b], [b, a]])) == expected
+        return
+    # column 0 is (corner, 1, ..., 1): the pass on it has q = 1, so it is
+    # taken exactly when corner * 2 * (1 + n) < 2^62/n, and it leaves the
+    # matrix Hessenberg, with charpoly x^(n-1) (x - corner)
+    top = (small - 1) // (2 * (n + 1))
+    for corner in (top, top + 1):
+        rows = [[corner] + [0] * (n - 1)] + [[1] + [0] * (n - 1) for _ in range(n - 1)]
+        if corner == top:
+            expected = IntPolynomial([0] * (n - 1) + [-corner, 1])
+            assert charpoly(IntMatrix(rows)) == expected
+        else:
+            message = rf"stopped at column 0 of n = {n}: .* 2\^62/n = {small} or more"
+            with pytest.raises(IntegerGrowth, match=message):
+                charpoly(IntMatrix(rows))
 
 
-def _assert_charpoly_by_determinants(rows, fold=charpoly):
-    """fold(M), charpoly(M) by default, is monic of degree n and agrees with
-    det(xI - M), taken by Bareiss, at the n + 1 points 0..n, which determine
-    it."""
+def _assert_charpoly_by_determinants(rows):
+    """charpoly(M) is monic of degree n and agrees with det(xI - M), taken
+    by Bareiss, at the n + 1 points 0..n, which determine it."""
     m = IntMatrix(rows)
-    poly = fold(m)
+    poly = charpoly(m)
     assert poly.degree == m.n and poly.is_monic()
     rows = m.entries.tolist()  # Python integers: no int64 wraparound below
     for x0 in range(m.n + 1):
@@ -288,10 +276,19 @@ def _assert_charpoly_by_determinants(rows, fold=charpoly):
         assert poly_eval(poly, x0) == bareiss_det(shifted), (rows, x0)
 
 
-def _modular(matrix):
-    """The modular stage alone, run on all of the matrix, whatever the
-    integer stage would have reduced."""
-    return IntPolynomial(_modular_charpoly(matrix.entries, _hadamard_bound(matrix.entries)))
+def _exact_or_refused(rows):
+    """True when the integer stage, run alone on M, reduces every column and
+    charpoly(M) agrees with det(xI - M) (see _assert_charpoly_by_determinants);
+    False when the stage stops and charpoly(M) raises IntegerGrowth naming
+    the column where it stopped.  Never a wrong charpoly."""
+    n = len(rows)
+    done = exactalg._integer_hessenberg(np.array(rows, dtype=np.int64))
+    if done == n - 1:
+        _assert_charpoly_by_determinants(rows)
+        return True
+    with pytest.raises(IntegerGrowth, match=f"stopped at column {done} of n = {n}: "):
+        charpoly(IntMatrix(rows))
+    return False
 
 
 def _square(n, entries):
@@ -303,10 +300,10 @@ def _square(n, entries):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n: _square(n, st.integers(-9, 9))))
 def test_charpoly_nonsymmetric_and_singular(rows):
-    _assert_charpoly_by_determinants(rows)
+    _exact_or_refused(rows)
     singular = rows[:-1] + [rows[0]] if len(rows) > 1 else [[0]]
-    _assert_charpoly_by_determinants(singular)
-    assert charpoly(IntMatrix(singular)).coefficient(0) == 0
+    if _exact_or_refused(singular):
+        assert charpoly(IntMatrix(singular)).coefficient(0) == 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -316,46 +313,22 @@ def test_charpoly_nonsymmetric_and_singular(rows):
     )
 )
 def test_charpoly_without_pivot(case):
-    # block upper triangular with a leading (j+1) x (j+1) block: no prime
-    # finds a pivot for column j, and entry (j+1, j) stays zero for all primes
+    # block upper triangular with a leading (j+1) x (j+1) block: column j
+    # has no pivot, and entry (j+1, j) stays zero
     rows, j = case
     for i in range(j + 1, len(rows)):
         rows[i][: j + 1] = [0] * (j + 1)
+    _exact_or_refused(rows)
+
+
+def test_charpoly_of_a_hessenberg_input_takes_no_pass():
+    # already upper Hessenberg, with subdiagonal entries beyond 2^62/n: the
+    # integer stage takes no pass, so nothing refuses them, and the fold
+    # keeps one 3 x 3 block, whose recurrence runs in Python integers
+    top = 2**62 - 1
+    rows = [[1, 2, 5], [top, 3, 1], [0, -top, 4]]
+    assert charpoly_factors(rows)[0][0].degree == 3
     _assert_charpoly_by_determinants(rows)
-
-
-def _pivot_hostile_square(n):
-    # multiples of the largest basis prime vanish modulo that prime only, so
-    # that prime picks other pivot rows than the rest of the basis
-    top = _prime_basis(n, 1)[0][0]
-    entries = st.one_of(st.integers(-3, 3), st.integers(-2, 2).map(lambda k: k * top))
-    return _square(n, entries)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 6).flatmap(_pivot_hostile_square))
-def test_charpoly_pivots_differ_between_primes(rows):
-    _assert_charpoly_by_determinants(rows)
-    _assert_charpoly_by_determinants(rows, _modular)
-
-
-def test_charpoly_pivot_differs_for_largest_prime():
-    # entry (1, 0) vanishes modulo the largest prime only, which pivots on row 2
-    top = _prime_basis(3, 1)[0][0]
-    rows = [[1, 2, 0], [top, 0, 1], [1, 1, 3]]
-    _assert_charpoly_by_determinants(rows)
-    _assert_charpoly_by_determinants(rows, _modular)
-
-
-def test_charpoly_does_not_split_where_only_some_primes_vanish():
-    # already upper Hessenberg, with subdiagonal entries that are multiples of
-    # the largest basis prime: zero modulo that prime only.  The exact fold
-    # keeps one 3 x 3 block, and the modular recurrence, run on the whole
-    # block for every prime, must stay right modulo that prime too
-    top = _prime_basis(3, 1)[0][0]
-    rows = [[1, 2, 5], [top, 3, 1], [0, 2 * top, 4]]
-    _assert_charpoly_by_determinants(rows)
-    _assert_charpoly_by_determinants(rows, _modular)
 
 
 def _diagonal_blocks():
@@ -381,13 +354,11 @@ def test_charpoly_folds_block_upper_triangular_matrices(blocks, rng):
             rows[at + i][at : at + k] = block[i]
             rows[at + i][at + k :] = [rng.randint(-3, 3) for _ in range(n - at - k)]
         at += k
-    # conjugated by a permutation, the integer stage has to find the blocks;
-    # the modular stage reduces the whole matrix modulo every prime, unsplit
+    # conjugated by a permutation, the integer stage has to find the blocks
     order = list(range(n))
     rng.shuffle(order)
     for square in (rows, permuted(IntMatrix(rows), order).entries.tolist()):
-        _assert_charpoly_by_determinants(square)
-        _assert_charpoly_by_determinants(square, _modular)
+        _exact_or_refused(square)
 
 
 def _cyclic_matrices(n):
@@ -417,35 +388,52 @@ def test_sweep_matrices_run_the_recurrence_once_per_distinct_block(monkeypatch):
             assert sizes == [3], (n, sizes)
 
 
-def test_sweep_matrices_never_reach_the_primes(monkeypatch):
-    # in the builders' element order, the integer stage reduces every Z_n
-    # matrix completely, and its blocks are folded over Z: no prime basis is
-    # sought and no matrix is reduced modulo a prime, whatever n is
-    calls = []
-    basis, reduce = exactalg._prime_basis, exactalg._hessenberg
+def _noncyclic_invariant_factors(limit):
+    """Every d_1 | d_2 | ... | d_k with k >= 2, d_1 >= 2 and product at most
+    limit: the invariant factors of each noncyclic abelian group of order
+    at most limit, once each."""
 
-    def basis_spy(n, bound):
-        primes, product = basis(n, bound)
-        calls.append(("basis", len(primes)))
-        return primes, product
+    def extend(factors, order):
+        if len(factors) >= 2:
+            yield factors
+        step = factors[-1]
+        for d in range(step, limit // order + 1, step):
+            yield from extend([*factors, d], order * d)
 
-    def reduce_spy(h, p):
-        calls.append(("hessenberg", h.shape))
-        reduce(h, p)
+    for d in range(2, limit + 1):
+        yield from extend([d], d)
 
-    monkeypatch.setattr(exactalg, "_prime_basis", basis_spy)
-    monkeypatch.setattr(exactalg, "_hessenberg", reduce_spy)
-    for n in (12, 60, 110, 1024):
-        for matrix, formula in _cyclic_matrices(n):
-            assert charpoly(matrix) == formula(n), n
-            assert calls == [], (n, calls)
-    # the spies see the calls of a matrix that does reach the primes: its
-    # 2^60 corner makes the growth rule refuse the first pass
-    rows = [[2**60, 2, 3], [2, 5, 7], [3, 1, 4]]
-    assert exactalg._integer_hessenberg(np.array(rows, dtype=np.int64)) == 0
-    _assert_charpoly_by_determinants(rows)
-    primes = calls[0][1]
-    assert calls == [("basis", primes)] + [("hessenberg", (3, 3))] * primes, calls
+
+def test_every_buildable_group_finishes_in_the_integer_stage():
+    # every strong power graph is K_n or a relabelled copy of Z_n's, so the
+    # integer stage reduces both matrices of every group below, in the
+    # builders' element order and under one relabelling, and the charpoly is
+    # the closed form's
+    specs = [f"cyclic:{n}" for n in range(2, 301)] + [f"dihedral:{m}" for m in range(3, 76)]
+    specs += ["product:" + ",".join(map(str, f)) for f in _noncyclic_invariant_factors(150)]
+    assert len(specs) == 299 + 73 + 137
+    specs += ["cyclic:1024", "cyclic:2048"]
+    rng = random.Random(36)
+    checked = []
+    for spec in specs:
+        group = parse_group_spec(spec)
+        graph = strong_power_graph(group)
+        order = list(range(group.order))
+        rng.shuffle(order)
+        for kind, build in (("adjacency", adjacency_matrix), ("distance", distance_matrix)):
+            if spec == "cyclic:2048" and kind == "adjacency":
+                continue
+            try:
+                factors, _ = closed_form(group, kind)
+            except NoClosedForm:
+                continue
+            matrix = build(graph)
+            for m in (matrix, permuted(matrix, order)):
+                done = exactalg._integer_hessenberg(m.entries.astype(np.int64))
+                assert done == group.order - 1, (spec, kind, done)
+                assert same_product(charpoly_factors(m), factors), (spec, kind)
+                checked.append(spec)
+    assert len(checked) == 1912 + 4 + 2, len(checked)
 
 
 @pytest.mark.parametrize("n", [12, 60, 120])
@@ -483,50 +471,44 @@ def test_charpoly_of_narrow_matrices_equals_the_int64_copy():
         random.Random(n).shuffle(order)
         shuffled = permuted(distance_matrix(strong_power_graph(CyclicGroup(n))), order)
         cases.append((shuffled.entries, (np.int8, np.int16, np.int32)))
-    paths = []  # per case, the shapes the modular stage was given
-    with _modular_calls() as sent:
-        for entries, dtypes in cases:
-            wide = IntMatrix(entries.astype(np.int64))
-            sent.clear()
-            factors, poly = charpoly_factors(wide), charpoly(wide)
-            paths.append(list(sent))
-            for dtype in dtypes:
-                narrow = IntMatrix(entries.astype(dtype))
-                assert narrow.entries.dtype == dtype
-                sent.clear()
-                assert charpoly_factors(narrow) == factors, dtype
-                assert charpoly(narrow) == poly, dtype
-                assert sent == paths[-1], dtype
-    # the dense +-100 matrix reduces two columns over Z with no zero
-    # subdiagonal entry, so the whole reduced matrix goes to the primes
-    # (cuts[-1] == 0) and its basis takes the input's own bound; the
-    # shuffled Z_n matrices never reach the primes
+    outcomes = []  # per case, the factors or the refusal's message
+    for entries, dtypes in cases:
+        outcomes.append(_charpoly_or_refusal(IntMatrix(entries.astype(np.int64))))
+        for dtype in dtypes:
+            narrow = IntMatrix(entries.astype(dtype))
+            assert narrow.entries.dtype == dtype
+            assert _charpoly_or_refusal(narrow) == outcomes[-1], dtype
+    # the dense +-100 matrix reduces two columns over Z, then stops, and so
+    # does its narrow copy, at the same column; the shuffled Z_n matrices
+    # finish
     assert exactalg._integer_hessenberg(dense.copy()) == 2
-    assert paths[0] == [(24, 24)] * 2 and paths[2:] == [[], []], paths
-    _assert_charpoly_by_determinants(dense.tolist())
-    _assert_charpoly_by_determinants(extreme.tolist())
-    bound = _hadamard_bound(dense)
-    narrow = dense.astype(np.int8)
-    assert _hadamard_bound(narrow) == bound
-    assert _modular_charpoly(narrow, bound) == _modular_charpoly(dense, bound)
+    assert "stopped at column 2 of n = 24:" in outcomes[0]
+    assert all(isinstance(outcome, list) for outcome in outcomes[2:]), outcomes
+    _exact_or_refused(dense.tolist())
+    _exact_or_refused(extreme.tolist())
+
+
+def _charpoly_or_refusal(matrix):
+    """charpoly_factors(matrix), or the message of the IntegerGrowth it raises."""
+    try:
+        return charpoly_factors(matrix)
+    except IntegerGrowth as exc:
+        return str(exc)
 
 
 def _beside_a_large_entry(rows):
     """rows, a square list of lists, beside a 1 x 1 block just under the
     integer stage's int64 limit 2^62/n: the growth rule refuses the first
-    pass, so the stage reduces no column and the primes reduce the whole
-    matrix."""
+    pass, so the stage reduces no column and charpoly raises IntegerGrowth."""
     n = len(rows) + 1
     return [row + [0] for row in rows] + [[0] * (n - 1) + [(1 << 62) // n - 1]]
 
 
 def _distance_z119_beside_a_large_entry():
-    """A 120 x 120 input that goes to the primes whole, with its charpoly."""
-    rows = _beside_a_large_entry(
+    """A 120 x 120 input that the integer stage refuses at column 0."""
+    return IntMatrix(_beside_a_large_entry(
         distance_matrix(strong_power_graph(CyclicGroup(119))).entries.tolist()
-    )
-    factor = IntPolynomial([-rows[-1][-1], 1])
-    return IntMatrix(rows), poly_mul(distance_charpoly_formula(119), factor)
+    ))
 
 
 def _coprime_first_column(rng, n, bound):
@@ -539,35 +521,27 @@ def _coprime_first_column(rng, n, bound):
     return rows
 
 
-def test_charpoly_reduces_the_whole_matrix_once_per_basis_prime(monkeypatch):
-    reduced = []  # (prime, shape) of each matrix reduced modulo a prime
-    basis, reduce = exactalg._prime_basis, exactalg._hessenberg
-    primes = []
-
-    def basis_spy(n, bound):
-        found = basis(n, bound)
-        primes[:] = found[0]
-        return found
-
-    def spy(h, p):
-        reduced.append((p, h.shape))
-        reduce(h, p)
-
-    monkeypatch.setattr(exactalg, "_prime_basis", basis_spy)
-    monkeypatch.setattr(exactalg, "_hessenberg", spy)
-    # beside a large entry, the integer stage takes no pass, so the whole
-    # matrix goes to the primes, and each basis prime reduces it once
-    z119, z119_charpoly = _distance_z119_beside_a_large_entry()
+def test_charpoly_refuses_a_pass_beside_a_large_entry():
+    # beside a large entry, or with one in a column that needs a pass, the
+    # integer stage takes no pass: charpoly raises, naming column 0, n and
+    # the bound, and returns no charpoly
     rng = random.Random(24)
-    rows = _beside_a_large_entry([[rng.randint(-999, 999) for _ in range(23)] for _ in range(23)])
-    _assert_charpoly_by_determinants(rows)
-    dense = IntMatrix(rows)
-    for matrix, expected, least in ((z119, z119_charpoly, 5), (dense, charpoly(dense), 10)):
-        assert exactalg._integer_hessenberg(matrix.entries.copy()) == 0
-        n = matrix.n
-        reduced.clear()
-        assert charpoly(matrix) == expected
-        assert reduced == [(p, (n, n)) for p in primes] and len(primes) > least, (n, reduced)
+    dense = _beside_a_large_entry([[rng.randint(-999, 999) for _ in range(23)] for _ in range(23)])
+    third = (1 << 62) // 3
+    cases = [
+        _distance_z119_beside_a_large_entry().entries.tolist(),
+        dense,
+        [[third, 1, 0], [1, 0, 1], [1, 1, 0]],  # the entry is 2^62/3 itself
+        # |-2^63| does not fit int64; the stage must still see it as large
+        [[0, 1, 0], [-(2**63), 0, 1], [-(2**63), 1, 0]],
+    ]
+    for rows in cases:
+        n = len(rows)
+        h = np.array(rows, dtype=np.int64)
+        assert exactalg._integer_hessenberg(h) == 0 and h.tolist() == rows
+        message = rf"stopped at column 0 of n = {n}: .* 2\^62/n = {(1 << 62) // n} or more$"
+        with pytest.raises(IntegerGrowth, match=message):
+            charpoly_factors(rows)
 
 
 def _conjugate(rows, i, j, c):
@@ -609,7 +583,7 @@ def _unimodular_conjugates(draw):
 def _near_the_int64_rule(draw):
     # columns 0..j-1 already Hessenberg, with a zero subdiagonal entry at
     # (j, j-1); column j needs a step, but entries near 2^62/n refuse it:
-    # the prefix stops at j and hands the block from j onward to the primes
+    # the stage stops at j, and charpoly refuses the matrix
     n = draw(st.integers(3, 6))
     j = draw(st.integers(0, n - 3))
     small = (1 << 62) // n
@@ -635,10 +609,11 @@ def _coprime_first_columns(draw):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_unimodular_conjugates(), _near_the_int64_rule(), _coprime_first_columns()))
 def test_charpoly_after_integer_steps(case):
-    # each kind of input stops the integer stage where it was built to
+    # each kind of input stops the integer stage where it was built to, and
+    # its charpoly is exact or refused
     rows, (least, most) = case
     assert least <= exactalg._integer_hessenberg(np.array(rows, dtype=np.int64)) <= most
-    _assert_charpoly_by_determinants(rows)
+    _exact_or_refused(rows)
 
 
 @pytest.mark.parametrize("n, j", [(5, 1), (7, 3), (9, 5)])
@@ -661,7 +636,7 @@ def test_integer_stage_scans_to_the_first_pending_column(n, j):
     assert done > j
     assert np.array_equal(h[:, :j], matrix[:, :j])
     assert not np.tril(h, -2)[:, :done].any()
-    _assert_charpoly_by_determinants(rows)
+    _exact_or_refused(rows)
 
 
 @pytest.mark.parametrize("column", [[2, 3], [6, 10, 15], [-15, 6, 0, 10]])
@@ -687,7 +662,8 @@ def test_integer_stage_stops_at_a_later_pass_of_a_column():
     # Column 1 holds 2 and 3 below its diagonal.  Its first pass (q = 2) is
     # allowed, since top * 3 * 11 < 2^62/5, and leaves 2 and -1 there, but
     # it grows row 3 to -3 top; the second pass (q = 2 again) would then
-    # break the int64 rule, so the stage stops at column 1 after one pass
+    # break the int64 rule, so the stage stops at column 1 after one pass,
+    # and charpoly refuses the matrix there
     n = 5
     top = ((1 << 62) // n - 1) // 33
     rows = [
@@ -701,11 +677,8 @@ def test_integer_stage_stops_at_a_later_pass_of_a_column():
     assert exactalg._integer_hessenberg(h) == 1
     assert h[2:, 1].tolist() == [2, -1, 0]
     assert max(int(h.max()), -int(h.min())) == 3 * top + 4
-    # the trailing block h[1:, 1:] goes to the primes
-    _assert_charpoly_by_determinants(rows)
-    _assert_charpoly_by_determinants(h[1:, 1:].tolist(), _modular)
-    trailing = _modular(IntMatrix(h[1:, 1:]))
-    assert charpoly(IntMatrix(rows)) == poly_mul(IntPolynomial([-1, 1]), trailing)
+    with pytest.raises(IntegerGrowth, match="stopped at column 1 of n = 5: "):
+        charpoly(IntMatrix(rows))
 
 
 def _stepping_inputs():
@@ -766,7 +739,8 @@ def test_integer_row_update_holds_no_square_temporary():
 
 def test_integer_steps_stop_where_int64_would_overflow():
     # B = max|h| and q = 1 at column 0: the step is taken exactly when
-    # B * 2 * (1 + 4) < 2^62 / 4, and then the grown entries stop column 1
+    # B * 2 * (1 + 4) < 2^62 / 4, and then the grown entries stop column 1;
+    # either way charpoly refuses the matrix where the stage stopped
     n = 4
     top = ((1 << 62) // n - 1) // (2 * (n + 1))
     for corner, done in ((top, 1), (top + 1, 0)):
@@ -777,91 +751,35 @@ def test_integer_steps_stop_where_int64_would_overflow():
             [-1, top, -top, top],
         ]
         assert exactalg._integer_hessenberg(np.array(rows, dtype=np.int64)) == done
-        _assert_charpoly_by_determinants(rows)
+        assert not _exact_or_refused(rows)
 
 
-def test_basis_of_a_whole_grown_block_is_sized_by_the_input(monkeypatch):
+def test_charpoly_refuses_the_dense_matrix_at_column_4():
     # a dense -9..9 matrix with +-1 below the diagonal of column 0 takes
-    # integer steps that grow its rows, then stops with no zero subdiagonal
-    # entry: all of the reduced h goes to the primes, and M's rows, not h's,
-    # size the basis
+    # integer steps that grow its rows, then stops at column 4 with no zero
+    # subdiagonal entry: charpoly refuses it there
     rng = random.Random(0)
     n = 24
     rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
     for i in range(1, n):
         rows[i][0] = rng.choice([-1, 1])
-    m = np.array(rows, dtype=np.int64)
-    h = m.copy()
-    done = exactalg._integer_hessenberg(h)
-    assert 0 < done < n - 1 and np.diagonal(h, offset=-1)[:done].all()
-    grown, own = (len(_prime_basis(n, _hadamard_bound(a))[0]) for a in (h, m))
-    assert grown > 2 * own, (grown, own)
-    bounds = []
-    basis = exactalg._prime_basis
-
-    def spy(order, bound):
-        bounds.append((order, bound))
-        return basis(order, bound)
-
-    monkeypatch.setattr(exactalg, "_prime_basis", spy)
-    _assert_charpoly_by_determinants(rows)
-    assert bounds == [(n, _hadamard_bound(m))], bounds
+    h = np.array(rows, dtype=np.int64)
+    assert exactalg._integer_hessenberg(h) == 4 and np.diagonal(h, offset=-1)[:4].all()
+    with pytest.raises(IntegerGrowth, match=rf"stopped at column 4 of n = 24: .* = {(1 << 62) // 24} "):
+        charpoly_factors(rows)
 
 
-def test_charpoly_memory_is_flat_in_the_basis_size(monkeypatch):
-    # one prime at a time: the peak is a few n x n arrays whatever the basis
-    # size P; eight int64 copies of the matrix would take the whole bound
-    matrix, expected = _distance_z119_beside_a_large_entry()
-    assert exactalg._integer_hessenberg(matrix.entries.astype(np.int64)) == 0
-    reduced = []
-    reduce = exactalg._hessenberg
-
-    def spy(h, p):
-        reduced.append(h.shape)
-        reduce(h, p)
-
-    monkeypatch.setattr(exactalg, "_hessenberg", spy)
-    tracemalloc.start()
-    try:
-        poly = charpoly(matrix)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert poly == expected
-    # the primes ran on the whole matrix
-    assert len(reduced) > 5 and set(reduced) == {(120, 120)}, reduced
-    assert peak < 8 * 120 * 120 * 8, peak
-
-
-def test_charpoly_of_matrices_whose_entries_are_not_residues(monkeypatch):
-    # each prime must reduce the matrix mod p that went to the primes,
-    # whatever the sign and size of its entries
-    seen = []
-    modular, reduce = exactalg._modular_charpoly, exactalg._hessenberg
-    sent = []  # the matrix given to the modular stage
-
-    def modular_spy(entries, bound):
-        sent[:] = [entries]
-        return modular(entries, bound)
-
-    def spy(h, p):
-        (entries,) = sent
-        assert h.dtype == np.int64 and h.flags.writeable and h.flags.c_contiguous
-        assert h.tolist() == [[v % p for v in row] for row in entries.tolist()]
-        seen.append((min(entries.flat), max(entries.flat), p))
-        reduce(h, p)
-
-    monkeypatch.setattr(exactalg, "_modular_charpoly", modular_spy)
-    monkeypatch.setattr(exactalg, "_hessenberg", spy)
+def test_charpoly_of_matrices_with_entries_of_every_size():
+    # entries of either sign and of 2 to 45 bits: an order-1 matrix is exact
+    # whatever its entry, and a larger one is exact or refused
     rng = random.Random(278)
     cases = [[[0, 1, 2], [1, 0, 1], [2, 1, 0]], [[-1, 2], [3, -4]], [[2**40, -3], [5, 2**40 + 1]]]
     for bits in (2, 8, 31, 45):
         for n in (1, 3, 5):
             cases.append([[rng.randint(-(2**bits), 2**bits) for _ in range(n)] for _ in range(n)])
-    for rows in cases:
-        _assert_charpoly_by_determinants(rows)
-    assert any(lo < 0 for lo, hi, p in seen)  # reduced: negative entries
-    assert any(hi >= p for lo, hi, p in seen)  # reduced: entries past the smallest prime
+    exact = [_exact_or_refused(rows) for rows in cases]
+    assert all(done for done, rows in zip(exact, cases) if len(rows) <= 2)
+    assert exact.count(True) > len(cases) // 2, exact
 
 
 _ENTRY = st.integers(-(2**63), 2**63 - 1)
@@ -876,22 +794,19 @@ _LARGE = st.one_of(st.integers(2**62, 2**63 - 1), st.integers(-(2**63), -(2**62)
 @example(2**62, 0, 0, 2**62)  # the trace, 2^63, would wrap in int64
 @example(2**63 - 1, 0, 0, 1)
 def test_charpoly_orders_one_and_two(a, b, c, d):
+    # no pass is needed below order 3, so entries of any size are exact
     expected = IntPolynomial([a * d - b * c, -(a + d), 1])
-    with _modular_calls() as calls:
-        assert charpoly(IntMatrix([[a]])) == IntPolynomial([-a, 1])
-        assert charpoly(IntMatrix([[a, b], [c, d]])) == expected
-    assert calls == [(1, 1), (2, 2)]
+    assert charpoly(IntMatrix([[a]])) == IntPolynomial([-a, 1])
+    assert charpoly(IntMatrix([[a, b], [c, d]])) == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: _square(n, st.integers(-(2**62), 2**62))))
 def test_charpoly_entries_beyond_int64(rows):
-    # entries beyond the integer stage's int64 limit: one at 2^62/n sends
-    # the whole matrix to the modular stage
+    # entries beyond the integer stage's int64 limit, one at 2^62/n: exact
+    # below order 3, which needs no pass, and exact or refused above
     rows[0][0] = (1 << 62) // len(rows)
-    with _modular_calls() as calls:
-        _assert_charpoly_by_determinants(rows)
-    assert calls == [(len(rows), len(rows))]
+    assert _exact_or_refused(rows) or len(rows) > 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -908,6 +823,7 @@ def test_charpoly_entries_beyond_int64(rows):
     )
 )
 def test_charpoly_evaluates_to_shifted_determinant(case):
+    # exact or refused: a refusal is where the integer stage stops
     rows, x0 = case
     m = IntMatrix(rows)
     shifted = IntMatrix(
@@ -916,7 +832,12 @@ def test_charpoly_evaluates_to_shifted_determinant(case):
             for i in range(m.n)
         ]
     )
-    assert poly_eval(charpoly(m), x0) == bareiss_det(shifted)
+    try:
+        poly = charpoly(m)
+    except IntegerGrowth:
+        assert exactalg._integer_hessenberg(m.entries.astype(np.int64)) < m.n - 1
+    else:
+        assert poly_eval(poly, x0) == bareiss_det(shifted)
 
 
 def test_poly_mul_and_eval():
@@ -1108,17 +1029,18 @@ def _charpoly_product_cases():
     yield "Z_120 distance x 2^61", IntMatrix([[v << 61 for v in row] for row in d120]), True
     # reduces over Z into 2 x 2 blocks, two of them with multiplicity 3
     yield "Hadamard x 2^40", _hadamard_16(2**40), False
-    yield "Z_119 distance beside a large entry", _distance_z119_beside_a_large_entry()[0], True
+    yield "Z_119 distance beside a large entry", _distance_z119_beside_a_large_entry(), True
 
 
 def test_charpoly_is_the_product_of_its_factors():
-    with _modular_calls() as sent:
-        for name, matrix, primes in _charpoly_product_cases():
-            sent.clear()
-            factors = charpoly_factors(matrix)
-            assert bool(sent) == primes, name
-            assert all(m >= 1 and f.is_monic() for f, m in factors), name
-            assert charpoly(matrix) == _expand(factors), name
+    for name, matrix, refused in _charpoly_product_cases():
+        if refused:
+            with pytest.raises(IntegerGrowth):
+                charpoly_factors(matrix)
+            continue
+        factors = charpoly_factors(matrix)
+        assert all(m >= 1 and f.is_monic() for f, m in factors), name
+        assert charpoly(matrix) == _expand(factors), name
     assert [m for _, m in charpoly_factors(_hadamard_16(2**40))].count(3) == 2
 
 

@@ -148,6 +148,25 @@ def _count_failed_calls(monkeypatch):
     return calls
 
 
+def test_a_charpoly_the_integer_stage_refuses_fails_its_check(monkeypatch, caplog):
+    # a stopped stage is a failed charpoly match with one debug line, not a
+    # traceback; the spectra are still compared, and hold
+    monkeypatch.setattr(exactalg, "_integer_hessenberg", lambda h: 0)
+    with caplog.at_level(logging.DEBUG, logger="spg"):
+        report = verify_range(4, 6)
+    assert report.failures == [4, 5, 6]
+    checks = [(r.n, c) for r in report.records for c in r.checks]
+    assert [(n, c.matrix) for n, c in checks] == [
+        (4, "adjacency"), (4, "distance"), (5, "adjacency"), (6, "adjacency"), (6, "distance")
+    ]
+    for n, check in checks:
+        assert check.charpoly_match is False
+        assert check.max_abs_deviation < 1e-8 and check.multiplicity_match and check.theta_in_range
+    stopped = [r.getMessage() for r in caplog.records if "integer stage stopped" in r.getMessage()]
+    assert [line.split(": ")[0] for line in stopped] == [f"n={n} {c.matrix}" for n, c in checks]
+    assert all(f"stopped at column 0 of n = {n}: " in line for (n, _), line in zip(checks, stopped))
+
+
 def test_the_per_order_debug_line_costs_nothing_when_debug_is_off(monkeypatch, caplog):
     calls = _count_failed_calls(monkeypatch)
     with caplog.at_level(logging.INFO, logger="spg"):
