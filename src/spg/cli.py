@@ -3,10 +3,11 @@
 Subcommands:
   build     construct a strong power graph (DOT, JSON edge list, or CSV matrix)
   charpoly  exact characteristic polynomial and its closed form
-            (exactalg.closed_form), both printed expanded; they are compared
-            as factor lists
+            (exactalg.closed_form), both printed expanded; match is verify's
+            verdict on their factor lists, the prime cross-check included
   spectrum  closed-form spectrum, numeric eigenvalues (Householder + QL), and
-            their comparison
+            their comparison; at a prime order the closed form read is the
+            corollary alone, not the general cubic
   verify    run every applicable check over a range of cyclic orders: per
             order, one check per matrix a closed form covers, and the
             graph's connectivity; the charpolys are compared as factor
@@ -42,7 +43,6 @@ from .exactalg import (
     charpoly_factors,
     closed_form,
     expand,
-    same_product,
 )
 from .graphs import (
     DisconnectedGraph,
@@ -70,7 +70,7 @@ from .spectra import (
     distance_spectrum_closed,
     symmetric_eigenvalues,
 )
-from .verify import check_range, verify_range
+from .verify import DEFAULT_TOL, charpoly_match, check_range, verify_range
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -178,15 +178,15 @@ def cmd_build(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_charpoly(args: argparse.Namespace) -> tuple[int, str]:
     """The exact charpoly and its closed form (exactalg.closed_form), both
-    printed expanded.  match compares their factor lists with same_product,
-    as verify does, and a false match exits 1.  Order 1, which no closed
-    form covers, prints null for both and exits 0."""
+    printed expanded.  match is verify's verdict (verify.charpoly_match),
+    the prime cross-check included, and a false match exits 1.  Order 1,
+    which no closed form covers, prints null for both and exits 0."""
     group = parse_group_spec(args.group, args.max_order)
     graph = strong_power_graph(group)
     matrix = distance_matrix(graph) if args.matrix == "distance" else adjacency_matrix(graph)
     computed = charpoly_factors(matrix)
     try:
-        closed, _ = closed_form(group, args.matrix)
+        closed, source = closed_form(group, args.matrix)
     except NoClosedForm:
         closed = None
     document = {
@@ -195,7 +195,7 @@ def cmd_charpoly(args: argparse.Namespace) -> tuple[int, str]:
         "matrix": args.matrix,
         "charpoly": expand(computed).to_coeff_strings(),
         "closed_form": expand(closed).to_coeff_strings() if closed is not None else None,
-        "match": same_product(computed, closed) if closed is not None else None,
+        "match": charpoly_match(computed, closed, source, graph.n) if closed is not None else None,
     }
     code = EXIT_VERIFY_FAILED if document["match"] is False else EXIT_OK
     return code, dumps_indented(document) + "\n"
@@ -206,12 +206,9 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
     comparison that fails at --tol (spectra.comparison_holds) exits 1."""
     group = parse_group_spec(args.group, args.max_order)
     graph = strong_power_graph(group)
-    if args.matrix == "distance":
-        matrix = distance_matrix(graph)
-        closed = distance_spectrum_closed(group)
-    else:
-        matrix = adjacency_matrix(graph)
-        closed = adjacency_spectrum_closed(group)
+    distance = args.matrix == "distance"
+    matrix = distance_matrix(graph) if distance else adjacency_matrix(graph)
+    closed = distance_spectrum_closed(group) if distance else adjacency_spectrum_closed(group)
     numeric = symmetric_eigenvalues(matrix)
     comparison = compare_spectra(closed, numeric)
     document = {
@@ -264,53 +261,41 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _add_max_order(parser: argparse.ArgumentParser, what: str = "group order") -> None:
-    parser.add_argument(
-        "--max-order",
-        type=_max_order_arg,
-        default=DEFAULT_MAX_ORDER,
-        help=f"refuse a {what} above this before building anything "
-        f"(default {DEFAULT_MAX_ORDER}; exit code 2)",
-    )
-
-
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every
-    main() call; parse_args keeps no state between calls."""
+    main() call; parse_args keeps no state between calls.  Each option is
+    declared once, in a parent parser shared by the subcommands taking it."""
+    group, matrix, tol, out, max_order = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    group.add_argument("--group", required=True, help="cyclic:N | product:A,B | dihedral:M | cayley:PATH")
+    matrix.add_argument("--matrix", choices=("adjacency", "distance"), default="adjacency")
+    tol.add_argument("--tol", type=_tol_arg, default=DEFAULT_TOL)
+    out.add_argument("--out", help="write the document to this path")
+    max_order.add_argument(
+        "--max-order", type=_max_order_arg, default=DEFAULT_MAX_ORDER,
+        help="refuse a group order (for verify, the range's largest) above this before building "
+        f"anything (default {DEFAULT_MAX_ORDER}; exit code 2)",
+    )
     parser = argparse.ArgumentParser(
         prog="spg", description="Strong power graph construction and verification."
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    build = sub.add_parser("build", help="construct a strong power graph")
-    build.add_argument("--group", required=True, help="cyclic:N | product:A,B | dihedral:M | cayley:PATH")
+    build = sub.add_parser("build", parents=[group, out, max_order], help="construct a strong power graph")
     build.add_argument("--format", choices=("dot", "json", "csv"), default="json")
-    build.add_argument("--out", help="write the document to this path")
-    _add_max_order(build)
     build.set_defaults(handler=cmd_build)
 
-    poly = sub.add_parser("charpoly", help="exact characteristic polynomial")
-    poly.add_argument("--group", required=True)
-    poly.add_argument("--matrix", choices=("adjacency", "distance"), default="adjacency")
-    poly.add_argument("--out")
-    _add_max_order(poly)
-    poly.set_defaults(handler=cmd_charpoly)
+    sub.add_parser(
+        "charpoly", parents=[group, matrix, out, max_order], help="exact characteristic polynomial"
+    ).set_defaults(handler=cmd_charpoly)
+    sub.add_parser(
+        "spectrum", parents=[group, matrix, tol, out, max_order], help="closed-form vs numeric spectrum"
+    ).set_defaults(handler=cmd_spectrum)
 
-    spectrum = sub.add_parser("spectrum", help="closed-form vs numeric spectrum")
-    spectrum.add_argument("--group", required=True)
-    spectrum.add_argument("--matrix", choices=("adjacency", "distance"), default="adjacency")
-    spectrum.add_argument("--tol", type=_tol_arg, default=1e-8)
-    spectrum.add_argument("--out")
-    _add_max_order(spectrum)
-    spectrum.set_defaults(handler=cmd_spectrum)
-
-    verify = sub.add_parser("verify", help="verify closed forms over a range of orders")
+    verify = sub.add_parser("verify", parents=[tol, out, max_order],
+                            help="verify closed forms over a range of orders")
     verify.add_argument("--range", required=True, help="A..B with 2 <= A <= B")
-    verify.add_argument("--tol", type=_tol_arg, default=1e-8)
     verify.add_argument("--workers", type=int, default=1)
-    verify.add_argument("--out")
-    _add_max_order(verify, "largest order of the range")
     verify.set_defaults(handler=cmd_verify)
     return parser
 

@@ -16,10 +16,11 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .exactalg import (
     IntegerGrowth,
+    IntPolynomial,
     NoClosedForm,
     adjacency_formula_factors,
     charpoly_factors,
@@ -37,15 +38,19 @@ from .groups import CyclicGroup
 from .jsontext import dumps_indented
 from .spectra import (
     ComplexRoots,
+    SpectrumComparison,
     closed_spectrum,
     compare_spectra,
     comparison_holds,
     symmetric_eigenvalues,
 )
 
-__all__ = ["Check", "VerificationRecord", "VerificationReport", "check_range", "verify_range"]
+__all__ = ["DEFAULT_TOL", "Check", "VerificationRecord", "VerificationReport", "charpoly_match",
+           "check_range", "verify_range"]
 
 log = logging.getLogger("spg.verify")
+
+DEFAULT_TOL = 1e-8  # the spectrum tolerance of verify_range and of the CLI's --tol
 
 
 @dataclass
@@ -115,15 +120,26 @@ class VerificationReport:
         return dumps_indented(self.to_document())
 
 
+def charpoly_match(computed: Sequence[tuple[IntPolynomial, int]],
+                   closed: Sequence[tuple[IntPolynomial, int]], source: str, n: int) -> bool:
+    """The charpoly verdict of verify and spg charpoly: whether the exact
+    factors of an order-n matrix have the closed form's product
+    (same_product).  At a prime order ("adjacency-prime") they must also
+    have the general cubic's, adjacency_formula_factors(n), of which the
+    prime corollary is a case."""
+    match = same_product(computed, closed)
+    if source == "adjacency-prime":
+        match = match and same_product(computed, adjacency_formula_factors(n))
+    return match
+
+
 def _verify_single(n: int) -> VerificationRecord:
     """All checks for one order n; pure, suitable for worker processes.
 
     Each covered matrix's exact factors (charpoly_factors) are computed
-    once and compared with same_product against exactalg.closed_form's
-    factors; at prime n the adjacency factors are compared with the general
-    cubic's list too, of which the prime corollary is a case.  Where no
-    distance form applies the graph must be disconnected, and where one
-    does the distance matrix must exist.
+    once and judged against exactalg.closed_form's factors by
+    charpoly_match.  Where no distance form applies the graph must be
+    disconnected, and where one does the distance matrix must exist.
     """
     started = time.perf_counter()
     group = CyclicGroup(n)
@@ -146,18 +162,16 @@ def _verify_single(n: int) -> VerificationRecord:
             log.debug("n=%d %s: %s", n, kind, exc)
             match = False
         else:
-            match = same_product(computed, factors)
-            if source == "adjacency-prime":
-                match = match and same_product(computed, adjacency_formula_factors(n))
+            match = charpoly_match(computed, factors, source, n)
         try:
             closed = closed_spectrum(factors, source)
         except ComplexRoots as exc:  # a closed form with no real spectrum fails its check
             log.debug("n=%d %s: %s", n, kind, exc)
-            checks.append(Check(kind, source, match, math.inf, False, theta=None, theta_in_range=False))
-            continue
-        comparison = compare_spectra(closed, symmetric_eigenvalues(matrix))
+            comparison, theta = SpectrumComparison(math.inf, False, False), None
+        else:
+            comparison, theta = compare_spectra(closed, symmetric_eigenvalues(matrix)), closed.theta
         checks.append(Check(
-            matrix=kind, source=source, charpoly_match=match, theta=closed.theta, **vars(comparison)
+            matrix=kind, source=source, charpoly_match=match, theta=theta, **vars(comparison)
         ))
 
     elapsed_ms = int((time.perf_counter() - started) * 1000)
@@ -183,7 +197,7 @@ def check_range(n_min: int, n_max: int, tol: float, workers: int) -> None:
 
 
 def verify_range(
-    n_min: int, n_max: int, tol: float = 1e-8, workers: int = 1
+    n_min: int, n_max: int, tol: float = DEFAULT_TOL, workers: int = 1
 ) -> VerificationReport:
     """Run every applicable check for each n in [n_min, n_max] (see
     _verify_single): exact charpolys as factor lists against the closed

@@ -297,8 +297,59 @@ def _square(n, entries):
     )
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: _square(n, st.integers(-9, 9))))
+def _diagonal_blocks():
+    block = st.integers(1, 3).flatmap(lambda k: _square(k, st.integers(-3, 3)))
+    return st.lists(st.tuples(block, st.integers(1, 3)), min_size=1, max_size=3)
+
+
+def _conjugate(rows, i, j, c):
+    """rows := E rows E^-1 in place, for the unimodular E = I + c e_i e_j^T."""
+    for k in range(len(rows)):
+        rows[i][k] += c * rows[j][k]
+    for k in range(len(rows)):
+        rows[k][j] -= c * rows[k][i]
+
+
+@st.composite
+def _unimodular_conjugates(draw):
+    # block upper triangular, with column 0 = (a, 1, 0, ..., 0), conjugated
+    # by U = diag(1, L R) with L lower and R upper unitriangular.  U fixes
+    # e_0 and maps e_1 to (0, 1, l_21, ...), so column 0 of U M U^-1 is
+    # (a, 1, l_21, ...): a pivot of 1 that divides its column
+    a, b, d = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+    diagonal = [[[a, b], [1, d]]] + [
+        block for block, count in draw(_diagonal_blocks()) for _ in range(count)
+    ]
+    n = sum(len(block) for block in diagonal)
+    assume(n <= 14)
+    rng = draw(st.randoms(use_true_random=False))
+    rows, at = [[0] * n for _ in range(n)], 0
+    for block in diagonal:
+        k = len(block)
+        for i in range(k):
+            rows[at + i][at : at + k] = block[i]
+            rows[at + i][at + k :] = [rng.randint(-3, 3) for _ in range(n - at - k)]
+        at += k
+    pairs = [(i, j) for i in range(1, n) for j in range(1, n) if i != j]
+    ops = [(i, j, rng.choice([-2, -1, 1, 2])) for i, j in rng.sample(pairs, min(len(pairs), n))]
+    for i, j, c in sorted(ops, key=lambda op: op[0] > op[1]):  # R's, then L's
+        _conjugate(rows, i, j, c)
+    return rows, (1, n - 1)
+
+
+def _conjugated_rows():
+    # the rows of _unimodular_conjugates: dense matrices built so that the
+    # integer stage finishes, where most dense random draws from n = 7 on
+    # are refused
+    return _unimodular_conjugates().map(lambda case: case[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.integers(1, 6).flatmap(lambda n: _square(n, st.integers(-9, 9))), _conjugated_rows()
+    )
+)
 def test_charpoly_nonsymmetric_and_singular(rows):
     _exact_or_refused(rows)
     singular = rows[:-1] + [rows[0]] if len(rows) > 1 else [[0]]
@@ -331,19 +382,16 @@ def test_charpoly_of_a_hessenberg_input_takes_no_pass():
     _assert_charpoly_by_determinants(rows)
 
 
-def _diagonal_blocks():
-    block = st.integers(1, 3).flatmap(lambda k: _square(k, st.integers(-3, 3)))
-    return st.lists(st.tuples(block, st.integers(1, 3)), min_size=1, max_size=3)
-
-
 @settings(max_examples=100, deadline=None)
-@given(_diagonal_blocks(), st.randoms(use_true_random=False))
-@example([([[2]], 3), ([[-1]], 1), ([[4]], 2)], random.Random(0))  # 1 x 1 blocks
-@example([([[1, 2], [3, 4]], 3), ([[0]], 2)], random.Random(1))
-@example([([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 2), ([[-1]], 3)], random.Random(2))
-def test_charpoly_folds_block_upper_triangular_matrices(blocks, rng):
+@given(_diagonal_blocks(), st.randoms(use_true_random=False), st.none() | _conjugated_rows())
+@example([([[2]], 3), ([[-1]], 1), ([[4]], 2)], random.Random(0), None)  # 1 x 1 blocks
+@example([([[1, 2], [3, 4]], 3), ([[0]], 2)], random.Random(1), None)
+@example([([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 2), ([[-1]], 3)], random.Random(2), None)
+def test_charpoly_folds_block_upper_triangular_matrices(blocks, rng, conjugated):
     # block upper triangular with the drawn diagonal blocks, each repeated
-    # its drawn number of times, and random entries above the blocks
+    # its drawn number of times, and random entries above the blocks; and,
+    # when one is drawn, a block triangular matrix conjugated by a
+    # unimodular one (_unimodular_conjugates)
     diagonal = [block for block, count in blocks for _ in range(count)]
     n = sum(len(block) for block in diagonal)
     assume(n <= 14)
@@ -357,8 +405,9 @@ def test_charpoly_folds_block_upper_triangular_matrices(blocks, rng):
     # conjugated by a permutation, the integer stage has to find the blocks
     order = list(range(n))
     rng.shuffle(order)
-    for square in (rows, permuted(IntMatrix(rows), order).entries.tolist()):
-        _exact_or_refused(square)
+    for square in (rows, permuted(IntMatrix(rows), order).entries.tolist(), conjugated):
+        if square is not None:
+            _exact_or_refused(square)
 
 
 def _cyclic_matrices(n):
@@ -542,41 +591,6 @@ def test_charpoly_refuses_a_pass_beside_a_large_entry():
         message = rf"stopped at column 0 of n = {n}: .* 2\^62/n = {(1 << 62) // n} or more$"
         with pytest.raises(IntegerGrowth, match=message):
             charpoly_factors(rows)
-
-
-def _conjugate(rows, i, j, c):
-    """rows := E rows E^-1 in place, for the unimodular E = I + c e_i e_j^T."""
-    for k in range(len(rows)):
-        rows[i][k] += c * rows[j][k]
-    for k in range(len(rows)):
-        rows[k][j] -= c * rows[k][i]
-
-
-@st.composite
-def _unimodular_conjugates(draw):
-    # block upper triangular, with column 0 = (a, 1, 0, ..., 0), conjugated
-    # by U = diag(1, L R) with L lower and R upper unitriangular.  U fixes
-    # e_0 and maps e_1 to (0, 1, l_21, ...), so column 0 of U M U^-1 is
-    # (a, 1, l_21, ...): a pivot of 1 that divides its column
-    a, b, d = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
-    diagonal = [[[a, b], [1, d]]] + [
-        block for block, count in draw(_diagonal_blocks()) for _ in range(count)
-    ]
-    n = sum(len(block) for block in diagonal)
-    assume(n <= 10)
-    rng = draw(st.randoms(use_true_random=False))
-    rows, at = [[0] * n for _ in range(n)], 0
-    for block in diagonal:
-        k = len(block)
-        for i in range(k):
-            rows[at + i][at : at + k] = block[i]
-            rows[at + i][at + k :] = [rng.randint(-3, 3) for _ in range(n - at - k)]
-        at += k
-    pairs = [(i, j) for i in range(1, n) for j in range(1, n) if i != j]
-    ops = [(i, j, rng.choice([-2, -1, 1, 2])) for i, j in rng.sample(pairs, min(len(pairs), n))]
-    for i, j, c in sorted(ops, key=lambda op: op[0] > op[1]):  # R's, then L's
-        _conjugate(rows, i, j, c)
-    return rows, (1, n - 1)
 
 
 @st.composite
@@ -809,17 +823,20 @@ def test_charpoly_entries_beyond_int64(rows):
     assert _exact_or_refused(rows) or len(rows) > 2
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    st.integers(1, 6).flatmap(
-        lambda n: st.tuples(
-            st.lists(
-                st.lists(st.integers(-9, 9), min_size=n, max_size=n),
-                min_size=n,
-                max_size=n,
-            ),
-            st.integers(-5, 5),
-        )
+    st.one_of(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                    min_size=n,
+                    max_size=n,
+                ),
+                st.integers(-5, 5),
+            )
+        ),
+        st.tuples(_conjugated_rows(), st.integers(-5, 5)),
     )
 )
 def test_charpoly_evaluates_to_shifted_determinant(case):

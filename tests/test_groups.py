@@ -862,8 +862,10 @@ def test_is_prime_and_totient_accept_exactly_the_domain():
 @pytest.mark.parametrize(
     "lo, hi",
     [
-        # the top of the exact charpoly's prime basis candidates, just below
-        # isqrt(2^53), and the last 2*10^5 integers of the domain
+        # 10^5 integers near 10^8, well inside the domain, where the strong
+        # probable-prime test decides every n with no prime factor up to 7;
+        # and the last 2*10^5 integers of the domain, just below the first
+        # strong pseudoprime to all four bases
         (math.isqrt(1 << 53) - 10**5, math.isqrt(1 << 53)),
         (BOUND - 2 * 10**5, BOUND),
     ],

@@ -14,7 +14,7 @@ from spg import exactalg, verify
 from spg.cli import main
 from spg.exactalg import IntPolynomial
 from spg.graphs import DisconnectedGraph
-from spg.groups import is_composite
+from spg.groups import is_composite, is_prime
 from spg.verify import verify_range
 
 # what the check must not call: the expanded products on either side
@@ -73,13 +73,20 @@ def test_a_wrong_distance_cubic_fails_every_composite_order(monkeypatch):
         assert record.connectivity_match is True, record.n
 
 
+def _exit_code(capsys, command, group, matrix="adjacency"):
+    code = main([command, "--group", group, "--matrix", matrix])
+    capsys.readouterr()
+    return code
+
+
 @pytest.mark.parametrize("shift", [-1, 1])
 @pytest.mark.parametrize("coefficient", [0, 1, 2])
 @pytest.mark.parametrize("cubic", ["distance_cubic", "adjacency_cubic"])
-def test_each_cubic_coefficient_moved_by_one_fails(monkeypatch, cubic, coefficient, shift):
+def test_each_cubic_coefficient_moved_by_one_fails(monkeypatch, capsys, cubic, coefficient, shift):
     # a distance mutant fails every composite order, the only ones with a
     # distance form; an adjacency mutant fails every order, since at a
-    # prime the corollary is checked against the general cubic's list too
+    # prime the corollary is checked against the general cubic's list too,
+    # by verify and by spg charpoly alike
     right = getattr(exactalg, cubic)
 
     def mutant(n):
@@ -91,6 +98,56 @@ def test_each_cubic_coefficient_moved_by_one_fails(monkeypatch, cubic, coefficie
     orders = range(2, 41)
     expected = [n for n in orders if cubic == "adjacency_cubic" or is_composite(n)]
     assert verify_range(2, 40).failures == expected
+    if cubic == "adjacency_cubic":
+        for p in (2, 3, 5, 7, 11, 13):
+            assert _exit_code(capsys, "charpoly", f"cyclic:{p}") == 1, p
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_phi_moved_by_one_inside_the_cubics_fails(monkeypatch, capsys, shift):
+    totient = exactalg.totient
+    monkeypatch.setattr(exactalg, "totient", lambda n: totient(n) + shift)
+    assert verify_range(2, 40).failures == list(range(2, 41))
+    for command in ("charpoly", "spectrum"):
+        for matrix in ("adjacency", "distance"):
+            assert _exit_code(capsys, command, "cyclic:12", matrix) == 1, (command, matrix)
+    assert _exit_code(capsys, "charpoly", "cyclic:7") == 1  # the prime cross-check
+    # the mutant survives here: at a prime the spectrum side reads only the
+    # corollary x(x+1)^(p-2)(x+2-p), which holds no phi
+    assert _exit_code(capsys, "spectrum", "cyclic:7") == 0
+
+
+def test_complete_graph_root_moved_by_one_fails(monkeypatch, capsys):
+    # K_n's (x - n + 1) made (x - n + 2); verify checks only Z_n, which
+    # never takes K_n's form, so only charpoly and spectrum can catch it
+    right = exactalg.complete_graph_factors
+
+    def mutant(n):
+        root, *rest = right(n)
+        assert root == (IntPolynomial([1 - n, 1]), 1)
+        return [(IntPolynomial([2 - n, 1]), 1), *rest]
+
+    monkeypatch.setattr(exactalg, "complete_graph_factors", mutant)
+    assert verify_range(2, 40).failures == []
+    for group in ("product:2,2", "dihedral:3"):
+        for command in ("charpoly", "spectrum"):
+            for matrix in ("adjacency", "distance"):
+                assert _exit_code(capsys, command, group, matrix) == 1, (group, command, matrix)
+
+
+def test_prime_corollary_root_moved_by_one_fails(monkeypatch, capsys):
+    # the corollary's (x + 2 - p) made (x + 1 - p)
+    right = exactalg.prime_adjacency_factors
+
+    def mutant(p):
+        *rest, root = right(p)
+        assert root == (IntPolynomial([2 - p, 1]), 1)
+        return [*rest, (IntPolynomial([1 - p, 1]), 1)]
+
+    monkeypatch.setattr(exactalg, "prime_adjacency_factors", mutant)
+    assert verify_range(2, 40).failures == [n for n in range(2, 41) if is_prime(n)]
+    for command in ("charpoly", "spectrum"):
+        assert _exit_code(capsys, command, "cyclic:7") == 1, command
 
 
 def test_a_wrong_distance_cubic_makes_the_cli_exit_one(monkeypatch, capsys):
