@@ -238,10 +238,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     n_min, n_max = _parse_range(args.range)
     _check_order(n_max, args.max_order)
     try:
-        check_range(n_min, n_max, args.tol, args.workers)
+        check_range(n_min, n_max, args.tol)
     except ValueError as exc:
         raise GroupSpecParseError(str(exc)) from exc
-    report = verify_range(n_min, n_max, tol=args.tol, workers=args.workers)
+    report = verify_range(n_min, n_max, tol=args.tol)
     code = EXIT_OK if not report.failures else EXIT_VERIFY_FAILED
     return code, report.to_json() + "\n"
 
@@ -295,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[tol, out, max_order],
                             help="verify closed forms over a range of orders")
     verify.add_argument("--range", required=True, help="A..B with 2 <= A <= B")
-    verify.add_argument("--workers", type=int, default=1)
     verify.set_defaults(handler=cmd_verify)
     return parser
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -134,7 +133,7 @@ def charpoly_match(computed: Sequence[tuple[IntPolynomial, int]],
 
 
 def _verify_single(n: int) -> VerificationRecord:
-    """All checks for one order n; pure, suitable for worker processes.
+    """All checks for one order n.
 
     Each covered matrix's exact factors (charpoly_factors) are computed
     once and judged against exactalg.closed_form's factors by
@@ -178,53 +177,38 @@ def _verify_single(n: int) -> VerificationRecord:
     return VerificationRecord(n, f"cyclic:{n}", connectivity_match, checks, elapsed_ms)
 
 
-def check_range(n_min: int, n_max: int, tol: float, workers: int) -> None:
-    """Raise ValueError unless n_min, n_max and workers are ints with
-    2 <= n_min <= n_max and workers >= 1, and tol is a finite nonnegative
-    int or float, none of them a bool: verify_range's arguments, checked
-    before any order runs, and written into the report as they are."""
-    for name, value in (("n_min", n_min), ("n_max", n_max), ("workers", workers)):
+def check_range(n_min: int, n_max: int, tol: float) -> None:
+    """Raise ValueError unless n_min and n_max are ints with
+    2 <= n_min <= n_max, and tol is a finite nonnegative int or float,
+    none of them a bool: verify_range's arguments, checked before any order
+    runs, and written into the report as they are."""
+    for name, value in (("n_min", n_min), ("n_max", n_max)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name} must be an int, got {value!r}")
     if not isinstance(tol, (int, float)) or isinstance(tol, bool):
         raise ValueError(f"tol must be a finite nonnegative number, got {tol!r}")
     if not (2 <= n_min <= n_max):
         raise ValueError(f"need 2 <= n_min <= n_max, got [{n_min}, {n_max}]")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be a finite nonnegative number, got {tol!r}")
 
 
-def verify_range(
-    n_min: int, n_max: int, tol: float = DEFAULT_TOL, workers: int = 1
-) -> VerificationReport:
-    """Run every applicable check for each n in [n_min, n_max] (see
-    _verify_single): exact charpolys as factor lists against the closed
-    forms' factors, closed-form spectra against the numeric oracle.
+def verify_range(n_min: int, n_max: int, tol: float = DEFAULT_TOL) -> VerificationReport:
+    """Run every applicable check for each n in [n_min, n_max], one order
+    after another in this process (see _verify_single): exact charpolys as
+    factor lists against the closed forms' factors, closed-form spectra
+    against the numeric oracle.
 
-    Workers > 1 fans the per-n tasks out to a process pool of at most
-    min(workers, cpu count, number of orders) processes; the report content
-    is identical either way because tasks are pure and pool.map, like the
-    serial loop, returns the records in the order of n.  The arguments are
-    checked first (check_range).  A closed form whose degree differs from
-    n, or with no real spectrum (spectra.ComplexRoots), fails its check
-    with deviation inf; the latter has no theta and both flags False.  A
-    charpoly the integer stage refuses (exactalg.IntegerGrowth) fails its
-    charpoly match, and the spectra are still compared.
+    The arguments are checked first (check_range).  A closed form whose
+    degree differs from n, or with no real spectrum
+    (spectra.ComplexRoots), fails its check with deviation inf; the latter
+    has no theta and both flags False.  A charpoly the integer stage
+    refuses (exactalg.IntegerGrowth) fails its charpoly match, and the
+    spectra are still compared.
     """
-    check_range(n_min, n_max, tol, workers)
+    check_range(n_min, n_max, tol)
     started = time.perf_counter()
-    orders = range(n_min, n_max + 1)
-    if workers > 1:  # a serial run never asks for the CPU count
-        workers = min(workers, os.cpu_count() or 1, len(orders))
-    if workers == 1:
-        records = [_verify_single(n) for n in orders]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_verify_single, orders))
+    records = [_verify_single(n) for n in range(n_min, n_max + 1)]
     failures = []
     for r in records:
         failed = r.failed(tol)

@@ -1,13 +1,15 @@
 """CLI subcommands, exit codes, and report round-tripping."""
 
 import argparse
-import concurrent.futures
 import dataclasses
 import io
 import json
 import math
 import os
+import pathlib
 import random
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -648,6 +650,26 @@ def test_a_substituted_standard_output_that_fails_is_a_usage_error(monkeypatch, 
     assert capsys.readouterr().err == "spg: error: cannot write standard output: [Errno 32] Broken pipe\n"
 
 
+def test_readme_cli_block_parses_and_prints_what_it_says(capsys):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## CLI", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["spg"]]
+    assert [argv[0] for argv in commands] == [
+        "build", "build", "charpoly", "charpoly", "spectrum", "verify"
+    ]
+    for argv in commands:
+        cli._build_parser().parse_args(argv)  # a stale option exits 2
+    printed = re.search(r"# -> charpoly (\[.*?\]), closed_form identical, match true", block)
+    printed = json.loads(printed.group(1))
+    assert printed == ["-7", "-18", "-12", "0", "1"]
+    code, out, _ = run_cli(capsys, ["charpoly", "--group", "cyclic:4", "--matrix", "distance"])
+    document = json.loads(out)
+    assert code == 0 and document["match"] is True
+    assert document["charpoly"] == document["closed_form"] == printed
+
+
 def test_report_json_is_the_asdict_text():
     # to_document copies each record and each check shallowly; the text
     # must be what dataclasses.asdict's deep, nested copy gives
@@ -670,8 +692,8 @@ def test_verify_range_refuses_a_bad_tol(tol):
         ((2, 3.0), {}, "n_max"),
         ((2.0, 3), {}, "n_min"),
         (("2", "3"), {}, "n_min"),
-        ((2, 3), {"workers": 1.5}, "workers"),
-        ((2, 3), {"workers": True}, "workers"),
+        ((True, 3), {}, "n_min"),
+        ((2, 3), {"tol": None}, "tol"),
         ((2, 3), {"tol": True}, "tol"),
         ((2, 3), {"tol": "1e-8"}, "tol"),
         ((np.int64(2), 3), {}, "n_min"),  # the report's JSON has no numpy ints
@@ -710,37 +732,6 @@ def test_spg_log_values_that_are_not_level_names_run_at_warning(capsys, monkeypa
         "expected one of debug, info, warning, error, critical; using warning\n"
     )
     assert _strip_elapsed(json.loads(out)) == _strip_elapsed(json.loads(expected))
-
-
-def test_verify_workers_do_not_change_content():
-    serial = _strip_elapsed(verify_range(4, 10).to_document())
-    parallel = _strip_elapsed(verify_range(4, 10, workers=2).to_document())
-    assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
-
-
-@pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2)])
-def test_verify_workers_are_clamped(monkeypatch, cpus, expected):
-    # a stand-in pool records the size asked for and runs the tasks in process
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-    report = verify_range(2, 4, workers=8)
-    assert sizes == [expected]
-    assert [r.n for r in report.records] == [2, 3, 4]
 
 
 def test_record_failure_predicate():

@@ -8,13 +8,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from spg import exactalg, verify
+from spg import cli, exactalg, verify
 from spg.cli import main
 from spg.exactalg import IntPolynomial
-from spg.graphs import DisconnectedGraph
-from spg.groups import is_composite, is_prime
+from spg.graphs import DisconnectedGraph, SimpleGraph, strong_power_graph
+from spg.groups import CyclicGroup, is_composite, is_prime
 from spg.verify import verify_range
 
 # what the check must not call: the expanded products on either side
@@ -148,6 +149,129 @@ def test_prime_corollary_root_moved_by_one_fails(monkeypatch, capsys):
     assert verify_range(2, 40).failures == [n for n in range(2, 41) if is_prime(n)]
     for command in ("charpoly", "spectrum"):
         assert _exit_code(capsys, command, "cyclic:7") == 1, command
+
+
+@pytest.mark.parametrize("kind", ["distance", "adjacency"])
+def test_one_more_x_plus_one_with_a_quadratic_fails(monkeypatch, capsys, kind):
+    # (x+1)^(n-3) times the cubic made (x+1)^(n-2) times the cubic's
+    # quotient by x + 1, so the degree stays n; only the remainder, the
+    # cubic at -1, is lost, and for both cubics that is phi(n - 1 - phi)
+    right = getattr(exactalg, f"{kind}_formula_factors")
+
+    def mutant(n):
+        (x_plus_one, power), (cubic, one) = right(n)
+        assert (x_plus_one, power, one) == (IntPolynomial([1, 1]), n - 3, 1)
+        a0, a1, a2, a3 = cubic.coeffs
+        return [(x_plus_one, n - 2), (IntPolynomial([a1 - a2 + 1, a2 - 1, a3]), 1)]
+
+    monkeypatch.setattr(exactalg, f"{kind}_formula_factors", mutant)
+    # verify's prime cross-check reads the adjacency form through its own name
+    monkeypatch.setattr(verify, "adjacency_formula_factors", exactalg.adjacency_formula_factors)
+    # at a prime phi = p - 1, so the remainder is 0 and the mutant is the
+    # paper's own polynomial: every prime order survives, equivalently
+    assert verify_range(2, 40).failures == [n for n in range(2, 41) if is_composite(n)]
+    for command in ("charpoly", "spectrum"):
+        # a quadratic factor has no root the spectrum side reads
+        assert _exit_code(capsys, command, "cyclic:12", kind) == 1, command
+        if kind == "adjacency":
+            # the charpoly side compares equal polynomials, and the spectrum
+            # side reads only the corollary
+            assert _exit_code(capsys, command, "cyclic:7") == 0, command
+
+
+def test_the_adjacency_form_with_the_distance_cubic_fails(monkeypatch, capsys):
+    # adjacency_cubic, read only inside adjacency_formula_factors, swapped
+    # for distance_cubic
+    monkeypatch.setattr(exactalg, "adjacency_cubic", exactalg.distance_cubic)
+    assert verify_range(2, 40).failures == list(range(2, 41))
+    for command in ("charpoly", "spectrum"):
+        assert _exit_code(capsys, command, "cyclic:12") == 1, command
+        # the distance form is not touched
+        assert _exit_code(capsys, command, "cyclic:12", "distance") == 0, command
+    assert _exit_code(capsys, "charpoly", "cyclic:7") == 1  # the prime cross-check
+    # the mutant survives here: at a prime the spectrum side reads only the
+    # corollary, which holds no cubic
+    assert _exit_code(capsys, "spectrum", "cyclic:7") == 0
+
+
+def _powers(g, top):
+    """Boolean n x n array whose row a marks {a^k : 1 <= k <= top}, from
+    the group's law alone."""
+    n = g.order
+    elems = np.arange(n)
+    member = np.zeros((n, n), dtype=bool)
+    power = elems
+    for _ in range(top):
+        member[elems, power] = True
+        power = g.law(power, elems)
+    return member
+
+
+def _graph(adj):
+    adj = adj.copy()
+    np.fill_diagonal(adj, False)
+    return SimpleGraph(adj)
+
+
+def _met(sets):
+    """x ~ y when the sets of rows x and y intersect."""
+    ints = sets.astype(np.int64)
+    return _graph(ints @ ints.T > 0)
+
+
+def _exponents_up_to_n(g):
+    # e = a^n joins every power set, so every graph is K_n
+    return _met(_powers(g, g.order))
+
+
+def _power_graph(g):
+    # the ordinary power graph: one of x, y is a power of the other
+    subgroup = _powers(g, g.order)
+    return _graph(subgroup | subgroup.T)
+
+
+def _enhanced_power_graph(g):
+    # x ~ y when <x, y> is cyclic, that is when one <z> holds both: K_n for
+    # every cyclic group
+    ints = _powers(g, g.order).astype(np.int64)
+    return _graph(ints.T @ ints > 0)
+
+
+# the n = 2p orders, p an odd prime: there the power graph is K_n minus a
+# star of phi(n) edges centred at the involution, not at e, so it is
+# isomorphic to the strong graph, whose star is centred at e
+TWICE_AN_ODD_PRIME = [n for n in range(6, 121, 2) if is_prime(n // 2)]
+
+
+def test_the_mutant_builders_differ_from_the_definition_by_their_one_change():
+    # with exponents up to n - 1 the same builder gives the strong graph
+    for n in (2, 7, 12, 30):
+        g = CyclicGroup(n)
+        assert _met(_powers(g, n - 1)) == strong_power_graph(g), n
+    # at n = 2p, x -> x + p takes the power graph to the strong graph: e to
+    # the involution p, and the generators to the elements of order p
+    for n in TWICE_AN_ODD_PRIME:
+        shift = (np.arange(n) + n // 2) % n
+        power = _power_graph(CyclicGroup(n))
+        strong = strong_power_graph(CyclicGroup(n))
+        assert SimpleGraph(power.adj[np.ix_(shift, shift)]) == strong != power, n
+
+
+@pytest.mark.parametrize("builder, isomorphic", [
+    pytest.param(_exponents_up_to_n, [], id="exponents-up-to-n"),
+    pytest.param(_power_graph, TWICE_AN_ODD_PRIME, id="power-graph"),
+    pytest.param(_enhanced_power_graph, [], id="enhanced-power-graph"),
+])
+def test_a_graph_other_than_the_strong_power_graph_fails(monkeypatch, capsys, builder, isomorphic):
+    # every order fails but those where the mutant's graph is isomorphic to
+    # the strong one, which no spectrum can tell apart
+    monkeypatch.setattr(verify, "strong_power_graph", builder)
+    monkeypatch.setattr(cli, "strong_power_graph", builder)
+    assert len(TWICE_AN_ODD_PRIME) == 16
+    assert verify_range(2, 120).failures == [n for n in range(2, 121) if n not in isomorphic]
+    for command in ("charpoly", "spectrum"):
+        for matrix in ("adjacency", "distance"):
+            assert _exit_code(capsys, command, "cyclic:12", matrix) == 1, (command, matrix)
 
 
 def test_a_wrong_distance_cubic_makes_the_cli_exit_one(monkeypatch, capsys):
